@@ -62,7 +62,7 @@ func feedAirline(t *testing.T, g *Group, id ProcessID, r *airline.Replica, from 
 				t.Fatalf("%s: OnConfig: %v", id, err)
 			}
 			if state != nil {
-				g.submit(id, state, Safe)
+				g.Submit(id, state, Safe)
 			}
 		} else {
 			r.OnDeliver(e.msg.Sender, e.payload)
@@ -162,7 +162,7 @@ func TestATMOverEVSOfflinePostsOnReconnect(t *testing.T) {
 			t.Errorf("withdraw: %v", err)
 		}
 		if msg != nil {
-			g.submit(ids[0], msg, Safe)
+			g.Submit(ids[0], msg, Safe)
 		}
 	})
 	g.Partition(300*time.Millisecond, ids[:1], ids[1:])
@@ -209,7 +209,7 @@ func feedATM(t *testing.T, g *Group, id ProcessID, r *atm.Replica, from int) int
 				t.Fatalf("%s: OnConfig: %v", id, err)
 			}
 			if batch != nil {
-				g.submit(id, batch, Safe)
+				g.Submit(id, batch, Safe)
 			}
 		} else {
 			r.OnDeliver(e.payload)

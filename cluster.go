@@ -3,6 +3,7 @@ package evs
 import (
 	"repro/internal/node"
 	"repro/internal/obs"
+	"repro/internal/spine"
 )
 
 // Submission errors, re-exported so Cluster callers can test them with
@@ -33,15 +34,10 @@ type (
 // Observer receives application-level events from a running cluster.
 // Observers are additive: any number may be registered with AddObserver and
 // each sees every event, in registration order. Callbacks run on the
-// cluster's event path — the simulator's single thread, or a process
-// goroutine in LiveGroup — and must not block or call back into the
-// cluster's mutating API.
-type Observer interface {
-	// OnDelivery observes an application message delivery at a process.
-	OnDelivery(id ProcessID, d Delivery)
-	// OnConfigChange observes a configuration change at a process.
-	OnConfigChange(id ProcessID, c ConfigEvent)
-}
+// delivering process's event path — the simulator's single thread, or a
+// transport or timer goroutine in LiveGroup — and must not block or call
+// back into the cluster's mutating API.
+type Observer = spine.Observer
 
 // ObserverFuncs adapts plain functions to Observer; nil fields are skipped.
 type ObserverFuncs struct {
@@ -64,9 +60,10 @@ func (o ObserverFuncs) OnConfigChange(id ProcessID, c ConfigEvent) {
 }
 
 // Cluster is the runtime-independent face of an EVS deployment, implemented
-// by both Group (deterministic simulation) and LiveGroup (real goroutines
-// and wall-clock timers). Code written against Cluster — applications,
-// examples, parity tests — runs unchanged on either runtime.
+// by Group (virtual clock, simulated medium) and LiveGroup (wall clock,
+// over the in-process hub or loopback sockets). Code written against
+// Cluster — applications, examples, parity tests — runs unchanged on every
+// runtime.
 //
 // Scheduling differs by nature between the runtimes (virtual time versus
 // wall time), so scenario control (partitions, crashes, timed sends) stays

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/spine"
 )
 
 // collectPayloads renders a process's delivery sequence for comparison.
@@ -38,98 +40,129 @@ func snapshotNames(s MetricsSnapshot) (counters, gauges, hists []string) {
 	return
 }
 
-// TestClusterParityGroupVsLive drives the same scenario through the
-// runtime-independent Cluster interface on both runtimes and checks that
-// what the application observes — delivery sequences, final configuration,
-// metric vocabulary — is identical.
-func TestClusterParityGroupVsLive(t *testing.T) {
+// await advances c until cond holds: virtual time in steps on the
+// simulator, a wall-clock poll elsewhere. It reports whether cond held.
+func await(c Cluster, cond func() bool) bool {
+	g, ok := c.(*Group)
+	if !ok {
+		return spine.Poll(20*time.Second, cond)
+	}
+	for !cond() && g.Now() < 10*time.Second {
+		g.Run(g.Now() + 50*time.Millisecond)
+	}
+	return cond()
+}
+
+// TestClusterParity drives the same scenario through the
+// runtime-independent Cluster interface on every runtime — virtual clock
+// over the simulated medium, wall clock over the hub, UDP and TCP — and
+// checks that what the application observes is the same on each: delivery
+// sequences, final configuration, metric vocabulary, and a clean settled
+// specification check.
+func TestClusterParity(t *testing.T) {
 	payloads := []string{"alpha", "bravo", "charlie"}
-
-	// Simulator: submit at virtual time 500ms (well after formation),
-	// observing only through the Cluster interface.
-	g := NewGroup(Options{NumProcesses: 3, Seed: 7})
-	var sim Cluster = g
-	g.At(500*time.Millisecond, func() {
-		for _, p := range payloads {
-			if err := sim.Submit(sim.IDs()[0], []byte(p), Safe); err != nil {
-				t.Errorf("sim submit %q: %v", p, err)
+	var refIDs []ProcessID
+	var refNames [3][]string
+	for _, rt := range []Runtime{RuntimeSim, RuntimeLive, RuntimeUDP, RuntimeTCP} {
+		rt := rt
+		t.Run(rt.String(), func(t *testing.T) {
+			opts := []Option{WithRuntime(rt), WithNumProcesses(3)}
+			switch rt {
+			case RuntimeSim:
+				opts = append(opts, WithSeed(7))
+			case RuntimeUDP, RuntimeTCP:
+				opts = append(opts, WithNodeConfig(fastNetConfig()))
 			}
-		}
-	})
-	g.Run(3 * time.Second)
-	defer sim.Close()
-
-	// Live runtime: same scenario under real concurrency.
-	lg := NewLiveGroup(3, nil)
-	var live Cluster = lg
-	defer live.Close()
-	if !lg.WaitOperational(10 * time.Second) {
-		t.Fatal("live group did not form")
-	}
-	for _, p := range payloads {
-		if err := live.Submit(live.IDs()[0], []byte(p), Safe); err != nil {
-			t.Fatalf("live submit %q: %v", p, err)
-		}
-	}
-	for _, id := range lg.IDs() {
-		if !lg.WaitDeliveries(id, len(payloads), 10*time.Second) {
-			t.Fatalf("live %s delivered %d of %d", id, len(live.Deliveries(id)), len(payloads))
-		}
-	}
-
-	// Identical process identifiers.
-	if !reflect.DeepEqual(sim.IDs(), live.IDs()) {
-		t.Fatalf("IDs diverge: sim=%v live=%v", sim.IDs(), live.IDs())
-	}
-
-	// Identical delivery sequences, per process and across runtimes.
-	want := payloads
-	for _, c := range []Cluster{sim, live} {
-		for _, id := range c.IDs() {
-			if got := collectPayloads(c, id); !reflect.DeepEqual(got, want) {
-				t.Errorf("deliveries at %s = %v, want %v", id, got, want)
+			c, err := New(opts...)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
+			defer c.Close()
+			ids := c.IDs()
 
-	// Both runtimes install a final 3-member configuration and report
-	// configuration changes through the same accessor.
-	for _, c := range []Cluster{sim, live} {
-		for _, id := range c.IDs() {
-			ccs := c.ConfigChanges(id)
-			if len(ccs) == 0 {
-				t.Fatalf("%s has no configuration changes", id)
+			formed := func() bool {
+				for _, id := range ids {
+					ccs := c.ConfigChanges(id)
+					if len(ccs) == 0 {
+						return false
+					}
+					last := ccs[len(ccs)-1].Config
+					if !last.ID.IsRegular() || last.Members.Size() != len(ids) {
+						return false
+					}
+				}
+				return true
 			}
-			last := ccs[len(ccs)-1].Config
-			if last.Members.Size() != 3 {
-				t.Errorf("%s final config has %d members", id, last.Members.Size())
+			if !await(c, formed) {
+				t.Fatal("cluster did not form")
 			}
-		}
-		if len(c.History()) == 0 {
-			t.Error("empty formal-model history")
-		}
-	}
+			for _, p := range payloads {
+				if err := c.Submit(ids[0], []byte(p), Safe); err != nil {
+					t.Fatalf("submit %q: %v", p, err)
+				}
+			}
+			delivered := func() bool {
+				for _, id := range ids {
+					if len(c.Deliveries(id)) < len(payloads) {
+						return false
+					}
+				}
+				return true
+			}
+			if !await(c, delivered) {
+				t.Fatal("not every process delivered every message")
+			}
 
-	// The metric vocabulary must be identical between the runtimes: same
-	// scope names, same counter/gauge/histogram catalogs, so dashboards
-	// and comparisons work series-for-series.
-	sm, lm := sim.Metrics(), live.Metrics()
-	if !reflect.DeepEqual(sm.ProcNames(), lm.ProcNames()) {
-		t.Errorf("scope names diverge: sim=%v live=%v", sm.ProcNames(), lm.ProcNames())
-	}
-	sc, sg, sh := snapshotNames(sm.Total)
-	lc, lgn, lh := snapshotNames(lm.Total)
-	if !reflect.DeepEqual(sc, lc) || !reflect.DeepEqual(sg, lgn) || !reflect.DeepEqual(sh, lh) {
-		t.Error("metric name sets diverge between runtimes")
-	}
-	// Both executions did real protocol work.
-	for _, tot := range []MetricsSnapshot{sm.Total, lm.Total} {
-		if tot.Counters["totem_token_rotations_total"] == 0 {
-			t.Error("no token rotations recorded")
-		}
-		if tot.Counters["totem_msgs_delivered_total"] == 0 {
-			t.Error("no deliveries recorded")
-		}
+			// Identical delivery sequences at every process, and a final
+			// configuration of the whole cluster, still installed.
+			for _, id := range ids {
+				if got := collectPayloads(c, id); !reflect.DeepEqual(got, payloads) {
+					t.Errorf("deliveries at %s = %v, want %v", id, got, payloads)
+				}
+			}
+			if !formed() {
+				t.Error("the full configuration did not survive the traffic")
+			}
+			if len(c.History()) == 0 {
+				t.Error("empty formal-model history")
+			}
+			if vs := c.(interface{ Check(bool) []Violation }).Check(true); len(vs) != 0 {
+				t.Errorf("violations: %v", vs)
+			}
+
+			// The metric vocabulary must be identical between the runtimes:
+			// same process scopes (the in-process media add a "net" scope),
+			// same counter/gauge/histogram catalogs, so dashboards and
+			// comparisons work series-for-series.
+			m := c.Metrics()
+			var procs []ProcessID
+			for _, name := range m.ProcNames() {
+				if name != "net" {
+					procs = append(procs, ProcessID(name))
+				}
+			}
+			if !reflect.DeepEqual(procs, ids) {
+				t.Errorf("scope names %v, want one per process %v", m.ProcNames(), ids)
+			}
+			var names [3][]string
+			names[0], names[1], names[2] = snapshotNames(m.Total)
+			if refIDs == nil {
+				refIDs, refNames = ids, names
+			}
+			if !reflect.DeepEqual(ids, refIDs) {
+				t.Errorf("IDs = %v, want %v as on the simulator", ids, refIDs)
+			}
+			if !reflect.DeepEqual(names, refNames) {
+				t.Error("metric name sets diverge from the simulator's")
+			}
+			// The execution did real protocol work.
+			if m.Total.Counters["totem_token_rotations_total"] == 0 {
+				t.Error("no token rotations recorded")
+			}
+			if m.Total.Counters["totem_msgs_delivered_total"] == 0 {
+				t.Error("no deliveries recorded")
+			}
+		})
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/daemon"
 	"repro/internal/model"
+	"repro/internal/spine"
 )
 
 func main() {
@@ -133,7 +134,7 @@ func run(args []string, stdout, stderr *os.File) int {
 // reporting throughput when the local daemon has delivered its own last
 // message (a lower bound on cluster-wide delivery).
 func runLoad(d *daemon.Daemon, count, size int, svc model.Service, stdout *os.File) {
-	if !d.WaitOperational(nil, time.Minute) {
+	if !spine.Poll(time.Minute, func() bool { return d.Operational(nil) }) {
 		fmt.Fprintf(stdout, "evsd %s: load: ring never became operational\n", d.ID())
 		return
 	}

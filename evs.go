@@ -22,15 +22,16 @@
 // A Group runs a complete cluster on a deterministic discrete-event
 // simulation of a broadcast LAN: partitions, merges, crashes and
 // recoveries are scheduled at virtual times and every execution replays
-// exactly from its seed. The specification checker (Check, CheckVS)
-// verifies executions against the paper's formal model.
+// exactly from its seed. A LiveGroup runs the same processes, layers
+// included, on the wall clock over an in-process hub or loopback sockets.
+// The specification checker (Check, CheckVS) verifies executions against
+// the paper's formal model.
 package evs
 
 import (
-	"time"
-
 	"repro/internal/model"
 	"repro/internal/spec"
+	"repro/internal/spine"
 	"repro/internal/vsfilter"
 )
 
@@ -74,46 +75,18 @@ const (
 // NewProcessSet builds a process set.
 func NewProcessSet(ids ...ProcessID) ProcessSet { return model.NewProcessSet(ids...) }
 
-// Delivery is a message delivered to the application by the EVS layer.
-type Delivery struct {
-	// Msg identifies the message; Msg.Sender is the originator.
-	Msg MessageID
-	// Payload is the application payload.
-	Payload []byte
-	// Service is the service level the sender requested.
-	Service Service
-	// Config is the configuration — regular or transitional — in which
-	// the message was delivered, with its membership.
-	Config Configuration
-	// Time is the virtual time of the delivery.
-	Time time.Duration
-}
-
-// ConfigEvent is a configuration change delivered to the application.
-type ConfigEvent struct {
-	// Config is the configuration being initiated.
-	Config Configuration
-	// Time is the virtual time of the installation.
-	Time time.Duration
-}
-
-// PrimaryEvent reports the primary component algorithm's verdict for a
-// regular configuration.
-type PrimaryEvent struct {
-	Config  Configuration
-	Primary bool
-	// Prev is the previous primary component the verdict was computed
-	// against (zero for the first).
-	Prev Configuration
-	Time time.Duration
-}
-
-// VSEvent is an output of the virtual synchrony filter at one process:
-// either a view change or a delivery within a view.
-type VSEvent struct {
-	// ViewChange is set for view events.
-	ViewChange *View
-	// Deliver is set for deliveries.
-	Deliver *vsfilter.Deliver
-	Time    time.Duration
-}
+// What a cluster records, shared by every runtime (see internal/spine).
+type (
+	// Delivery is a message delivered to the application by the EVS
+	// layer: Msg, Payload, Service, the Config it was delivered in, and
+	// the Time on the cluster's clock (virtual in the simulator).
+	Delivery = spine.Delivery
+	// ConfigEvent is a configuration change delivered to the application.
+	ConfigEvent = spine.ConfigEvent
+	// PrimaryEvent reports the primary component algorithm's verdict for
+	// a regular configuration.
+	PrimaryEvent = spine.PrimaryEvent
+	// VSEvent is an output of the virtual synchrony filter at one
+	// process: either a view change or a delivery within a view.
+	VSEvent = spine.VSEvent
+)

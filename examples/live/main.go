@@ -1,7 +1,7 @@
-// Live: the same protocol stack as the other examples, but running on real
-// goroutines, channels and wall-clock timers instead of the deterministic
-// simulator — four processes forming a ring, ordering concurrent traffic,
-// surviving a partition and a merge in real time.
+// Live: the same protocol stack as the other examples — primary component
+// layer included — but on the wall clock over the in-process hub instead
+// of the deterministic simulator: four processes forming a ring, ordering
+// concurrent traffic, surviving a partition and a merge in real time.
 //
 // Run with: go run ./examples/live
 package main
@@ -23,9 +23,12 @@ func main() {
 }
 
 func run() error {
-	// The uniform constructor with the live runtime; partition and merge
-	// control stays on the concrete *evs.LiveGroup.
-	c, err := evs.New(evs.WithRuntime(evs.RuntimeLive), evs.WithNumProcesses(4))
+	// The uniform constructor with the live runtime (RuntimeUDP/RuntimeTCP
+	// run the same group over loopback sockets); partition and merge
+	// control stays on the concrete *evs.LiveGroup. Options reach every
+	// runtime, so the Section 5 primary layer runs here too.
+	c, err := evs.New(evs.WithRuntime(evs.RuntimeLive),
+		evs.WithSimOptions(evs.Options{NumProcesses: 4, EnablePrimary: true}))
 	if err != nil {
 		return err
 	}
@@ -53,7 +56,7 @@ func run() error {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				_ = g.Send(id, []byte(fmt.Sprintf("%s#%d", id, i)), evs.Safe)
+				_ = g.Submit(id, []byte(fmt.Sprintf("%s#%d", id, i)), evs.Safe)
 				time.Sleep(time.Millisecond)
 			}
 		}()
@@ -61,7 +64,7 @@ func run() error {
 	wg.Wait()
 	for _, id := range ids {
 		if !g.WaitDeliveries(id, 40, 10*time.Second) {
-			return fmt.Errorf("%s delivered only %d of 40", id, len(g.Deliveries(id)))
+			return fmt.Errorf("%s delivered only %d of 40", id, g.DeliveryCount(id))
 		}
 	}
 	fmt.Printf("%-8s 40 concurrent messages safely delivered at all 4 processes\n", since(start))
@@ -78,13 +81,16 @@ func run() error {
 	}
 	fmt.Printf("%-8s identical total order at every process\n", since(start))
 
-	// Partition in real time: both halves keep working.
-	g.Partition(ids[:2], ids[2:])
-	fmt.Printf("%-8s partitioned %v | %v\n", since(start), ids[:2], ids[2:])
+	// Partition in real time: both halves keep working. Only the hub can
+	// cut itself; over sockets Partition returns evs.ErrNoPartition.
+	if err := g.Partition(ids[:3], ids[3:]); err != nil {
+		return err
+	}
+	fmt.Printf("%-8s partitioned %v | %v\n", since(start), ids[:3], ids[3:])
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		_ = g.Send(ids[0], []byte("left"), evs.Agreed)
-		_ = g.Send(ids[2], []byte("right"), evs.Agreed)
+		_ = g.Submit(ids[0], []byte("left"), evs.Agreed)
+		_ = g.Submit(ids[3], []byte("right"), evs.Agreed)
 		time.Sleep(10 * time.Millisecond)
 		if has(g, ids[1], "left") && has(g, ids[3], "right") {
 			break
@@ -95,7 +101,19 @@ func run() error {
 	}
 	fmt.Printf("%-8s both components delivering independently\n", since(start))
 
-	g.Merge()
+	// The primary component algorithm runs on the wall clock as it does in
+	// the simulator: the majority side is primary, the minority is not.
+	time.Sleep(100 * time.Millisecond) // let both sides decide
+	for _, id := range []evs.ProcessID{ids[0], ids[3]} {
+		if vs := g.PrimaryEvents(id); len(vs) > 0 {
+			last := vs[len(vs)-1]
+			fmt.Printf("%-8s %s: component %v primary=%v\n", since(start), id, last.Config.Members, last.Primary)
+		}
+	}
+
+	if err := g.Merge(); err != nil {
+		return err
+	}
 	if !g.WaitOperational(10 * time.Second) {
 		return fmt.Errorf("merge did not converge")
 	}

@@ -43,13 +43,14 @@ var Analyzer = &analysis.Analyzer{
 // simulator or the checker, where a replayed seed must reproduce the
 // original execution exactly. experiments is included so its
 // measurement-only wall-clock reads stay explicitly annotated, and so
-// are transport and daemon: they run against real time by nature, but
+// are spine, transport and daemon: the spine runs under the simulator as
+// well as the wall clock, the other two against real time by nature, and
 // every wall-clock read there must be annotated with why it cannot leak
 // into protocol state the simulator would replay differently.
 var zone = []string{
 	"sim", "netsim", "totem", "node", "membership", "spec",
 	"chaos", "vclock", "wire", "stable", "causal", "experiments",
-	"transport", "daemon",
+	"spine", "transport", "daemon",
 }
 
 // InZone reports whether the import path is in the deterministic zone.

@@ -1,5 +1,5 @@
-// Package golife polices goroutine lifecycle in the live runtime, the
-// real transports and the daemon: every spawned goroutine must have a
+// Package golife polices goroutine lifecycle in the wall-clock cluster,
+// the process spine, the transports (hub and sockets) and the daemon: every spawned goroutine must have a
 // shutdown path that Close can drive. A goroutine with neither a join
 // nor a cancel leaks past Close — in tests it trips the race detector
 // long after the transport is gone, and in evsd it holds sockets and
@@ -38,18 +38,19 @@ import (
 // Analyzer is the goroutine-lifecycle checker.
 var Analyzer = &analysis.Analyzer{
 	Name:      "golife",
-	Doc:       "every goroutine in the live runtime, transports and daemon must be joined or cancellable by Close",
+	Doc:       "every goroutine in the wall-clock cluster, spine, transports and daemon must be joined or cancellable by Close",
 	AppliesTo: AppliesTo,
 	Run:       run,
 }
 
-// AppliesTo covers the live runtime (root package), the real transports
-// and the daemon — the packages whose goroutines outlive a test or a
-// process unless Close reaps them. Fixtures load under the transport
-// zone.
+// AppliesTo covers the wall-clock cluster (root package), the process
+// spine, the transports (hub.go included) and the daemon — the packages
+// whose goroutines outlive a test or a process unless Close reaps them.
+// Fixtures load under the transport zone.
 func AppliesTo(path string) bool {
 	return path == "repro" ||
 		analysis.PathHasPrefix(path, "repro/live") ||
+		analysis.PathHasPrefix(path, "repro/internal/spine") ||
 		analysis.PathHasPrefix(path, "repro/internal/transport") ||
 		analysis.PathHasPrefix(path, "repro/internal/daemon")
 }

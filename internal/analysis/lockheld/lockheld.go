@@ -1,11 +1,11 @@
 // Package lockheld forbids blocking operations while a sync mutex is
-// held, in the live runtime (the root package's LiveGroup and its hub).
-// The live hub fans every broadcast out under its lock; one blocking
-// channel send or network call inside that critical section stalls every
-// process of the group at once, and — because receiver goroutines take
-// the process lock before calling back into the hub — is one hop from a
-// deadlock. The simulator never hits this (it is single-threaded), so
-// only the live runtime carries the invariant.
+// held, wherever goroutines contend: the wall-clock cluster, the process
+// spine, the transports and the daemon. The in-process hub fans every
+// broadcast out under its lock; one blocking channel send or network call
+// inside that critical section stalls every process of the group at once,
+// and — because receiver goroutines take the process lock before calling
+// back into the hub — is one hop from a deadlock. The simulator never
+// contends (it is single-threaded), but it runs the same spine.
 //
 // While a sync.Mutex or sync.RWMutex is held the analyzer flags:
 //
@@ -44,17 +44,19 @@ import (
 // Analyzer is the blocking-under-lock checker.
 var Analyzer = &analysis.Analyzer{
 	Name:      "lockheld",
-	Doc:       "forbid blocking channel operations and I/O while holding a mutex in the live runtime, transports and daemon",
+	Doc:       "forbid blocking channel operations and I/O while holding a mutex in the wall-clock cluster, spine, transports and daemon",
 	AppliesTo: AppliesTo,
 	Run:       run,
 }
 
-// AppliesTo covers the root package (the live runtime), the real
-// transports and the daemon — every package where goroutines contend on
-// mutexes around network fan-out. Fixtures load under repro/live/....
+// AppliesTo covers the root package (the wall-clock cluster), the process
+// spine, the transports (hub.go included) and the daemon — every package
+// where goroutines contend on mutexes around network fan-out. Fixtures
+// load under repro/live/....
 func AppliesTo(path string) bool {
 	return path == "repro" ||
 		analysis.PathHasPrefix(path, "repro/live") ||
+		analysis.PathHasPrefix(path, "repro/internal/spine") ||
 		analysis.PathHasPrefix(path, "repro/internal/transport") ||
 		analysis.PathHasPrefix(path, "repro/internal/daemon")
 }

@@ -222,11 +222,11 @@ func RunHistory(p Program) ([]model.Event, Result) {
 	apply(c, ids, p)
 	c.Run(p.Horizon + p.Settle)
 	return c.History.Events(), Result{
-		Violations: c.Check(spec.Options{Settled: true}),
+		Violations: c.Check(true),
 		Events:     c.History.Len(),
 		Net:        c.Net.Stats(),
 		Harness:    c.Stats(),
-		Metrics:    c.MetricsSnapshot().Total,
+		Metrics:    c.Metrics().Total,
 	}
 }
 

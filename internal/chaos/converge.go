@@ -3,7 +3,7 @@
 // Run executes a program, retains the full history, and judges it post
 // hoc — fine for bounded runs, impossible for soaks whose histories
 // outgrow memory. RunStream is the inline alternative: the cluster drops
-// its history (harness.Options.DropHistory) and every traced event feeds
+// its history (spine.Options.DiscardHistory) and every traced event feeds
 // a spec.Stream that certifies the run incrementally over a pruned
 // window, so memory stays bounded by protocol concurrency rather than
 // run length. On sampled certification windows the stream invokes the
@@ -42,6 +42,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/spec"
 	"repro/internal/spec/refcheck"
+	"repro/internal/spine"
 )
 
 // StreamConfig tunes the inline checker and the convergence judgment.
@@ -129,15 +130,22 @@ func RunStream(p Program, sc StreamConfig) StreamResult {
 		procs = 4
 	}
 	c := harness.New(harness.Options{
-		Procs: procs,
-		Seed:  p.Seed,
-		Stream: &spec.StreamOptions{
-			CheckEvery:  sc.CheckEvery,
-			OracleEvery: sc.OracleEvery,
-			Oracle:      oracle,
-		},
-		DropHistory: true,
+		Procs:  procs,
+		Seed:   p.Seed,
+		Record: spine.Options{DiscardHistory: true},
 	})
+	// The inline checker consumes the trace as it happens; events is the
+	// global event index streaming violations anchor to.
+	stream := spec.NewStream(spec.StreamOptions{
+		CheckEvery:  sc.CheckEvery,
+		OracleEvery: sc.OracleEvery,
+		Oracle:      oracle,
+	})
+	var events uint64
+	c.OnTrace = func(e model.Event) {
+		events++
+		stream.Add(e)
+	}
 	if BugHook != nil {
 		BugHook(c)
 	}
@@ -153,7 +161,7 @@ func RunStream(p Program, sc StreamConfig) StreamResult {
 	var installs []install
 	c.OnConfig = func(q model.ProcessID, cc node.ConfigChange) {
 		if cc.Config.ID.IsRegular() {
-			installs = append(installs, install{at: c.EventCount(), id: cc.Config.ID})
+			installs = append(installs, install{at: events, id: cc.Config.ID})
 		}
 	}
 
@@ -182,17 +190,17 @@ func RunStream(p Program, sc StreamConfig) StreamResult {
 		if at > p.Horizon {
 			at = p.Horizon
 		}
-		c.At(at, func() { lastFault = c.EventCount() })
+		c.At(at, func() { lastFault = events })
 	}
 
 	c.Run(p.Horizon + p.Settle)
 
-	res.Violations = c.Stream().Finish(spec.Options{Settled: true})
-	res.Events = c.EventCount()
-	res.Stream = c.Stream().Stats()
+	res.Violations = stream.Finish(spec.Options{Settled: true})
+	res.Events = events
+	res.Stream = stream.Stats()
 	res.Net = c.Net.Stats()
 	res.Harness = c.Stats()
-	res.Metrics = c.MetricsSnapshot().Total
+	res.Metrics = c.Metrics().Total
 	res.LastFault = lastFault
 
 	// Distinct post-fault regular installs, in install order.

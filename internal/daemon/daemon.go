@@ -1,9 +1,9 @@
 // Package daemon runs one EVS ring process over a real network
-// transport: the deployable unit behind cmd/evsd. A Daemon wires the
-// protocol state machine (internal/node) to a UDP or TCP transport
-// (internal/transport), drives its timers from the wall clock, exposes
-// the process's metrics over HTTP, and persists the formal-model event
-// trace to disk as JSONL — so a multi-process run can be certified
+// transport: the deployable unit behind cmd/evsd. A Daemon is one
+// internal/spine process — the protocol state machine (internal/node) on
+// the wall clock over a UDP or TCP transport (internal/transport) — that
+// additionally exposes the process's metrics over HTTP and persists the
+// formal-model event trace to disk as JSONL — so a multi-process run can be certified
 // post-hoc by merging every process's trace and running the
 // specification checker over the interleaving (Certify).
 //
@@ -14,19 +14,14 @@ package daemon
 
 import (
 	"encoding/json"
-	"fmt"
-	"net"
 	"net/http"
-	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/model"
 	"repro/internal/node"
 	"repro/internal/obs"
-	"repro/internal/stable"
+	"repro/internal/spine"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // Config assembles one daemon.
@@ -44,8 +39,8 @@ type Config struct {
 	TracePath string
 
 	// OnDeliver, OnConfig and TraceSink are in-process hooks for
-	// embedding the daemon (the root package's net-backed Cluster, or a
-	// test). They run on the protocol path under the daemon's lock:
+	// embedding the daemon (a benchmark, or a test). They run on the
+	// protocol path under the daemon's lock:
 	// don't block, don't call back into the daemon. TraceSink receives
 	// each formal-model event with its unix-nano timestamp, in addition
 	// to (and independent of) TracePath.
@@ -69,46 +64,29 @@ func DefaultNetConfig() node.Config {
 	return cfg
 }
 
-// Daemon is one ring process over a real transport.
+// Daemon is one ring process over a real transport: a spine process on
+// the wall clock, plus the HTTP endpoint and the trace file. Its recorder
+// retains no history (a daemon runs for days); counts, configuration
+// changes and the hooks keep working.
 type Daemon struct {
-	id    model.ProcessID
-	start time.Time
-	met   *obs.Metrics
-	tr    transport.Transport
+	*spine.Proc
+	rec   *spine.Recorder
 	trace *TraceWriter
-
-	onDeliver func(node.Delivery)
-	onConfig  func(node.ConfigChange)
-	traceSink func(int64, model.Event)
-
-	mu     sync.Mutex // guards node entry points, timers, state below
-	n      *node.Node
-	timers map[node.TimerKind]*time.Timer
-	dead   bool
-
-	deliveries uint64
-	confs      []model.Configuration
-
-	srvMu sync.Mutex
-	srv   *http.Server
-	wg    sync.WaitGroup
+	sink  func(int64, model.Event)
+	http  spine.Server
 }
-
-var _ node.Host = (*Daemon)(nil)
 
 // New assembles and starts a daemon: transport bound, node started, ring
 // formation under way.
 func New(cfg Config) (*Daemon, error) {
-	d := &Daemon{
-		id:        cfg.Self,
-		start:     time.Now(), //lint:allow determinism daemon uptime anchor; feeds metrics labels only, never protocol state
-		timers:    make(map[node.TimerKind]*time.Timer),
-		onDeliver: cfg.OnDeliver,
-		onConfig:  cfg.OnConfig,
-		traceSink: cfg.TraceSink,
+	d := &Daemon{sink: cfg.TraceSink}
+	d.rec = spine.NewRecorder(spine.Wall(), []model.ProcessID{cfg.Self}, spine.Options{DiscardHistory: true})
+	if cfg.OnDeliver != nil {
+		d.rec.OnDeliver = func(_ model.ProcessID, del node.Delivery) { cfg.OnDeliver(del) }
 	}
-	//lint:allow determinism metrics clock measures daemon uptime for observability; protocol timers go through node.Host
-	d.met = obs.New(string(cfg.Self), func() time.Duration { return time.Since(d.start) })
+	if cfg.OnConfig != nil {
+		d.rec.OnConfig = func(_ model.ProcessID, c node.ConfigChange) { cfg.OnConfig(c) }
+	}
 	if cfg.TracePath != "" {
 		tw, err := NewTraceWriter(cfg.TracePath)
 		if err != nil {
@@ -116,128 +94,46 @@ func New(cfg Config) (*Daemon, error) {
 		}
 		d.trace = tw
 	}
-	handler := func(from model.ProcessID, msg wire.Message) {
-		d.mu.Lock()
-		if !d.dead {
-			d.n.OnMessage(from, msg)
-		}
-		d.mu.Unlock()
+	if d.trace != nil || d.sink != nil {
+		d.rec.OnTrace = d.onTrace
 	}
-	var (
-		tr  transport.Transport
-		err error
-	)
-	switch cfg.Network {
-	case "", "udp":
-		tr, err = transport.NewUDP(transport.UDPConfig{
-			Self: cfg.Self, Peers: cfg.Peers, Handler: handler, Met: d.met,
-		})
-	case "tcp":
-		tr, err = transport.NewTCP(transport.TCPConfig{
-			Self: cfg.Self, Peers: cfg.Peers, Handler: handler, Met: d.met,
-		})
-	default:
-		err = fmt.Errorf("daemon: unknown network %q", cfg.Network)
+	nodeCfg := DefaultNetConfig()
+	if cfg.Node != nil {
+		nodeCfg = *cfg.Node
 	}
+	p, err := spine.Start(d.rec, cfg.Self, nodeCfg, func(id model.ProcessID, h spine.Handler, met *obs.Metrics) (spine.Medium, error) {
+		return transport.Open(cfg.Network, id, cfg.Peers, h, met)
+	})
 	if err != nil {
 		if d.trace != nil {
 			d.trace.Close()
 		}
 		return nil, err
 	}
-	d.tr = tr
-	nodeCfg := DefaultNetConfig()
-	if cfg.Node != nil {
-		nodeCfg = *cfg.Node
-	}
-	d.n = node.New(cfg.Self, nodeCfg, tr, d, &stable.Store{})
-	d.n.SetMetrics(d.met)
-	d.mu.Lock()
-	d.n.Start()
-	d.mu.Unlock()
+	d.Proc = p
 	return d, nil
 }
-
-// ID returns the process identifier.
-func (d *Daemon) ID() model.ProcessID { return d.id }
 
 // Addr returns the transport's bound address.
 func (d *Daemon) Addr() string {
 	type addresser interface{ Addr() string }
-	if a, ok := d.tr.(addresser); ok {
+	if a, ok := d.Transport().(addresser); ok {
 		return a.Addr()
 	}
 	return ""
 }
 
-// Metrics returns the daemon's observability scope.
-func (d *Daemon) Metrics() *obs.Metrics { return d.met }
-
-// SetTimer implements node.Host with wall-clock timers. Called with d.mu
-// held (every node entry point runs under it).
-func (d *Daemon) SetTimer(kind node.TimerKind, dur time.Duration) {
-	if t, ok := d.timers[kind]; ok {
-		t.Stop()
-	}
-	//lint:allow determinism the daemon IS the real-time node.Host implementation; the simulator provides the deterministic one
-	d.timers[kind] = time.AfterFunc(dur, func() {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		if !d.dead {
-			d.n.OnTimer(kind)
-		}
-	})
-}
-
-// CancelTimer implements node.Host.
-func (d *Daemon) CancelTimer(kind node.TimerKind) {
-	if t, ok := d.timers[kind]; ok {
-		t.Stop()
-		delete(d.timers, kind)
-	}
-}
-
-// Deliver implements node.Host: count the delivery (visible in /status
-// and metrics) and fan out to the embedding application's hook, if any.
-func (d *Daemon) Deliver(del node.Delivery) {
-	d.deliveries++
-	if d.onDeliver != nil {
-		d.onDeliver(del)
-	}
-}
-
-// DeliverConfig implements node.Host.
-func (d *Daemon) DeliverConfig(c node.ConfigChange) {
-	d.confs = append(d.confs, c.Config)
-	if d.onConfig != nil {
-		d.onConfig(c)
-	}
-}
-
-// Trace implements node.Host: events go to the JSONL trace file stamped
+// onTrace sends each formal-model event to the JSONL trace file stamped
 // with wall-clock time, for post-hoc merge and certification, and to the
 // in-process sink when one is registered.
-func (d *Daemon) Trace(e model.Event) {
-	if d.trace == nil && d.traceSink == nil {
-		return
-	}
+func (d *Daemon) onTrace(e model.Event) {
 	t := time.Now().UnixNano() //lint:allow determinism trace timestamps exist for post-hoc cross-daemon merge, not protocol decisions
 	if d.trace != nil {
 		_ = d.trace.Append(t, e)
 	}
-	if d.traceSink != nil {
-		d.traceSink(t, e)
+	if d.sink != nil {
+		d.sink(t, e)
 	}
-}
-
-// Submit originates an application message on the ring.
-func (d *Daemon) Submit(payload []byte, svc model.Service) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.dead {
-		return transport.ErrClosed
-	}
-	return d.n.Submit(payload, svc)
 }
 
 // Status is a point-in-time view of the daemon, also served as JSON on
@@ -253,15 +149,13 @@ type Status struct {
 
 // Status snapshots the daemon's protocol state.
 func (d *Daemon) Status() Status {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	cfg := d.n.CurrentConfig()
+	mode, cfg, _ := d.State()
 	st := Status{
-		ID:         string(d.id),
-		Mode:       d.n.Mode().String(),
+		ID:         string(d.ID()),
+		Mode:       mode.String(),
 		Config:     cfg.ID.String(),
-		Deliveries: d.deliveries,
-		Configs:    len(d.confs),
+		Deliveries: d.Deliveries(),
+		Configs:    len(d.rec.ConfigChanges(d.ID())),
 	}
 	for _, m := range cfg.Members.Members() {
 		st.Members = append(st.Members, string(m))
@@ -272,65 +166,27 @@ func (d *Daemon) Status() Status {
 // Operational reports whether the daemon has a regular configuration
 // installed whose membership is exactly want (nil: any membership).
 func (d *Daemon) Operational(want []model.ProcessID) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.n.Mode() != node.Operational {
+	mode, cfg, _ := d.State()
+	if mode != node.Operational {
 		return false
 	}
-	if want == nil {
-		return true
-	}
-	return d.n.CurrentConfig().Members.Equal(model.NewProcessSet(want...))
-}
-
-// WaitOperational blocks until Operational(want) holds or the timeout
-// elapses; it reports success.
-func (d *Daemon) WaitOperational(want []model.ProcessID, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout) //lint:allow determinism ops/test polling helper; wall time never reaches the node state machine
-	for time.Now().Before(deadline) { //lint:allow determinism ops/test polling helper; wall time never reaches the node state machine
-		if d.Operational(want) {
-			return true
-		}
-		time.Sleep(5 * time.Millisecond) //lint:allow determinism ops/test polling helper; wall time never reaches the node state machine
-	}
-	return d.Operational(want)
+	return want == nil || cfg.Members.Equal(model.NewProcessSet(want...))
 }
 
 // Deliveries returns how many application messages the daemon has
 // delivered.
-func (d *Daemon) Deliveries() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.deliveries
-}
+func (d *Daemon) Deliveries() uint64 { return d.rec.DeliveryCount(d.ID()) }
 
 // Configs snapshots the configuration changes delivered so far.
-func (d *Daemon) Configs() []model.Configuration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]model.Configuration, len(d.confs))
-	copy(out, d.confs)
-	return out
-}
+func (d *Daemon) Configs() []model.Configuration { return d.rec.Configs(d.ID()) }
 
 // Handler returns the daemon's HTTP handler: Prometheus metrics on
 // /metrics (JSON with ?format=json or /metrics.json), status on /status.
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		cs := obs.Cluster(d.met)
-		if r.URL.Query().Get("format") == "json" || strings.HasSuffix(r.URL.Path, ".json") {
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(obs.ExpvarMap(cs))
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = obs.WritePrometheus(w, cs)
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(obs.ExpvarMap(obs.Cluster(d.met)))
-	})
+	metrics := spine.MetricsHandler(d.rec.Metrics)
+	mux.Handle("/metrics", metrics)
+	mux.Handle("/metrics.json", metrics)
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(d.Status())
@@ -340,51 +196,13 @@ func (d *Daemon) Handler() http.Handler {
 
 // Serve starts the HTTP endpoint on addr (":0" picks a port) and returns
 // the bound address. The server stops when the daemon closes.
-func (d *Daemon) Serve(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	d.srvMu.Lock()
-	if d.srv != nil {
-		d.srvMu.Unlock()
-		ln.Close()
-		return "", fmt.Errorf("daemon: HTTP endpoint already running on %s", d.srv.Addr)
-	}
-	srv := &http.Server{Addr: ln.Addr().String(), Handler: d.Handler()}
-	d.srv = srv
-	d.wg.Add(1)
-	d.srvMu.Unlock()
-	go func() {
-		defer d.wg.Done()
-		_ = srv.Serve(ln)
-	}()
-	return srv.Addr, nil
-}
+func (d *Daemon) Serve(addr string) (string, error) { return d.http.Serve(addr, d.Handler()) }
 
 // Close stops the daemon: protocol silenced, timers stopped, transport
 // and HTTP endpoint closed, trace flushed. Idempotent.
 func (d *Daemon) Close() error {
-	d.mu.Lock()
-	if d.dead {
-		d.mu.Unlock()
-		return nil
-	}
-	d.dead = true
-	for k, t := range d.timers {
-		t.Stop()
-		delete(d.timers, k)
-	}
-	d.mu.Unlock()
-
-	d.srvMu.Lock()
-	srv := d.srv
-	d.srvMu.Unlock()
-	if srv != nil {
-		_ = srv.Close()
-	}
-	err := d.tr.Close()
-	d.wg.Wait()
+	d.http.Close()
+	err := d.Proc.Close()
 	if d.trace != nil {
 		if terr := d.trace.Close(); err == nil {
 			err = terr

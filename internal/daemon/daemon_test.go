@@ -3,7 +3,6 @@ package daemon
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"path/filepath"
 	"testing"
@@ -11,6 +10,8 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/node"
+	"repro/internal/spine"
+	"repro/internal/transport"
 )
 
 // testNetConfig is the deployment timing profile scaled down for tests:
@@ -31,34 +32,16 @@ func testNetConfig() *node.Config {
 // reserveAddrs picks free loopback ports for each process.
 func reserveAddrs(t *testing.T, ids []model.ProcessID, network string) map[model.ProcessID]string {
 	t.Helper()
-	addrs := make(map[model.ProcessID]string, len(ids))
-	for _, id := range ids {
-		switch network {
-		case "udp":
-			conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-			if err != nil {
-				t.Fatalf("reserve udp addr: %v", err)
-			}
-			addrs[id] = conn.LocalAddr().String()
-			conn.Close()
-		case "tcp":
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatalf("reserve tcp addr: %v", err)
-			}
-			addrs[id] = ln.Addr().String()
-			ln.Close()
-		}
+	addrs, err := transport.ReserveLoopback(ids, network)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return addrs
 }
 
 func startCluster(t *testing.T, network string, n int, traceDir string) ([]model.ProcessID, map[model.ProcessID]*Daemon, []string) {
 	t.Helper()
-	var ids []model.ProcessID
-	for i := 0; i < n; i++ {
-		ids = append(ids, model.ProcessID(fmt.Sprintf("p%02d", i+1)))
-	}
+	ids := spine.ProcNames(n)
 	addrs := reserveAddrs(t, ids, network)
 	daemons := make(map[model.ProcessID]*Daemon, n)
 	var traces []string
@@ -85,7 +68,7 @@ func waitAllOperational(t *testing.T, daemons map[model.ProcessID]*Daemon, want 
 	deadline := time.Now().Add(timeout)
 	for id, d := range daemons {
 		left := time.Until(deadline)
-		if left <= 0 || !d.WaitOperational(want, left) {
+		if left <= 0 || !spine.Poll(left, func() bool { return d.Operational(want) }) {
 			t.Fatalf("%s never became operational with members %v; status %+v",
 				id, want, d.Status())
 		}

@@ -102,15 +102,20 @@ func (w *TraceWriter) Append(t int64, e model.Event) error {
 	return w.enc.Encode(toRecord(t, e))
 }
 
-// Close flushes and closes the file.
+// Close flushes and closes the file. Idempotent.
 func (w *TraceWriter) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.f == nil {
+		return nil
+	}
+	f := w.f
+	w.f = nil
 	if err := w.bw.Flush(); err != nil {
-		w.f.Close() //lint:allow lockheld teardown must serialize with concurrent Append writers; Close is the final write
+		f.Close() //lint:allow lockheld teardown must serialize with concurrent Append writers; Close is the final write
 		return err
 	}
-	return w.f.Close() //lint:allow lockheld teardown must serialize with concurrent Append writers; Close is the final write
+	return f.Close() //lint:allow lockheld teardown must serialize with concurrent Append writers; Close is the final write
 }
 
 // timedEvent pairs an event with its on-disk timestamp for merging.

@@ -6,8 +6,6 @@
 package harness
 
 import (
-	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/model"
@@ -16,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/spec"
+	"repro/internal/spine"
 	"repro/internal/stable"
 	"repro/internal/wire"
 )
@@ -32,131 +31,51 @@ type Options struct {
 	Net *netsim.Config
 	// Node overrides protocol timing (defaults to node.DefaultConfig).
 	Node *node.Config
-	// Stream, when set, attaches an inline specification checker: every
-	// traced event is fed to it as it happens, certifying the run
-	// incrementally instead of post-hoc (see spec.Stream).
-	Stream *spec.StreamOptions
-	// DropHistory stops the cluster from retaining the full event
-	// history. With Stream set it is what makes arbitrarily long soaks
-	// memory-bounded; without Stream it turns the run into a pure
-	// measurement (benchmarks that only read counters). Check cannot be
-	// used on a cluster that drops its history; use the stream's verdict
-	// (or metrics) instead.
-	DropHistory bool
-	// DropDeliveries stops the cluster from retaining per-process delivery
-	// slices. OnDeliver still fires for every delivery, and DeliveryCount
-	// keeps an exact count, so saturating benchmarks stay O(1) in memory
-	// per message. Deliveries returns nil for every process when set.
-	DropDeliveries bool
+	// Record configures the cluster's recorder: the Section 5 layers and
+	// history retention (DiscardHistory, which with an inline checker on
+	// OnTrace is what makes arbitrarily long soaks memory-bounded).
+	Record spine.Options
 }
 
-// Cluster is a deterministic in-memory EVS deployment.
+// Cluster is a deterministic in-memory EVS deployment: the spine's
+// processes on the simulator's virtual clock, over the simulated medium.
+// The embedded Recorder holds everything the processes delivered.
 type Cluster struct {
-	Sched   *sim.Scheduler
-	Net     *netsim.Network
+	*spine.Recorder
+	Sched *sim.Scheduler
+	Net   *netsim.Network
+	// History is the recorder's retained formal-model trace.
 	History *spec.History
 
-	stream         *spec.Stream
-	dropHistory    bool
-	dropDeliveries bool
-	eventCount     uint64
-
-	ids          []model.ProcessID
-	nodes        map[model.ProcessID]*node.Node
-	stores       map[model.ProcessID]*stable.Store
-	envs         map[model.ProcessID]*env
-	deliver      map[model.ProcessID][]node.Delivery
-	deliverCount map[model.ProcessID]uint64
-	configs      map[model.ProcessID][]model.Configuration
-	metrics      map[model.ProcessID]*obs.Metrics
-	netMet       *obs.Metrics
-	stats        Stats
+	stats Stats
 	// dropKinds holds the active message-class loss rules, consulted by
 	// the netsim filter installed on first use (see faults.go).
 	dropKinds map[dropKey]map[string]bool
-	// OnDeliver and OnConfig, when set, observe every application-level
-	// event (used by the primary-component and VS layers).
-	OnDeliver func(p model.ProcessID, d node.Delivery)
-	OnConfig  func(p model.ProcessID, c node.ConfigChange)
 	// OnWire, when set, observes every transmitted message (used for
 	// traffic accounting and debugging).
 	OnWire func(from model.ProcessID, msg wire.Message)
 }
 
-// env adapts the harness to node.Env for one process.
-type env struct {
-	c      *Cluster
-	id     model.ProcessID
-	timers map[node.TimerKind]sim.Timer
+// link is one process's port on the simulated medium.
+type link struct {
+	c  *Cluster
+	id model.ProcessID
 }
 
-var (
-	_ node.Env     = (*env)(nil)
-	_ sim.OpTarget = (*env)(nil)
-)
-
-func (e *env) Broadcast(msg wire.Message) {
-	if e.c.OnWire != nil {
-		e.c.OnWire(e.id, msg)
+func (l *link) Broadcast(msg wire.Message) {
+	if l.c.OnWire != nil {
+		l.c.OnWire(l.id, msg)
 	}
-	e.c.Net.Broadcast(e.id, msg)
+	l.c.Net.Broadcast(l.id, msg)
 }
 
-func (e *env) SetTimer(kind node.TimerKind, d time.Duration) {
-	e.timers[kind].Cancel()
-	e.timers[kind] = e.c.Sched.AfterOp(d, sim.Op{Target: e, Kind: uint8(kind)})
-}
-
-// RunOp fires a timer event scheduled by SetTimer (closure-free hot path).
-func (e *env) RunOp(op sim.Op, _ time.Duration) {
-	e.c.nodes[e.id].OnTimer(node.TimerKind(op.Kind))
-}
-
-func (e *env) CancelTimer(kind node.TimerKind) {
-	if t, ok := e.timers[kind]; ok {
-		t.Cancel()
-		delete(e.timers, kind)
-	}
-}
-
-func (e *env) Deliver(d node.Delivery) {
-	e.c.deliverCount[e.id]++
-	if !e.c.dropDeliveries {
-		e.c.deliver[e.id] = append(e.c.deliver[e.id], d)
-	}
-	if e.c.OnDeliver != nil {
-		e.c.OnDeliver(e.id, d)
-	}
-}
-
-func (e *env) DeliverConfig(cc node.ConfigChange) {
-	e.c.configs[e.id] = append(e.c.configs[e.id], cc.Config)
-	if e.c.OnConfig != nil {
-		e.c.OnConfig(e.id, cc)
-	}
-}
-
-func (e *env) Trace(ev model.Event) {
-	e.c.eventCount++
-	if e.c.stream != nil {
-		e.c.stream.Add(ev)
-	}
-	if !e.c.dropHistory {
-		e.c.History.Append(ev)
-	}
-}
+func (l *link) Close() error { return nil }
 
 // New builds a cluster; processes boot at time zero.
 func New(opts Options) *Cluster {
 	ids := opts.IDs
 	if len(ids) == 0 {
-		n := opts.Procs
-		if n <= 0 {
-			n = 3
-		}
-		for i := 0; i < n; i++ {
-			ids = append(ids, model.ProcessID(fmt.Sprintf("p%02d", i+1)))
-		}
+		ids = spine.ProcNames(opts.Procs)
 	}
 	netCfg := netsim.Default(opts.Seed)
 	if opts.Net != nil {
@@ -168,117 +87,36 @@ func New(opts Options) *Cluster {
 		nodeCfg = *opts.Node
 	}
 
-	c := &Cluster{
-		Sched:          &sim.Scheduler{},
-		History:        &spec.History{},
-		dropHistory:    opts.DropHistory,
-		dropDeliveries: opts.DropDeliveries,
-		ids:            ids,
-		nodes:          make(map[model.ProcessID]*node.Node, len(ids)),
-		stores:         make(map[model.ProcessID]*stable.Store, len(ids)),
-		envs:           make(map[model.ProcessID]*env, len(ids)),
-		deliver:        make(map[model.ProcessID][]node.Delivery, len(ids)),
-		deliverCount:   make(map[model.ProcessID]uint64, len(ids)),
-		configs:        make(map[model.ProcessID][]model.Configuration, len(ids)),
-		metrics:        make(map[model.ProcessID]*obs.Metrics, len(ids)),
-	}
-	if opts.Stream != nil {
-		c.stream = spec.NewStream(*opts.Stream)
-	}
-	clock := func() time.Duration { return c.Sched.Now() }
+	c := &Cluster{Sched: &sim.Scheduler{}}
+	clock := spine.Virtual(c.Sched)
+	c.Recorder = spine.NewRecorder(clock, ids, opts.Record)
+	c.History = c.Recorder.Log()
 	c.Net = netsim.New(c.Sched, netCfg)
-	c.netMet = obs.New("net", clock)
-	c.Net.SetMetrics(c.netMet)
+	c.MediumScope = obs.New("net", clock.Now)
+	c.Net.SetMetrics(c.MediumScope)
 	for _, id := range ids {
-		id := id
-		e := &env{c: c, id: id, timers: make(map[node.TimerKind]sim.Timer)}
-		c.envs[id] = e
-		c.stores[id] = &stable.Store{}
-		c.nodes[id] = node.New(id, nodeCfg, e, e, c.stores[id])
-		c.metrics[id] = obs.New(string(id), clock)
-		c.nodes[id].SetMetrics(c.metrics[id])
-		c.Net.Register(id, func(from model.ProcessID, payload any, _ time.Duration) {
-			msg, ok := payload.(wire.Message)
-			if !ok {
-				return
-			}
-			c.nodes[id].OnMessage(from, msg)
-		})
-	}
-	// Boot all processes at time zero.
-	for _, id := range ids {
-		id := id
-		c.Sched.At(0, func(time.Duration) { c.nodes[id].Start() })
+		// The simulated medium cannot fail to attach, so Start cannot fail.
+		_, _ = spine.Start(c.Recorder, id, nodeCfg, c.attach)
 	}
 	return c
 }
 
-// Stream returns the inline checker attached via Options.Stream, or nil.
-func (c *Cluster) Stream() *spec.Stream { return c.stream }
-
-// EventCount returns the number of events traced so far, maintained
-// even when the history itself is dropped (DropHistory): it is the
-// global event index streaming violations anchor to.
-func (c *Cluster) EventCount() uint64 { return c.eventCount }
-
-// IDs returns the process identifiers.
-func (c *Cluster) IDs() []model.ProcessID {
-	out := make([]model.ProcessID, len(c.ids))
-	copy(out, c.ids)
-	return out
+// attach is the cluster's spine.Dial: it registers the process's handler
+// with the simulated medium and returns its port.
+func (c *Cluster) attach(id model.ProcessID, h spine.Handler, _ *obs.Metrics) (spine.Medium, error) {
+	c.Net.Register(id, func(from model.ProcessID, payload any, _ time.Duration) {
+		if msg, ok := payload.(wire.Message); ok {
+			h(from, msg)
+		}
+	})
+	return &link{c: c, id: id}, nil
 }
 
 // Node returns the node for a process.
-func (c *Cluster) Node(id model.ProcessID) *node.Node { return c.nodes[id] }
+func (c *Cluster) Node(id model.ProcessID) *node.Node { return c.Proc(id).Node() }
 
 // Store returns a process's stable storage.
-func (c *Cluster) Store(id model.ProcessID) *stable.Store { return c.stores[id] }
-
-// Deliveries returns the messages delivered to a process's application, in
-// order. Nil for every process when DropDeliveries is set.
-func (c *Cluster) Deliveries(id model.ProcessID) []node.Delivery {
-	return c.deliver[id]
-}
-
-// DeliveryCount returns the number of application deliveries to a process,
-// maintained even when the delivery slices are dropped (DropDeliveries).
-func (c *Cluster) DeliveryCount(id model.ProcessID) uint64 {
-	return c.deliverCount[id]
-}
-
-// Configs returns the configuration changes delivered to a process's
-// application, in order.
-func (c *Cluster) Configs(id model.ProcessID) []model.Configuration {
-	return c.configs[id]
-}
-
-// Metrics returns a process's observability scope.
-func (c *Cluster) Metrics(id model.ProcessID) *obs.Metrics { return c.metrics[id] }
-
-// NetMetrics returns the cluster-level scope mirroring the medium's stats.
-func (c *Cluster) NetMetrics() *obs.Metrics { return c.netMet }
-
-// MetricsSnapshot freezes every scope — one per process plus the "net"
-// medium scope — into a cluster snapshot.
-func (c *Cluster) MetricsSnapshot() obs.ClusterSnapshot {
-	scopes := make([]*obs.Metrics, 0, len(c.ids)+1)
-	for _, id := range c.ids {
-		scopes = append(scopes, c.metrics[id])
-	}
-	scopes = append(scopes, c.netMet)
-	return obs.Cluster(scopes...)
-}
-
-// ObsEvents returns every scope's retained trace events merged into one
-// time-ordered stream.
-func (c *Cluster) ObsEvents() []obs.Event {
-	scopes := make([]*obs.Metrics, 0, len(c.ids)+1)
-	for _, id := range c.ids {
-		scopes = append(scopes, c.metrics[id])
-	}
-	scopes = append(scopes, c.netMet)
-	return obs.MergeEvents(scopes...)
-}
+func (c *Cluster) Store(id model.ProcessID) *stable.Store { return c.Proc(id).Store() }
 
 // At schedules an action at an absolute virtual time.
 func (c *Cluster) At(t time.Duration, fn func()) {
@@ -289,17 +127,7 @@ func (c *Cluster) At(t time.Duration, fn func()) {
 // down) are scenario-expected; they are counted in Stats rather than
 // discarded, so scenarios can assert on rejected traffic.
 func (c *Cluster) Send(t time.Duration, id model.ProcessID, payload string, svc model.Service) {
-	c.At(t, func() {
-		if err := c.nodes[id].Submit([]byte(payload), svc); err != nil {
-			if errors.Is(err, node.ErrBacklog) {
-				c.stats.Backlogged++
-			} else {
-				c.stats.Rejected++
-			}
-			return
-		}
-		c.stats.Submitted++
-	})
+	c.At(t, func() { _ = c.SubmitLocked(id, []byte(payload), svc) })
 }
 
 // Partition schedules a network partition at time t.
@@ -315,7 +143,7 @@ func (c *Cluster) Merge(t time.Duration) {
 // Crash schedules a process failure at time t.
 func (c *Cluster) Crash(t time.Duration, id model.ProcessID) {
 	c.At(t, func() {
-		c.nodes[id].Crash()
+		c.Recorder.Crash(id)
 		c.Net.SetDown(id, true)
 	})
 }
@@ -324,7 +152,7 @@ func (c *Cluster) Crash(t time.Duration, id model.ProcessID) {
 func (c *Cluster) Recover(t time.Duration, id model.ProcessID) {
 	c.At(t, func() {
 		c.Net.SetDown(id, false)
-		c.nodes[id].Recover()
+		c.Recorder.Recover(id)
 	})
 }
 
@@ -333,17 +161,12 @@ func (c *Cluster) Run(until time.Duration) {
 	c.Sched.RunUntil(until)
 }
 
-// Check runs the specification checker over the captured history.
-func (c *Cluster) Check(opts spec.Options) []spec.Violation {
-	return spec.NewChecker(c.History.Events(), opts).CheckAll()
-}
-
 // OperationalConfigIDs returns the distinct regular configurations
 // currently installed across live processes.
 func (c *Cluster) OperationalConfigIDs() map[model.ConfigID]model.ProcessSet {
 	out := make(map[model.ConfigID]model.ProcessSet)
-	for _, id := range c.ids {
-		n := c.nodes[id]
+	for _, id := range c.IDs() {
+		n := c.Node(id)
 		if n.Mode() == node.Operational {
 			cfg := n.CurrentConfig()
 			out[cfg.ID] = out[cfg.ID].Add(id)

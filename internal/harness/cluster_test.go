@@ -9,10 +9,11 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/node"
 	"repro/internal/spec"
+	"repro/internal/spine"
 )
 
 // payloads extracts delivered payloads.
-func payloads(ds []node.Delivery) []string {
+func payloads(ds []spine.Delivery) []string {
 	out := make([]string, len(ds))
 	for i, d := range ds {
 		out[i] = string(d.Payload)
@@ -22,7 +23,7 @@ func payloads(ds []node.Delivery) []string {
 
 func requireClean(t *testing.T, c *Cluster, opts spec.Options) {
 	t.Helper()
-	if vs := c.Check(opts); len(vs) != 0 {
+	if vs := c.Check(opts.Settled); len(vs) != 0 {
 		for _, v := range vs {
 			t.Errorf("violation: %v", v)
 		}

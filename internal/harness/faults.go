@@ -16,13 +16,10 @@ import (
 
 // Stats counts client-facing harness activity.
 type Stats struct {
-	// Submitted counts client submissions accepted by a node.
-	Submitted uint64
-	// Rejected counts client submissions refused (process down).
-	Rejected uint64
-	// Backlogged counts client submissions shed because the process's
-	// send backlog was full (node.ErrBacklog).
-	Backlogged uint64
+	// Submitted, Rejected (process down) and Backlogged (send backlog
+	// full, node.ErrBacklog) count client submissions; the recorder keeps
+	// them.
+	Submitted, Rejected, Backlogged uint64
 	// Corruptions counts stable-storage faults injected at crash time.
 	Corruptions uint64
 	// Per-mode materialization counters for the self-stabilization
@@ -38,7 +35,12 @@ type Stats struct {
 }
 
 // Stats returns a copy of the activity counters.
-func (c *Cluster) Stats() Stats { return c.stats }
+func (c *Cluster) Stats() Stats {
+	rs := c.Recorder.Stats()
+	st := c.stats
+	st.Submitted, st.Rejected, st.Backlogged = rs.Submitted, rs.Rejected, rs.Backlogged
+	return st
+}
 
 // Corruption selects a stable-storage fault injected when a process
 // crashes (see internal/stable for the fault model and its bounds).
@@ -96,34 +98,34 @@ func (m Corruption) String() string {
 // bounds how many records a lost suffix may destroy.
 func (c *Cluster) CrashCorrupt(t time.Duration, id model.ProcessID, mode Corruption, n int) {
 	c.At(t, func() {
-		c.nodes[id].Crash()
+		c.Recorder.Crash(id)
 		c.Net.SetDown(id, true)
 		switch mode {
 		case CorruptTornWrite:
-			if c.stores[id].TearLastWrite() {
+			if c.Store(id).TearLastWrite() {
 				c.stats.Corruptions++
 			}
 		case CorruptLostSuffix:
-			if c.stores[id].LoseLogSuffix(n) > 0 {
+			if c.Store(id).LoseLogSuffix(n) > 0 {
 				c.stats.Corruptions++
 			}
 		case CorruptSeqWrap:
-			if c.stores[id].WrapSenderSeq() {
+			if c.Store(id).WrapSenderSeq() {
 				c.stats.Corruptions++
 				c.stats.SeqWraps++
 			}
 		case CorruptRingSeqRegress:
-			if c.stores[id].RegressRingSeq() {
+			if c.Store(id).RegressRingSeq() {
 				c.stats.Corruptions++
 				c.stats.RingRegressions++
 			}
 		case CorruptObligations:
-			if c.stores[id].PoisonObligations(n) > 0 {
+			if c.Store(id).PoisonObligations(n) > 0 {
 				c.stats.Corruptions++
 				c.stats.ObligationPoisons++
 			}
 		case CorruptLogFlip:
-			if c.stores[id].FlipLogBits(n) > 0 {
+			if c.Store(id).FlipLogBits(n) > 0 {
 				c.stats.Corruptions++
 				c.stats.LogFlips++
 			}
@@ -140,7 +142,7 @@ func (c *Cluster) CrashCorrupt(t time.Duration, id model.ProcessID, mode Corrupt
 // actually changed state are counted.
 func (c *Cluster) Perturb(t time.Duration, id model.ProcessID, mode Corruption, n int) {
 	c.At(t, func() {
-		node := c.nodes[id]
+		node := c.Node(id)
 		hit := false
 		switch mode {
 		case CorruptSeqWrap:

@@ -220,7 +220,7 @@ func (n *Node) processToken(t wire.Token) {
 	// Trace sends before their broadcast so history order respects the
 	// formal model (send precedes every receipt).
 	for _, d := range res.Sent {
-		n.env.Trace(model.Event{
+		n.host.Trace(model.Event{
 			Type:    model.EventSend,
 			Proc:    n.id,
 			Config:  n.ringCfg.ID,
@@ -236,11 +236,11 @@ func (n *Node) processToken(t wire.Token) {
 	n.deliverAll(res.Deliveries, n.ringCfg)
 	n.met.Set(obs.GPendingDepth, int64(n.PendingDepth()))
 	fwd := res.Forward
-	n.env.Broadcast(fwd) //lint:allow noalloc the medium API takes wire.Message; one boxed token per visit is the audited cost
+	n.tr.Broadcast(fwd) //lint:allow noalloc the medium API takes wire.Message; one boxed token per visit is the audited cost
 	n.lastToken = &fwd
 	n.retransLeft = n.cfg.TokenRetransMax
-	n.env.SetTimer(TimerTokenRetrans, n.cfg.TokenRetrans)
-	n.env.SetTimer(TimerTokenLoss, n.cfg.TokenLoss)
+	n.host.SetTimer(TimerTokenRetrans, n.cfg.TokenRetrans)
+	n.host.SetTimer(TimerTokenLoss, n.cfg.TokenLoss)
 	n.persist()
 }
 
@@ -260,7 +260,7 @@ func (n *Node) broadcastData(ds []wire.Data) {
 	max := n.cfg.MaxBatch
 	if max <= 1 {
 		for _, d := range ds {
-			n.env.Broadcast(d) //lint:allow noalloc the medium API takes wire.Message; one boxed packet header per visit is the audited cost
+			n.tr.Broadcast(d) //lint:allow noalloc the medium API takes wire.Message; one boxed packet header per visit is the audited cost
 			n.met.Inc(obs.CBatchesSent)
 			n.met.Observe(obs.HBatchFill, 1)
 		}
@@ -272,11 +272,11 @@ func (n *Node) broadcastData(ds []wire.Data) {
 			k = max
 		}
 		if k == 1 && len(ds) == 1 {
-			n.env.Broadcast(ds[0]) //lint:allow noalloc the medium API takes wire.Message; one boxed packet header per visit is the audited cost
+			n.tr.Broadcast(ds[0]) //lint:allow noalloc the medium API takes wire.Message; one boxed packet header per visit is the audited cost
 		} else {
 			msgs := make([]wire.Data, k) // fresh per packet: the medium retains the batch past the visit
 			copy(msgs, ds[:k])
-			n.env.Broadcast(wire.DataBatch{Ring: n.ringCfg.ID, Msgs: msgs}) //lint:allow noalloc the medium API takes wire.Message; one boxed packet header per visit is the audited cost
+			n.tr.Broadcast(wire.DataBatch{Ring: n.ringCfg.ID, Msgs: msgs}) //lint:allow noalloc the medium API takes wire.Message; one boxed packet header per visit is the audited cost
 		}
 		n.met.Inc(obs.CBatchesSent)
 		n.met.Observe(obs.HBatchFill, uint64(k))
@@ -289,7 +289,7 @@ func (n *Node) broadcastData(ds []wire.Data) {
 //evs:noalloc
 func (n *Node) deliverAll(ds []wire.Data, cfg model.Configuration) {
 	for _, d := range ds {
-		n.env.Trace(model.Event{
+		n.host.Trace(model.Event{
 			Type:    model.EventDeliver,
 			Proc:    n.id,
 			Config:  cfg.ID,
@@ -297,7 +297,7 @@ func (n *Node) deliverAll(ds []wire.Data, cfg model.Configuration) {
 			Msg:     d.ID,
 			Service: d.Service,
 		})
-		n.env.Deliver(Delivery{
+		n.host.Deliver(Delivery{
 			Msg:     d.ID,
 			Payload: d.Payload,
 			Service: d.Service,
@@ -341,8 +341,8 @@ func (n *Node) OnTimer(kind TimerKind) {
 	case TimerTokenRetrans:
 		if n.mode == Operational && n.lastToken != nil && n.retransLeft > 0 {
 			n.retransLeft--
-			n.env.Broadcast(*n.lastToken)
-			n.env.SetTimer(TimerTokenRetrans, n.cfg.TokenRetrans)
+			n.tr.Broadcast(*n.lastToken)
+			n.host.SetTimer(TimerTokenRetrans, n.cfg.TokenRetrans)
 		}
 	case TimerJoin:
 		if n.mode != Recovering && n.mem.Phase() == membership.Gather {
@@ -358,7 +358,7 @@ func (n *Node) OnTimer(kind TimerKind) {
 		if n.mode == Recovering {
 			n.applyRecActions(n.rec.OnRetry())
 			if n.mode == Recovering {
-				n.env.SetTimer(TimerRecoveryRetry, n.cfg.RecoveryRetry)
+				n.host.SetTimer(TimerRecoveryRetry, n.cfg.RecoveryRetry)
 			}
 		}
 	case TimerRecoveryTimeout:
@@ -387,10 +387,10 @@ func (n *Node) enterGather(cause obs.GatherCause) {
 	n.mode = Gathering
 	n.lastToken = nil
 	n.preBuffer = nil
-	n.env.CancelTimer(TimerTokenLoss)
-	n.env.CancelTimer(TimerTokenRetrans)
-	n.env.CancelTimer(TimerRecoveryRetry)
-	n.env.CancelTimer(TimerRecoveryTimeout)
+	n.host.CancelTimer(TimerTokenLoss)
+	n.host.CancelTimer(TimerTokenRetrans)
+	n.host.CancelTimer(TimerRecoveryRetry)
+	n.host.CancelTimer(TimerRecoveryTimeout)
 }
 
 // abortRecovery discards the current recovery attempt, keeping the merged
@@ -418,7 +418,7 @@ func (n *Node) applyMemActions(acts []membership.Action) {
 	for _, a := range acts {
 		switch act := a.(type) {
 		case membership.Send:
-			n.env.Broadcast(act.Msg)
+			n.tr.Broadcast(act.Msg)
 		case membership.Form:
 			n.startRecovery(act.Ring)
 		}
@@ -430,20 +430,20 @@ func (n *Node) applyMemActions(acts []membership.Action) {
 // phase.
 func (n *Node) reconcileMemTimers() {
 	if n.mode == Recovering || n.mode == Down || n.mem == nil {
-		n.env.CancelTimer(TimerJoin)
-		n.env.CancelTimer(TimerCommit)
+		n.host.CancelTimer(TimerJoin)
+		n.host.CancelTimer(TimerCommit)
 		return
 	}
 	switch n.mem.Phase() {
 	case membership.Gather:
-		n.env.SetTimer(TimerJoin, n.cfg.JoinRetry)
-		n.env.CancelTimer(TimerCommit)
+		n.host.SetTimer(TimerJoin, n.cfg.JoinRetry)
+		n.host.CancelTimer(TimerCommit)
 	case membership.Commit:
-		n.env.SetTimer(TimerCommit, n.cfg.CommitTimeout)
-		n.env.CancelTimer(TimerJoin)
+		n.host.SetTimer(TimerCommit, n.cfg.CommitTimeout)
+		n.host.CancelTimer(TimerJoin)
 	default:
-		n.env.CancelTimer(TimerJoin)
-		n.env.CancelTimer(TimerCommit)
+		n.host.CancelTimer(TimerJoin)
+		n.host.CancelTimer(TimerCommit)
 	}
 }
 
@@ -458,8 +458,8 @@ func (n *Node) startRecovery(ring model.Configuration) {
 	n.recStart = n.met.Now()
 	n.recPlan = false
 	n.recDone = false
-	n.env.CancelTimer(TimerJoin)
-	n.env.CancelTimer(TimerCommit)
+	n.host.CancelTimer(TimerJoin)
+	n.host.CancelTimer(TimerCommit)
 	// Obligation validation: obligations only ever name processes of the
 	// old or proposed configuration or observed originators (Section 3,
 	// Step 5.c builds them from transitional sets and their carried
@@ -476,8 +476,8 @@ func (n *Node) startRecovery(ring model.Configuration) {
 	n.rec = evs.New(n.id, ring, n.ringCfg, n.recoveryState(), n.oldLog, n.obligations, n.seenSeqs)
 	n.applyRecActions(n.rec.Start())
 	if n.mode == Recovering {
-		n.env.SetTimer(TimerRecoveryRetry, n.cfg.RecoveryRetry)
-		n.env.SetTimer(TimerRecoveryTimeout, n.cfg.RecoveryTimeout)
+		n.host.SetTimer(TimerRecoveryRetry, n.cfg.RecoveryRetry)
+		n.host.SetTimer(TimerRecoveryTimeout, n.cfg.RecoveryTimeout)
 	}
 	// Replay recovery traffic that overtook the Install.
 	pre := n.preBuffer
@@ -555,7 +555,7 @@ func (n *Node) applyRecActions(acts []evs.Action) {
 	for _, a := range acts {
 		switch act := a.(type) {
 		case evs.Send:
-			n.env.Broadcast(act.Msg)
+			n.tr.Broadcast(act.Msg)
 		case evs.Finished:
 			n.finishRecovery(act.Result)
 		}
@@ -607,7 +607,7 @@ func (n *Node) finishRecovery(res evs.Result) {
 		n.met.Event(obs.KConfigTransitional, res.Transitional.ID.Seq,
 			uint64(res.Transitional.Members.Size()))
 		n.traceConf(res.Transitional, false)
-		n.env.DeliverConfig(ConfigChange{Config: res.Transitional})
+		n.host.DeliverConfig(ConfigChange{Config: res.Transitional})
 		// 6.d: transitional deliveries.
 		n.deliverAll(res.Trans, res.Transitional)
 	}
@@ -642,8 +642,8 @@ func (n *Node) finishRecovery(res evs.Result) {
 	n.mode = Operational
 	n.everInstalld = true
 	n.mem.SetCurrent(newCfg)
-	n.env.CancelTimer(TimerRecoveryRetry)
-	n.env.CancelTimer(TimerRecoveryTimeout)
+	n.host.CancelTimer(TimerRecoveryRetry)
+	n.host.CancelTimer(TimerRecoveryTimeout)
 
 	n.met.Inc(obs.CRecoveryFinished)
 	n.met.ObserveSince(obs.HRecoveryTotalUs, n.recStart)
@@ -655,7 +655,7 @@ func (n *Node) finishRecovery(res evs.Result) {
 	n.met.Event(obs.KConfigRegular, newCfg.ID.Seq, uint64(newCfg.Members.Size()))
 
 	n.traceConf(newCfg, false)
-	n.env.DeliverConfig(ConfigChange{Config: newCfg})
+	n.host.DeliverConfig(ConfigChange{Config: newCfg})
 
 	n.ring = totem.New(n.id, newCfg, n.cfg.Totem)
 	n.ring.SetMetrics(n.met)
@@ -670,14 +670,14 @@ func (n *Node) finishRecovery(res evs.Result) {
 	// until the token-loss timeout forces another reconfiguration.
 	if n.ring.IsRepresentative() {
 		tok := n.ring.InitialToken()
-		n.env.Broadcast(tok)
+		n.tr.Broadcast(tok)
 		n.lastToken = &tok
 		n.retransLeft = n.cfg.TokenRetransMax
-		n.env.SetTimer(TimerTokenRetrans, n.cfg.TokenRetrans)
+		n.host.SetTimer(TimerTokenRetrans, n.cfg.TokenRetrans)
 	}
 	// Allow extra slack before declaring token loss: peers may still be
 	// finishing their recovery.
-	n.env.SetTimer(TimerTokenLoss, 2*n.cfg.TokenLoss)
+	n.host.SetTimer(TimerTokenLoss, 2*n.cfg.TokenLoss)
 
 	// Process messages buffered for the new configuration (Step 2).
 	buffered := n.buffered
@@ -689,7 +689,7 @@ func (n *Node) finishRecovery(res evs.Result) {
 
 // traceConf records a configuration change event.
 func (n *Node) traceConf(cfg model.Configuration, primary bool) {
-	n.env.Trace(model.Event{
+	n.host.Trace(model.Event{
 		Type:    model.EventDeliverConf,
 		Proc:    n.id,
 		Config:  cfg.ID,

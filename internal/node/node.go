@@ -5,9 +5,10 @@
 //
 // A Node is a single-threaded state machine driven by its environment: the
 // harness (deterministic simulation or live transport) calls OnMessage,
-// OnTimer, Submit, Crash and Recover, and the node calls back through Env
-// to transmit messages, manage timers, deliver to the application and
-// record trace events for the specification checker.
+// OnTimer, Submit, Crash and Recover, and the node calls back through its
+// Transport to transmit messages and through its Host to manage timers,
+// deliver to the application and record trace events for the
+// specification checker.
 package node
 
 import (
@@ -130,22 +131,6 @@ type Host interface {
 	Trace(e model.Event)
 }
 
-// Env is the node's complete environment: one value implementing both
-// halves. Single-object harnesses (the simulator's env, a live process)
-// satisfy it directly; split deployments pass a Transport and a Host to
-// New separately.
-type Env interface {
-	Transport
-	Host
-}
-
-// composedEnv glues a Transport and a Host into one Env value for the
-// node's internal call sites.
-type composedEnv struct {
-	Transport
-	Host
-}
-
 // Config tunes the node's protocol timing.
 type Config struct {
 	TokenLoss       time.Duration
@@ -193,7 +178,8 @@ type bufferedMsg struct {
 type Node struct {
 	id    model.ProcessID
 	cfg   Config
-	env   composedEnv
+	tr    Transport
+	host  Host
 	store *stable.Store
 
 	mode    Mode
@@ -242,14 +228,14 @@ var ErrDown = errors.New("process is down")
 var ErrBacklog = errors.New("send backlog full")
 
 // New creates a node over a transport (the medium) and a host (timers,
-// delivery, tracing). Harnesses implementing both halves on one value
-// pass it twice. The store may contain a prior incarnation's state
+// delivery, tracing). The store may contain a prior incarnation's state
 // (recovery with stable storage intact); Start consults it.
 func New(id model.ProcessID, cfg Config, tr Transport, host Host, store *stable.Store) *Node {
 	return &Node{
 		id:    id,
 		cfg:   cfg,
-		env:   composedEnv{Transport: tr, Host: host},
+		tr:    tr,
+		host:  host,
 		store: store,
 	}
 }
@@ -375,7 +361,7 @@ func (n *Node) Crash() {
 	if n.mode == Down {
 		return
 	}
-	n.env.Trace(model.Event{
+	n.host.Trace(model.Event{
 		Type:    model.EventFail,
 		Proc:    n.id,
 		Config:  n.ringCfg.ID,
@@ -411,7 +397,7 @@ func (n *Node) cancelAllTimers() {
 		TimerTokenLoss, TimerTokenRetrans, TimerJoin,
 		TimerCommit, TimerRecoveryRetry, TimerRecoveryTimeout,
 	} {
-		n.env.CancelTimer(k)
+		n.host.CancelTimer(k)
 	}
 }
 

@@ -19,7 +19,10 @@ type mockEnv struct {
 	trace   []model.Event
 }
 
-var _ Env = (*mockEnv)(nil)
+var (
+	_ Transport = (*mockEnv)(nil)
+	_ Host      = (*mockEnv)(nil)
+)
 
 func newMockEnv() *mockEnv {
 	return &mockEnv{timers: make(map[TimerKind]time.Duration)}

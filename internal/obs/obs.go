@@ -1,9 +1,9 @@
 // Package obs is the protocol observability layer: per-process counters,
 // gauges and histograms plus a structured protocol-event trace, threaded
 // through every layer of the EVS stack (internal/totem, internal/node,
-// internal/membership, internal/netsim) and surfaced by both runtimes —
-// Group.Metrics() snapshots in the simulator and a Prometheus-text /
-// expvar HTTP endpoint on LiveGroup.
+// internal/membership, internal/netsim, internal/transport) and surfaced
+// by every runtime — Metrics() snapshots everywhere, plus a Prometheus-text
+// / expvar HTTP endpoint on the wall clock (LiveGroup, evsd).
 //
 // Design constraints, in order:
 //
@@ -19,12 +19,12 @@
 //     and histogram buckets are atomics, and the trace ring takes a short
 //     mutex only on the (much colder) protocol-event path.
 //  3. One catalog for every runtime. Metric names are fixed at compile
-//     time and identical between Group and LiveGroup, so dashboards and
-//     parity tests can compare the two runtimes series-for-series.
+//     time and identical on every clock and transport, so dashboards and
+//     parity tests can compare runtimes series-for-series.
 //
-// Time is virtual or wall according to the clock the harness supplies:
-// the simulator passes its scheduler's Now, the live runtime passes
-// wall-clock time since the group started. Durations recorded in
+// Time is virtual or wall according to the spine.Clock the runtime is
+// built on: the simulator's scheduler Now, or wall-clock time since the
+// cluster started. Durations recorded in
 // histograms are in microseconds of that clock.
 package obs
 

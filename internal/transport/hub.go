@@ -1,0 +1,202 @@
+package transport
+
+import (
+	"sort"
+	"sync"
+
+	"repro/internal/model"
+	"repro/internal/obs"
+	"repro/internal/wire"
+)
+
+// Hub is the in-process medium: the processes of one OS process attached
+// to one broadcast domain, with a mutable partition map. Messages are
+// handed over as shared Go values (the ownership contract on
+// node.Transport is what makes that safe), one bounded inbox and one
+// receiver goroutine per attached process. It is the only wall-clock
+// medium that can cut itself: Partition and Merge rewrite the component
+// map every send consults.
+type Hub struct {
+	mu        sync.Mutex
+	ids       []model.ProcessID // configured membership, sorted
+	component map[model.ProcessID]int
+	ports     map[model.ProcessID]*hubPort
+	nextComp  int
+	// met is the medium's observability scope, mirroring what netsim's
+	// "net" scope records in the simulator: sends, deliveries (enqueues),
+	// overflow drops and partition cuts.
+	met *obs.Metrics
+}
+
+// hubInbox bounds a process's inbox. It is sized so a full token
+// rotation's data batches from every peer fit while the receiver holds the
+// node lock; beyond it the medium drops, and retransmission recovers.
+const hubInbox = 4096
+
+type hubEnvelope struct {
+	from model.ProcessID
+	msg  wire.Message
+}
+
+// hubPort is one process's attachment to the hub.
+type hubPort struct {
+	hub     *Hub
+	id      model.ProcessID
+	in      chan hubEnvelope
+	handler Handler
+	met     *obs.Metrics
+	wg      sync.WaitGroup
+}
+
+var _ Transport = (*hubPort)(nil)
+
+// NewHub creates a hub whose configured membership is ids, all in one
+// component. met is the medium's scope (nil disables).
+func NewHub(ids []model.ProcessID, met *obs.Metrics) *Hub {
+	h := &Hub{
+		component: make(map[model.ProcessID]int, len(ids)),
+		ports:     make(map[model.ProcessID]*hubPort, len(ids)),
+		met:       met,
+	}
+	for _, id := range ids {
+		h.component[id] = 0
+	}
+	h.ids = append(h.ids, ids...)
+	sort.Slice(h.ids, func(i, j int) bool { return h.ids[i] < h.ids[j] })
+	return h
+}
+
+// Join attaches process id, one of the configured ids, and returns its
+// transport. handler receives the process's messages on the port's
+// receiver goroutine; met is the process's scope (nil disables).
+func (h *Hub) Join(id model.ProcessID, handler Handler, met *obs.Metrics) Transport {
+	p := &hubPort{hub: h, id: id, in: make(chan hubEnvelope, hubInbox), handler: handler, met: met}
+	h.mu.Lock()
+	h.ports[id] = p
+	h.mu.Unlock()
+	p.wg.Add(1)
+	go p.receive()
+	return p
+}
+
+// receive drains the inbox into the handler until Close closes it.
+func (p *hubPort) receive() {
+	defer p.wg.Done()
+	for env := range p.in {
+		p.handler(env.from, env.msg)
+	}
+}
+
+// Broadcast implements Transport: fan out to the sender's component,
+// including the sender.
+func (p *hubPort) Broadcast(msg wire.Message) {
+	h := p.hub
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !h.attached(p) {
+		return
+	}
+	h.met.Inc(obs.CNetBroadcasts)
+	for _, id := range h.ids {
+		h.enqueue(p, id, msg)
+	}
+}
+
+// Unicast implements Transport: deliver to one peer of the sender's
+// component, subject to the same partition cuts as a broadcast.
+func (p *hubPort) Unicast(to model.ProcessID, msg wire.Message) {
+	h := p.hub
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.attached(p) {
+		h.enqueue(p, to, msg)
+	}
+}
+
+// attached reports whether p is still its process's port, counting a send
+// on a closed port as a drop. The caller holds h.mu.
+func (h *Hub) attached(p *hubPort) bool {
+	if h.ports[p.id] != p {
+		p.met.Inc(obs.CWireDrops)
+		return false
+	}
+	return true
+}
+
+// enqueue hands one message to one process's inbox without blocking. The
+// caller holds h.mu, which is also what makes closing an inbox safe.
+func (h *Hub) enqueue(from *hubPort, to model.ProcessID, msg wire.Message) {
+	port := h.ports[to]
+	if port == nil || h.component[to] != h.component[from.id] {
+		h.met.Inc(obs.CNetCut)
+		return
+	}
+	select {
+	case port.in <- hubEnvelope{from: from.id, msg: msg}:
+		h.met.Inc(obs.CNetDelivered)
+	default:
+		// Inbox full: the medium is lossy; the protocol's
+		// retransmission machinery recovers.
+		h.met.Inc(obs.CNetDropped)
+	}
+}
+
+// Peers implements Transport: the sorted configured membership of the
+// sender's current component, including the sender.
+func (p *hubPort) Peers() []model.ProcessID {
+	h := p.hub
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	out := make([]model.ProcessID, 0, len(h.ids))
+	for _, id := range h.ids {
+		if h.component[id] == h.component[p.id] {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// Close implements Transport: the port detaches, its receiver goroutine
+// drains and exits, and later sends are dropped (counted). Idempotent.
+func (p *hubPort) Close() error {
+	h := p.hub
+	h.mu.Lock()
+	if h.ports[p.id] == p {
+		delete(h.ports, p.id)
+		close(p.in)
+	}
+	h.mu.Unlock()
+	p.wg.Wait()
+	return nil
+}
+
+// Partition splits the hub into the given components; unmentioned
+// processes are isolated.
+func (h *Hub) Partition(groups ...[]model.ProcessID) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	assigned := make(map[model.ProcessID]bool)
+	for _, grp := range groups {
+		h.nextComp++
+		for _, id := range grp {
+			h.component[id] = h.nextComp
+			assigned[id] = true
+		}
+	}
+	for _, id := range h.ids {
+		if !assigned[id] {
+			h.nextComp++
+			h.component[id] = h.nextComp
+		}
+	}
+}
+
+// Merge reunites all processes.
+func (h *Hub) Merge() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.nextComp++
+	for _, id := range h.ids {
+		h.component[id] = h.nextComp
+	}
+}

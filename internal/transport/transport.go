@@ -1,20 +1,20 @@
-// Package transport carries encoded protocol messages over real network
-// media. It is the boundary the in-process runtimes never crossed: the
-// simulator and the live hub hand shared Go structs to every receiver,
-// while a Transport here serialises each broadcast through the
-// internal/wire binary codec and moves bytes through real sockets — UDP
-// unicast fan-out (the LAN profile, lossy like the hardware broadcast
-// Totem ran on) or a TCP mesh fallback (for networks that eat UDP).
+// Package transport holds the wall-clock media a process can run over.
+// The in-process Hub (hub.go) hands shared Go structs to every receiver,
+// as the simulator does; the socket transports cross the boundary it
+// never does: they serialise each broadcast through the internal/wire
+// binary codec and move bytes through real sockets — UDP unicast fan-out
+// (the LAN profile, lossy like the hardware broadcast Totem ran on) or a
+// TCP mesh fallback (for networks that eat UDP).
 //
-// A Transport implements the medium half of node.Env (node.Transport)
-// plus addressing: unicast, the configured peer set, and shutdown. The
-// ownership contract is the one documented on node.Transport — messages
-// are immutable after handoff — which is what lets a transport encode a
-// broadcast once and write the same buffer to every peer, and lets
-// decoded messages alias their receive buffers.
+// A Transport implements the medium half of the node's environment
+// (node.Transport) plus addressing: unicast, the configured peer set, and
+// shutdown. The ownership contract is the one documented on
+// node.Transport — messages are immutable after handoff — which is what
+// lets a transport encode a broadcast once and write the same buffer to
+// every peer, and lets decoded messages alias their receive buffers.
 //
-// Every implementation is instrumented through internal/obs: frames and
-// bytes in/out, encode/decode errors, and transport-level drops
+// Every socket implementation is instrumented through internal/obs:
+// frames and bytes in/out, encode/decode errors, and transport-level drops
 // (oversize datagrams, full peer queues). Decode failures are counted
 // and dropped, never panicked: a corrupt frame is the network's
 // prerogative, and the protocol's retransmission machinery recovers.
@@ -23,6 +23,8 @@ package transport
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"net"
 
 	"repro/internal/model"
 	"repro/internal/node"
@@ -57,6 +59,55 @@ type Transport interface {
 
 // ErrClosed reports an operation on a closed transport.
 var ErrClosed = errors.New("transport: closed")
+
+// Open binds the named socket transport for process self: "udp" (also the
+// default for "") or "tcp". Handler and met are as in UDPConfig.
+func Open(network string, self model.ProcessID, peers map[model.ProcessID]string, h Handler, met *obs.Metrics) (Transport, error) {
+	switch network {
+	case "", "udp":
+		t, err := NewUDP(UDPConfig{Self: self, Peers: peers, Handler: h, Met: met})
+		if err != nil {
+			return nil, err
+		}
+		return t, nil
+	case "tcp":
+		t, err := NewTCP(TCPConfig{Self: self, Peers: peers, Handler: h, Met: met})
+		if err != nil {
+			return nil, err
+		}
+		return t, nil
+	default:
+		return nil, fmt.Errorf("transport: unknown network %q", network)
+	}
+}
+
+// ReserveLoopback picks a free loopback address per process for an
+// in-process cluster on the named socket transport, by binding and
+// releasing one port each.
+func ReserveLoopback(ids []model.ProcessID, network string) (map[model.ProcessID]string, error) {
+	addrs := make(map[model.ProcessID]string, len(ids))
+	for _, id := range ids {
+		switch network {
+		case "", "udp":
+			conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+			if err != nil {
+				return nil, fmt.Errorf("reserve udp port: %w", err)
+			}
+			addrs[id] = conn.LocalAddr().String()
+			conn.Close()
+		case "tcp":
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				return nil, fmt.Errorf("reserve tcp port: %w", err)
+			}
+			addrs[id] = ln.Addr().String()
+			ln.Close()
+		default:
+			return nil, fmt.Errorf("transport: unknown network %q", network)
+		}
+	}
+	return addrs, nil
+}
 
 // A frame is one message on the medium:
 //

@@ -54,7 +54,7 @@ func testData(payload string) wire.Data {
 	}
 }
 
-// kind abstracts the two real transports for the shared conformance tests.
+// maker abstracts the transports for the shared conformance tests.
 type maker func(t *testing.T, self model.ProcessID, peers map[model.ProcessID]string,
 	h Handler, met *obs.Metrics) (Transport, string)
 
@@ -78,32 +78,33 @@ func makeTCP(t *testing.T, self model.ProcessID, peers map[model.ProcessID]strin
 	return tr, tr.Addr()
 }
 
-// buildMesh starts n transports on loopback with each other as peers.
-// Each transport is created with ":0" for unknown peers first, then we
-// need real addresses up front — so bind in two passes: reserve
-// addresses by binding, close, rebind. Simpler: bind each transport with
-// only itself at ":0", which transports don't support. Instead, pre-pick
-// ports by binding throwaway listeners.
+// makeHub returns a maker whose transports share one hub, created from the
+// first call's peer set.
+func makeHub() maker {
+	var h *Hub
+	return func(t *testing.T, self model.ProcessID, peers map[model.ProcessID]string,
+		handler Handler, met *obs.Metrics) (Transport, string) {
+		if h == nil {
+			h = NewHub(sortedPeers(peers), nil)
+		}
+		return h.Join(self, handler, met), ""
+	}
+}
+
+// reserveAddrs picks a free loopback address per process for the socket
+// transports; the hub needs none, only the peer set.
 func reserveAddrs(t *testing.T, ids []model.ProcessID, network string) map[model.ProcessID]string {
 	t.Helper()
-	addrs := make(map[model.ProcessID]string, len(ids))
-	for _, id := range ids {
-		switch network {
-		case "udp":
-			conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-			if err != nil {
-				t.Fatalf("reserve udp addr: %v", err)
-			}
-			addrs[id] = conn.LocalAddr().String()
-			conn.Close()
-		case "tcp":
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatalf("reserve tcp addr: %v", err)
-			}
-			addrs[id] = ln.Addr().String()
-			ln.Close()
+	if network == "hub" {
+		addrs := make(map[model.ProcessID]string, len(ids))
+		for _, id := range ids {
+			addrs[id] = ""
 		}
+		return addrs
+	}
+	addrs, err := ReserveLoopback(ids, network)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return addrs
 }
@@ -201,12 +202,51 @@ func testCloseIdempotent(t *testing.T, network string, mk maker) {
 
 func TestUDPBroadcastReachesAll(t *testing.T) { testBroadcastReachesAll(t, "udp", makeUDP) }
 func TestTCPBroadcastReachesAll(t *testing.T) { testBroadcastReachesAll(t, "tcp", makeTCP) }
+func TestHubBroadcastReachesAll(t *testing.T) { testBroadcastReachesAll(t, "hub", makeHub()) }
 func TestUDPUnicastReachesOne(t *testing.T)   { testUnicastReachesOne(t, "udp", makeUDP) }
 func TestTCPUnicastReachesOne(t *testing.T)   { testUnicastReachesOne(t, "tcp", makeTCP) }
+func TestHubUnicastReachesOne(t *testing.T)   { testUnicastReachesOne(t, "hub", makeHub()) }
 func TestUDPPeersSorted(t *testing.T)         { testPeersSorted(t, "udp", makeUDP) }
 func TestTCPPeersSorted(t *testing.T)         { testPeersSorted(t, "tcp", makeTCP) }
+func TestHubPeersSorted(t *testing.T)         { testPeersSorted(t, "hub", makeHub()) }
 func TestUDPCloseIdempotent(t *testing.T)     { testCloseIdempotent(t, "udp", makeUDP) }
 func TestTCPCloseIdempotent(t *testing.T)     { testCloseIdempotent(t, "tcp", makeTCP) }
+func TestHubCloseIdempotent(t *testing.T)     { testCloseIdempotent(t, "hub", makeHub()) }
+
+// TestHubPartitionCutsAndMergeHeals covers what only the hub can do: cut
+// itself. A broadcast stays inside the sender's component, Peers follows
+// the component map, and Merge reunites everyone.
+func TestHubPartitionCutsAndMergeHeals(t *testing.T) {
+	ids := []model.ProcessID{"p1", "p2", "p3"}
+	met := obs.New("net", nil)
+	h := NewHub(ids, met)
+	sinks := make(map[model.ProcessID]*sink, len(ids))
+	trs := make(map[model.ProcessID]Transport, len(ids))
+	for _, id := range ids {
+		sinks[id] = &sink{}
+		trs[id] = h.Join(id, sinks[id].handle, nil)
+		defer trs[id].Close()
+	}
+	h.Partition(ids[:2])
+	trs["p1"].Broadcast(testData("left"))
+	waitCount(t, sinks["p1"], 1)
+	waitCount(t, sinks["p2"], 1)
+	if got := trs["p1"].Peers(); len(got) != 2 || got[0] != "p1" || got[1] != "p2" {
+		t.Errorf("Peers() in the left component = %v, want [p1 p2]", got)
+	}
+	if got := trs["p3"].Peers(); len(got) != 1 || got[0] != "p3" {
+		t.Errorf("Peers() of the isolated process = %v, want [p3]", got)
+	}
+	if met.Counter(obs.CNetCut) != 1 {
+		t.Errorf("net_cut = %d, want 1 (the copy for p3)", met.Counter(obs.CNetCut))
+	}
+	h.Merge()
+	trs["p1"].Broadcast(testData("all"))
+	waitCount(t, sinks["p3"], 1)
+	if n := sinks["p3"].count(); n != 1 {
+		t.Errorf("p3 received %d messages, want only the post-merge one", n)
+	}
+}
 
 // TestUDPCorruptFrameCounted fires raw garbage and corrupted real frames
 // at a UDP transport's socket: every one must be counted as a decode
@@ -264,11 +304,13 @@ func TestUDPCorruptFrameCounted(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// A good frame still gets through afterwards.
+	// A good frame still gets through afterwards. The count is read
+	// before the write: read after it, it races the receive goroutine.
+	before := s.count()
 	if _, err := conn.Write(good); err != nil {
 		t.Fatal(err)
 	}
-	waitCount(t, s, s.count()+1)
+	waitCount(t, s, before+1)
 }
 
 // TestTCPCorruptFrameCounted writes a corrupt length-prefixed frame to a

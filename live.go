@@ -1,634 +1,140 @@
 package evs
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
-	"net"
 	"net/http"
-	"strings"
-	"sync"
-	"time"
 
-	"repro/internal/model"
+	"repro/internal/daemon"
 	"repro/internal/node"
 	"repro/internal/obs"
-	"repro/internal/spec"
-	"repro/internal/stable"
+	"repro/internal/spine"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
-// LiveGroup runs the same protocol stack as Group, but over real
-// goroutines, channels and wall-clock timers instead of the deterministic
-// simulator: one receiver goroutine per process, an in-process broadcast
-// hub with a mutable partition map, and time.Timer-driven protocol timers.
+// LiveGroup is the wall-clock cluster: the same processes as Group — the
+// Section 5 layers included — on real goroutines and wall-clock timers,
+// over one of three media: the in-process hub (shared-memory handoff, a
+// mutable partition map) or loopback UDP or TCP sockets, where every
+// message crosses the wire codec and the kernel's network stack.
 //
 // The simulator remains the right tool for reproducible experiments and
 // adversarial schedules; LiveGroup exists to exercise the stack under real
 // concurrency (the race detector runs over it in the tests) and to host
-// interactive examples. Executions still record the formal-model trace and
-// can be verified with Check.
+// interactive examples. The embedded recorder is the cluster's
+// runtime-independent surface — Submit, Deliveries, ConfigChanges,
+// History, Metrics, AddObserver, Check, WaitOperational, WaitDeliveries,
+// Crash, Recover — and is safe to use while the group runs.
 type LiveGroup struct {
-	mu    sync.Mutex
-	ids   []ProcessID
-	procs map[ProcessID]*liveProc
-	hub   *liveHub
-
-	trace      spec.History
-	deliveries map[ProcessID][]Delivery
-	confs      map[ProcessID][]ConfigEvent
-	observers  []Observer
-
-	// start anchors the group's clock: metric timestamps and delivery
-	// times are wall-clock durations since the group was created, the
-	// live counterpart of the simulator's virtual time.
-	start   time.Time
-	metrics map[ProcessID]*obs.Metrics
-
-	metricsSrv *http.Server
-
-	closed bool
-	wg     sync.WaitGroup
+	*spine.Recorder
+	hub  *transport.Hub // nil over sockets
+	http spine.Server
 }
 
-// liveHub is the in-process broadcast medium.
-type liveHub struct {
-	mu        sync.Mutex
-	component map[ProcessID]int
-	down      map[ProcessID]bool
-	inbox     map[ProcessID]chan liveEnvelope
-	nextComp  int
-	// met is the medium's observability scope, mirroring what netsim's
-	// "net" scope records in the simulator: sends, deliveries (enqueues),
-	// overflow drops and partition/down cuts.
-	met *obs.Metrics
-}
+// ErrNoPartition is returned by Partition and Merge on a medium that
+// cannot cut itself (the socket runtimes).
+var ErrNoPartition = errors.New("evs: this runtime's medium cannot be partitioned")
 
-type liveEnvelope struct {
-	from ProcessID
-	msg  wire.Message
-}
-
-// liveProc is one process: the node state machine guarded by a mutex, its
-// timers, and its receiver goroutine.
-type liveProc struct {
-	mu     sync.Mutex
-	node   *node.Node
-	store  *stable.Store
-	timers map[node.TimerKind]*time.Timer
-	g      *LiveGroup
-	id     ProcessID
-	dead   bool // stops timer callbacks racing shutdown
-}
-
-var (
-	_ node.Env            = (*liveProc)(nil)
-	_ transport.Transport = (*liveProc)(nil)
-)
-
-// NewLiveGroup starts n processes named p01..pNN. Call Close when done.
+// NewLiveGroup starts n processes named p01..pNN over the in-process hub.
+// Call Close when done.
 func NewLiveGroup(n int, cfg *node.Config) *LiveGroup {
-	if n <= 0 {
-		n = 3
-	}
-	nodeCfg := node.DefaultConfig()
-	if cfg != nil {
-		nodeCfg = *cfg
-	}
-	g := &LiveGroup{
-		procs:      make(map[ProcessID]*liveProc, n),
-		deliveries: make(map[ProcessID][]Delivery),
-		confs:      make(map[ProcessID][]ConfigEvent),
-		start:      time.Now(),
-		metrics:    make(map[ProcessID]*obs.Metrics, n),
-		hub: &liveHub{
-			component: make(map[ProcessID]int),
-			down:      make(map[ProcessID]bool),
-			inbox:     make(map[ProcessID]chan liveEnvelope),
-		},
-	}
-	clock := func() time.Duration { return time.Since(g.start) }
-	g.hub.met = obs.New("net", clock)
-	for i := 0; i < n; i++ {
-		id := ProcessID(fmt.Sprintf("p%02d", i+1))
-		g.ids = append(g.ids, id)
-		p := &liveProc{
-			store:  &stable.Store{},
-			timers: make(map[node.TimerKind]*time.Timer),
-			g:      g,
-			id:     id,
-		}
-		p.node = node.New(id, nodeCfg, p, p, p.store)
-		g.metrics[id] = obs.New(string(id), clock)
-		p.node.SetMetrics(g.metrics[id])
-		g.procs[id] = p
-		g.hub.inbox[id] = make(chan liveEnvelope, 4096)
-		g.hub.component[id] = 0
-	}
-	for _, id := range g.ids {
-		p := g.procs[id]
-		g.wg.Add(1)
-		go p.receive(g.hub.inbox[id], &g.wg)
-		p.mu.Lock()
-		p.node.Start()
-		p.mu.Unlock()
-	}
+	// The hub cannot fail to attach a process, so there is no error.
+	g, _ := newLiveGroup(RuntimeLive, Options{NumProcesses: n, Node: cfg})
 	return g
 }
 
-// receive drains the process's inbox into the state machine.
-func (p *liveProc) receive(in chan liveEnvelope, wg *sync.WaitGroup) {
-	defer wg.Done()
-	for env := range in {
-		p.mu.Lock()
-		if !p.dead {
-			p.node.OnMessage(env.from, env.msg)
+// newLiveGroup starts a wall-clock cluster on the medium rt selects.
+func newLiveGroup(rt Runtime, opts Options) (*LiveGroup, error) {
+	if len(opts.Processes) > 0 {
+		return nil, fmt.Errorf("evs.New: the %s runtime names processes p01..pNN; use WithNumProcesses", rt)
+	}
+	if opts.Seed != 0 || opts.DropRate != 0 || opts.DupRate != 0 || opts.Codec ||
+		opts.CorruptRate != 0 || opts.TruncateRate != 0 || opts.MinDelay != 0 || opts.MaxDelay != 0 {
+		return nil, fmt.Errorf("evs.New: Seed, the fault rates, Codec and the delay bounds configure the simulated network; the %s runtime has none", rt)
+	}
+	ids := spine.ProcNames(opts.NumProcesses)
+	clock := spine.Wall()
+	g := &LiveGroup{Recorder: spine.NewRecorder(clock, ids, opts.record())}
+
+	// Each runtime has its own default timing profile: simulated-network
+	// timings on the hub, the deployment profile on sockets.
+	cfg := node.DefaultConfig()
+	var dial spine.Dial
+	if rt == RuntimeLive {
+		g.MediumScope = obs.New("net", clock.Now)
+		g.hub = transport.NewHub(ids, g.MediumScope)
+		dial = func(id ProcessID, h spine.Handler, met *obs.Metrics) (spine.Medium, error) {
+			return g.hub.Join(id, h, met), nil
 		}
-		p.mu.Unlock()
+	} else {
+		cfg = daemon.DefaultNetConfig()
+		addrs, err := transport.ReserveLoopback(ids, rt.String())
+		if err != nil {
+			return nil, err
+		}
+		dial = func(id ProcessID, h spine.Handler, met *obs.Metrics) (spine.Medium, error) {
+			return transport.Open(rt.String(), id, addrs, h, met)
+		}
 	}
-}
-
-// Broadcast implements transport.Transport over the hub.
-func (p *liveProc) Broadcast(msg wire.Message) {
-	p.g.hub.broadcast(p.id, msg)
-}
-
-// Unicast implements transport.Transport: deliver to one peer of the
-// sender's component, subject to the same partition and down cuts as a
-// broadcast.
-func (p *liveProc) Unicast(to ProcessID, msg wire.Message) {
-	p.g.hub.unicast(p.id, to, msg)
-}
-
-// Peers implements transport.Transport: the sorted membership of the
-// sender's current hub component, including the sender.
-func (p *liveProc) Peers() []ProcessID {
-	return p.g.hub.peersOf(p.id)
-}
-
-// Close implements transport.Transport for one process: its timers stop
-// and its state machine goes silent. The group's inboxes and goroutines
-// are shared infrastructure and are torn down by LiveGroup.Close.
-func (p *liveProc) Close() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.dead = true
-	for k, t := range p.timers {
-		t.Stop()
-		delete(p.timers, k)
+	if opts.Node != nil {
+		cfg = *opts.Node
 	}
+	for _, id := range ids {
+		if _, err := spine.Start(g.Recorder, id, cfg, dial); err != nil {
+			g.Close()
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
+// Partition splits the medium into the given components; unmentioned
+// processes are isolated. Only the hub can cut itself: on sockets it
+// returns ErrNoPartition.
+func (g *LiveGroup) Partition(groups ...[]ProcessID) error {
+	if g.hub == nil {
+		return ErrNoPartition
+	}
+	g.hub.Partition(groups...)
 	return nil
 }
 
-// SetTimer implements node.Env with wall-clock timers.
-func (p *liveProc) SetTimer(kind node.TimerKind, d time.Duration) {
-	if t, ok := p.timers[kind]; ok {
-		t.Stop()
+// Merge reunites all processes (ErrNoPartition on sockets).
+func (g *LiveGroup) Merge() error {
+	if g.hub == nil {
+		return ErrNoPartition
 	}
-	p.timers[kind] = time.AfterFunc(d, func() {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if !p.dead {
-			p.node.OnTimer(kind)
-		}
-	})
+	g.hub.Merge()
+	return nil
 }
 
-// CancelTimer implements node.Env.
-func (p *liveProc) CancelTimer(kind node.TimerKind) {
-	if t, ok := p.timers[kind]; ok {
-		t.Stop()
-		delete(p.timers, kind)
-	}
-}
-
-// Deliver implements node.Env.
-func (p *liveProc) Deliver(d node.Delivery) {
-	payload := d.Payload
-	if len(payload) > 0 && payload[0] == tagApp {
-		payload = payload[1:]
-	}
-	del := Delivery{
-		Msg:     d.Msg,
-		Payload: payload,
-		Service: d.Service,
-		Config:  d.Config,
-		Time:    time.Since(p.g.start),
-	}
-	p.g.mu.Lock()
-	p.g.deliveries[p.id] = append(p.g.deliveries[p.id], del)
-	obsvs := p.g.observers
-	p.g.mu.Unlock()
-	// Observers run outside the group lock (they may read group state)
-	// but on the process's event path, so per-process event order holds.
-	for _, o := range obsvs {
-		o.OnDelivery(p.id, del)
-	}
-}
-
-// DeliverConfig implements node.Env.
-func (p *liveProc) DeliverConfig(c node.ConfigChange) {
-	ce := ConfigEvent{Config: c.Config, Time: time.Since(p.g.start)}
-	p.g.mu.Lock()
-	p.g.confs[p.id] = append(p.g.confs[p.id], ce)
-	obsvs := p.g.observers
-	p.g.mu.Unlock()
-	for _, o := range obsvs {
-		o.OnConfigChange(p.id, ce)
-	}
-}
-
-// Trace implements node.Env.
-func (p *liveProc) Trace(e model.Event) {
-	p.g.mu.Lock()
-	p.g.trace.Append(e)
-	p.g.mu.Unlock()
-}
-
-// broadcast fans a message out to the sender's component.
-func (h *liveHub) broadcast(from ProcessID, msg wire.Message) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.down[from] {
-		return
-	}
-	h.met.Inc(obs.CNetBroadcasts)
-	comp := h.component[from]
-	for id, in := range h.inbox {
-		if h.down[id] && id != from {
-			h.met.Inc(obs.CNetCut)
-			continue
-		}
-		if h.component[id] != comp {
-			h.met.Inc(obs.CNetCut)
-			continue
-		}
-		select {
-		case in <- liveEnvelope{from: from, msg: msg}:
-			h.met.Inc(obs.CNetDelivered)
-		default:
-			// Inbox full: the medium is lossy; the protocol's
-			// retransmission machinery recovers.
-			h.met.Inc(obs.CNetDropped)
-		}
-	}
-}
-
-// unicast delivers a message to one process, honouring the partition map.
-func (h *liveHub) unicast(from, to ProcessID, msg wire.Message) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.down[from] {
-		return
-	}
-	in, ok := h.inbox[to]
-	if !ok || (h.down[to] && to != from) || h.component[to] != h.component[from] {
-		h.met.Inc(obs.CNetCut)
-		return
-	}
-	select {
-	case in <- liveEnvelope{from: from, msg: msg}:
-		h.met.Inc(obs.CNetDelivered)
-	default:
-		h.met.Inc(obs.CNetDropped)
-	}
-}
-
-// peersOf returns the sorted membership of a process's component.
-func (h *liveHub) peersOf(of ProcessID) []ProcessID {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	comp := h.component[of]
-	out := make([]ProcessID, 0, len(h.component))
-	for id, c := range h.component {
-		if c == comp {
-			out = append(out, id)
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-// IDs returns the process identifiers.
-func (g *LiveGroup) IDs() []ProcessID {
-	out := make([]ProcessID, len(g.ids))
-	copy(out, g.ids)
-	return out
-}
-
-// Send submits an application message at process id.
-func (g *LiveGroup) Send(id ProcessID, payload []byte, svc Service) error {
-	p, ok := g.procs[id]
-	if !ok {
+// Kill abruptly stops one process: its transport closes and it goes
+// silent, with no protocol goodbye and no Fail event — the in-process
+// equivalent of SIGKILL. The survivors detect the loss and reform.
+func (g *LiveGroup) Kill(id ProcessID) error {
+	p := g.Proc(id)
+	if p == nil {
 		return fmt.Errorf("unknown process %s", id)
 	}
-	wrapped := append([]byte{tagApp}, payload...)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.node.Submit(wrapped, svc)
-}
-
-// Submit submits an application message at process id (the
-// Cluster-interface name for Send).
-func (g *LiveGroup) Submit(id ProcessID, payload []byte, svc Service) error {
-	return g.Send(id, payload, svc)
-}
-
-// AddObserver registers an additional application-event observer; every
-// registered observer sees every delivery and configuration change, in
-// registration order. Callbacks run on process goroutines: per-process
-// event order is preserved, but callbacks from different processes are
-// concurrent and the observer must synchronise its own state.
-func (g *LiveGroup) AddObserver(o Observer) {
-	if o == nil {
-		return
-	}
-	g.mu.Lock()
-	g.observers = append(g.observers, o)
-	g.mu.Unlock()
-}
-
-// Partition splits the hub into the given components; unmentioned
-// processes are isolated.
-func (g *LiveGroup) Partition(groups ...[]ProcessID) {
-	h := g.hub
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	assigned := make(map[ProcessID]bool)
-	for _, grp := range groups {
-		h.nextComp++
-		for _, id := range grp {
-			h.component[id] = h.nextComp
-			assigned[id] = true
-		}
-	}
-	for id := range h.component {
-		if !assigned[id] {
-			h.nextComp++
-			h.component[id] = h.nextComp
-		}
-	}
-}
-
-// Merge reunites all processes.
-func (g *LiveGroup) Merge() {
-	h := g.hub
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.nextComp++
-	for id := range h.component {
-		h.component[id] = h.nextComp
-	}
-}
-
-// Crash fails a process (stable storage survives).
-func (g *LiveGroup) Crash(id ProcessID) {
-	p := g.procs[id]
-	g.hub.mu.Lock()
-	g.hub.down[id] = true
-	g.hub.mu.Unlock()
-	p.mu.Lock()
-	p.node.Crash()
-	p.mu.Unlock()
-}
-
-// Recover restarts a failed process under the same identifier.
-func (g *LiveGroup) Recover(id ProcessID) {
-	p := g.procs[id]
-	g.hub.mu.Lock()
-	g.hub.down[id] = false
-	g.hub.mu.Unlock()
-	p.mu.Lock()
-	p.node.Recover()
-	p.mu.Unlock()
-}
-
-// Deliveries returns a snapshot of the messages delivered at a process.
-func (g *LiveGroup) Deliveries(id ProcessID) []Delivery {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]Delivery, len(g.deliveries[id]))
-	copy(out, g.deliveries[id])
-	return out
-}
-
-// ConfigChanges returns a snapshot of the configuration changes delivered
-// at a process, in order.
-func (g *LiveGroup) ConfigChanges(id ProcessID) []ConfigEvent {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]ConfigEvent, len(g.confs[id]))
-	copy(out, g.confs[id])
-	return out
-}
-
-// Configs returns a snapshot of a process's configuration changes, without
-// timestamps.
-func (g *LiveGroup) Configs(id ProcessID) []Configuration {
-	ces := g.ConfigChanges(id)
-	out := make([]Configuration, len(ces))
-	for i, ce := range ces {
-		out[i] = ce.Config
-	}
-	return out
-}
-
-// History returns a snapshot of the formal-model trace of the execution.
-func (g *LiveGroup) History() []Event {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	events := g.trace.Events()
-	out := make([]Event, len(events))
-	copy(out, events)
-	return out
-}
-
-// Metrics freezes every process's observability scope, plus the "net" hub
-// scope, into one cluster snapshot. Safe to call while the group runs.
-func (g *LiveGroup) Metrics() ClusterMetrics {
-	return obs.Cluster(g.scopes()...)
-}
-
-// ObsEvents returns the merged protocol trace: every scope's retained
-// events in one time-ordered stream.
-func (g *LiveGroup) ObsEvents() []ObsEvent {
-	return obs.MergeEvents(g.scopes()...)
-}
-
-// ProcMetrics returns one process's live observability scope (for
-// attaching trace sinks or reading individual counters).
-func (g *LiveGroup) ProcMetrics(id ProcessID) *obs.Metrics { return g.metrics[id] }
-
-// scopes lists every observability scope: one per process plus the hub.
-func (g *LiveGroup) scopes() []*obs.Metrics {
-	out := make([]*obs.Metrics, 0, len(g.ids)+1)
-	for _, id := range g.ids {
-		out = append(out, g.metrics[id])
-	}
-	return append(out, g.hub.met)
+	return p.Close()
 }
 
 // MetricsHandler returns an HTTP handler exposing the group's metrics: the
 // Prometheus text exposition format by default, or the expvar-style nested
 // JSON document when the request has format=json (or a path ending in
-// ".json"). Snapshots are taken per request; the handler is safe while the
-// group runs.
-func (g *LiveGroup) MetricsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		cs := g.Metrics()
-		if r.URL.Query().Get("format") == "json" || strings.HasSuffix(r.URL.Path, ".json") {
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(obs.ExpvarMap(cs))
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = obs.WritePrometheus(w, cs)
-	})
-}
+// ".json").
+func (g *LiveGroup) MetricsHandler() http.Handler { return spine.MetricsHandler(g.Metrics) }
 
 // ServeMetrics starts an HTTP server exposing MetricsHandler on addr
 // (":0" picks a free port) and returns the bound address. The server stops
 // when the group is closed. At most one metrics server per group.
 func (g *LiveGroup) ServeMetrics(addr string) (string, error) {
-	// Bind before taking the group lock: the listen syscall can stall
-	// (e.g. slow DNS for a hostname addr), and g.mu serializes the
-	// protocol hot path.
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		ln.Close()
-		return "", fmt.Errorf("group is closed")
-	}
-	if g.metricsSrv != nil {
-		running := g.metricsSrv.Addr
-		g.mu.Unlock()
-		ln.Close()
-		return "", fmt.Errorf("metrics server already running on %s", running)
-	}
-	srv := &http.Server{Addr: ln.Addr().String(), Handler: g.MetricsHandler()}
-	g.metricsSrv = srv
-	g.wg.Add(1)
-	g.mu.Unlock()
-	go func() {
-		defer g.wg.Done()
-		_ = srv.Serve(ln)
-	}()
-	return srv.Addr, nil
+	return g.http.Serve(addr, g.MetricsHandler())
 }
 
-// Mode returns the protocol mode of a process.
-func (g *LiveGroup) Mode(id ProcessID) string {
-	p := g.procs[id]
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.node.Mode().String()
-}
-
-// WaitOperational blocks until every live process is operational in the
-// same configuration, or the timeout elapses. It reports success.
-func (g *LiveGroup) WaitOperational(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if g.operationalTogether() {
-			return true
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return g.operationalTogether()
-}
-
-// operationalTogether reports whether all non-crashed processes share one
-// installed regular configuration.
-func (g *LiveGroup) operationalTogether() bool {
-	var cfg ConfigID
-	g.hub.mu.Lock()
-	down := make(map[ProcessID]bool, len(g.hub.down))
-	for id, d := range g.hub.down {
-		down[id] = d
-	}
-	g.hub.mu.Unlock()
-	for _, id := range g.ids {
-		if down[id] {
-			continue
-		}
-		p := g.procs[id]
-		p.mu.Lock()
-		mode := p.node.Mode()
-		c := p.node.CurrentConfig().ID
-		p.mu.Unlock()
-		if mode != node.Operational {
-			return false
-		}
-		if cfg.IsZero() {
-			cfg = c
-		} else if cfg != c {
-			return false
-		}
-	}
-	return !cfg.IsZero()
-}
-
-// WaitDeliveries blocks until process id has delivered at least n
-// application messages or the timeout elapses; it reports success.
-func (g *LiveGroup) WaitDeliveries(id ProcessID, n int, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if len(g.Deliveries(id)) >= n {
-			return true
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return len(g.Deliveries(id)) >= n
-}
-
-// Check verifies the recorded execution against the EVS specifications.
-func (g *LiveGroup) Check(settled bool) []Violation {
-	g.mu.Lock()
-	events := make([]Event, len(g.trace.Events()))
-	copy(events, g.trace.Events())
-	g.mu.Unlock()
-	return spec.NewChecker(events, spec.Options{Settled: settled}).CheckAll()
-}
-
-// Close stops every process, timer, goroutine and the metrics server (if
-// one was started). It is idempotent and always returns nil.
+// Close stops the metrics server (if one was started) and every process:
+// timers, transports and their goroutines. It is idempotent.
 func (g *LiveGroup) Close() error {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return nil
-	}
-	g.closed = true
-	srv := g.metricsSrv
-	g.mu.Unlock()
-
-	if srv != nil {
-		_ = srv.Close()
-	}
-	for _, id := range g.ids {
-		p := g.procs[id]
-		p.mu.Lock()
-		p.dead = true
-		for k, t := range p.timers {
-			t.Stop()
-			delete(p.timers, k)
-		}
-		p.mu.Unlock()
-	}
-	g.hub.mu.Lock()
-	for id, in := range g.hub.inbox {
-		close(in)
-		delete(g.hub.inbox, id)
-	}
-	g.hub.mu.Unlock()
-	g.wg.Wait()
-	return nil
+	g.http.Close()
+	return g.Recorder.Close()
 }

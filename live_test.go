@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/spine"
 )
 
 // The live runtime runs the same stack under real concurrency; these tests
@@ -17,7 +19,7 @@ func TestLiveGroupFormsAndDelivers(t *testing.T) {
 		t.Fatal("live group did not become operational")
 	}
 	ids := g.IDs()
-	if err := g.Send(ids[0], []byte("hello"), Safe); err != nil {
+	if err := g.Submit(ids[0], []byte("hello"), Safe); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range ids {
@@ -49,7 +51,7 @@ func TestLiveGroupTotalOrderUnderConcurrentSenders(t *testing.T) {
 		id := id
 		go func() {
 			for i := 0; i < perSender; i++ {
-				if err := g.Send(id, []byte(fmt.Sprintf("%s/%d", id, i)), Agreed); err != nil {
+				if err := g.Submit(id, []byte(fmt.Sprintf("%s/%d", id, i)), Agreed); err != nil {
 					done <- err
 					return
 				}
@@ -96,8 +98,8 @@ func TestLiveGroupPartitionAndMerge(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	leftOK, rightOK := false, false
 	for time.Now().Before(deadline) && (!leftOK || !rightOK) {
-		_ = g.Send(ids[0], []byte("L"), Agreed)
-		_ = g.Send(ids[2], []byte("R"), Agreed)
+		_ = g.Submit(ids[0], []byte("L"), Agreed)
+		_ = g.Submit(ids[2], []byte("R"), Agreed)
 		time.Sleep(20 * time.Millisecond)
 		leftOK = hasPayload(g.Deliveries(ids[1]), "L")
 		rightOK = hasPayload(g.Deliveries(ids[3]), "R")
@@ -118,31 +120,99 @@ func TestLiveGroupPartitionAndMerge(t *testing.T) {
 	}
 }
 
+// TestLiveGroupCrashRecover runs on every wall-clock medium: a crashed
+// node ignores what still arrives, so Crash and Recover need no help from
+// the transport.
 func TestLiveGroupCrashRecover(t *testing.T) {
-	g := NewLiveGroup(3, nil)
-	defer g.Close()
-	if !g.WaitOperational(5 * time.Second) {
+	for _, rt := range []Runtime{RuntimeLive, RuntimeUDP, RuntimeTCP} {
+		rt := rt
+		t.Run(rt.String(), func(t *testing.T) {
+			opts := []Option{WithRuntime(rt)}
+			if rt != RuntimeLive {
+				opts = append(opts, WithNodeConfig(fastNetConfig()))
+			}
+			c, err := New(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			g := c.(*LiveGroup)
+			if !g.WaitOperational(10 * time.Second) {
+				t.Fatal("initial formation failed")
+			}
+			ids := g.IDs()
+			g.Crash(ids[2])
+			if err := g.Submit(ids[2], nil, Safe); err == nil {
+				t.Fatal("send at crashed process should fail")
+			}
+			// Survivors reconfigure and keep delivering.
+			deadline := time.Now().Add(10 * time.Second)
+			ok := false
+			for time.Now().Before(deadline) && !ok {
+				_ = g.Submit(ids[0], []byte("while-down"), Safe)
+				time.Sleep(20 * time.Millisecond)
+				ok = hasPayload(g.Deliveries(ids[1]), "while-down")
+			}
+			if !ok {
+				t.Fatal("survivors made no progress after the crash")
+			}
+			g.Recover(ids[2])
+			if !g.WaitOperational(20 * time.Second) {
+				t.Fatalf("recovered process did not rejoin (mode %s)", g.Mode(ids[2]))
+			}
+			if vs := g.Check(false); len(vs) != 0 {
+				t.Fatalf("violations: %v", vs)
+			}
+		})
+	}
+}
+
+// TestLiveGroupPrimaryUnderPartition runs Section 5 on the wall clock: a
+// 5-process hub cluster with the primary component algorithm, partitioned
+// 3|2. The majority side is announced primary, the minority non-primary,
+// and the trace passes the EVS and primary-component checks.
+func TestLiveGroupPrimaryUnderPartition(t *testing.T) {
+	c, err := New(WithRuntime(RuntimeLive), WithSimOptions(Options{NumProcesses: 5, EnablePrimary: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	g := c.(*LiveGroup)
+	if !g.WaitOperational(10 * time.Second) {
 		t.Fatal("initial formation failed")
 	}
 	ids := g.IDs()
-	g.Crash(ids[2])
-	if err := g.Send(ids[2], nil, Safe); err == nil {
-		t.Fatal("send at crashed process should fail")
+	// verdict reports the primary verdict at id for a configuration of
+	// exactly n members, once one has been decided.
+	verdict := func(id ProcessID, n int) (primary, decided bool) {
+		evs := g.PrimaryEvents(id)
+		if len(evs) == 0 {
+			return false, false
+		}
+		last := evs[len(evs)-1]
+		return last.Primary, last.Config.Members.Size() == n
 	}
-	// Survivors reconfigure and keep delivering.
-	deadline := time.Now().Add(5 * time.Second)
-	ok := false
-	for time.Now().Before(deadline) && !ok {
-		_ = g.Send(ids[0], []byte("while-down"), Safe)
-		time.Sleep(20 * time.Millisecond)
-		ok = hasPayload(g.Deliveries(ids[1]), "while-down")
+	all := func(side []ProcessID, want bool) func() bool {
+		return func() bool {
+			for _, id := range side {
+				if p, ok := verdict(id, len(side)); !ok || p != want {
+					return false
+				}
+			}
+			return true
+		}
 	}
-	if !ok {
-		t.Fatal("survivors made no progress after the crash")
+	if !spine.Poll(10*time.Second, all(ids, true)) {
+		t.Fatal("the full configuration was never announced primary")
 	}
-	g.Recover(ids[2])
-	if !g.WaitOperational(10 * time.Second) {
-		t.Fatalf("recovered process did not rejoin (mode %s)", g.Mode(ids[2]))
+	if err := g.Partition(ids[:3], ids[3:]); err != nil {
+		t.Fatal(err)
+	}
+	if !spine.Poll(10*time.Second, all(ids[:3], true)) {
+		t.Errorf("majority side not announced primary")
+	}
+	if !spine.Poll(10*time.Second, all(ids[3:], false)) {
+		t.Errorf("minority side not announced non-primary")
 	}
 	if vs := g.Check(false); len(vs) != 0 {
 		t.Fatalf("violations: %v", vs)

@@ -10,15 +10,16 @@ import (
 type Runtime int
 
 const (
-	// RuntimeSim is the deterministic simulator (Group): virtual time,
-	// seeded schedules, reproducible executions. The default.
+	// RuntimeSim is the deterministic simulator (Group): virtual clock,
+	// simulated medium, seeded schedules, reproducible executions. The
+	// default.
 	RuntimeSim Runtime = iota
-	// RuntimeLive is the in-process hub (LiveGroup): real goroutines and
-	// wall-clock timers, shared-memory message handoff.
+	// RuntimeLive is the wall clock over the in-process hub (LiveGroup):
+	// real goroutines and timers, shared-memory message handoff.
 	RuntimeLive
-	// RuntimeUDP runs one daemon per process over real loopback UDP
-	// sockets (NetGroup): every message crosses the wire codec and the
-	// kernel's network stack.
+	// RuntimeUDP is the wall clock over real loopback UDP sockets
+	// (LiveGroup): every message crosses the wire codec and the kernel's
+	// network stack.
 	RuntimeUDP
 	// RuntimeTCP is RuntimeUDP over the TCP mesh transport.
 	RuntimeTCP
@@ -57,7 +58,7 @@ type Option func(*newConfig)
 func WithRuntime(r Runtime) Option { return func(c *newConfig) { c.runtime = r } }
 
 // WithProcesses names the processes explicitly (simulator runtime only;
-// the live and net runtimes generate p01..pNN).
+// the wall-clock runtimes generate p01..pNN).
 func WithProcesses(ids ...ProcessID) Option {
 	return func(c *newConfig) { c.processes = ids }
 }
@@ -65,7 +66,7 @@ func WithProcesses(ids ...ProcessID) Option {
 // WithNumProcesses sets the cluster size (default 3).
 func WithNumProcesses(n int) Option { return func(c *newConfig) { c.num = n } }
 
-// WithSeed sets the simulator's deterministic seed (ignored by the wall
+// WithSeed sets the simulator's deterministic seed (rejected by the wall
 // clock runtimes, whose schedules the OS owns).
 func WithSeed(seed int64) Option { return func(c *newConfig) { c.seed = seed } }
 
@@ -76,21 +77,23 @@ func WithNodeConfig(cfg node.Config) Option {
 	return func(c *newConfig) { c.node = &cfg }
 }
 
-// WithSimOptions passes the full simulator Options through, for sim-only
-// knobs (drop/dup rates, delay bounds, primary/VS layers,
-// DiscardHistory). Fields covered by other options (Processes,
-// NumProcesses, Seed, Node) are overridden by those options when both
-// are given.
+// WithSimOptions passes a full Options through. Every runtime takes the
+// primary/VS layers, DiscardHistory, NumProcesses and Node; the fields
+// that configure the simulated network (Seed, drop/dup/corrupt/truncate
+// rates, Codec, delay bounds) and Processes are for the simulator, and New
+// rejects them on a wall-clock runtime. Fields covered by other options
+// (Processes, NumProcesses, Seed, Node) are overridden by those options
+// when both are given.
 func WithSimOptions(opts Options) Option {
 	return func(c *newConfig) { c.sim = &opts }
 }
 
 // New creates an EVS cluster behind the runtime-independent Cluster
 // interface: the deterministic simulator by default, or — selected with
-// WithRuntime — the in-process live hub or a real-socket loopback
-// deployment. Scenario control beyond the Cluster surface (partitions,
-// virtual-time scheduling, kills) stays on the concrete types; type-assert
-// to *Group, *LiveGroup or *NetGroup when a scenario needs it.
+// WithRuntime — the wall clock over the in-process hub or loopback
+// sockets. Scenario control beyond the Cluster surface (partitions,
+// virtual-time scheduling, crashes, kills) stays on the concrete types;
+// type-assert to *Group or *LiveGroup when a scenario needs it.
 //
 //	c, err := evs.New(evs.WithNumProcesses(5), evs.WithRuntime(evs.RuntimeUDP))
 //	defer c.Close()
@@ -100,47 +103,31 @@ func New(opts ...Option) (Cluster, error) {
 	for _, o := range opts {
 		o(&c)
 	}
-	n := c.num
-	if n <= 0 {
-		if len(c.processes) > 0 {
-			n = len(c.processes)
-		} else if c.sim != nil && c.sim.NumProcesses > 0 {
-			n = c.sim.NumProcesses
-		} else {
-			n = 3
-		}
+	var o Options
+	if c.sim != nil {
+		o = *c.sim
+	}
+	if len(c.processes) > 0 {
+		o.Processes = c.processes
+	}
+	if c.num > 0 {
+		o.NumProcesses = c.num
+	}
+	if c.seed != 0 {
+		o.Seed = c.seed
+	}
+	if c.node != nil {
+		o.Node = c.node
 	}
 	switch c.runtime {
 	case RuntimeSim:
-		simOpts := Options{}
-		if c.sim != nil {
-			simOpts = *c.sim
+		return NewGroup(o), nil
+	case RuntimeLive, RuntimeUDP, RuntimeTCP:
+		g, err := newLiveGroup(c.runtime, o)
+		if err != nil {
+			return nil, err
 		}
-		if len(c.processes) > 0 {
-			simOpts.Processes = c.processes
-		}
-		simOpts.NumProcesses = n
-		if c.seed != 0 {
-			simOpts.Seed = c.seed
-		}
-		if c.node != nil {
-			simOpts.Node = c.node
-		}
-		return NewGroup(simOpts), nil
-	case RuntimeLive:
-		if len(c.processes) > 0 {
-			return nil, fmt.Errorf("evs.New: the live runtime names processes p01..pNN; use WithNumProcesses")
-		}
-		return NewLiveGroup(n, c.node), nil
-	case RuntimeUDP, RuntimeTCP:
-		if len(c.processes) > 0 {
-			return nil, fmt.Errorf("evs.New: the %s runtime names processes p01..pNN; use WithNumProcesses", c.runtime)
-		}
-		network := "udp"
-		if c.runtime == RuntimeTCP {
-			network = "tcp"
-		}
-		return NewNetGroup(n, network, c.node)
+		return g, nil
 	default:
 		return nil, fmt.Errorf("evs.New: unknown runtime %v", c.runtime)
 	}

@@ -1,12 +1,13 @@
 package evs
 
 import (
-	"fmt"
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/daemon"
 	"repro/internal/node"
+	"repro/internal/spine"
 )
 
 // fastNetConfig scales the deployment timing profile down for loopback
@@ -97,10 +98,11 @@ func TestNewLiveRuntime(t *testing.T) {
 	}
 }
 
-// TestNewUDPRuntime drives the real-socket runtime through the uniform
-// constructor: ring forms over loopback UDP, traffic totally orders, a
-// kill shrinks the membership everywhere, and the recorded trace passes
-// the specification checker.
+// TestNewUDPRuntime covers what the UDP runtime adds to the parity table
+// (TestClusterParity forms, orders and checks a ring on every runtime):
+// traffic really crosses the wire codec, a kill without a goodbye shrinks
+// the membership everywhere, the trace still passes the specification
+// checker, and the sockets cannot be partitioned.
 func TestNewUDPRuntime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second socket ring test")
@@ -111,95 +113,88 @@ func TestNewUDPRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	g, ok := c.(*NetGroup)
+	g, ok := c.(*LiveGroup)
 	if !ok {
-		t.Fatalf("New() = %T, want *NetGroup", c)
+		t.Fatalf("New() = %T, want *LiveGroup", c)
 	}
 	ids := g.IDs()
 	if !g.WaitOperational(20 * time.Second) {
-		t.Fatalf("ring never formed; p01 status %+v", g.ProcStatus(ids[0]))
+		t.Fatalf("ring never formed; p01 is %s", g.Mode(ids[0]))
 	}
-
-	for i, id := range ids {
-		if err := g.Submit(id, []byte(fmt.Sprintf("m%d", i)), Agreed); err != nil {
-			t.Fatalf("%s submit: %v", id, err)
-		}
+	if err := g.Partition(ids[:2], ids[2:]); !errors.Is(err, ErrNoPartition) {
+		t.Fatalf("Partition over sockets = %v, want ErrNoPartition", err)
 	}
-	for _, id := range ids {
-		if !g.WaitDeliveries(id, 4, 20*time.Second) {
-			t.Fatalf("%s delivered %d of 4", id, len(g.Deliveries(id)))
-		}
-	}
-	// Identical total order everywhere.
-	ref := g.Deliveries(ids[0])
-	for _, id := range ids[1:] {
-		ds := g.Deliveries(id)
-		for i := range ref {
-			if ds[i].Msg != ref[i].Msg {
-				t.Fatalf("%s disagrees at %d: %v vs %v", id, i, ds[i].Msg, ref[i].Msg)
-			}
-		}
+	if err := g.Merge(); !errors.Is(err, ErrNoPartition) {
+		t.Fatalf("Merge over sockets = %v, want ErrNoPartition", err)
 	}
 
 	// Kill p04; the survivors deliver a 3-member configuration.
 	if err := g.Kill(ids[3]); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		done := 0
+	if err := g.Submit(ids[3], []byte("late"), Agreed); err == nil {
+		t.Fatal("submit at a killed process succeeded")
+	}
+	installed := func() bool {
 		for _, id := range ids[:3] {
-			for _, ce := range g.ConfigChanges(id) {
-				if ce.Config.ID.IsRegular() && ce.Config.Members.Size() == 3 {
-					done++
-					break
-				}
+			ccs := g.ConfigChanges(id)
+			if last := ccs[len(ccs)-1].Config; !last.ID.IsRegular() || last.Members.Size() != 3 {
+				return false
 			}
 		}
-		if done == 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("survivors never installed the 3-member ring; %d of 3 did", done)
-		}
-		time.Sleep(5 * time.Millisecond)
+		return true
+	}
+	if !spine.Poll(30*time.Second, installed) || !g.WaitOperational(10*time.Second) {
+		t.Fatal("survivors never installed the 3-member ring")
 	}
 
 	if vs := g.Check(false); len(vs) > 0 {
 		t.Fatalf("spec violations: %v", vs)
-	}
-	if len(g.History()) == 0 {
-		t.Fatal("empty history")
 	}
 	if g.Metrics().Total.Counters["wire_packets_out_total"] == 0 {
 		t.Fatal("no wire packets counted — traffic did not cross the codec path")
 	}
 }
 
-func TestNewTCPRuntime(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second socket ring test")
+// TestNewRejectsSimOnlyOptions: the wall-clock runtimes take the Options
+// every runtime shares and refuse the ones that configure the simulated
+// network, instead of silently ignoring them.
+func TestNewRejectsSimOnlyOptions(t *testing.T) {
+	for name, o := range map[string]Options{
+		"Seed":         {Seed: 7},
+		"DropRate":     {DropRate: 0.1},
+		"DupRate":      {DupRate: 0.1},
+		"Codec":        {Codec: true},
+		"CorruptRate":  {CorruptRate: 0.1},
+		"TruncateRate": {TruncateRate: 0.1},
+		"MinDelay":     {MinDelay: time.Millisecond},
+		"MaxDelay":     {MaxDelay: time.Millisecond},
+	} {
+		for _, rt := range []Runtime{RuntimeLive, RuntimeUDP, RuntimeTCP} {
+			if c, err := New(WithRuntime(rt), WithSimOptions(o)); err == nil {
+				c.Close()
+				t.Errorf("%v runtime accepted Options.%s", rt, name)
+			}
+		}
 	}
-	c, err := New(WithRuntime(RuntimeTCP), WithNumProcesses(3),
-		WithNodeConfig(fastNetConfig()))
+	// The shared part passes through.
+	c, err := New(WithRuntime(RuntimeLive), WithSimOptions(Options{NumProcesses: 2, DiscardHistory: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	g := c.(*NetGroup)
-	if !g.WaitOperational(20 * time.Second) {
-		t.Fatal("TCP ring never formed")
+	g := c.(*LiveGroup)
+	if !g.WaitOperational(10 * time.Second) {
+		t.Fatal("live group never formed")
 	}
-	if err := g.Submit(g.IDs()[0], []byte("over tcp"), Safe); err != nil {
+	if err := c.Submit(c.IDs()[0], []byte("x"), Agreed); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range g.IDs() {
-		if !g.WaitDeliveries(id, 1, 20*time.Second) {
-			t.Fatalf("%s never delivered", id)
-		}
+	if !g.WaitDeliveries(c.IDs()[1], 1, 10*time.Second) {
+		t.Fatal("delivery never counted")
 	}
-	if vs := g.Check(false); len(vs) > 0 {
-		t.Fatalf("spec violations: %v", vs)
+	if ds := c.Deliveries(c.IDs()[1]); ds != nil {
+		t.Fatalf("DiscardHistory retained %d deliveries", len(ds))
 	}
 }
 

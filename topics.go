@@ -126,7 +126,7 @@ func NewTopicsWith(g *Group, opts TopicsOptions) (*Topics, error) {
 	}
 	t := &Topics{
 		g:     g,
-		procs: make(map[ProcessID]*topicProc, len(g.ids)),
+		procs: make(map[ProcessID]*topicProc, len(g.IDs())),
 		opts:  opts,
 	}
 	for _, id := range g.IDs() {
@@ -134,7 +134,7 @@ func NewTopicsWith(g *Group, opts TopicsOptions) (*Topics, error) {
 			t:     t,
 			id:    id,
 			mux:   groups.New(id),
-			met:   g.procMetrics(id),
+			met:   g.Proc(id).Metrics(),
 			deliv: make(map[string][]GroupDelivery),
 			views: make(map[string][]GroupView),
 		}
@@ -166,7 +166,7 @@ func (o topicsObserver) OnConfigChange(id ProcessID, c ConfigEvent) {
 		return
 	}
 	if announce != nil {
-		_ = t.g.submit(id, announce, Safe)
+		_ = t.g.Submit(id, announce, Safe)
 	}
 }
 
@@ -185,7 +185,7 @@ func (t *Topics) submitEncoded(p *topicProc, payload []byte, err error) {
 		return
 	}
 	if payload != nil {
-		_ = t.g.submit(p.id, payload, Safe)
+		_ = t.g.Submit(p.id, payload, Safe)
 	}
 }
 
@@ -262,7 +262,7 @@ func (t *Topics) ClientBatch(at time.Duration, id ProcessID, ops []ClientOp) {
 // surfaced to the caller.
 func (t *Topics) SubmitClientSend(id ProcessID, client ClientID, gid GroupID, data []byte) error {
 	p := t.procs[id]
-	return t.g.submit(id, p.mux.SendTo(client, gid, data), Safe)
+	return t.g.Submit(id, p.mux.SendTo(client, gid, data), Safe)
 }
 
 // Resolve returns a group's interned ID at a process in the current
