@@ -1,6 +1,6 @@
 // Package arenaesc polices the lifetime of arena-carved memory. The
 // zero-alloc data path (DESIGN.md §13) works by carving values out of
-// reusable storage — the stable store's payload/vclock/entry chunk
+// reusable storage — the stable store's payload/vclock chunk
 // arenas, the simulator's pooled event slots, the wire decoder's
 // dense-stamp arena, Group.wrapApp's envelope arena, the totem ring's
 // per-visit scratch buffers — and each of those arenas has a reset

@@ -65,6 +65,18 @@ func (s ProcessSet) Members() []ProcessID {
 	return out
 }
 
+// Next returns the member after id in the canonical order, wrapping from
+// the last member to the first — id's successor on a ring of the set's
+// members — or "" and false if id is not a member. It copies nothing.
+func (s ProcessSet) Next(id ProcessID) (ProcessID, bool) {
+	for i, m := range s.ids {
+		if m == id {
+			return s.ids[(i+1)%len(s.ids)], true
+		}
+	}
+	return "", false
+}
+
 // Min returns the smallest member and true, or "" and false if empty. The
 // minimum member acts as the representative in the membership protocol.
 func (s ProcessSet) Min() (ProcessID, bool) {

@@ -56,6 +56,26 @@ func TestProcessSetMin(t *testing.T) {
 	}
 }
 
+func TestProcessSetNextWrapsAndDoesNotAllocate(t *testing.T) {
+	s := NewProcessSet("q", "p", "t")
+	for id, want := range map[ProcessID]ProcessID{"p": "q", "q": "t", "t": "p"} {
+		if next, ok := s.Next(id); !ok || next != want {
+			t.Errorf("Next(%q) = %q,%v, want %q,true", id, next, ok, want)
+		}
+	}
+	if next, ok := s.Next("r"); ok || next != "" {
+		t.Errorf("Next of a non-member = %q,%v, want \"\",false", next, ok)
+	}
+	if next, ok := NewProcessSet("p").Next("p"); !ok || next != "p" {
+		t.Errorf("singleton Next = %q,%v, want p,true", next, ok)
+	}
+	// The token handler resolves the ring successor per token at every
+	// process: it must not copy the member list.
+	if n := testing.AllocsPerRun(100, func() { s.Next("t") }); n != 0 {
+		t.Errorf("Next allocates %v per call, want 0", n)
+	}
+}
+
 func TestProcessSetOperations(t *testing.T) {
 	pqr := NewProcessSet("p", "q", "r")
 	qrs := NewProcessSet("q", "r", "s")

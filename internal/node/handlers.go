@@ -184,11 +184,11 @@ func (n *Node) onToken(from model.ProcessID, t wire.Token) {
 	case n.mode == Operational && n.ring != nil && t.Ring == n.ringCfg.ID:
 		// The token is broadcast on the medium; only the sender's ring
 		// successor processes it.
-		if n.successorOf(from, n.ringCfg.Members) == n.id {
+		if next, _ := n.ringCfg.Members.Next(from); next == n.id {
 			n.processToken(t)
 		}
 	case n.mode == Recovering && t.Ring == n.newRing.ID:
-		if n.successorOf(from, n.newRing.Members) == n.id {
+		if next, _ := n.newRing.Members.Next(from); next == n.id {
 			n.buffered = append(n.buffered, bufferedMsg{from: from, msg: t})
 		}
 	case n.preBufferable(t.Ring):
@@ -196,17 +196,6 @@ func (n *Node) onToken(from model.ProcessID, t wire.Token) {
 	default:
 		n.maybeForeign(from, t.Ring)
 	}
-}
-
-// successorOf returns the ring successor of p within members.
-func (n *Node) successorOf(p model.ProcessID, members model.ProcessSet) model.ProcessID {
-	m := members.Members()
-	for i, id := range m {
-		if id == p {
-			return m[(i+1)%len(m)]
-		}
-	}
-	return ""
 }
 
 // processToken runs a token visit through the ordering protocol.

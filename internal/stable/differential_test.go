@@ -1,0 +1,425 @@
+package stable
+
+import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"repro/internal/model"
+	"repro/internal/seqlog"
+	"repro/internal/vclock"
+	"repro/internal/wire"
+)
+
+// mapStore is the store as it was before the dense window: a plain map
+// keyed by sequence number, a second map of byte-at-a-time FNV-1a
+// checksums, a full scan on every trim. It is the differential oracle for
+// Store, extended only by the one rule the dense log added — the window
+// bound (admit), applied wherever an entry enters the log.
+type mapStore struct {
+	rec          Record
+	log          map[uint64]wire.Data
+	sums         map[uint64]uint64
+	writes       uint64
+	lastPut      uint64
+	lastPutValid bool
+	corruptions  uint64
+	rejected     uint64
+}
+
+func cloneData(d wire.Data) wire.Data {
+	if d.Payload != nil {
+		d.Payload = append([]byte(nil), d.Payload...)
+	}
+	d.VC = d.VC.Clone()
+	return d
+}
+
+func fnv1a(d wire.Data) uint64 {
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	mix := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h ^= v & 0xff
+			h *= prime
+			v >>= 8
+		}
+	}
+	for i := 0; i < len(d.ID.Sender); i++ {
+		h ^= uint64(d.ID.Sender[i])
+		h *= prime
+	}
+	mix(d.ID.SenderSeq)
+	mix(d.Seq)
+	mix(d.Ring.Seq)
+	mix(uint64(d.Service))
+	for _, b := range d.Payload {
+		h ^= uint64(b)
+		h *= prime
+	}
+	return h
+}
+
+// admit is the window rule: keys at or below the trim watermark are
+// discarded, keys more than seqlog.MaxSpan above it are rejected and counted.
+func (m *mapStore) admit(seq uint64) bool {
+	if seq <= m.rec.TrimmedUpTo {
+		return false
+	}
+	if seq-m.rec.TrimmedUpTo > seqlog.MaxSpan {
+		m.rejected++
+		return false
+	}
+	return true
+}
+
+func (m *mapStore) insert(seq uint64, d wire.Data) {
+	if m.log == nil {
+		m.log, m.sums = map[uint64]wire.Data{}, map[uint64]uint64{}
+	}
+	m.log[seq] = cloneData(d)
+	m.sums[seq] = fnv1a(d)
+}
+
+func (m *mapStore) Load() Record {
+	out := m.rec
+	out.SeenSeqs = maps.Clone(m.rec.SeenSeqs)
+	out.Log = make(map[uint64]wire.Data, len(m.log))
+	for k, v := range m.log {
+		out.Log[k] = cloneData(v)
+	}
+	return out
+}
+
+func (m *mapStore) Save(r Record) {
+	log := r.Log
+	r.Log = nil
+	r.SeenSeqs = maps.Clone(r.SeenSeqs)
+	m.rec, m.log, m.sums, m.rejected = r, nil, nil, 0
+	for seq, d := range log {
+		if m.admit(seq) {
+			m.insert(seq, d)
+		}
+	}
+	m.writes++
+}
+
+func (m *mapStore) SetScalars(r Record) {
+	lp, pa, trimmed := m.rec.LastPrimary, m.rec.PrimaryAttempt, m.rec.TrimmedUpTo
+	m.rec = r
+	m.rec.Log = nil
+	m.rec.LastPrimary, m.rec.PrimaryAttempt = lp, pa
+	m.rec.SeenSeqs = maps.Clone(r.SeenSeqs)
+	switch {
+	case r.TrimmedUpTo < trimmed:
+		m.rec.TrimmedUpTo = trimmed
+	case r.TrimmedUpTo > trimmed:
+		for seq := range m.log {
+			if seq <= r.TrimmedUpTo {
+				delete(m.log, seq)
+				delete(m.sums, seq)
+				if m.lastPutValid && m.lastPut == seq {
+					m.lastPutValid = false
+				}
+			}
+		}
+	}
+	m.writes++
+}
+
+func (m *mapStore) putOne(d wire.Data) {
+	if m.admit(d.Seq) {
+		m.insert(d.Seq, d)
+		m.lastPut, m.lastPutValid = d.Seq, true
+	}
+}
+
+func (m *mapStore) PutLog(d wire.Data) { m.putOne(d); m.writes++ }
+
+func (m *mapStore) PutLogBatch(ds []wire.Data) {
+	for _, d := range ds {
+		m.putOne(d)
+	}
+	m.writes++
+}
+
+func (m *mapStore) ClearLog() {
+	m.log, m.sums, m.lastPutValid, m.rejected = nil, nil, false, 0
+	m.rec.TrimmedUpTo = 0
+	m.writes++
+}
+
+func (m *mapStore) TearLastWrite() bool {
+	if !m.lastPutValid || m.lastPut <= m.rec.SafeBound {
+		return false
+	}
+	if _, ok := m.log[m.lastPut]; !ok {
+		return false
+	}
+	delete(m.log, m.lastPut)
+	delete(m.sums, m.lastPut)
+	m.lastPutValid = false
+	m.corruptions++
+	return true
+}
+
+// descending returns the log's keys above floor, highest first.
+func (m *mapStore) descending(floor uint64) []uint64 {
+	var seqs []uint64
+	for seq := range m.log {
+		if seq > floor {
+			seqs = append(seqs, seq)
+		}
+	}
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
+	return seqs
+}
+
+func (m *mapStore) LoseLogSuffix(n int) int {
+	seqs := m.descending(m.rec.SafeBound)
+	if n < 0 {
+		n = 0
+	}
+	if n > len(seqs) {
+		n = len(seqs)
+	}
+	for _, seq := range seqs[:n] {
+		delete(m.log, seq)
+		delete(m.sums, seq)
+		if m.lastPutValid && m.lastPut == seq {
+			m.lastPutValid = false
+		}
+	}
+	if n > 0 {
+		m.corruptions++
+	}
+	return n
+}
+
+func (m *mapStore) FlipLogBits(n int) int {
+	seqs := m.descending(0)
+	if n < 0 {
+		n = 0
+	}
+	if n > len(seqs) {
+		n = len(seqs)
+	}
+	for _, seq := range seqs[:n] {
+		d := m.log[seq]
+		if len(d.Payload) > 0 {
+			d.Payload[0] ^= 0x80
+		} else {
+			d.ID.SenderSeq ^= 1
+		}
+		m.log[seq] = d
+	}
+	if n > 0 {
+		m.corruptions++
+	}
+	return n
+}
+
+func (m *mapStore) LoadChecked() (Record, []error) {
+	rec := m.Load()
+	var errs []error
+	var bad []uint64
+	for seq, d := range rec.Log {
+		if fnv1a(d) != m.sums[seq] {
+			bad = append(bad, seq)
+		}
+	}
+	sort.Slice(bad, func(i, j int) bool { return bad[i] < bad[j] })
+	for _, seq := range bad {
+		delete(rec.Log, seq)
+		errs = append(errs, fmt.Errorf("stable: log entry seq=%d failed checksum; dropped", seq))
+	}
+	if m.rejected > 0 {
+		errs = append(errs, fmt.Errorf("stable: %d log entries beyond the %d-entry window above TrimmedUpTo=%d; rejected", m.rejected, uint64(seqlog.MaxSpan), m.rec.TrimmedUpTo))
+	}
+	if last := rec.LastRegular.ID.Seq; rec.MaxRingSeq < last {
+		errs = append(errs, fmt.Errorf("stable: MaxRingSeq=%d below last installed configuration seq=%d; healed", rec.MaxRingSeq, last))
+		rec.MaxRingSeq = last
+	}
+	return rec, errs
+}
+
+// normalize maps the snapshot forms that differ only in nil-versus-empty
+// (a representation detail neither store promises) onto one.
+func normalize(r Record) Record {
+	if len(r.Log) == 0 {
+		r.Log = nil
+	}
+	if len(r.SeenSeqs) == 0 {
+		r.SeenSeqs = nil
+	}
+	return r
+}
+
+// TestStoreMatchesMapModel drives the dense-window store and the map
+// oracle through the same random operation sequences — every write path,
+// advancing and non-advancing trims, every corruption mode, alien Save
+// keys — and requires the same record, the same dropped entries with the
+// same errors, the same return values and the same counters after each
+// step. The last-put record is covered by tears issued right after trims
+// that pass it.
+func TestStoreMatchesMapModel(t *testing.T) {
+	uni := vclock.NewUniverse([]model.ProcessID{"p", "q", "r"})
+	for seed := int64(1); seed <= 16; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var s Store
+		var m mapStore
+		next := uint64(1) // the ring's next contiguous sequence number
+		// An entry at the bound makes every snapshot scan the whole
+		// window; two of the seeds pay for that.
+		far := seed%8 == 0
+		scalars := Record{LastRegular: model.Configuration{ID: model.RegularID(2, "p"), Members: model.NewProcessSet("p", "q", "r")}, MaxRingSeq: 2}
+		msg := func(seq uint64) wire.Data {
+			d := wire.Data{
+				ID:      model.MessageID{Sender: model.ProcessID([]string{"p", "q", "a-long-process-name"}[rng.Intn(3)]), SenderSeq: seq ^ uint64(rng.Intn(4))},
+				Ring:    scalars.LastRegular.ID,
+				Seq:     seq,
+				Service: model.Service(1 + rng.Intn(2)),
+			}
+			if n := rng.Intn(40); n > 0 {
+				d.Payload = make([]byte, n-1) // sometimes empty but non-nil
+				rng.Read(d.Payload)
+			}
+			if rng.Intn(2) == 0 {
+				d.VC = vclock.Stamp{U: uni, D: vclock.Dense{int32(rng.Intn(9)), int32(seq), 0}}
+			}
+			return d
+		}
+		pick := func() uint64 {
+			switch rng.Intn(12) {
+			case 0: // duplicate or trimmed
+				return 1 + uint64(rng.Intn(int(next)))
+			case 1: // a hole ahead
+				next += uint64(rng.Intn(5))
+			case 2: // at, or far past, the window bound
+				if far {
+					return m.rec.TrimmedUpTo + seqlog.MaxSpan + uint64(rng.Intn(3))
+				}
+			}
+			next++
+			return next - 1
+		}
+		for step := 0; step < 500; step++ {
+			op := rng.Intn(16)
+			what := fmt.Sprintf("seed %d step %d op %d", seed, step, op)
+			switch op {
+			case 0, 1, 2:
+				d := msg(pick())
+				s.PutLog(d)
+				m.PutLog(d)
+			case 3, 4, 5:
+				batch := make([]wire.Data, 1+rng.Intn(8))
+				for i := range batch {
+					batch[i] = msg(pick())
+				}
+				s.PutLogBatch(batch)
+				m.PutLogBatch(batch)
+			case 6, 7, 8:
+				r := scalars
+				r.SenderSeq, r.HighestSeen = uint64(step), next-1
+				r.SafeBound = uint64(rng.Intn(int(next)))
+				r.DeliveredUpTo = r.SafeBound
+				r.TrimmedUpTo = uint64(rng.Intn(int(next) + 2)) // below, at, above and past the log
+				if rng.Intn(3) == 0 {
+					r.SeenSeqs = map[model.ProcessID]uint64{"p": uint64(step), "q": 1}
+				}
+				r.Log = map[uint64]wire.Data{7: msg(7)} // must be ignored
+				s.SetScalars(r)
+				m.SetScalars(r)
+				if rng.Intn(2) == 0 { // a tear right behind a trim that may have passed lastPut
+					if got, want := s.TearLastWrite(), m.TearLastWrite(); got != want {
+						t.Fatalf("%s: TearLastWrite after trim = %v, model %v", what, got, want)
+					}
+				}
+			case 9:
+				if rng.Intn(4) == 0 {
+					s.ClearLog()
+					m.ClearLog()
+					next = 1
+				}
+			case 10:
+				r := m.Load()
+				switch rng.Intn(4) {
+				case 0:
+					r.Log[r.TrimmedUpTo+seqlog.MaxSpan+1] = msg(99999) // alien key past the bound
+				case 1:
+					if far {
+						r.Log[r.TrimmedUpTo+seqlog.MaxSpan] = wire.Data{} // at the bound, Seq ≠ key
+					}
+				case 2:
+					r.TrimmedUpTo += uint64(rng.Intn(4)) // keys at or below the watermark
+				}
+				r.PrimaryAttempt = scalars.LastRegular
+				s.Save(r)
+				m.Save(r)
+			case 11:
+				if got, want := s.TearLastWrite(), m.TearLastWrite(); got != want {
+					t.Fatalf("%s: TearLastWrite = %v, model %v", what, got, want)
+				}
+			case 12:
+				n := rng.Intn(5) - 1
+				if got, want := s.LoseLogSuffix(n), m.LoseLogSuffix(n); got != want {
+					t.Fatalf("%s: LoseLogSuffix(%d) = %d, model %d", what, n, got, want)
+				}
+			case 13:
+				n := rng.Intn(5) - 1
+				if got, want := s.FlipLogBits(n), m.FlipLogBits(n); got != want {
+					t.Fatalf("%s: FlipLogBits(%d) = %d, model %d", what, n, got, want)
+				}
+			case 14:
+				if rng.Intn(2) == 0 {
+					s.WrapSenderSeq()
+					m.rec.SenderSeq = s.rec.SenderSeq
+				} else {
+					s.RegressRingSeq()
+					m.rec.MaxRingSeq = s.rec.MaxRingSeq
+				}
+				m.corruptions = s.Corruptions()
+			}
+			if got, want := normalize(s.Load()), normalize(m.Load()); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Load diverged\nstore: %+v\nmodel: %+v", what, got, want)
+			}
+			gotRec, gotErrs := s.LoadChecked()
+			wantRec, wantErrs := m.LoadChecked()
+			if !reflect.DeepEqual(normalize(gotRec), normalize(wantRec)) {
+				t.Fatalf("%s: LoadChecked record diverged\nstore: %+v\nmodel: %+v", what, gotRec, wantRec)
+			}
+			if fmt.Sprint(gotErrs) != fmt.Sprint(wantErrs) {
+				t.Fatalf("%s: LoadChecked errors diverged\nstore: %v\nmodel: %v", what, gotErrs, wantErrs)
+			}
+			if s.Writes() != m.writes || s.Corruptions() != m.corruptions {
+				t.Fatalf("%s: counters diverged: writes %d/%d corruptions %d/%d", what, s.Writes(), m.writes, s.Corruptions(), m.corruptions)
+			}
+		}
+	}
+}
+
+// TestLastPutDoesNotSurviveATrimThatPassesIt pins the one place the
+// last-put record outlives its entry observably: the entry is trimmed, a
+// Save with a lower watermark commits a record at the same key, and a torn
+// write must not destroy that committed record (store and oracle agree).
+func TestLastPutDoesNotSurviveATrimThatPassesIt(t *testing.T) {
+	var s Store
+	var m mapStore
+	d := wire.Data{Seq: 5, Payload: []byte("x")}
+	s.PutLog(d)
+	m.PutLog(d)
+	s.SetScalars(Record{TrimmedUpTo: 7})
+	m.SetScalars(Record{TrimmedUpTo: 7})
+	resaved := Record{Log: map[uint64]wire.Data{5: d}}
+	s.Save(resaved)
+	m.Save(resaved)
+	if got, want := s.TearLastWrite(), m.TearLastWrite(); got || want {
+		t.Fatalf("tear destroyed a committed record: store %v, model %v", got, want)
+	}
+	if got := logSeqs(&s); !reflect.DeepEqual(got, []uint64{5}) {
+		t.Fatalf("log = %v, want [5]", got)
+	}
+}

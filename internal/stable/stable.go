@@ -11,13 +11,27 @@
 //
 // Reads and writes deep-copy the record, simulating the disk boundary: no
 // aliasing between volatile protocol state and persisted state is possible.
+//
+// The message log is a dense window over the ring's contiguous sequence
+// numbers, (TrimmedUpTo, TrimmedUpTo+seqlog.MaxSpan], held in the same
+// seqlog.Log the ring's receive log uses: a put is one slot index, a deep
+// copy of the payload and clock into the store's chunk arenas and a
+// word-wise checksum kept in the slot; a trim zeroes exactly the dropped
+// slots. An entry beyond the window is rejected, never sized for, and the
+// rejection is reported by LoadChecked like a failed checksum, so the
+// recovery machinery re-requests the entry. The ring persists only what
+// its own, narrower receive window accepted (seqlog.MaxSpan has the
+// arithmetic), so the bound is reached only by a damaged record or an
+// alien Save key.
 package stable
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"maps"
 
 	"repro/internal/model"
+	"repro/internal/seqlog"
 	"repro/internal/vclock"
 	"repro/internal/wire"
 )
@@ -81,40 +95,12 @@ type Record struct {
 	PrimaryAttempt model.Configuration
 }
 
-// clone deep-copies a record.
-func (r Record) clone() Record {
-	out := r
-	if r.Log != nil {
-		out.Log = make(map[uint64]wire.Data, len(r.Log))
-		for k, v := range r.Log {
-			c := v
-			if v.Payload != nil {
-				c.Payload = append([]byte(nil), v.Payload...)
-			}
-			c.VC = v.VC.Clone()
-			out.Log[k] = c
-		}
-	}
-	out.SeenSeqs = cloneSeen(r.SeenSeqs)
-	// model.ProcessSet and model.Configuration are immutable by
-	// convention; sharing is safe.
-	return out
-}
-
-func cloneSeen(m map[model.ProcessID]uint64) map[model.ProcessID]uint64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[model.ProcessID]uint64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
 // Store is the stable storage device of one process. The zero value is an
 // empty store ready for use.
 type Store struct {
+	// rec holds every persisted field except the log (rec.Log stays nil:
+	// Record.Log is the snapshot type — Load materialises it, Save
+	// ingests it).
 	rec    Record
 	writes uint64
 	// lastPut is the sequence number of the most recent PutLog, the
@@ -123,162 +109,130 @@ type Store struct {
 	lastPut      uint64
 	lastPutValid bool
 	corruptions  uint64
-	// sums holds a per-entry checksum computed at write time, the
-	// device-level integrity metadata real storage keeps per block. It
-	// lives in the Store, not the Record, so in-place bit rot of an
-	// entry (FlipLogBits) is detectable at the next LoadChecked.
-	sums map[uint64]uint64
+	// rejected counts entries refused since the log was last replaced
+	// because they lay more than seqlog.MaxSpan above TrimmedUpTo.
+	rejected uint64
 	// seen is the store-owned copy of Record.SeenSeqs maintained by
 	// SetScalars: merging into it in place keeps the hot-path write free
 	// of a map clone while still never aliasing the caller's live map.
 	seen map[model.ProcessID]uint64
-	// log is the device-internal log representation. wire.Data is larger
-	// than the runtime's inline map-element limit, so a
-	// map[uint64]wire.Data insert heap-allocates an indirect element per
-	// message; storing 8-byte pointers into arena-carved entries keeps
-	// PutLog allocation-free in steady state. Record.Log remains the
-	// snapshot type: Load materialises it, Save ingests it.
-	log map[uint64]*wire.Data
-	// payArena, vcArena and entryArena amortise the deep copies PutLog
-	// makes at the simulated disk boundary: payload bytes, vector-clock
-	// counters and log-entry structs are carved from chunked arenas (one
-	// allocation per chunk) instead of one allocation each per message.
-	payArena   []byte
-	vcArena    vclock.Dense
-	entryArena []wire.Data
+	// log is the persisted message log, based at rec.TrimmedUpTo. Each
+	// slot carries a checksum computed at write time — the device-level
+	// integrity metadata real storage keeps per block — so in-place bit
+	// rot of an entry (FlipLogBits) is detectable at the next LoadChecked.
+	log seqlog.Log
+	// payArena and vcArena amortise the deep copies a put makes at the
+	// simulated disk boundary: payload bytes and vector-clock counters
+	// are carved from chunked arenas (one allocation per chunk) instead
+	// of one allocation each per message. A chunk is collected once every
+	// slot referencing it has been trimmed.
+	payArena []byte
+	vcArena  vclock.Dense
 }
 
 // arenaChunk sizes the persistence arenas (bytes for payloads, counters
-// for clocks); entryArenaChunk is the entry-struct arena granularity.
-const (
-	arenaChunk      = 16 << 10
-	entryArenaChunk = 128
-)
+// for clocks).
+const arenaChunk = 16 << 10
 
-// newEntry carves one log-entry struct from the entry arena. Carved
-// entries live as long as their s.log slot: dropLogPrefix releases the
-// slot, and the chunk is reused only once every entry in it is gone.
-//
-//evs:arena
-func (s *Store) newEntry() *wire.Data {
-	if len(s.entryArena) == 0 {
-		s.entryArena = make([]wire.Data, entryArenaChunk)
-	}
-	e := &s.entryArena[0]
-	s.entryArena = s.entryArena[1:]
-	return e
-}
-
-// carvePayload deep-copies payload bytes into the payload arena and
-// returns the carved region, full to capacity so appends cannot bleed
-// into the next tenant.
+// carve deep-copies src into a chunked arena and returns the carved
+// region, full to capacity so appends cannot bleed into the next tenant.
 //
 //evs:arena
 //evs:noalloc
-func (s *Store) carvePayload(src []byte) []byte {
+func carve[S ~[]E, E any](arena *S, src S) S {
 	n := len(src)
-	if len(s.payArena) < n {
-		grow := arenaChunk
-		if grow < n {
-			grow = n
-		}
-		s.payArena = make([]byte, grow)
+	if len(*arena) < n {
+		*arena = make(S, max(arenaChunk, n))
 	}
-	out := s.payArena[:n:n]
-	s.payArena = s.payArena[n:]
+	out := (*arena)[:n:n]
+	*arena = (*arena)[n:]
 	copy(out, src)
 	return out
 }
 
-// carveClock deep-copies vector-clock counters into the clock arena.
-//
-//evs:arena
-//evs:noalloc
-func (s *Store) carveClock(src vclock.Dense) vclock.Dense {
-	n := len(src)
-	if len(s.vcArena) < n {
-		grow := arenaChunk
-		if grow < n {
-			grow = n
-		}
-		s.vcArena = make(vclock.Dense, grow)
-	}
-	out := s.vcArena[:n:n]
-	s.vcArena = s.vcArena[n:]
-	copy(out, src)
-	return out
-}
-
-// logSnapshot deep-copies the internal log into the Record.Log snapshot
-// form (cold path: Load/LoadChecked only).
+// logSnapshot deep-copies the log into the Record.Log snapshot form (cold
+// path: Load/LoadChecked only). Keys are slot positions, not Data.Seq.
 func (s *Store) logSnapshot() map[uint64]wire.Data {
-	if s.log == nil {
+	if s.log.Len() == 0 {
 		return nil
 	}
-	out := make(map[uint64]wire.Data, len(s.log))
-	for k, v := range s.log {
-		c := *v
-		if v.Payload != nil {
-			c.Payload = append([]byte(nil), v.Payload...)
+	out := make(map[uint64]wire.Data, s.log.Len())
+	for seq := s.log.Base() + 1; seq <= s.log.High(); seq++ {
+		e := s.log.Get(seq)
+		if e == nil {
+			continue
 		}
-		c.VC = v.VC.Clone()
-		out[k] = c
+		c := e.Data
+		if c.Payload != nil {
+			c.Payload = append([]byte(nil), c.Payload...)
+		}
+		c.VC = c.VC.Clone()
+		out[seq] = c
 	}
 	return out
 }
 
-// checksum is FNV-1a over the fields of a log entry the delivery and
-// recovery paths interpret: the message identity, ring position,
-// service level and payload.
-func checksum(d wire.Data) uint64 {
+// checksum hashes the fields of a log entry the delivery and recovery
+// paths interpret: the message identity, ring position, service level and
+// payload. It is FNV-1a's xor-then-multiply step applied to eight bytes at
+// a time: each step is a bijection of the running hash for a fixed input
+// word, so any change confined to one word — every single-bit flip in
+// particular — changes the result.
+//
+//evs:noalloc
+func checksum(d *wire.Data) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
+	var w uint64
+	for i := 0; i < len(d.ID.Sender); i++ {
+		w = w<<8 | uint64(d.ID.Sender[i])
+		if i&7 == 7 {
+			h = (h ^ w) * prime
+			w = 0
 		}
 	}
-	for i := 0; i < len(d.ID.Sender); i++ {
-		h ^= uint64(d.ID.Sender[i])
-		h *= prime
+	h = (h ^ w) * prime
+	h = (h ^ d.ID.SenderSeq) * prime
+	h = (h ^ d.Seq) * prime
+	h = (h ^ d.Ring.Seq) * prime
+	h = (h ^ uint64(d.Service)) * prime
+	p := d.Payload
+	for ; len(p) >= 8; p = p[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(p)) * prime
 	}
-	mix(d.ID.SenderSeq)
-	mix(d.Seq)
-	mix(d.Ring.Seq)
-	mix(uint64(d.Service))
-	for _, b := range d.Payload {
-		h ^= uint64(b)
-		h *= prime
+	w = uint64(len(d.Payload)) << 56
+	for i, b := range p {
+		w |= uint64(b) << (8 * i)
 	}
-	return h
+	return (h ^ w) * prime
 }
 
 // Load returns a deep copy of the persisted record.
 func (s *Store) Load() Record {
-	out := s.rec.clone()
+	out := s.rec
+	// model.ProcessSet and model.Configuration are immutable by
+	// convention; sharing is safe.
+	out.SeenSeqs = maps.Clone(s.rec.SeenSeqs)
 	out.Log = s.logSnapshot()
 	return out
 }
 
 // Save persists a deep copy of the record, replacing the previous contents
-// atomically (simulating an atomic disk commit).
+// atomically (simulating an atomic disk commit). Log entries outside the
+// record's own window (r.TrimmedUpTo, r.TrimmedUpTo+seqlog.MaxSpan] are not
+// stored: those at or below the watermark are discarded by definition,
+// those beyond it are rejected and counted.
 func (s *Store) Save(r Record) {
-	s.rec = r.clone()
-	s.log = nil
-	s.sums = nil
+	log := r.Log
+	r.Log = nil
+	r.SeenSeqs = maps.Clone(r.SeenSeqs)
+	s.rec = r
 	s.seen = nil
-	if len(s.rec.Log) > 0 {
-		s.log = make(map[uint64]*wire.Data, len(s.rec.Log))
-		s.sums = make(map[uint64]uint64, len(s.rec.Log))
-		for seq, d := range s.rec.Log {
-			e := s.newEntry()
-			*e = d
-			s.log[seq] = e
-			s.sums[seq] = checksum(d)
-		}
-		s.rec.Log = nil
+	s.rejected = 0
+	s.log = seqlog.Log{}
+	s.log.DropPrefix(r.TrimmedUpTo)
+	for seq, d := range log {
+		s.put(seq, &d)
 	}
 	s.writes++
 }
@@ -293,7 +247,8 @@ func (s *Store) Writes() uint64 { return s.writes }
 // the log size, and free of allocations in steady state (the one mutable
 // map scalar, SeenSeqs, is merged into a store-owned map in place).
 // A TrimmedUpTo that advanced past the stored watermark discards the
-// corresponding log prefix, mirroring the ring's in-memory trim.
+// corresponding log prefix, mirroring the ring's in-memory trim, at a cost
+// proportional to the entries dropped.
 //
 //evs:noalloc
 func (s *Store) SetScalars(r Record) {
@@ -301,8 +256,8 @@ func (s *Store) SetScalars(r Record) {
 	pa := s.rec.PrimaryAttempt
 	trimmed := s.rec.TrimmedUpTo
 	s.rec = r
-	// The internal log (s.log) is untouched; the record's snapshot field
-	// stays unmaterialised.
+	// The log is untouched; the record's snapshot field stays
+	// unmaterialised.
 	s.rec.Log = nil
 	s.rec.LastPrimary = lp
 	s.rec.PrimaryAttempt = pa
@@ -311,74 +266,64 @@ func (s *Store) SetScalars(r Record) {
 	if s.seen == nil && len(r.SeenSeqs) > 0 {
 		s.seen = make(map[model.ProcessID]uint64, len(r.SeenSeqs))
 	}
-	for k := range s.seen {
-		delete(s.seen, k)
-	}
-	for k, v := range r.SeenSeqs {
-		s.seen[k] = v
-	}
+	clear(s.seen)
+	maps.Copy(s.seen, r.SeenSeqs)
 	s.rec.SeenSeqs = s.seen
-	switch {
-	case r.TrimmedUpTo < trimmed:
+	if r.TrimmedUpTo <= trimmed {
 		// The watermark is monotone within a configuration; lower
 		// inputs (e.g. scalars persisted mid-recovery, which carry no
 		// trim knowledge) keep the stored value.
 		s.rec.TrimmedUpTo = trimmed
-	case r.TrimmedUpTo > trimmed:
-		s.dropLogPrefix(r.TrimmedUpTo)
+	} else {
+		s.log.DropPrefix(r.TrimmedUpTo)
+		if s.lastPut <= r.TrimmedUpTo {
+			s.lastPutValid = false
+		}
 	}
 	s.writes++
 }
 
-// dropLogPrefix deletes persisted log entries at or below upTo.
-func (s *Store) dropLogPrefix(upTo uint64) {
-	for seq := range s.log {
-		if seq <= upTo {
-			delete(s.log, seq)
-			delete(s.sums, seq)
-			if s.lastPutValid && s.lastPut == seq {
-				s.lastPutValid = false
-			}
-		}
-	}
-	s.rec.TrimmedUpTo = upTo
-}
-
-// putOne writes one log entry, deep-copying it across the disk boundary
-// (payload bytes and clock counters are carved from the store's arenas:
-// the make calls below refill a chunk, amortised over many entries).
+// put writes one log entry at seq, deep-copying it across the disk
+// boundary (payload bytes and clock counters are carved from the store's
+// arenas: the make calls there refill a chunk, amortised over many
+// entries). It reports whether the entry was stored.
 //
 //evs:noalloc
-func (s *Store) putOne(d wire.Data) {
-	if d.Seq <= s.rec.TrimmedUpTo {
-		return
+func (s *Store) put(seq uint64, d *wire.Data) bool {
+	e, _ := s.log.Put(seq)
+	if e == nil {
+		if seq > s.rec.TrimmedUpTo {
+			s.rejected++
+		}
+		return false
 	}
-	if s.log == nil {
-		s.log = make(map[uint64]*wire.Data)
-	}
-	c := d
+	e.Data = *d
 	if d.Payload != nil {
-		c.Payload = s.carvePayload(d.Payload)
+		e.Data.Payload = carve(&s.payArena, d.Payload)
 	}
 	if d.VC.U != nil {
-		c.VC = vclock.Stamp{U: d.VC.U, D: s.carveClock(d.VC.D)}
+		e.Data.VC.D = carve(&s.vcArena, d.VC.D)
 	}
-	e := s.newEntry()
-	*e = c
-	s.log[d.Seq] = e
-	if s.sums == nil {
-		s.sums = make(map[uint64]uint64)
+	e.Sum = checksum(&e.Data)
+	return true
+}
+
+// putOne is the incremental write: put keyed by the message's own
+// sequence number, remembered as the record a torn write would destroy.
+//
+//evs:noalloc
+func (s *Store) putOne(d *wire.Data) {
+	if s.put(d.Seq, d) {
+		s.lastPut = d.Seq
+		s.lastPutValid = true
 	}
-	s.sums[d.Seq] = checksum(c)
-	s.lastPut = d.Seq
-	s.lastPutValid = true
 }
 
 // PutLog persists one received message (deep-copied once).
 //
 //evs:noalloc
 func (s *Store) PutLog(d wire.Data) {
-	s.putOne(d)
+	s.putOne(&d)
 	s.writes++
 }
 
@@ -388,8 +333,8 @@ func (s *Store) PutLog(d wire.Data) {
 //
 //evs:noalloc
 func (s *Store) PutLogBatch(ds []wire.Data) {
-	for _, d := range ds {
-		s.putOne(d)
+	for i := range ds {
+		s.putOne(&ds[i])
 	}
 	s.writes++
 }
@@ -397,9 +342,9 @@ func (s *Store) PutLogBatch(ds []wire.Data) {
 // ClearLog drops the persisted message log (a new configuration starts an
 // empty log and an untrimmed prefix).
 func (s *Store) ClearLog() {
-	s.log = nil
-	s.sums = nil
+	s.log = seqlog.Log{}
 	s.lastPutValid = false
+	s.rejected = 0
 	s.rec.TrimmedUpTo = 0
 	s.writes++
 }
@@ -430,17 +375,9 @@ func (s *Store) ClearLog() {
 // be durable (at or below SafeBound) or no tearable record exists. It
 // reports whether a record was destroyed.
 func (s *Store) TearLastWrite() bool {
-	if !s.lastPutValid || s.log == nil {
+	if !s.lastPutValid || s.lastPut <= s.rec.SafeBound || !s.log.Delete(s.lastPut) {
 		return false
 	}
-	if s.lastPut <= s.rec.SafeBound {
-		return false
-	}
-	if _, ok := s.log[s.lastPut]; !ok {
-		return false
-	}
-	delete(s.log, s.lastPut)
-	delete(s.sums, s.lastPut)
 	s.lastPutValid = false
 	s.corruptions++
 	return true
@@ -450,30 +387,19 @@ func (s *Store) TearLastWrite() bool {
 // the SafeBound watermark, simulating unflushed tail pages lost in a
 // crash. It returns the number of records destroyed.
 func (s *Store) LoseLogSuffix(n int) int {
-	if n <= 0 || len(s.log) == 0 {
-		return 0
-	}
-	seqs := make([]uint64, 0, len(s.log))
-	for seq := range s.log {
-		if seq > s.rec.SafeBound {
-			seqs = append(seqs, seq)
+	lost := 0
+	for seq := s.log.High(); lost < n && seq > s.log.Base() && seq > s.rec.SafeBound; seq-- {
+		if s.log.Delete(seq) {
+			lost++
+			if s.lastPut == seq {
+				s.lastPutValid = false
+			}
 		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-	if n > len(seqs) {
-		n = len(seqs)
-	}
-	for _, seq := range seqs[:n] {
-		delete(s.log, seq)
-		delete(s.sums, seq)
-		if s.lastPutValid && s.lastPut == seq {
-			s.lastPutValid = false
-		}
-	}
-	if n > 0 {
+	if lost > 0 {
 		s.corruptions++
 	}
-	return n
+	return lost
 }
 
 // Corruptions returns the number of injected corruption operations that
@@ -551,55 +477,45 @@ func (s *Store) PoisonObligations(n int) int {
 // checksums are deliberately left stale so LoadChecked detects the
 // damage. Returns the number of entries corrupted.
 func (s *Store) FlipLogBits(n int) int {
-	if n <= 0 || len(s.log) == 0 {
-		return 0
-	}
-	seqs := make([]uint64, 0, len(s.log))
-	for seq := range s.log {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-	if n > len(seqs) {
-		n = len(seqs)
-	}
-	for _, seq := range seqs[:n] {
-		d := s.log[seq]
-		if len(d.Payload) > 0 {
-			d.Payload[0] ^= 0x80
-		} else {
-			d.ID.SenderSeq ^= 1
+	flipped := 0
+	for seq := s.log.High(); flipped < n && seq > s.log.Base(); seq-- {
+		e := s.log.Get(seq)
+		if e == nil {
+			continue
 		}
+		if len(e.Data.Payload) > 0 {
+			e.Data.Payload[0] ^= 0x80
+		} else {
+			e.Data.ID.SenderSeq ^= 1
+		}
+		flipped++
 	}
-	if n > 0 {
+	if flipped > 0 {
 		s.corruptions++
 	}
-	return n
+	return flipped
 }
 
 // LoadChecked returns a deep copy of the persisted record after
 // integrity validation, together with one error per rejected or healed
 // element. Log entries whose checksum no longer matches are dropped
 // (the resulting gaps are re-requested by the recovery retransmission
-// machinery), and a MaxRingSeq below the process's own last installed
-// configuration is clamped back up. Corrupted state is thus rejected
+// machinery), entries refused at write time for lying beyond the window
+// are reported as one counted error (they were never stored, so the same
+// machinery re-requests them), and a MaxRingSeq below the process's own
+// last installed configuration is clamped back up. Corrupted state is thus rejected
 // with propagated errors, never trusted and never fatal.
 func (s *Store) LoadChecked() (Record, []error) {
-	rec := s.rec.clone()
-	rec.Log = s.logSnapshot()
+	rec := s.Load()
 	var errs []error
-	if len(rec.Log) > 0 {
-		bad := make([]uint64, 0)
-		for seq, d := range rec.Log {
-			want, ok := s.sums[seq]
-			if !ok || checksum(d) != want {
-				bad = append(bad, seq)
-			}
-		}
-		sort.Slice(bad, func(i, j int) bool { return bad[i] < bad[j] })
-		for _, seq := range bad {
+	for seq := s.log.Base() + 1; seq <= s.log.High(); seq++ {
+		if e := s.log.Get(seq); e != nil && checksum(&e.Data) != e.Sum {
 			delete(rec.Log, seq)
 			errs = append(errs, fmt.Errorf("stable: log entry seq=%d failed checksum; dropped", seq))
 		}
+	}
+	if s.rejected > 0 {
+		errs = append(errs, fmt.Errorf("stable: %d log entries beyond the %d-entry window above TrimmedUpTo=%d; rejected", s.rejected, uint64(seqlog.MaxSpan), s.rec.TrimmedUpTo))
 	}
 	if last := rec.LastRegular.ID.Seq; rec.MaxRingSeq < last {
 		errs = append(errs, fmt.Errorf("stable: MaxRingSeq=%d below last installed configuration seq=%d; healed", rec.MaxRingSeq, last))

@@ -1,11 +1,13 @@
 package stable
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/seqlog"
 	"repro/internal/vclock"
 	"repro/internal/wire"
 )
@@ -253,5 +255,119 @@ func TestClearLogInvalidatesTear(t *testing.T) {
 	s.ClearLog()
 	if s.TearLastWrite() {
 		t.Fatal("tear after ClearLog destroyed something")
+	}
+}
+
+// ---------------------------------------------------------------------------
+// The window bound and the word-wise checksum.
+
+func TestLogWindowAtAndPastTheBound(t *testing.T) {
+	var s Store
+	s.SetScalars(Record{TrimmedUpTo: 10}) // the window is relative to the watermark
+	s.PutLog(wire.Data{Seq: 10 + seqlog.MaxSpan, Payload: []byte("at")})
+	s.PutLog(wire.Data{Seq: 10 + seqlog.MaxSpan + 1, Payload: []byte("past")})
+	if got := logSeqs(&s); !reflect.DeepEqual(got, []uint64{10 + seqlog.MaxSpan}) {
+		t.Fatalf("log = %v, want only the entry at the bound", got)
+	}
+	rec, errs := s.LoadChecked()
+	if len(rec.Log) != 1 || len(errs) != 1 {
+		t.Fatalf("LoadChecked = %d entries, errors %v; want 1 entry and the rejection reported once", len(rec.Log), errs)
+	}
+	// The refused put never became the last-put record: a torn write
+	// still destroys the entry at the bound.
+	if !s.TearLastWrite() || len(logSeqs(&s)) != 0 {
+		t.Fatalf("tear after a refused put: log = %v", logSeqs(&s))
+	}
+	// Once the watermark advances the same entry is inside the window.
+	s.SetScalars(Record{TrimmedUpTo: 11})
+	s.PutLog(wire.Data{Seq: 10 + seqlog.MaxSpan + 1, Payload: []byte("past")})
+	if got := logSeqs(&s); !reflect.DeepEqual(got, []uint64{10 + seqlog.MaxSpan + 1}) {
+		t.Fatalf("log = %v, want the entry admitted after the trim", got)
+	}
+	// A new log forgets the old rejections.
+	s.ClearLog()
+	if _, errs := s.LoadChecked(); len(errs) != 0 {
+		t.Fatalf("rejections survived ClearLog: %v", errs)
+	}
+}
+
+func TestFarOffKeyDoesNotSizeTheLog(t *testing.T) {
+	var s Store
+	_, got := allocsOf(func() {
+		// FuzzStoreRoundTrip's alien key, a key no window could hold, and
+		// a storage-damaged HighestSeen ahead of a normal put.
+		s.Save(Record{HighestSeen: 1 << 60, Log: map[uint64]wire.Data{
+			1:       {Seq: 1, Payload: []byte("x")},
+			99999:   {Seq: 99999},
+			1 << 50: {Seq: 1 << 50},
+		}})
+		s.PutLog(wire.Data{Seq: 2})
+		s.PutLog(wire.Data{Seq: 1 << 40})
+	})
+	if got > 256<<10 {
+		t.Fatalf("far-off keys allocated %d bytes; the window must refuse them, not size for them", got)
+	}
+	if seqs := logSeqs(&s); !reflect.DeepEqual(seqs, []uint64{1, 2}) {
+		t.Fatalf("log = %v, want [1 2]", seqs)
+	}
+	if _, errs := s.LoadChecked(); len(errs) != 1 {
+		t.Fatalf("errors = %v, want the three rejections reported as one counted error", errs)
+	}
+}
+
+// TestChecksumDetectsEverySingleBitFlip flips each bit of every field the
+// checksum covers, at payload lengths on both sides of the eight-byte
+// word boundary, and requires the hash to move.
+func TestChecksumDetectsEverySingleBitFlip(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 64, 1024} {
+		d := wire.Data{
+			ID:      model.MessageID{Sender: "a-long-process-name", SenderSeq: 77},
+			Ring:    model.RegularID(9, "p"),
+			Seq:     1234,
+			Service: model.Safe,
+			Payload: make([]byte, n),
+		}
+		for i := range d.Payload {
+			d.Payload[i] = byte(31 * i)
+		}
+		want := checksum(&d)
+		differs := func(what string) {
+			t.Helper()
+			if checksum(&d) == want {
+				t.Fatalf("payload %d B: flipping %s left the checksum unchanged", n, what)
+			}
+		}
+		for i := range d.Payload {
+			for b := 0; b < 8; b++ {
+				d.Payload[i] ^= 1 << b
+				differs(fmt.Sprintf("payload byte %d bit %d", i, b))
+				d.Payload[i] ^= 1 << b
+			}
+		}
+		sender := []byte(d.ID.Sender)
+		for i := range sender {
+			for b := 0; b < 8; b++ {
+				sender[i] ^= 1 << b
+				d.ID.Sender = model.ProcessID(sender)
+				differs(fmt.Sprintf("sender byte %d bit %d", i, b))
+				sender[i] ^= 1 << b
+			}
+		}
+		d.ID.Sender = model.ProcessID(sender)
+		for b := 0; b < 64; b++ {
+			for name, f := range map[string]*uint64{"SenderSeq": &d.ID.SenderSeq, "Seq": &d.Seq, "Ring.Seq": &d.Ring.Seq} {
+				*f ^= 1 << b
+				differs(fmt.Sprintf("%s bit %d", name, b))
+				*f ^= 1 << b
+			}
+		}
+		d.Service ^= 1
+		differs("Service bit 0")
+		d.Service ^= 1
+		if n > 0 {
+			// One byte fewer (a zero byte at n = 1): the length is covered.
+			d.Payload = d.Payload[:n-1]
+			differs("the payload length")
+		}
 	}
 }

@@ -14,11 +14,12 @@
 // the message. This is the acknowledgment described in Step 1 of the EVS
 // algorithm (Section 3 of the paper).
 //
-// The receive log is a slice indexed by sequence number (the token assigns
-// sequence numbers contiguously from 1, so the log is dense), with the
-// missing numbers tracked as a short list of gap ranges. Receipt, the
-// retransmission scan, aru advancement and delivery are all O(1) probes;
-// a token visit is linear only in the work it actually performs.
+// The receive log is a window indexed by sequence number (the token assigns
+// sequence numbers contiguously from 1, so the log is dense; seqlog.Log is
+// the type the stable store persists it in as well), with the missing
+// numbers tracked as a short list of gap ranges. Receipt, the
+// retransmission scan, aru advancement, delivery and trimming are all O(1)
+// probes; a token visit is linear only in the work it actually performs.
 //
 // The Ring type is a pure state machine: it consumes received wire messages
 // and emits messages to transmit and messages to deliver. Timers, the
@@ -31,6 +32,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/seqlog"
 	"repro/internal/vclock"
 	"repro/internal/wire"
 )
@@ -105,19 +107,13 @@ type Ring struct {
 	cfg  model.Configuration
 	opts Options
 
-	// log[i] holds the message with sequence number trimmedUpTo+i+1; a
-	// zero Seq marks an entry not yet received. Sequence numbers are
-	// assigned contiguously from 1 by the token, so the log is dense.
-	// The prefix at or below both the two-visit safe bound and the
-	// delivery watermark is trimmed away (see maybeTrim): safety
-	// certifies every member received it, so no operational
-	// retransmission and no recovery rebroadcast (Step 5.a) can ever
-	// name it — a merging peer's receipt watermark is at or above this
-	// ring's safe bound by the same certificate. Live memory is thereby
-	// bounded by the flow-control window, not the run length.
-	log         []wire.Data
+	// log holds the received messages above trimmedUpTo (its base).
+	// Sequence numbers are assigned contiguously from 1 by the token, so
+	// the log is dense; maybeTrim discards the safe-and-delivered prefix,
+	// so live memory is bounded by the flow-control window, not the run
+	// length.
+	log         seqlog.Log
 	trimmedUpTo uint64
-	stored      int
 	// gaps lists the missing sequence numbers in (myAru, highestSeen]
 	// as sorted, disjoint, non-empty ranges.
 	gaps          []seqRange
@@ -173,7 +169,7 @@ func New(self model.ProcessID, cfg model.Configuration, opts Options) *Ring {
 		opts.AdaptiveMax = 8 * opts.MaxPerToken
 	}
 	uni := vclock.NewUniverse(cfg.Members.Members())
-	return &Ring{
+	r := &Ring{
 		self:    self,
 		cfg:     cfg,
 		opts:    opts,
@@ -182,6 +178,8 @@ func New(self model.ProcessID, cfg model.Configuration, opts Options) *Ring {
 		selfIdx: uni.Index(self),
 		curMax:  opts.MaxPerToken,
 	}
+	r.log.Limit = r.logWindow()
+	return r
 }
 
 // SetMetrics attaches the process's observability scope (nil disables).
@@ -192,11 +190,8 @@ func (r *Ring) Config() model.Configuration { return r.cfg }
 
 // Successor returns the next process after self in ring order.
 func (r *Ring) Successor() model.ProcessID {
-	m := r.cfg.Members.Members()
-	for i, id := range m {
-		if id == r.self {
-			return m[(i+1)%len(m)]
-		}
+	if next, ok := r.cfg.Members.Next(r.self); ok {
+		return next
 	}
 	// Self not a member: degenerate, return self.
 	return r.self
@@ -235,38 +230,12 @@ func (r *Ring) TakePending() []Pending {
 
 // present reports whether the message with the given sequence number is in
 // the log (trimmed entries are no longer present).
-func (r *Ring) present(seq uint64) bool {
-	return seq > r.trimmedUpTo && seq-r.trimmedUpTo <= uint64(len(r.log)) &&
-		r.log[seq-r.trimmedUpTo-1].Seq != 0
-}
-
-// get returns the logged message with the given sequence number.
-func (r *Ring) get(seq uint64) (wire.Data, bool) {
-	if !r.present(seq) {
-		return wire.Data{}, false
-	}
-	return r.log[seq-r.trimmedUpTo-1], true
-}
-
-// growLog extends the log slice to cover sequence number seq.
-func (r *Ring) growLog(seq uint64) {
-	n := seq - r.trimmedUpTo
-	if n <= uint64(cap(r.log)) {
-		r.log = r.log[:n]
-		return
-	}
-	newCap := 2 * cap(r.log)
-	if uint64(newCap) < n {
-		newCap = int(n)
-	}
-	grown := make([]wire.Data, n, newCap)
-	copy(grown, r.log)
-	r.log = grown
-}
+func (r *Ring) present(seq uint64) bool { return r.log.Get(seq) != nil }
 
 // trimChunk is the laziness threshold of maybeTrim: entries are discarded
-// in batches so small test rings keep their full logs and the steady-state
-// cost is an amortised copy, not per-visit work.
+// in batches, so small test rings keep their full logs and the trimmed
+// watermark (persisted, and exchanged during recovery) moves once per
+// chunk rather than once per visit.
 const trimChunk = 1024
 
 // retainCushion is how far the trim bound stays behind the certified
@@ -288,14 +257,23 @@ func (r *Ring) retainCushion() uint64 {
 	return 2 * win
 }
 
+// logWindow bounds highestSeen − trimmedUpTo; a message further ahead is
+// refused like a lost packet (and retransmitted once the window reaches
+// it) instead of sizing the log. Sequencing stops a flow window above the
+// token's aru, the safe bound trails that aru by at most two rotations of
+// assignments, and the trim bound trails the safe bound by the retention
+// cushion plus one chunk: under three cushions in all, so four (eight flow
+// windows) is never reached by a conforming ring.
+func (r *Ring) logWindow() uint64 { return 4*r.retainCushion() + trimChunk }
+
 // maybeTrim discards the log prefix that can never be needed again:
 // sequence numbers a retention cushion below both the two-visit safe bound
 // (certified received by every ring member, so neither an operational
 // retransmission nor a recovery rebroadcast can name them — every member's
 // own receipt watermark is at or above the bound) and the delivery
-// watermark (never re-delivered locally). The retained window is compacted
-// to the front of the same backing array, so steady state holds a
-// flow-window of entries regardless of how long the ring runs.
+// watermark (never re-delivered locally). Only the dropped slots are
+// touched, so steady state holds a flow-window of entries regardless of
+// how long the ring runs.
 func (r *Ring) maybeTrim() {
 	bound := r.safeBound
 	if r.deliveredUpTo < bound {
@@ -309,14 +287,7 @@ func (r *Ring) maybeTrim() {
 	if bound <= r.trimmedUpTo || bound-r.trimmedUpTo < trimChunk {
 		return
 	}
-	k := bound - r.trimmedUpTo
-	n := copy(r.log, r.log[k:])
-	tail := r.log[n:]
-	for i := range tail {
-		tail[i] = wire.Data{} // release payload/clock references
-	}
-	r.log = r.log[:n]
-	r.stored -= int(k) // the trimmed prefix is below myAru: fully present
+	r.log.DropPrefix(bound)
 	r.trimmedUpTo = bound
 }
 
@@ -369,11 +340,18 @@ func (r *Ring) advanceAru() {
 
 // store inserts a received message into the log, maintaining the gap list
 // and watermarks. It reports whether the message was new.
-func (r *Ring) store(d wire.Data) bool {
+func (r *Ring) store(d wire.Data) bool { return r.put(&d) }
+
+// put is store without the 160-byte argument copy.
+//
+//evs:noalloc
+func (r *Ring) put(d *wire.Data) bool {
 	seq := d.Seq
-	if seq <= r.trimmedUpTo || r.present(seq) {
-		return false
+	e, fresh := r.log.Put(seq)
+	if !fresh {
+		return false // trimmed, beyond the log window, or a duplicate
 	}
+	e.Data = *d
 	switch {
 	case seq == r.highestSeen+1:
 		r.highestSeen = seq
@@ -383,11 +361,6 @@ func (r *Ring) store(d wire.Data) bool {
 	default:
 		r.fillGap(seq)
 	}
-	if seq-r.trimmedUpTo > uint64(len(r.log)) {
-		r.growLog(seq)
-	}
-	r.log[seq-r.trimmedUpTo-1] = d
-	r.stored++
 	r.advanceAru()
 	return true
 }
@@ -457,12 +430,13 @@ func (r *Ring) OnData(d wire.Data) []wire.Data {
 //evs:noalloc
 func (r *Ring) OnDataBatch(ds []wire.Data) (deliveries, fresh []wire.Data) {
 	fresh = r.freshScratch[:0]
-	for _, d := range ds {
+	for i := range ds {
+		d := &ds[i]
 		if d.Ring != r.cfg.ID || d.Seq == 0 {
 			continue
 		}
-		if r.store(d) {
-			fresh = append(fresh, d)
+		if r.put(d) {
+			fresh = append(fresh, *d)
 		}
 	}
 	r.freshScratch = fresh
@@ -555,9 +529,9 @@ func (r *Ring) OnToken(t wire.Token) TokenResult {
 	// token.Seq, so they are in the gap list) and are re-issued below.
 	for _, g := range t.Rtr {
 		for seq := g.Lo; seq <= g.Hi; seq++ {
-			if d, ok := r.get(seq); ok {
-				d.Retrans = true
-				res.Broadcasts = append(res.Broadcasts, d)
+			if e := r.log.Get(seq); e != nil {
+				res.Broadcasts = append(res.Broadcasts, e.Data)
+				res.Broadcasts[len(res.Broadcasts)-1].Retrans = true
 				r.met.Inc(obs.CRetransServed)
 			}
 		}
@@ -576,7 +550,7 @@ func (r *Ring) OnToken(t wire.Token) TokenResult {
 			Payload: p.Payload, //lint:allow wireown Submit transfers payload ownership to the ring; the pending slot is dropped as the message is sequenced
 			VC:      r.stamp(),
 		}
-		r.store(d)
+		r.put(&d)
 		res.Sent = append(res.Sent, d)
 		res.Broadcasts = append(res.Broadcasts, d)
 	}
@@ -656,14 +630,14 @@ func (r *Ring) OnToken(t wire.Token) TokenResult {
 //evs:noalloc
 func (r *Ring) collectDeliverable() []wire.Data {
 	out := r.deliverScratch[:0]
-	for r.present(r.deliveredUpTo + 1) {
-		d := r.log[r.deliveredUpTo-r.trimmedUpTo]
-		if d.Service == model.Safe && d.Seq > r.safeBound {
+	for {
+		e := r.log.Get(r.deliveredUpTo + 1)
+		if e == nil || (e.Data.Service == model.Safe && e.Data.Seq > r.safeBound) {
 			break
 		}
 		r.deliveredUpTo++
-		r.mergeClock(d.VC)
-		out = append(out, d)
+		r.mergeClock(e.Data.VC)
+		out = append(out, e.Data)
 	}
 	r.met.Add(obs.CMsgsDelivered, uint64(len(out)))
 	r.deliverScratch = out
@@ -721,7 +695,7 @@ func (r *Ring) Watermarks() State {
 
 // Len returns the number of messages in the receive log (trimmed entries
 // excluded).
-func (r *Ring) Len() int { return r.stored }
+func (r *Ring) Len() int { return r.log.Len() }
 
 // Trimmed returns the discarded log prefix watermark.
 func (r *Ring) Trimmed() uint64 { return r.trimmedUpTo }
@@ -730,10 +704,10 @@ func (r *Ring) Trimmed() uint64 { return r.trimmedUpTo }
 // (the representation the recovery algorithm exchanges and merges). The
 // result is a fresh map; the log itself is not exposed.
 func (r *Ring) Messages() map[uint64]wire.Data {
-	out := make(map[uint64]wire.Data, r.stored)
-	for _, d := range r.log {
-		if d.Seq != 0 {
-			out[d.Seq] = d
+	out := make(map[uint64]wire.Data, r.log.Len())
+	for seq := r.log.Base() + 1; seq <= r.log.High(); seq++ {
+		if e := r.log.Get(seq); e != nil {
+			out[seq] = e.Data
 		}
 	}
 	return out
@@ -757,6 +731,7 @@ func (r *Ring) VC() vclock.VC { return r.uni.ToVC(r.vc) }
 // treated as missing.
 func (r *Ring) Restore(log map[uint64]wire.Data, deliveredUpTo, safeBound, highestSeen, trimmed uint64) {
 	if trimmed > 0 {
+		r.log.DropPrefix(trimmed)
 		r.trimmedUpTo = trimmed
 		r.myAru = trimmed
 		r.highestSeen = trimmed

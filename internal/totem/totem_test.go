@@ -606,3 +606,83 @@ func seqsOf(ds []wire.Data) []uint64 {
 	}
 	return out
 }
+
+// TestTrimSlidesTheWindowWithoutLosingRetainedEntries runs a ring long
+// past its retention cushion: the log must hold a bounded window whatever
+// the run length, every retained entry must still be served by sequence
+// number after the slots have wrapped, and a lost message from the
+// retained range must still be retransmittable.
+func TestTrimSlidesTheWindowWithoutLosingRetainedEntries(t *testing.T) {
+	h := newHarness(t, "a", "b")
+	a, b := h.rings["a"], h.rings["b"]
+	lost := uint64(0)
+	h.dropData = func(to model.ProcessID, d wire.Data) bool {
+		return to == "b" && d.Seq == lost && !d.Retrans
+	}
+	total := 0
+	for rot := 0; rot < 400; rot++ {
+		h.submit("a", 16, model.Agreed)
+		h.submit("b", 16, model.Safe)
+		if rot == 300 {
+			lost = a.highestSeen + 3 // one loss deep into the run, after many trims
+		}
+		h.rotate()
+		total += 32
+		if a.Len() > int(a.logWindow()) || uint64(a.Len()) != a.highestSeen-a.Trimmed() {
+			t.Fatalf("rotation %d: Len=%d with trimmed=%d highestSeen=%d window=%d", rot, a.Len(), a.Trimmed(), a.highestSeen, a.logWindow())
+		}
+	}
+	for i := 0; i < 4; i++ {
+		h.rotate()
+	}
+	for _, r := range []*Ring{a, b} {
+		if r.Trimmed() < trimChunk || r.Trimmed()+r.retainCushion() > r.DeliveredUpTo() {
+			t.Fatalf("trimmed=%d delivered=%d cushion=%d: the trim bound must trail delivery by the cushion", r.Trimmed(), r.DeliveredUpTo(), r.retainCushion())
+		}
+		msgs := r.Messages()
+		if len(msgs) != r.Len() {
+			t.Fatalf("Messages has %d entries, Len=%d", len(msgs), r.Len())
+		}
+		for seq := uint64(1); seq <= r.highestSeen; seq++ {
+			d, ok := msgs[seq]
+			if ok != (seq > r.Trimmed()) || r.present(seq) != ok || (ok && d.Seq != seq) {
+				t.Fatalf("seq %d (trimmed=%d): in Messages=%v present=%v Seq=%d", seq, r.Trimmed(), ok, r.present(seq), d.Seq)
+			}
+		}
+	}
+	if got := len(h.delivered["b"]); got != total || len(h.delivered["a"]) != total {
+		t.Fatalf("delivered a=%d b=%d, want %d each (the lost message was retransmitted from the retained window)", len(h.delivered["a"]), got, total)
+	}
+	for i, d := range h.delivered["b"] {
+		if d.Seq != uint64(i+1) {
+			t.Fatalf("b's delivery %d has seq %d", i, d.Seq)
+		}
+	}
+}
+
+// TestLogWindowAtAndPastTheBound pins the receive log's bound: a message
+// exactly logWindow above the trimmed prefix is stored, one past it — or
+// a corrupt, far-off sequence number — is refused like a lost packet,
+// leaving the watermarks and the gap list untouched and allocating
+// nothing for it.
+func TestLogWindowAtAndPastTheBound(t *testing.T) {
+	r := propRing()
+	w := r.logWindow()
+	if !r.store(propData(w)) {
+		t.Fatal("a message at the bound must be stored")
+	}
+	high, gaps := r.highestSeen, fmt.Sprint(r.gaps)
+	if r.store(propData(w+1)) || r.OnData(propData(1<<50)) != nil {
+		t.Fatal("a message past the bound must be refused")
+	}
+	if r.highestSeen != high || fmt.Sprint(r.gaps) != gaps || r.Len() != 1 {
+		t.Fatalf("refused message moved state: highestSeen=%d gaps=%v Len=%d", r.highestSeen, r.gaps, r.Len())
+	}
+	// The bound is relative to the trimmed prefix: a restored ring
+	// accepts the same number once the prefix has advanced.
+	r2 := propRing()
+	r2.Restore(nil, 1, 1, 1, 1)
+	if !r2.store(propData(w + 1)) {
+		t.Fatal("the bound must move with the trimmed prefix")
+	}
+}
