@@ -2,13 +2,12 @@
 // characterisation series (see DESIGN.md §4 and EXPERIMENTS.md). Each
 // benchmark runs the corresponding experiment from internal/experiments and
 // reports domain metrics via b.ReportMetric alongside the usual wall-clock
-// cost of simulating it.
+// cost of simulating it. Throughput and latency are benchmark/'s job.
 package evs_test
 
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/experiments"
 )
@@ -55,41 +54,6 @@ func BenchmarkFig7VSFilter(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(ok)/float64(b.N), "reproduced")
-}
-
-// BenchmarkThroughputVsGroupSize measures safe-service ordering throughput
-// (messages fully delivered per virtual second) per group size.
-func BenchmarkThroughputVsGroupSize(b *testing.B) {
-	for _, size := range []int{2, 3, 5, 8, 12} {
-		size := size
-		b.Run(fmt.Sprintf("procs=%d", size), func(b *testing.B) {
-			var msgsPerSec float64
-			for i := 0; i < b.N; i++ {
-				row := experiments.Throughput(size, int64(i+1), 500*time.Millisecond)
-				msgsPerSec += row.MsgsPerSec
-			}
-			b.ReportMetric(msgsPerSec/float64(b.N), "msgs/vsec")
-		})
-	}
-}
-
-// BenchmarkSafeVsAgreedLatency measures unloaded submit-to-delivery latency
-// for both service levels; the reported metric is the safe/agreed ratio
-// (safe costs roughly one extra token rotation).
-func BenchmarkSafeVsAgreedLatency(b *testing.B) {
-	for _, size := range []int{3, 5, 8} {
-		size := size
-		b.Run(fmt.Sprintf("procs=%d", size), func(b *testing.B) {
-			var ratio, safeMs float64
-			for i := 0; i < b.N; i++ {
-				row := experiments.Latency(size, int64(i+1), 8)
-				ratio += row.SafeOverAgreed
-				safeMs += row.SafeMs
-			}
-			b.ReportMetric(ratio/float64(b.N), "safe/agreed")
-			b.ReportMetric(safeMs/float64(b.N), "safe-vms")
-		})
-	}
 }
 
 // BenchmarkRecoveryVsBacklog measures the EVS recovery algorithm's

@@ -1,403 +1,111 @@
-// Command evsbench regenerates every figure of the paper and the protocol
-// characterisation series as a text report. Each section names the
-// experiment from DESIGN.md; EXPERIMENTS.md records the expected shapes.
+// Command evsbench regenerates the paper's figures and the virtual-time
+// protocol characterisation series (F1-F5, F6, F7, T2, T3, P1) as a text
+// report. Each section names the experiment from DESIGN.md; EXPERIMENTS.md
+// records the expected shapes. Every figure it prints is in virtual time;
+// wall-clock throughput, latency and per-layer costs are measured by
+// benchmark/ (bash benchmark/run.sh --workload NAME), not here.
 //
 // Usage:
 //
-//	evsbench [-seed N] [-quick] [-t1] [-ordering-json FILE] [-metrics-json FILE]
-//	evsbench -groups [-quick] [-groups-json FILE]
-//	evsbench -wire [-quick] [-wire-json FILE]
-//
-// -t1 runs only the ordering-throughput section (used by CI as a smoke
-// benchmark). -ordering-json additionally writes the T1 series with
-// host-side cost metrics (ns/msg, B/msg, allocs/msg, packets/msg) as JSON.
-// -metrics-json runs a 16-process loaded scenario (lossy network plus a
-// partition/merge) and writes the cluster's full observability snapshot —
-// token rotations, retransmissions, batch fill, budget trajectory — as JSON,
-// skipping the report sections.
-// -groups runs only the lightweight-group scale benchmark (G1): the
-// 10k-group / 100k-client cluster scenario plus the binary-vs-JSON layer
-// replay rig; -groups-json writes the report (BENCH_groups.json), and
-// -quick shrinks it to CI smoke size.
-// -wire runs only the wire codec benchmark (W1): per-kind encode/decode
-// ns/op and allocs/op of the flat binary codec the real transports use,
-// with the zero-alloc gate on the Data hot path; -wire-json writes the
-// report (BENCH_wire.json).
+//	evsbench [-seed N] [-quick]
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
-	"strings"
-	"time"
 
 	evs "repro"
 	"repro/internal/experiments"
-	"repro/internal/obs"
 )
 
 func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	quick := flag.Bool("quick", false, "smaller sweeps")
-	t1Only := flag.Bool("t1", false, "run only the T1 ordering section")
-	procsFlag := flag.String("procs", "", "comma-separated group sizes for the T1 sweep (overrides the defaults)")
-	orderingJSON := flag.String("ordering-json", "", "write T1 ordering metrics to this JSON file (empty disables)")
-	metricsJSON := flag.String("metrics-json", "", "run a 16-process scenario and write its observability snapshot to this JSON file (empty disables)")
-	groupsOnly := flag.Bool("groups", false, "run only the G1 lightweight-group scale benchmark")
-	groupsJSON := flag.String("groups-json", "", "write the G1 groups benchmark report to this JSON file (empty disables)")
-	wireOnly := flag.Bool("wire", false, "run only the W1 wire codec benchmark")
-	wireJSON := flag.String("wire-json", "", "write the W1 wire codec report to this JSON file (empty disables)")
 	flag.Parse()
-	sizes, err := parseProcs(*procsFlag)
-	if err == nil {
-		if *wireOnly {
-			err = runWire(*quick, *wireJSON)
-		} else if *groupsOnly {
-			err = runGroups(*seed, *quick, *groupsJSON)
-		} else if *metricsJSON != "" {
-			err = runMetrics(*seed, *metricsJSON)
-		} else {
-			err = run(*seed, *quick, *t1Only, *orderingJSON, sizes)
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	run(os.Stdout, *seed, *quick)
 }
 
-// parseProcs parses the -procs override: a comma-separated list of group
-// sizes. Empty means "use the built-in sweep".
-func parseProcs(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 2 {
-			return nil, fmt.Errorf("-procs: bad group size %q (want integers >= 2)", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// budgetPoint is one sample of a process's flow-control budget trajectory,
-// taken from the KBudget trace events the token layer emits whenever the
-// adaptive window actually changes.
-type budgetPoint struct {
-	AtUs   int64  `json:"at_us"`
-	Proc   string `json:"proc"`
-	Budget uint64 `json:"budget"`
-}
-
-// metricsReport is the -metrics-json document.
-type metricsReport struct {
-	Seed             int64              `json:"seed"`
-	Procs            int                `json:"procs"`
-	VirtualSeconds   float64            `json:"virtual_seconds"`
-	Metrics          evs.ClusterMetrics `json:"metrics"`
-	BudgetTrajectory []budgetPoint      `json:"budget_trajectory"`
-}
-
-func runMetrics(seed int64, jsonPath string) error {
-	const procs = 16
-	horizon := 3 * time.Second
-	g := evs.NewGroup(evs.Options{NumProcesses: procs, Seed: seed, DropRate: 0.02})
-	defer g.Close()
-	ids := g.IDs()
-	// Steady all-to-all traffic, interrupted by a partition/merge cycle so
-	// the snapshot exercises recovery and membership counters too.
-	for i, id := range ids {
-		id := id
-		step := time.Duration(8+i) * time.Millisecond
-		for at := 200 * time.Millisecond; at < horizon; at += step {
-			g.Send(at, id, []byte(fmt.Sprintf("%s@%d", id, at)), evs.Safe)
-		}
-	}
-	g.Partition(1200*time.Millisecond, ids[:procs/2], ids[procs/2:])
-	g.Merge(1900 * time.Millisecond)
-	g.Run(horizon)
-
-	rep := metricsReport{
-		Seed:           seed,
-		Procs:          procs,
-		VirtualSeconds: horizon.Seconds(),
-		Metrics:        g.Metrics(),
-	}
-	for _, ev := range g.ObsEvents() {
-		if ev.Kind == obs.KBudget {
-			rep.BudgetTrajectory = append(rep.BudgetTrajectory, budgetPoint{
-				AtUs: ev.At.Microseconds(), Proc: ev.Proc, Budget: ev.A,
-			})
-		}
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	tot := rep.Metrics.Total
-	fmt.Printf("metrics snapshot: %d procs, %.0fs virtual\n", procs, rep.VirtualSeconds)
-	fmt.Printf("  token rotations:   %d\n", tot.Counters["totem_token_rotations_total"])
-	fmt.Printf("  msgs delivered:    %d\n", tot.Counters["totem_msgs_delivered_total"])
-	fmt.Printf("  retrans served:    %d\n", tot.Counters["totem_retrans_served_total"])
-	fmt.Printf("  budget samples:    %d\n", len(rep.BudgetTrajectory))
-	fmt.Printf("=> wrote %s\n", jsonPath)
-	return nil
-}
-
-// runGroups runs the G1 lightweight-group scale benchmark and prints its
-// headline numbers; jsonPath (if set) receives the full report.
-func runGroups(seed int64, quick bool, jsonPath string) error {
-	cfg := experiments.GroupsConfig(quick)
-	cfg.Seed = seed
-	fmt.Println("G1     lightweight groups at scale (interned routing, binary envelopes)")
-	fmt.Println("-------------------------------------------------------------")
-	fmt.Printf("  cluster: %d procs, %d groups, %d clients, %.0fms window\n",
-		cfg.Procs, cfg.Groups, cfg.Clients, cfg.Window.Seconds()*1000)
-	rep, err := experiments.GroupsBench(cfg)
-	if err != nil {
-		return err
-	}
-	c := rep.Cluster
-	fmt.Printf("  ordered group msgs/s (virtual): %.0f\n", c.GroupMsgsPerSec)
-	fmt.Printf("  member deliveries: %d   client deliveries: %d   filtered: %d (%.0f%%)\n",
-		c.MemberDeliveries, c.ClientDeliveries, c.Filtered, 100*c.FilteredShare)
-	fmt.Printf("  ns/group-delivery: %.0f   B/group-delivery: %.0f   allocs/group-delivery: %.3f\n",
-		c.NsPerGroupDelivery, c.BytesPerGroupDelivery, c.AllocsPerGroupDelivery)
-	fmt.Println()
-	fmt.Printf("%8s %14s %14s %12s %16s %14s\n",
-		"codec", "layer msgs/s", "ns/delivery", "allocs/dlv", "ns/filter-drop", "allocs/drop")
-	for _, l := range rep.Layer {
-		fmt.Printf("%8s %14.0f %14.1f %12.3f %16.1f %14.3f\n",
-			l.Codec, l.LayerMsgsPerSec, l.NsPerDelivery, l.AllocsPerDelivery,
-			l.NsPerFilteredDrop, l.AllocsPerFilteredDrop)
-	}
-	fmt.Printf("=> group-layer speedup vs JSON baseline: %.1fx\n", rep.SpeedupVsJSON)
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("=> wrote %s\n", jsonPath)
-	}
-	return nil
-}
-
-// runWire runs the W1 wire codec benchmark: per-kind encode/decode
-// ns/op and allocs/op of the flat binary codec, then the alloc gate on
-// the Data hot path. A gate failure is the command's failure — CI uses
-// this as the dynamic half of the wire zero-alloc enforcement pair
-// (the evslint noalloc pass is the static half).
-func runWire(quick bool, jsonPath string) error {
-	iters := 200000
-	if quick {
-		iters = 20000
-	}
-	fmt.Println("W1     wire codec: flat binary encode/decode per message kind")
-	fmt.Println("-------------------------------------------------------------")
-	rep, err := experiments.WireBench(iters)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%14s %8s %12s %12s %12s %12s\n",
-		"kind", "bytes", "enc ns/op", "enc allocs", "dec ns/op", "dec allocs")
-	for _, r := range rep.Rows {
-		fmt.Printf("%14s %8d %12.1f %12.3f %12.1f %12.3f\n",
-			r.Kind, r.Bytes, r.EncodeNsOp, r.EncodeAllocs, r.DecodeNsOp, r.DecodeAllocs)
-	}
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("=> wrote %s\n", jsonPath)
-	}
-	if err := experiments.WireAllocGate(rep); err != nil {
-		return err
-	}
-	fmt.Println("=> wire alloc gate: data encode/decode at zero allocations per op")
-	return nil
-}
-
-// orderingReport is the BENCH_ordering.json document.
-type orderingReport struct {
-	Seed          int64                          `json:"seed"`
-	WindowSeconds float64                        `json:"window_seconds"`
-	Rows          []experiments.OrderingBenchRow `json:"rows"`
-}
-
-func runT1(seed int64, sizes []int, window time.Duration, jsonPath string) error {
-	fmt.Println("T1     ordering throughput vs group size (safe service)")
-	fmt.Println("-------------------------------------------------------------")
-	rep := orderingReport{Seed: seed, WindowSeconds: window.Seconds()}
-	fmt.Printf("%8s %12s %12s %10s %12s %12s %12s %10s\n",
-		"procs", "msgs/s", "rotations", "pkts/msg", "ns/msg", "B/msg", "allocs/msg", "peak evq")
-	for _, n := range sizes {
-		r := experiments.OrderingBench(n, seed, window)
-		rep.Rows = append(rep.Rows, r)
-		fmt.Printf("%8d %12.0f %12d %10.2f %12.0f %12.0f %12.2f %10d\n",
-			r.GroupSize, r.MsgsPerSec, r.TokenRotations, r.PacketsPerMsg,
-			r.NsPerMsg, r.BytesPerMsg, r.AllocsPerMsg, r.PeakPending)
-	}
-	fmt.Println()
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("=> wrote %s\n\n", jsonPath)
-	}
-	return nil
-}
-
-func run(seed int64, quick, t1Only bool, orderingJSON string, procs []int) error {
-	sizes := []int{2, 3, 5, 8, 12, 16, 24, 32}
-	window := time.Second
-	if quick {
-		sizes = []int{2, 3, 5}
-		window = 300 * time.Millisecond
-	}
-	if len(procs) > 0 {
-		sizes = procs
-	}
-	if t1Only {
-		return runT1(seed, sizes, window, orderingJSON)
-	}
-
-	fmt.Println("extended virtual synchrony — experiment report")
-	fmt.Println("================================================")
-	fmt.Println()
+func run(w io.Writer, seed int64, quick bool) {
+	fmt.Fprintln(w, "extended virtual synchrony — experiment report")
+	fmt.Fprintln(w, "================================================")
+	fmt.Fprintln(w)
 
 	// F1-F5: specification conformance.
-	fmt.Println("F1-F5  specifications 1-7 (figures 1-5): checker conformance")
-	fmt.Println("-------------------------------------------------------------")
+	fmt.Fprintln(w, "F1-F5  specifications 1-7 (figures 1-5): checker conformance")
+	fmt.Fprintln(w, "-------------------------------------------------------------")
 	rows := experiments.Figures1to5(seed)
-	fmt.Print(experiments.FormatCheckerRows(rows))
+	fmt.Fprint(w, experiments.FormatCheckerRows(rows))
 	failed := 0
 	for _, r := range rows {
 		if !r.Pass() {
 			failed++
 		}
 	}
-	fmt.Printf("=> %d/%d rows pass\n\n", len(rows)-failed, len(rows))
+	fmt.Fprintf(w, "=> %d/%d rows pass\n\n", len(rows)-failed, len(rows))
 
 	// F6: the worked example.
-	fmt.Println("F6     figure 6: partition and merge of {p,q,r} with {s,t}")
-	fmt.Println("-------------------------------------------------------------")
+	fmt.Fprintln(w, "F6     figure 6: partition and merge of {p,q,r} with {s,t}")
+	fmt.Fprintln(w, "-------------------------------------------------------------")
 	f6 := experiments.Figure6(seed)
 	for _, id := range []evs.ProcessID{"p", "q", "r", "s", "t"} {
-		fmt.Printf("  %s: ", id)
+		fmt.Fprintf(w, "  %s: ", id)
 		for i, c := range f6.ConfigSeqs[id] {
 			if i > 0 {
-				fmt.Print(" -> ")
+				fmt.Fprint(w, " -> ")
 			}
-			fmt.Print(c)
+			fmt.Fprint(w, c)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Printf("=> q,r deliver transitional {q,r} then regular {q,r,s,t}: %v\n", f6.QRTransitional)
-	fmt.Printf("=> p isolated via singleton transitional configuration:   %v\n", f6.PIsolated)
-	fmt.Printf("=> specification violations: %d\n\n", len(f6.Violations))
+	fmt.Fprintf(w, "=> q,r deliver transitional {q,r} then regular {q,r,s,t}: %v\n", f6.QRTransitional)
+	fmt.Fprintf(w, "=> p isolated via singleton transitional configuration:   %v\n", f6.PIsolated)
+	fmt.Fprintf(w, "=> specification violations: %d\n\n", len(f6.Violations))
 
 	// F7: virtual synchrony over EVS.
-	fmt.Println("F7     figure 7: virtual synchrony filtered from EVS")
-	fmt.Println("-------------------------------------------------------------")
+	fmt.Fprintln(w, "F7     figure 7: virtual synchrony filtered from EVS")
+	fmt.Fprintln(w, "-------------------------------------------------------------")
 	f7 := experiments.Figure7(seed)
-	fmt.Printf("  EVS deliveries in minority component: %d (continued operation)\n", f7.EVSDeliveriesMinority)
-	fmt.Printf("  VS  deliveries in minority component: %d (blocked by the filter)\n", f7.VSDeliveriesMinority)
-	fmt.Printf("=> virtual synchrony violations (C1-C3, L1-L5): %d\n", len(f7.VSViolations))
-	fmt.Printf("=> EVS specification violations:                %d\n\n", len(f7.EVSViolations))
-
-	// T1: ordering throughput.
-	if err := runT1(seed, sizes, window, orderingJSON); err != nil {
-		return err
-	}
-
-	// T1b: latency.
-	fmt.Println("T1b    safe vs agreed delivery latency (unloaded)")
-	fmt.Println("-------------------------------------------------------------")
-	fmt.Printf("%8s %12s %12s %14s\n", "procs", "agreed ms", "safe ms", "safe/agreed")
-	latSizes := sizes
-	if !quick {
-		// The latency series retains full delivery histories; cap it at
-		// the pre-sweep sizes rather than the extended T1 list.
-		latSizes = []int{2, 3, 5, 8, 12, 16}
-	}
-	for _, n := range latSizes {
-		r := experiments.Latency(n, seed, 20)
-		fmt.Printf("%8d %12.3f %12.3f %14.2f\n", r.GroupSize, r.AgreedMs, r.SafeMs, r.SafeOverAgreed)
-	}
-	fmt.Println()
+	fmt.Fprintf(w, "  EVS deliveries in minority component: %d (continued operation)\n", f7.EVSDeliveriesMinority)
+	fmt.Fprintf(w, "  VS  deliveries in minority component: %d (blocked by the filter)\n", f7.VSDeliveriesMinority)
+	fmt.Fprintf(w, "=> virtual synchrony violations (C1-C3, L1-L5): %d\n", len(f7.VSViolations))
+	fmt.Fprintf(w, "=> EVS specification violations:                %d\n\n", len(f7.EVSViolations))
 
 	// T2: recovery cost.
-	fmt.Println("T2     recovery latency vs outstanding backlog")
-	fmt.Println("-------------------------------------------------------------")
+	fmt.Fprintln(w, "T2     recovery latency vs outstanding backlog")
+	fmt.Fprintln(w, "-------------------------------------------------------------")
 	backlogs := []int{0, 50, 200, 500, 1000}
 	if quick {
 		backlogs = []int{0, 50, 200}
 	}
-	fmt.Printf("%8s %14s %14s\n", "backlog", "recovery ms", "rebroadcasts")
+	fmt.Fprintf(w, "%8s %14s %14s\n", "backlog", "recovery ms", "rebroadcasts")
 	for _, b := range backlogs {
 		r := experiments.RecoveryMedian(b, 5)
-		fmt.Printf("%8d %14.2f %14d\n", r.Backlog, r.RecoveryMs, r.Rebroadcasts)
+		fmt.Fprintf(w, "%8d %14.2f %14d\n", r.Backlog, r.RecoveryMs, r.Rebroadcasts)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	// T3: availability.
-	fmt.Println("T3     availability during partition: EVS vs VS (5 processes)")
-	fmt.Println("-------------------------------------------------------------")
-	fmt.Printf("%12s %12s %12s\n", "split", "EVS active", "VS active")
+	fmt.Fprintln(w, "T3     availability during partition: EVS vs VS (5 processes)")
+	fmt.Fprintln(w, "-------------------------------------------------------------")
+	fmt.Fprintf(w, "%12s %12s %12s\n", "split", "EVS active", "VS active")
 	for _, s := range []int{4, 3, 2} {
 		r := experiments.Availability(s, seed)
-		fmt.Printf("%7d|%1d   %11.0f%% %11.0f%%\n", r.Split, 5-r.Split, 100*r.EVSActive, 100*r.VSActive)
+		fmt.Fprintf(w, "%7d|%1d   %11.0f%% %11.0f%%\n", r.Split, 5-r.Split, 100*r.EVSActive, 100*r.VSActive)
 	}
-	fmt.Println()
-
-	// S1: checker scaling.
-	fmt.Println("S1     specification checker scaling (conforming histories)")
-	fmt.Println("-------------------------------------------------------------")
-	series := []int{200, 1000, 4000, 10000}
-	if quick {
-		series = []int{200, 1000}
-	}
-	fmt.Printf("%8s %8s %10s %12s %12s\n", "procs", "msgs", "events", "check ms", "events/s")
-	scaleRows, err := experiments.CheckerScale(4, series)
-	if err != nil {
-		return err
-	}
-	for _, r := range scaleRows {
-		fmt.Printf("%8d %8d %10d %12.1f %12.0f\n", r.Procs, r.Msgs, r.Events, r.CheckMs, r.EvtPerSec)
-	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	// P1: primary history.
-	fmt.Println("P1     primary component history under churn")
-	fmt.Println("-------------------------------------------------------------")
-	fmt.Printf("%8s %12s %12s %12s\n", "seed", "reconfigs", "primaries", "violations")
+	fmt.Fprintln(w, "P1     primary component history under churn")
+	fmt.Fprintln(w, "-------------------------------------------------------------")
+	fmt.Fprintf(w, "%8s %12s %12s %12s\n", "seed", "reconfigs", "primaries", "violations")
 	seeds := []int64{seed, seed + 1, seed + 2, seed + 3}
 	if quick {
 		seeds = seeds[:2]
 	}
 	for _, s := range seeds {
 		r := experiments.PrimaryHistory(s)
-		fmt.Printf("%8d %12d %12d %12d\n", r.Seed, r.Reconfigs, r.Primaries, r.Violations)
+		fmt.Fprintf(w, "%8d %12d %12d %12d\n", r.Seed, r.Reconfigs, r.Primaries, r.Violations)
 	}
-	return nil
 }

@@ -220,7 +220,7 @@ func TestChaosCatchesAndMinimizesInjectedBug(t *testing.T) {
 func TestMinimizeLeavesConformingProgramAlone(t *testing.T) {
 	p := Generate(3, GenConfig{})
 	if res := Run(p); len(res.Violations) != 0 {
-		t.Skip("seed 3 unexpectedly failing; covered by TestChaosSmoke")
+		t.Fatalf("seed 3 stopped conforming:\n%s", renderViolations(res.Violations))
 	}
 	q := Minimize(p, MinimizeOptions{MaxRuns: 10})
 	if !reflect.DeepEqual(p, q) {
@@ -352,7 +352,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 				t.Error("activity counters diverged between stream and batch execution")
 			}
 			if len(batch.Violations) != 0 {
-				t.Skipf("seed %d not conforming under batch checking; covered by TestChaosSmoke", seed)
+				t.Fatalf("seed %d stopped conforming under batch checking:\n%s", seed, renderViolations(batch.Violations))
 			}
 			if len(stream.Violations) != 0 {
 				t.Errorf("streaming checker reported violations on a conforming run:\n%s",

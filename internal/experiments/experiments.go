@@ -6,14 +6,14 @@
 // executable conformance: protocol executions that pass the specification
 // checker, deliberately violating traces that the checker flags, the exact
 // Figure 6 scenario, the Figure 7 layering validated against Birman's
-// model, plus the performance characterisation the Totem companion papers
-// report (ordering throughput, safe-versus-agreed latency, recovery cost)
-// and the paper's availability claim (all components make progress, versus
-// the primary component only under virtual synchrony).
+// model, plus recovery cost against backlog (T2), the paper's availability
+// claim (T3: all components make progress, versus the primary component
+// only under virtual synchrony) and the primary-component history (P1).
+// Every figure here is in virtual time; throughput and latency are
+// measured on the wall clock by benchmark/ (see its README).
 //
-// Both cmd/evsbench and the repository's benchmark suite call into this
-// package, so the printed report and the testing.B measurements stay in
-// agreement.
+// Both cmd/evsbench and the root package's testing.B benchmarks call into
+// this package, so the printed report and the benchmarks stay in agreement.
 package experiments
 
 import (

@@ -2,240 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	evs "repro"
-	"repro/internal/node"
 )
-
-// ThroughputRow is one point of the ordering-throughput series (T1).
-type ThroughputRow struct {
-	GroupSize int
-	// Delivered is the number of message deliveries completed at every
-	// member within the measurement window.
-	Delivered int
-	// TotalDeliveries is the total number of delivery events during the
-	// window across all members (≈ Delivered × GroupSize): the unit the
-	// host-side cost metrics are normalised by.
-	TotalDeliveries int
-	// VirtualSeconds is the measurement window in virtual time.
-	VirtualSeconds float64
-	// MsgsPerSec is Delivered / VirtualSeconds.
-	MsgsPerSec float64
-	// TokenRotations during the window.
-	TokenRotations int
-	// Broadcasts is the total wire broadcasts (protocol overhead).
-	Broadcasts uint64
-	// Packets is the number of simulated packet deliveries during the
-	// window (every broadcast counts once per receiver).
-	Packets uint64
-	// PacketsPerMsg is Packets divided by the per-member stream length:
-	// how many wire packets the ring spent per fully ordered message.
-	PacketsPerMsg float64
-	// PeakPending is the high-water mark of the simulator's event queue
-	// over the run: the scheduler-side memory footprint of the row.
-	PeakPending int
-}
-
-// benchNodeConfig is the protocol configuration the throughput rows run
-// under: the adaptive flow-control ceiling and the send backlog are raised
-// so the ring reaches its ordering capacity instead of the interactive
-// defaults' shallow limits. Every other parameter is the default.
-func benchNodeConfig() *node.Config {
-	cfg := node.DefaultConfig()
-	cfg.Totem.AdaptiveMax = 256
-	cfg.MaxPending = 8192
-	return &cfg
-}
-
-// aggregateOffered is the fixed aggregate offered load of the throughput
-// rows: messages per 5ms refill tick, split evenly across the group
-// (≈1.2M msgs/s total). Keeping the offered load constant while varying
-// the group size is the paper's design point — the interesting curve is
-// per-message cost at fixed load, not demand scaling with sender count.
-const aggregateOffered = 6000
-
-// Throughput measures ordering throughput for one group size: the group
-// runs in discard mode (no retained histories) while a fixed aggregate
-// offered load saturates the ring, and the row reports messages fully
-// delivered per virtual second.
-func Throughput(size int, seed int64, window time.Duration) ThroughputRow {
-	return throughputRun(size, seed, window, nil)
-}
-
-// throughputRun is Throughput with a steady-state hook: onSteady (if
-// non-nil) fires once the group has booted and warmed, immediately before
-// the loaded measurement window. OrderingBench anchors its wall-clock and
-// allocation baselines there so ring formation (a one-time join storm that
-// grows with group size) is not charged to the per-message costs.
-func throughputRun(size int, seed int64, window time.Duration, onSteady func()) ThroughputRow {
-	g := evs.NewGroup(evs.Options{
-		NumProcesses:   size,
-		Seed:           seed,
-		Node:           benchNodeConfig(),
-		DiscardHistory: true,
-	})
-	ids := g.IDs()
-	tokens := 0
-	g.OnWire(func(_ evs.ProcessID, kind string) {
-		if kind == "token" {
-			tokens++
-		}
-	})
-	warm := 300 * time.Millisecond
-	g.Run(warm)
-	if onSteady != nil {
-		onSteady()
-	}
-	// Refill the send backlogs every 5ms, splitting the aggregate load
-	// evenly across members. Submissions beyond a node's MaxPending bound
-	// are shed by backpressure (counted, not queued), so the backlog —
-	// and the scheduler's event queue — stay bounded however far offered
-	// load exceeds ring capacity.
-	payload := make([]byte, 64)
-	per := (aggregateOffered + size - 1) / size
-	var refill func()
-	refill = func() {
-		if g.Now() >= warm+window {
-			return
-		}
-		for _, id := range ids {
-			for k := 0; k < per; k++ {
-				_ = g.Submit(id, payload, evs.Safe)
-			}
-		}
-		g.At(g.Now()+5*time.Millisecond, refill)
-	}
-	g.At(warm, refill)
-
-	startDelivered := countDeliveries(g, ids)
-	startTokens := tokens
-	startPackets := g.NetStats().Delivered
-	g.Run(warm + window)
-	delivered := countDeliveries(g, ids) - startDelivered
-	packets := g.NetStats().Delivered - startPackets
-	secs := window.Seconds()
-	row := ThroughputRow{
-		GroupSize:       size,
-		Delivered:       delivered / size, // per-member stream length
-		TotalDeliveries: delivered,
-		VirtualSeconds:  secs,
-		MsgsPerSec:      float64(delivered/size) / secs,
-		TokenRotations:  (tokens - startTokens) / size,
-		Broadcasts:      g.NetStats().Broadcasts,
-		Packets:         packets,
-		PeakPending:     g.PeakPending(),
-	}
-	if row.Delivered > 0 {
-		row.PacketsPerMsg = float64(packets) / float64(row.Delivered)
-	}
-	return row
-}
-
-// OrderingBenchRow extends a throughput point with host-side cost metrics:
-// wall-clock nanoseconds, heap bytes, and allocations per message
-// *delivery* (ordered message × member) over the loaded steady-state
-// window. Per-delivery is the per-node cost a deployment pays — the
-// quantity Totem's design point says is ~flat in ring size — whereas
-// charging all N simulated nodes' work to each ordered message would grow
-// linearly in N by construction. The metrics charge the ordering path
-// together with the simulator driving it: comparable across revisions of
-// this repo, not across machines.
-type OrderingBenchRow struct {
-	GroupSize      int     `json:"procs"`
-	MsgsPerSec     float64 `json:"msgs_per_sec"`
-	NsPerMsg       float64 `json:"ns_per_msg"`
-	BytesPerMsg    float64 `json:"bytes_per_msg"`
-	AllocsPerMsg   float64 `json:"allocs_per_msg"`
-	PacketsPerMsg  float64 `json:"packets_per_msg"`
-	TokenRotations int     `json:"token_rotations"`
-	Delivered      int     `json:"delivered"`
-	PeakPending    int     `json:"peak_pending"`
-}
-
-// OrderingBench runs Throughput under wall-clock and allocation
-// instrumentation, anchored at steady state (after ring formation and
-// warm-up). It is a benchmark helper, not a deterministic experiment:
-// NsPerMsg depends on the host.
-func OrderingBench(size int, seed int64, window time.Duration) OrderingBenchRow {
-	var m0, m1 runtime.MemStats
-	var start time.Time
-	row := throughputRun(size, seed, window, func() {
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		//lint:allow determinism wall-clock measures benchmark runtime only; NsPerMsg is documented host-dependent and never feeds protocol state
-		start = time.Now()
-	})
-	//lint:allow determinism wall-clock measures benchmark runtime only; NsPerMsg is documented host-dependent and never feeds protocol state
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&m1)
-	out := OrderingBenchRow{
-		GroupSize:      row.GroupSize,
-		MsgsPerSec:     row.MsgsPerSec,
-		PacketsPerMsg:  row.PacketsPerMsg,
-		TokenRotations: row.TokenRotations,
-		Delivered:      row.Delivered,
-		PeakPending:    row.PeakPending,
-	}
-	if row.TotalDeliveries > 0 {
-		n := float64(row.TotalDeliveries)
-		out.NsPerMsg = float64(elapsed.Nanoseconds()) / n
-		out.BytesPerMsg = float64(m1.TotalAlloc-m0.TotalAlloc) / n
-		out.AllocsPerMsg = float64(m1.Mallocs-m0.Mallocs) / n
-	}
-	return out
-}
-
-func countDeliveries(g *evs.Group, ids []evs.ProcessID) int {
-	n := 0
-	for _, id := range ids {
-		n += int(g.DeliveryCount(id))
-	}
-	return n
-}
-
-// LatencyRow compares agreed and safe delivery latency (T1b).
-type LatencyRow struct {
-	GroupSize int
-	// AgreedMs and SafeMs are mean submit-to-delivery latencies at the
-	// sender, in virtual milliseconds.
-	AgreedMs float64
-	SafeMs   float64
-	// SafeOverAgreed is the latency ratio.
-	SafeOverAgreed float64
-}
-
-// Latency measures submit-to-self-delivery latency for isolated messages
-// (no queuing) of both service levels.
-func Latency(size int, seed int64, samples int) LatencyRow {
-	measure := func(svc evs.Service) float64 {
-		g := evs.NewGroup(evs.Options{NumProcesses: size, Seed: seed})
-		ids := g.IDs()
-		g.Run(300 * time.Millisecond)
-		var total time.Duration
-		for i := 0; i < samples; i++ {
-			at := g.Now() + 20*time.Millisecond
-			sender := ids[i%size]
-			g.Send(at, sender, []byte{byte(i)}, svc)
-			before := len(g.Deliveries(sender))
-			g.Run(at + 150*time.Millisecond)
-			ds := g.Deliveries(sender)
-			if len(ds) <= before {
-				continue
-			}
-			total += ds[len(ds)-1].Time - at
-		}
-		return float64(total.Microseconds()) / float64(samples) / 1000.0
-	}
-	agreed := measure(evs.Agreed)
-	safe := measure(evs.Safe)
-	ratio := 0.0
-	if agreed > 0 {
-		ratio = safe / agreed
-	}
-	return LatencyRow{GroupSize: size, AgreedMs: agreed, SafeMs: safe, SafeOverAgreed: ratio}
-}
 
 // RecoveryRow is one point of the recovery-cost series (T2).
 type RecoveryRow struct {

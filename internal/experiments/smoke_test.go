@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	evs "repro"
 )
 
 func TestSmokeAll(t *testing.T) {
@@ -21,13 +23,12 @@ func TestSmokeAll(t *testing.T) {
 		len(f7.VSViolations) != 0 || len(f7.EVSViolations) != 0 {
 		t.Errorf("figure 7: %+v", f7)
 	}
-	tr := Throughput(3, 1, 500*time.Millisecond)
-	if tr.Delivered == 0 {
-		t.Errorf("throughput: %+v", tr)
+	if n := throughputRun(3, 1, 500*time.Millisecond, nil); n/3 == 0 {
+		t.Errorf("throughput: %d deliveries", n)
 	}
-	lat := Latency(3, 1, 5)
-	if lat.AgreedMs <= 0 || lat.SafeMs <= lat.AgreedMs {
-		t.Errorf("latency: %+v", lat)
+	agreedMs, safeMs := unloadedLatencyMs(3, 1, 5, evs.Agreed), unloadedLatencyMs(3, 1, 5, evs.Safe)
+	if agreedMs <= 0 || safeMs <= agreedMs {
+		t.Errorf("latency: agreed %.3f ms, safe %.3f ms", agreedMs, safeMs)
 	}
 	rec := Recovery(50, 1)
 	if rec.RecoveryMs <= 0 {
@@ -41,4 +42,27 @@ func TestSmokeAll(t *testing.T) {
 	if pr.Violations != 0 || pr.Primaries == 0 {
 		t.Errorf("primary history: %+v", pr)
 	}
+}
+
+// unloadedLatencyMs is the mean submit-to-self-delivery latency, in
+// virtual milliseconds, of isolated messages (no queuing) at one service
+// level: Safe waits roughly one more token rotation than Agreed.
+func unloadedLatencyMs(size int, seed int64, samples int, svc evs.Service) float64 {
+	g := evs.NewGroup(evs.Options{NumProcesses: size, Seed: seed})
+	ids := g.IDs()
+	g.Run(300 * time.Millisecond)
+	var total time.Duration
+	for i := 0; i < samples; i++ {
+		at := g.Now() + 20*time.Millisecond
+		sender := ids[i%size]
+		g.Send(at, sender, []byte{byte(i)}, svc)
+		before := len(g.Deliveries(sender))
+		g.Run(at + 150*time.Millisecond)
+		ds := g.Deliveries(sender)
+		if len(ds) <= before {
+			continue
+		}
+		total += ds[len(ds)-1].Time - at
+	}
+	return float64(total.Microseconds()) / float64(samples) / 1000.0
 }

@@ -1,10 +1,9 @@
 // Legacy JSON group layer, preserved verbatim (modulo renames) from the
-// pre-binary-codec implementation. It serves two purposes: the JSON
-// baseline leg of the groups benchmark (EXPERIMENTS.md G1 measures the
-// binary layer against exactly this code in the same rig), and a
-// differential oracle for the process-level semantics the rewrite must
-// preserve (joins/leaves/announces/data at process granularity —
-// LegacyMux predates lightweight clients).
+// pre-binary-codec implementation, as a test-only differential oracle
+// (TestLegacyDifferential) for the process-level semantics the rewrite
+// must preserve (joins/leaves/announces/data at process granularity —
+// LegacyMux predates lightweight clients). The shipped package has one
+// codec, codec.go.
 package groups
 
 import (
