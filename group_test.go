@@ -236,3 +236,44 @@ func TestGroupOperationalAndMode(t *testing.T) {
 		t.Fatal("stable record should hold the installed configuration")
 	}
 }
+
+// TestVSSubmitDoesNotCopyTheWindow: an accepted submission on a VS-enabled
+// group traces its send for the model checker with the identifier the node
+// just minted. Reading it must not copy the persisted record, whose message
+// log holds the retained window: the allocations of a submission are the
+// same over an empty window and over one holding thousands of messages.
+func TestVSSubmitDoesNotCopyTheWindow(t *testing.T) {
+	g := NewGroup(Options{NumProcesses: 3, Seed: 4, EnableVS: true})
+	id := g.IDs()[0]
+	g.Run(500 * time.Millisecond)
+	perSubmit := func() float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := g.Submit(id, []byte("x"), Agreed); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	empty := perSubmit()
+	for i := 0; i < 2000; i++ {
+		if err := g.Submit(id, []byte("fill"), Agreed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Run(g.Now() + 2*time.Second)
+	// Below the trim threshold every delivered message is still retained.
+	if n := g.DeliveryCount(id); n < 2000 || g.StableRecord(id).TrimmedUpTo != 0 {
+		t.Fatalf("delivered %d with trimmed prefix %d; want a retained window of at least 2000", n, g.StableRecord(id).TrimmedUpTo)
+	}
+	views := 0
+	for _, e := range g.VSEvents(id) {
+		if e.ViewChange != nil {
+			views++
+		}
+	}
+	if views == 0 {
+		t.Fatal("the VS layer never installed a view: submissions are not traced")
+	}
+	if full := perSubmit(); full > empty+1 {
+		t.Fatalf("a VS submission allocates %.0f times over the retained window, %.0f over an empty one", full, empty)
+	}
+}

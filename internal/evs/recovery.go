@@ -13,6 +13,11 @@
 // the Recovery — carrying forward the merged message log and the obligation
 // set, exactly as the paper requires — and restarts at Step 2.
 //
+// The message log is the old ring's own seqlog.Log, handed over when the
+// ring stops: the recovery reads its receipt claims from the window in
+// sequence order, merges rebroadcasts into it, and hands the same log on
+// to the next attempt or back to the node. Nothing is copied.
+//
 // Failure atomicity (Specification 4) rests on every transitional member
 // computing Step 6 from identical inputs. To that end each process freezes
 // its Exchange message when the attempt starts and resends it verbatim on
@@ -24,9 +29,11 @@
 package evs
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/model"
+	"repro/internal/seqlog"
 	"repro/internal/totem"
 	"repro/internal/wire"
 )
@@ -82,18 +89,17 @@ type Recovery struct {
 	oldRing model.Configuration // zero ID for a fresh process
 
 	// log is the receipt state for the old configuration, merged across
-	// restarts; owned by the caller.
-	log           map[uint64]wire.Data
+	// restarts; owned by the caller. Its Base is the old ring's discarded
+	// prefix: sequence numbers at or below it were delivered locally and
+	// certified safe (received by every old-ring member), so this process
+	// holds them in the formal sense without the log being able to
+	// produce them. Receipt claims and the Step 5 completion check treat
+	// the prefix as present.
+	log           *seqlog.Log
 	deliveredUpTo uint64
 	safeBound     uint64
 	highestSeen   uint64
-	// trimmed is the old ring's discarded log prefix: sequence numbers at
-	// or below it were delivered locally and certified safe (received by
-	// every old-ring member), so this process holds them in the formal
-	// sense without the log being able to produce them. Receipt claims
-	// and the Step 5 completion check treat the prefix as present.
-	trimmed     uint64
-	obligations model.ProcessSet
+	obligations   model.ProcessSet
 
 	frozen    wire.Exchange // this process's exchange, fixed per attempt
 	exchanges map[model.ProcessID]wire.Exchange
@@ -102,29 +108,35 @@ type Recovery struct {
 	sentDone  bool
 	finished  bool
 
-	// planned, trans and needed are computed once when exchanges from
-	// every member of the new configuration have arrived (Step 4).
-	planned bool
-	trans   model.ProcessSet
-	needed  map[uint64]bool
+	// planned, trans and the needed set are computed once when exchanges
+	// from every member of the new configuration have arrived (Step 4).
+	// The needed set is every sequence number in 1..neededAru plus
+	// neededHave (sorted, each above neededAru): its size follows the
+	// exchanged claims above the watermarks, not the configuration's age.
+	planned    bool
+	trans      model.ProcessSet
+	neededAru  uint64
+	neededHave []uint64
 }
 
 // New begins a recovery attempt. log is owned by the caller but mutated by
-// the recovery (rebroadcasts merge into it); state carries the caller's
-// receipt state for oldRing; obligations is the obligation set carried in
-// from stable storage or a previous interrupted attempt; seen is the
-// caller's highest-observed sender sequence per originator, copied into
-// the frozen exchange as counter-healing evidence for peers.
+// the recovery (rebroadcasts merge into it); its Base is the old ring's
+// trimmed prefix. state carries the caller's delivery and safety
+// watermarks for oldRing (its MyAru, Have and Trimmed are ignored: the log
+// is their one source); obligations is the obligation set carried in from
+// stable storage or a previous interrupted attempt; seen is the caller's
+// highest-observed sender sequence per originator, copied into the frozen
+// exchange as counter-healing evidence for peers.
 func New(
 	self model.ProcessID,
 	newRing, oldRing model.Configuration,
 	state totem.State,
-	log map[uint64]wire.Data,
+	log *seqlog.Log,
 	obligations model.ProcessSet,
 	seen map[model.ProcessID]uint64,
 ) *Recovery {
 	if log == nil {
-		log = make(map[uint64]wire.Data)
+		log = &seqlog.Log{}
 	}
 	r := &Recovery{
 		self:          self,
@@ -134,21 +146,39 @@ func New(
 		deliveredUpTo: state.DeliveredUpTo,
 		safeBound:     state.SafeBound,
 		highestSeen:   state.HighestSeen,
-		trimmed:       state.Trimmed,
 		obligations:   obligations,
 		exchanges:     make(map[model.ProcessID]wire.Exchange),
 		done:          make(map[model.ProcessID]bool),
 	}
-	st := r.currentState()
+	// One in-order walk of the window yields the receipt claims: MyAru is
+	// contiguous from the trimmed prefix, Have is every entry above it,
+	// already sorted. The highest present entry is the last of those.
+	aru := log.Base()
+	for log.Get(aru+1) != nil {
+		aru++
+	}
+	var have []uint64
+	for seq := aru + 1; seq <= log.High(); seq++ {
+		if log.Get(seq) != nil {
+			have = append(have, seq)
+		}
+	}
+	top := aru
+	if n := len(have); n > 0 {
+		top = have[n-1]
+	}
+	if top > log.Base() && top > r.highestSeen {
+		r.highestSeen = top
+	}
 	r.frozen = wire.Exchange{
 		Ring:          newRing.ID,
 		Sender:        self,
 		OldRing:       oldRing.ID,
 		OldMembers:    oldRing.Members.Members(),
-		MyAru:         st.MyAru,
-		Have:          st.Have,
+		MyAru:         aru,
+		Have:          have,
 		SafeBound:     state.SafeBound,
-		HighestSeen:   state.HighestSeen,
+		HighestSeen:   r.highestSeen,
 		DeliveredUpTo: state.DeliveredUpTo,
 		Obligations:   obligations.Members(),
 		SeenSeqs:      seenSlice(seen),
@@ -196,42 +226,18 @@ func (r *Recovery) SeenSeqs() map[model.ProcessID]uint64 {
 // the attempt is interrupted (Step 5.c obligations survive restarts).
 func (r *Recovery) Obligations() model.ProcessSet { return r.obligations }
 
-// State returns the merged receipt state, carried into a restart.
-func (r *Recovery) State() totem.State {
-	st := r.currentState()
-	st.SafeBound = r.safeBound
-	st.HighestSeen = r.highestSeen
-	st.DeliveredUpTo = r.deliveredUpTo
-	return st
-}
+// Log returns the merged message log: the caller's log, extended.
+func (r *Recovery) Log() *seqlog.Log { return r.log }
 
-// currentState derives the receipt watermarks from the log. The contiguity
-// probe starts at the trimmed prefix, which is held by certificate rather
-// than by the log.
-func (r *Recovery) currentState() totem.State {
-	var st totem.State
-	st.Trimmed = r.trimmed
-	st.MyAru = contiguousFrom(r.log, r.trimmed)
-	for seq := range r.log {
-		if seq > st.MyAru {
-			st.Have = append(st.Have, seq)
-		}
-	}
-	sort.Slice(st.Have, func(i, j int) bool { return st.Have[i] < st.Have[j] })
-	return st
-}
-
-// Log returns the merged message log (caller-owned map).
-func (r *Recovery) Log() map[uint64]wire.Data { return r.log }
-
-// Watermarks returns the delivery/safety watermarks without scanning the
-// log (State.MyAru and State.Have are left empty).
+// Watermarks returns the delivery/safety watermarks, carried into a
+// restart and persisted (State.MyAru and State.Have are left empty: the
+// log holds them).
 func (r *Recovery) Watermarks() totem.State {
 	return totem.State{
 		SafeBound:     r.safeBound,
 		HighestSeen:   r.highestSeen,
 		DeliveredUpTo: r.deliveredUpTo,
-		Trimmed:       r.trimmed,
+		Trimmed:       r.log.Base(),
 	}
 }
 
@@ -249,7 +255,7 @@ func (r *Recovery) Planned() bool { return r.planned }
 func (r *Recovery) SentDone() bool { return r.sentDone }
 
 // NeededCount returns the size of the needed set (zero before Step 4).
-func (r *Recovery) NeededCount() int { return len(r.needed) }
+func (r *Recovery) NeededCount() int { return int(r.neededAru) + len(r.neededHave) }
 
 // Start emits this process's Exchange broadcast (Step 3).
 func (r *Recovery) Start() []Action {
@@ -295,16 +301,19 @@ func (r *Recovery) OnData(d wire.Data) []Action {
 	return r.step()
 }
 
-// admit merges one data message into the log if the plan allows it.
+// admit merges one data message into the log if the plan allows it. A
+// sequence number in the trimmed prefix, already held, or beyond the
+// log's limit is not stored (the last cannot be needed on a conforming
+// schedule: every needed number was assigned in the old ring, which kept
+// its own receipts inside this same window).
 func (r *Recovery) admit(d wire.Data) {
-	if !r.needed[d.Seq] || d.Seq <= r.trimmed {
+	if !r.needed(d.Seq) {
 		return
 	}
-	if _, ok := r.log[d.Seq]; ok {
-		return
+	if e, fresh := r.log.Put(d.Seq); fresh {
+		d.Retrans = false
+		e.Data = d
 	}
-	d.Retrans = false
-	r.log[d.Seq] = d
 }
 
 // OnDone ingests a peer's announcement that it holds every needed message
@@ -400,35 +409,42 @@ func (r *Recovery) computePlan() {
 	}
 	r.trans = model.NewProcessSet(ids...)
 
-	r.needed = make(map[uint64]bool)
-	for _, q := range r.trans.Members() {
+	members := r.trans.Members()
+	for _, q := range members {
 		e := r.exchanges[q]
-		for seq := uint64(1); seq <= e.MyAru; seq++ {
-			r.needed[seq] = true
-		}
-		for _, seq := range e.Have {
-			r.needed[seq] = true
-		}
-		if e.HighestSeen > r.highestSeen {
-			r.highestSeen = e.HighestSeen
+		r.neededAru = max(r.neededAru, e.MyAru)
+		r.highestSeen = max(r.highestSeen, e.HighestSeen)
+	}
+	for _, q := range members {
+		for _, seq := range r.exchanges[q].Have {
+			if seq > r.neededAru {
+				r.neededHave = append(r.neededHave, seq)
+			}
 		}
 	}
-	for seq := range r.needed {
-		if seq > r.highestSeen {
-			r.highestSeen = seq
-		}
-	}
+	slices.Sort(r.neededHave)
+	r.neededHave = slices.Compact(r.neededHave)
+	r.highestSeen = max(r.highestSeen, r.neededHigh())
 	r.planned = true
 }
 
-// neededSorted returns the needed sequence numbers in order.
-func (r *Recovery) neededSorted() []uint64 {
-	out := make([]uint64, 0, len(r.needed))
-	for seq := range r.needed {
-		out = append(out, seq)
+// needed reports whether seq is in the needed set.
+func (r *Recovery) needed(seq uint64) bool {
+	if seq > 0 && seq <= r.neededAru {
+		return true
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	_, found := slices.BinarySearch(r.neededHave, seq)
+	return found
+}
+
+// neededHigh returns the highest needed sequence number (zero when the
+// set is empty). Every needed number the log can hold lies in
+// (Base, neededHigh]; the trimmed prefix holds none.
+func (r *Recovery) neededHigh() uint64 {
+	if n := len(r.neededHave); n > 0 {
+		return r.neededHave[n-1]
+	}
+	return r.neededAru
 }
 
 // rebroadcasts returns the Step 5.a rebroadcast messages this process is
@@ -438,11 +454,12 @@ func (r *Recovery) neededSorted() []uint64 {
 // path).
 func (r *Recovery) rebroadcasts(force bool) []Action {
 	var out []Action
-	for _, seq := range r.neededSorted() {
-		d, have := r.log[seq]
-		if !have {
+	for seq := r.log.Base() + 1; seq <= r.neededHigh(); seq++ {
+		e := r.log.Get(seq)
+		if e == nil || !r.needed(seq) {
 			continue
 		}
+		d := e.Data
 		neededBy := false
 		for _, q := range r.trans.Members() {
 			if q == r.self {
@@ -499,11 +516,8 @@ func (r *Recovery) holdsAllNeeded() bool {
 	if !r.planned {
 		return false
 	}
-	for seq := range r.needed {
-		if seq <= r.trimmed {
-			continue
-		}
-		if _, ok := r.log[seq]; !ok {
+	for seq := r.log.Base() + 1; seq <= r.neededHigh(); seq++ {
+		if r.log.Get(seq) == nil && r.needed(seq) {
 			return false
 		}
 	}
@@ -548,48 +562,33 @@ func (r *Recovery) computeResult() Result {
 	// the common stopping point. The watermark is at or above the
 	// trimmed prefix by construction (trimming never outruns delivery);
 	// the clamp guards against regressed persisted state.
-	seq := r.deliveredUpTo
-	if seq < r.trimmed {
-		seq = r.trimmed
-	}
+	seq := max(r.deliveredUpTo, r.log.Base())
 	for {
-		d, ok := r.log[seq+1]
-		if !ok || !r.needed[seq+1] {
+		e := r.log.Get(seq + 1)
+		if e == nil || !r.needed(seq+1) {
 			break
 		}
-		if d.Service == model.Safe && d.Seq > r.safeBound {
+		if e.Data.Service == model.Safe && e.Data.Seq > r.safeBound {
 			break
 		}
 		seq++
-		res.OldRegular = append(res.OldRegular, d)
+		res.OldRegular = append(res.OldRegular, e.Data)
 	}
 
 	// 6.a + 6.d: transitional deliveries up to the highest sequence
 	// number known assigned in the old configuration.
 	holeSeen := false
 	for s := seq + 1; s <= r.highestSeen; s++ {
-		d, ok := r.log[s]
-		if !ok || !r.needed[s] {
+		e := r.log.Get(s)
+		if e == nil || !r.needed(s) {
 			holeSeen = true
 			continue
 		}
-		if holeSeen && !r.obligations.Contains(d.ID.Sender) {
+		if holeSeen && !r.obligations.Contains(e.Data.ID.Sender) {
 			res.Discarded = append(res.Discarded, s)
 			continue
 		}
-		res.Trans = append(res.Trans, d)
+		res.Trans = append(res.Trans, e.Data)
 	}
 	return res
-}
-
-// contiguousFrom returns the highest seq such that every sequence number in
-// (from, seq] is present in log.
-func contiguousFrom(log map[uint64]wire.Data, from uint64) uint64 {
-	seq := from
-	for {
-		if _, ok := log[seq+1]; !ok {
-			return seq
-		}
-		seq++
-	}
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/seqlog"
+	"repro/internal/stable"
 	"repro/internal/totem"
 	"repro/internal/wire"
 )
@@ -18,6 +20,8 @@ type world struct {
 	results map[model.ProcessID]Result
 	// cut drops messages between processes when set.
 	cut func(from, to model.ProcessID) bool
+	// sent, when set, observes every message a process sends.
+	sent func(from model.ProcessID, m wire.Message)
 }
 
 func newWorld(t *testing.T) *world {
@@ -46,6 +50,9 @@ func (w *world) run() {
 		for _, a := range acts {
 			switch act := a.(type) {
 			case Send:
+				if w.sent != nil {
+					w.sent(from, act.Msg)
+				}
 				queue = append(queue, env{from: from, msg: act.Msg})
 			case Finished:
 				w.results[from] = act.Result
@@ -141,8 +148,8 @@ func TestRebroadcastFillsPeersGaps(t *testing.T) {
 	m2 := mkData("q", 1, 2, oldRing.ID, model.Agreed)
 	m3 := mkData("r", 1, 3, oldRing.ID, model.Agreed)
 	// q has 1,2; r has 1,3. Both should end with 1,2,3.
-	qlog := map[uint64]wire.Data{1: m1, 2: m2}
-	rlog := map[uint64]wire.Data{1: m1, 3: m3}
+	qlog := logOf(m1, m2)
+	rlog := logOf(m1, m3)
 	w.procs["q"] = New("q", newRing, oldRing, totem.State{MyAru: 2, HighestSeen: 3}, qlog, empty, nil)
 	w.procs["r"] = New("r", newRing, oldRing, totem.State{MyAru: 1, Have: []uint64{3}, HighestSeen: 3}, rlog, empty, nil)
 	w.procs["s"] = New("s", newRing, model.Configuration{}, totem.State{}, nil, empty, nil)
@@ -165,8 +172,8 @@ func TestSafeMessageAckedByTransitionalPeerDeliveredInTransitional(t *testing.T)
 	w, oldRing, newRing := figure6World(t)
 	empty := model.NewProcessSet()
 	n := mkData("r", 1, 1, oldRing.ID, model.Safe)
-	qlog := map[uint64]wire.Data{1: n}
-	rlog := map[uint64]wire.Data{1: n}
+	qlog := logOf(n)
+	rlog := logOf(n)
 	st := totem.State{MyAru: 1, SafeBound: 0, HighestSeen: 1}
 	w.procs["q"] = New("q", newRing, oldRing, st, qlog, empty, nil)
 	w.procs["r"] = New("r", newRing, oldRing, st, rlog, empty, nil)
@@ -190,8 +197,8 @@ func TestSafeMessageWithinSafeBoundDeliveredInOldRegular(t *testing.T) {
 	empty := model.NewProcessSet()
 	m := mkData("q", 1, 1, oldRing.ID, model.Safe)
 	st := totem.State{MyAru: 1, SafeBound: 1, HighestSeen: 1}
-	w.procs["q"] = New("q", newRing, oldRing, st, map[uint64]wire.Data{1: m}, empty, nil)
-	w.procs["r"] = New("r", newRing, oldRing, st, map[uint64]wire.Data{1: m}, empty, nil)
+	w.procs["q"] = New("q", newRing, oldRing, st, logOf(m), empty, nil)
+	w.procs["r"] = New("r", newRing, oldRing, st, logOf(m), empty, nil)
 	w.procs["s"] = New("s", newRing, model.Configuration{}, totem.State{}, nil, empty, nil)
 	w.procs["t"] = New("t", newRing, model.Configuration{}, totem.State{}, nil, empty, nil)
 	w.run()
@@ -211,8 +218,8 @@ func TestSafeBoundLearnedFromPeerExchange(t *testing.T) {
 	w, oldRing, newRing := figure6World(t)
 	empty := model.NewProcessSet()
 	m := mkData("q", 1, 1, oldRing.ID, model.Safe)
-	w.procs["q"] = New("q", newRing, oldRing, totem.State{MyAru: 1, SafeBound: 0, HighestSeen: 1}, map[uint64]wire.Data{1: m}, empty, nil)
-	w.procs["r"] = New("r", newRing, oldRing, totem.State{MyAru: 1, SafeBound: 1, HighestSeen: 1}, map[uint64]wire.Data{1: m}, empty, nil)
+	w.procs["q"] = New("q", newRing, oldRing, totem.State{MyAru: 1, SafeBound: 0, HighestSeen: 1}, logOf(m), empty, nil)
+	w.procs["r"] = New("r", newRing, oldRing, totem.State{MyAru: 1, SafeBound: 1, HighestSeen: 1}, logOf(m), empty, nil)
 	w.procs["s"] = New("s", newRing, model.Configuration{}, totem.State{}, nil, empty, nil)
 	w.procs["t"] = New("t", newRing, model.Configuration{}, totem.State{}, nil, empty, nil)
 	w.run()
@@ -234,10 +241,9 @@ func TestHoleDiscardsFollowersExceptObligations(t *testing.T) {
 	m1 := mkData("q", 1, 1, oldRing.ID, model.Agreed)
 	m3 := mkData("p", 2, 3, oldRing.ID, model.Agreed) // follows hole at 2
 	m4 := mkData("q", 2, 4, oldRing.ID, model.Agreed)
-	log := map[uint64]wire.Data{1: m1, 3: m3, 4: m4}
 	st := totem.State{MyAru: 1, Have: []uint64{3, 4}, HighestSeen: 4}
-	w.procs["q"] = New("q", newRing, oldRing, st, cloneLog(log), empty, nil)
-	w.procs["r"] = New("r", newRing, oldRing, st, cloneLog(log), empty, nil)
+	w.procs["q"] = New("q", newRing, oldRing, st, logOf(m1, m3, m4), empty, nil)
+	w.procs["r"] = New("r", newRing, oldRing, st, logOf(m1, m3, m4), empty, nil)
 	w.procs["s"] = New("s", newRing, model.Configuration{}, totem.State{}, nil, empty, nil)
 	w.procs["t"] = New("t", newRing, model.Configuration{}, totem.State{}, nil, empty, nil)
 	w.run()
@@ -263,11 +269,10 @@ func TestObligationSenderSurvivesHole(t *testing.T) {
 	w, oldRing, newRing := figure6World(t)
 	m1 := mkData("q", 1, 1, oldRing.ID, model.Agreed)
 	m3 := mkData("p", 2, 3, oldRing.ID, model.Agreed)
-	log := map[uint64]wire.Data{1: m1, 3: m3}
 	st := totem.State{MyAru: 1, Have: []uint64{3}, HighestSeen: 3}
 	obl := model.NewProcessSet("p")
-	w.procs["q"] = New("q", newRing, oldRing, st, cloneLog(log), obl, nil)
-	w.procs["r"] = New("r", newRing, oldRing, st, cloneLog(log), obl, nil)
+	w.procs["q"] = New("q", newRing, oldRing, st, logOf(m1, m3), obl, nil)
+	w.procs["r"] = New("r", newRing, oldRing, st, logOf(m1, m3), obl, nil)
 	w.procs["s"] = New("s", newRing, model.Configuration{}, totem.State{}, nil, model.NewProcessSet(), nil)
 	w.procs["t"] = New("t", newRing, model.Configuration{}, totem.State{}, nil, model.NewProcessSet(), nil)
 	w.run()
@@ -303,7 +308,7 @@ func TestFailureAtomicityIdenticalResults(t *testing.T) {
 	// per configuration.
 	w, oldRing, newRing := figure6World(t)
 	empty := model.NewProcessSet()
-	msgs := make(map[uint64]wire.Data)
+	msgs := make([]wire.Data, 7) // indexed by seq
 	for seq := uint64(1); seq <= 6; seq++ {
 		svc := model.Agreed
 		if seq%2 == 0 {
@@ -312,8 +317,8 @@ func TestFailureAtomicityIdenticalResults(t *testing.T) {
 		msgs[seq] = mkData("p", seq, seq, oldRing.ID, svc)
 	}
 	// q delivered up to 4 (observed safe bound 4); r only up to 1.
-	qlog := cloneLog(msgs)
-	rlog := map[uint64]wire.Data{1: msgs[1], 2: msgs[2], 3: msgs[3], 5: msgs[5]}
+	qlog := logOf(msgs[1:]...)
+	rlog := logOf(msgs[1], msgs[2], msgs[3], msgs[5])
 	w.procs["q"] = New("q", newRing, oldRing, totem.State{MyAru: 6, SafeBound: 4, DeliveredUpTo: 4, HighestSeen: 6}, qlog, empty, nil)
 	w.procs["r"] = New("r", newRing, oldRing, totem.State{MyAru: 3, Have: []uint64{5}, SafeBound: 2, DeliveredUpTo: 1, HighestSeen: 6}, rlog, empty, nil)
 	w.procs["s"] = New("s", newRing, model.Configuration{}, totem.State{}, nil, empty, nil)
@@ -355,7 +360,7 @@ func TestRetryMasksMessageLoss(t *testing.T) {
 	w, oldRing, newRing := figure6World(t)
 	empty := model.NewProcessSet()
 	m1 := mkData("q", 1, 1, oldRing.ID, model.Agreed)
-	w.procs["q"] = New("q", newRing, oldRing, totem.State{MyAru: 1, HighestSeen: 1}, map[uint64]wire.Data{1: m1}, empty, nil)
+	w.procs["q"] = New("q", newRing, oldRing, totem.State{MyAru: 1, HighestSeen: 1}, logOf(m1), empty, nil)
 	w.procs["r"] = New("r", newRing, oldRing, totem.State{HighestSeen: 1}, nil, empty, nil)
 	w.procs["s"] = New("s", newRing, model.Configuration{}, totem.State{}, nil, empty, nil)
 	w.procs["t"] = New("t", newRing, model.Configuration{}, totem.State{}, nil, empty, nil)
@@ -446,8 +451,8 @@ func TestStragglerOutsideNeededSetDropped(t *testing.T) {
 	empty := model.NewProcessSet()
 	m1 := mkData("q", 1, 1, oldRing.ID, model.Agreed)
 	st := totem.State{MyAru: 1, HighestSeen: 1}
-	w.procs["q"] = New("q", newRing, oldRing, st, map[uint64]wire.Data{1: m1}, empty, nil)
-	w.procs["r"] = New("r", newRing, oldRing, st, map[uint64]wire.Data{1: m1}, empty, nil)
+	w.procs["q"] = New("q", newRing, oldRing, st, logOf(m1), empty, nil)
+	w.procs["r"] = New("r", newRing, oldRing, st, logOf(m1), empty, nil)
 	w.procs["s"] = New("s", newRing, model.Configuration{}, totem.State{}, nil, empty, nil)
 	w.procs["t"] = New("t", newRing, model.Configuration{}, totem.State{}, nil, empty, nil)
 	w.run()
@@ -463,12 +468,14 @@ func TestStragglerOutsideNeededSetDropped(t *testing.T) {
 	}
 }
 
-func cloneLog(in map[uint64]wire.Data) map[uint64]wire.Data {
-	out := make(map[uint64]wire.Data, len(in))
-	for k, v := range in {
-		out[k] = v
+// logOf builds a fresh old-ring log holding ds at their sequence numbers.
+func logOf(ds ...wire.Data) *seqlog.Log {
+	l := &seqlog.Log{}
+	for _, d := range ds {
+		e, _ := l.Put(d.Seq)
+		e.Data = d
 	}
-	return out
+	return l
 }
 
 func rangeSeqs(from, to uint64) []uint64 {
@@ -477,4 +484,98 @@ func rangeSeqs(from, to uint64) []uint64 {
 		out = append(out, s)
 	}
 	return out
+}
+
+// TestBitRottedEntryRebroadcastAndDeliveredInOrder follows a storage-rotted
+// log entry through the path production takes after a crash: the store's
+// checksums drop it at LoadChecked, leaving a hole below the received
+// watermark; the recovering process's exchange does not claim it; a peer
+// that holds it rebroadcasts it; and Step 6 delivers the whole window in
+// order, the repaired entry in its place.
+func TestBitRottedEntryRebroadcastAndDeliveredInOrder(t *testing.T) {
+	w, oldRing, newRing := figure6World(t)
+	empty := model.NewProcessSet()
+	msgs := make([]wire.Data, 9) // indexed by seq
+	for seq := uint64(1); seq <= 8; seq++ {
+		msgs[seq] = mkData("p", seq, seq, oldRing.ID, model.Agreed)
+	}
+	st := &stable.Store{}
+	for seq := uint64(1); seq <= 4; seq++ {
+		st.PutLog(msgs[seq])
+	}
+	// Rot the highest entry written so far (seq 4), then keep appending:
+	// the damage ends up mid-log, below the eventual watermark.
+	if n := st.FlipLogBits(1); n != 1 {
+		t.Fatalf("FlipLogBits corrupted %d entries, want 1", n)
+	}
+	for seq := uint64(5); seq <= 8; seq++ {
+		st.PutLog(msgs[seq])
+	}
+	_, qlog, errs := st.LoadChecked()
+	if len(errs) != 1 || qlog.Get(4) != nil || qlog.Len() != 7 {
+		t.Fatalf("LoadChecked: errors %v, seq 4 present=%v, Len=%d; want the rotted entry alone dropped", errs, qlog.Get(4) != nil, qlog.Len())
+	}
+
+	// Both had delivered up to 1 before the configuration changed.
+	state := totem.State{SafeBound: 1, DeliveredUpTo: 1, HighestSeen: 8}
+	w.procs["q"] = New("q", newRing, oldRing, state, qlog, empty, nil)
+	w.procs["r"] = New("r", newRing, oldRing, state, logOf(msgs[1:]...), empty, nil)
+	w.procs["s"] = New("s", newRing, model.Configuration{}, totem.State{}, nil, empty, nil)
+	w.procs["t"] = New("t", newRing, model.Configuration{}, totem.State{}, nil, empty, nil)
+	if x := w.procs["q"].frozen; x.MyAru != 3 || fmt.Sprint(x.Have) != "[5 6 7 8]" {
+		t.Fatalf("q's exchange claims MyAru=%d Have=%v, want 3 and [5 6 7 8]", x.MyAru, x.Have)
+	}
+	var rebroadcast []string
+	w.sent = func(from model.ProcessID, m wire.Message) {
+		if d, ok := m.(wire.Data); ok {
+			rebroadcast = append(rebroadcast, fmt.Sprintf("%s:%d", from, d.Seq))
+		}
+	}
+	w.run()
+	if fmt.Sprint(rebroadcast) != "[r:4]" {
+		t.Fatalf("rebroadcasts %v, want r's of seq 4 alone", rebroadcast)
+	}
+	for _, id := range []model.ProcessID{"q", "r"} {
+		if got := seqsOf(w.results[id].OldRegular); fmt.Sprint(got) != "[2 3 4 5 6 7 8]" {
+			t.Fatalf("%s delivered %v in the old regular configuration, want [2 3 4 5 6 7 8]", id, got)
+		}
+	}
+}
+
+// TestRecoveryPutAtAndPastTheLimit pins the recovery log's bound. A needed
+// sequence number cannot lie past the limit on a conforming schedule: it
+// was assigned in the old ring, whose receive window — this very log,
+// handed over with its limit — accepted every number up to the highest the
+// ring could assign above its trimmed prefix. A rebroadcast past the limit
+// (a damaged claim) is therefore refused like a lost packet: nothing is
+// stored and no watermark moves.
+func TestRecoveryPutAtAndPastTheLimit(t *testing.T) {
+	w, oldRing, newRing := figure6World(t)
+	empty := model.NewProcessSet()
+	const limit = 8
+	qlog := &seqlog.Log{Limit: limit}
+	rlog := logOf(mkData("p", 1, limit, oldRing.ID, model.Agreed), mkData("p", 2, limit+1, oldRing.ID, model.Agreed))
+	w.procs["q"] = New("q", newRing, oldRing, totem.State{}, qlog, empty, nil)
+	w.procs["r"] = New("r", newRing, oldRing, totem.State{}, rlog, empty, nil)
+	w.procs["s"] = New("s", newRing, model.Configuration{}, totem.State{}, nil, empty, nil)
+	w.procs["t"] = New("t", newRing, model.Configuration{}, totem.State{}, nil, empty, nil)
+	q := w.procs["q"]
+	w.cut = func(_, to model.ProcessID) bool { return to == "q" }
+	w.run()
+	w.cut = nil
+	for _, id := range w.ids() {
+		q.OnExchange(w.procs[id].frozen)
+	}
+	if !q.Planned() || !q.needed(limit) || !q.needed(limit+1) {
+		t.Fatal("q's plan must need both of r's entries")
+	}
+	before := q.Watermarks()
+	q.OnData(mkData("p", 2, limit+1, oldRing.ID, model.Agreed))
+	if qlog.Len() != 0 || qlog.High() != 0 || fmt.Sprint(q.Watermarks()) != fmt.Sprint(before) {
+		t.Fatalf("a put past the limit moved state: Len=%d High=%d watermarks %+v, were %+v", qlog.Len(), qlog.High(), q.Watermarks(), before)
+	}
+	q.OnData(mkData("p", 1, limit, oldRing.ID, model.Agreed))
+	if qlog.Get(limit) == nil || qlog.Len() != 1 {
+		t.Fatal("a needed entry at the limit must be stored")
+	}
 }

@@ -1,8 +1,6 @@
 package node
 
 import (
-	"sort"
-
 	"repro/internal/evs"
 	"repro/internal/membership"
 	"repro/internal/model"
@@ -148,9 +146,9 @@ func (n *Node) onData(from model.ProcessID, d wire.Data) {
 		n.preBuffer = append(n.preBuffer, bufferedMsg{from: from, msg: d})
 	case n.mode == Recovering && d.Ring == n.ringCfg.ID:
 		// Rebroadcast (or straggler) of the old configuration.
-		before := len(n.rec.Log())
+		before := n.rec.Log().Len()
 		acts := n.rec.OnData(d)
-		if n.rec != nil && len(n.rec.Log()) > before {
+		if n.rec.Log().Len() > before {
 			n.persistLog(d)
 		}
 		n.applyRecActions(acts)
@@ -161,10 +159,10 @@ func (n *Node) onData(from model.ProcessID, d wire.Data) {
 		// Straggler while reconfiguring: merge into the carried log
 		// (deliveries resume via the recovery algorithm). Sequence
 		// numbers inside the trimmed prefix were already delivered and
-		// certified safe; re-storing them would be dead weight.
-		if _, ok := n.oldLog[d.Seq]; !ok && d.Seq > n.oldState.Trimmed {
+		// certified safe; the log refuses them, like duplicates.
+		if e, fresh := n.oldLog.Put(d.Seq); fresh {
 			d.Retrans = false
-			n.oldLog[d.Seq] = d
+			e.Data = d
 			if d.Seq > n.oldState.HighestSeen {
 				n.oldState.HighestSeen = d.Seq
 			}
@@ -360,16 +358,16 @@ func (n *Node) OnTimer(kind TimerKind) {
 	}
 }
 
-// enterGather leaves operational mode, carrying the ring's receipt state
-// into the reconfiguration (the ring itself stops: no deliveries occur
-// until the recovery algorithm's Step 6). cause records why, for the
-// membership-transition metrics.
+// enterGather leaves operational mode, carrying the ring's watermarks and
+// its receive log into the reconfiguration (the ring itself stops: no
+// deliveries occur until the recovery algorithm's Step 6). cause records
+// why, for the membership-transition metrics.
 func (n *Node) enterGather(cause obs.GatherCause) {
 	n.met.Inc(cause.GatherCounter())
 	n.met.Event(obs.KGatherEnter, uint64(cause), 0)
 	if n.mode == Operational && n.ring != nil {
-		n.oldState = n.ring.Snapshot()
-		n.oldLog = n.ring.Messages()
+		n.oldState = n.ring.Watermarks()
+		n.oldLog = n.ring.TakeLog()
 		n.pending = append(n.ring.TakePending(), n.pending...)
 		n.ring = nil
 	}
@@ -391,7 +389,7 @@ func (n *Node) abortRecovery() {
 	}
 	n.met.Inc(obs.CRecoveryAborted)
 	n.met.Event(obs.KRecoveryAbort, n.newRing.ID.Seq, 0)
-	n.oldState = n.rec.State()
+	n.oldState = n.rec.Watermarks()
 	n.oldLog = n.rec.Log()
 	n.obligations = n.rec.Obligations()
 	n.rec = nil
@@ -462,7 +460,7 @@ func (n *Node) startRecovery(ring model.Configuration) {
 			n.met.Inc(obs.CStateRejects)
 		}
 	}
-	n.rec = evs.New(n.id, ring, n.ringCfg, n.recoveryState(), n.oldLog, n.obligations, n.seenSeqs)
+	n.rec = evs.New(n.id, ring, n.ringCfg, n.oldState, n.oldLog, n.obligations, n.seenSeqs)
 	n.applyRecActions(n.rec.Start())
 	if n.mode == Recovering {
 		n.host.SetTimer(TimerRecoveryRetry, n.cfg.RecoveryRetry)
@@ -501,42 +499,6 @@ func (n *Node) validateObligations(ring model.Configuration) int {
 	}
 	n.obligations = model.NewProcessSet(kept...)
 	return before - len(kept)
-}
-
-// recoveryState derives the exchange state from the carried log and
-// watermarks.
-func (n *Node) recoveryState() totem.State {
-	st := n.oldState
-	// Recompute receipt watermarks from the merged log. The contiguity
-	// probe starts at the trimmed prefix: entries at or below it were
-	// discarded as safe-and-delivered, not lost, so the receipt claim
-	// must still cover them.
-	derived := totem.State{}
-	for seq := range n.oldLog {
-		if seq > derived.HighestSeen {
-			derived.HighestSeen = seq
-		}
-	}
-	st.MyAru = st.Trimmed
-	for {
-		if _, ok := n.oldLog[st.MyAru+1]; !ok {
-			break
-		}
-		st.MyAru++
-	}
-	st.Have = nil
-	for seq := range n.oldLog {
-		if seq > st.MyAru {
-			st.Have = append(st.Have, seq)
-		}
-	}
-	// Canonical order: the Have set rides recovery messages, so its
-	// layout must not depend on map iteration.
-	sort.Slice(st.Have, func(i, j int) bool { return st.Have[i] < st.Have[j] })
-	if derived.HighestSeen > st.HighestSeen {
-		st.HighestSeen = derived.HighestSeen
-	}
-	return st
 }
 
 // applyRecActions transmits recovery messages and applies the final result.
@@ -624,7 +586,7 @@ func (n *Node) finishRecovery(res evs.Result) {
 	newCfg := n.newRing
 	n.ringCfg = newCfg
 	n.obligations = model.NewProcessSet()
-	n.oldLog = make(map[uint64]wire.Data)
+	n.oldLog = nil
 	n.oldState = totem.State{}
 	n.rec = nil
 	n.newRing = model.Configuration{}
@@ -652,7 +614,8 @@ func (n *Node) finishRecovery(res evs.Result) {
 		n.ring.Submit(p)
 	}
 	n.pending = nil
-	n.persistSnapshot(nil)
+	n.store.ClearLog() // the new ring starts an empty log
+	n.persist()
 
 	// The representative originates the first token, with
 	// retransmission: losing the only copy would leave the ring dead

@@ -20,6 +20,7 @@ import (
 	"repro/internal/membership"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/seqlog"
 	"repro/internal/stable"
 	"repro/internal/totem"
 	"repro/internal/wire"
@@ -190,8 +191,9 @@ type Node struct {
 	newRing model.Configuration
 
 	// Old-configuration state carried between operational mode and
-	// recovery attempts.
-	oldLog      map[uint64]wire.Data
+	// recovery attempts: the old ring's receive log itself, handed from
+	// the ring to each recovery attempt in turn.
+	oldLog      *seqlog.Log
 	oldState    totem.State
 	obligations model.ProcessSet
 	pending     []totem.Pending
@@ -264,7 +266,7 @@ func (n *Node) CurrentConfig() model.Configuration { return n.ringCfg }
 // regressed counters are healed from redundant evidence before any of
 // them can mint a duplicate identifier.
 func (n *Node) Start() {
-	rec, loadErrs := n.store.LoadChecked()
+	rec, log, loadErrs := n.store.LoadChecked()
 	for range loadErrs {
 		n.met.Inc(obs.CStateRejects)
 	}
@@ -280,10 +282,7 @@ func (n *Node) Start() {
 		n.met.Inc(obs.CSeqHeals)
 	}
 	n.ringCfg = rec.LastRegular
-	n.oldLog = rec.Log
-	if n.oldLog == nil {
-		n.oldLog = make(map[uint64]wire.Data)
-	}
+	n.oldLog = log
 	n.oldState = totem.State{
 		DeliveredUpTo: rec.DeliveredUpTo,
 		SafeBound:     rec.SafeBound,
@@ -402,9 +401,9 @@ func (n *Node) cancelAllTimers() {
 }
 
 // persist saves the hot-path protocol scalars: watermarks, counters and
-// the obligation set. Message-log persistence is incremental (persistLog)
-// and full snapshots happen only at configuration boundaries
-// (persistSnapshot), so the per-event cost is independent of log size.
+// the obligation set. Message-log persistence is incremental (persistLog),
+// and a configuration boundary only clears the log, so the per-event cost
+// is independent of log size.
 //
 //evs:noalloc
 func (n *Node) persist() {
@@ -504,15 +503,6 @@ func (n *Node) persistLog(d wire.Data) {
 //evs:noalloc
 func (n *Node) persistLogBatch(ds []wire.Data) {
 	n.store.PutLogBatch(ds)
-}
-
-// persistSnapshot rewrites the whole log (configuration boundaries).
-func (n *Node) persistSnapshot(log map[uint64]wire.Data) {
-	n.store.ClearLog()
-	for _, d := range log {
-		n.store.PutLog(d)
-	}
-	n.persist()
 }
 
 // memMaxRingSeq returns the membership protocol's ring-sequence watermark.

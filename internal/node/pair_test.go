@@ -1,6 +1,7 @@
 package node
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/model"
@@ -280,4 +281,67 @@ func TestPairStateMachineTraceConforms(t *testing.T) {
 			t.Fatalf("%s traced %d deliveries, want 2", id, delivers)
 		}
 	}
+}
+
+// TestRecoveryAllocBoundedByWindow runs a two-process ring until both
+// members' receipt watermarks pass 100,000 with trimming active, then
+// forces a reconfiguration. The bytes allocated from the token loss to the
+// new ring's installation must be bounded by the retained window — the
+// entries the old ring still held — not by the watermark: a recovery that
+// enumerated 1..MyAru would allocate for every message the configuration
+// ever ordered.
+func TestRecoveryAllocBoundedByWindow(t *testing.T) {
+	w := newPairWorld(t, "a", "b")
+	w.startAll()
+	const target = 100_000
+	payload := make([]byte, 16)
+	low := func() uint64 {
+		return min(w.nodes["a"].ring.Watermarks().MyAru, w.nodes["b"].ring.Watermarks().MyAru)
+	}
+	for low() < target {
+		for _, id := range w.ids {
+			n := w.nodes[id]
+			for n.PendingDepth() < 512 {
+				if err := n.Submit(payload, model.Agreed); err != nil {
+					t.Fatalf("%s: %v", id, err)
+				}
+			}
+			w.envs[id].deliver, w.envs[id].trace = nil, nil
+		}
+		w.pump()
+	}
+	w.spin(4) // drain the backlog
+	window := 0
+	for _, id := range w.ids {
+		r := w.nodes[id].ring
+		if r.Trimmed() == 0 {
+			t.Fatalf("%s: no trim after %d messages", id, r.Watermarks().MyAru)
+		}
+		window += r.Len()
+		w.envs[id].deliver, w.envs[id].trace, w.envs[id].confs = nil, nil, nil
+	}
+	old, aru := w.nodes["a"].CurrentConfig().ID, low()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, id := range w.ids {
+		w.nodes[id].OnTimer(TimerTokenLoss)
+	}
+	w.pump()
+	w.fireJoinTimeouts()
+	w.spin(4)
+	runtime.ReadMemStats(&after)
+
+	for _, id := range w.ids {
+		if n := w.nodes[id]; n.Mode() != Operational || n.CurrentConfig().ID == old {
+			t.Fatalf("%s did not reconfigure: mode %v config %v", id, n.Mode(), n.CurrentConfig().ID)
+		}
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	// A seqlog.Entry is under 256 B; the fixed part covers membership,
+	// the exchange and the new ring.
+	if bound := uint64(256*window + 512<<10); bytes > bound {
+		t.Fatalf("reconfiguration at MyAru %d allocated %d B over a retained window of %d entries (bound %d B)", aru, bytes, window, bound)
+	}
+	t.Logf("reconfiguration at MyAru %d: %d B allocated over a retained window of %d entries", aru, bytes, window)
 }

@@ -1,5 +1,7 @@
 // Package seqlog is the dense, sequence-indexed message log shared by the
-// totem ring's receive log and the stable store's persisted log.
+// totem ring's receive log and the stable store's persisted log. At a
+// configuration change the ring's log itself moves to the recovery
+// algorithm, which reads and extends it.
 //
 // The token assigns sequence numbers contiguously, so a log is a window
 // (Base, High] over them. A Log holds that window in a ring-indexed slice:
@@ -7,8 +9,7 @@
 // once, so a put or a probe is one index and trimming the prefix zeroes
 // exactly the dropped slots and advances the head — the retained entries
 // never move. Presence is a bit in the slot, never inferred from the
-// stored message (the store's Save is keyed by the map key, not by
-// Data.Seq).
+// stored message.
 //
 // The window is bounded: a put more than the limit above Base is refused
 // rather than sized for, so one far-off sequence number (a damaged record,

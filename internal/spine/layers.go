@@ -231,7 +231,7 @@ func (r *Recorder) traceVSSend(p *Proc) {
 		r.traceVS(vsfilter.TraceEvent{
 			Type: vsfilter.EventSend,
 			Proc: p.id,
-			Msg:  model.MessageID{Sender: p.id, SenderSeq: p.store.Load().SenderSeq},
+			Msg:  model.MessageID{Sender: p.id, SenderSeq: p.store.SenderSeq()},
 		})
 	}
 }

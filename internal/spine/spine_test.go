@@ -2,6 +2,7 @@ package spine
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +10,8 @@ import (
 	"repro/internal/model"
 	"repro/internal/node"
 	"repro/internal/obs"
+	"repro/internal/primary"
+	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -258,4 +261,48 @@ func join(ss []string) string {
 		out += s
 	}
 	return out
+}
+
+// nowhere is a medium that drops everything.
+type nowhere struct{}
+
+func (nowhere) Broadcast(wire.Message) {}
+func (nowhere) Close() error           { return nil }
+
+// TestPrimaryPersistenceLeavesTheLogAlone runs the primary layer's two
+// record writes — an attempt, then an installed primary — over a store
+// holding a message log, then crashes the process. The writes replace the
+// primary records and nothing else: the checked load returns the window as
+// it was, and a torn write still destroys the same last-put entry.
+func TestPrimaryPersistenceLeavesTheLogAlone(t *testing.T) {
+	rec := NewRecorder(Virtual(&sim.Scheduler{}), []model.ProcessID{"p01"}, Options{Envelope: true, Primary: true})
+	p, err := Start(rec, "p01", fastConfig(), func(model.ProcessID, Handler, *obs.Metrics) (Medium, error) {
+		return nowhere{}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := p.Store()
+	ring := model.RegularID(1, "p01")
+	for seq := uint64(1); seq <= 5; seq++ {
+		st.PutLog(wire.Data{ID: model.MessageID{Sender: "p01", SenderSeq: seq}, Ring: ring, Seq: seq, Payload: []byte{byte(seq)}})
+	}
+	_, before, _ := st.LoadChecked()
+	cfg := model.Configuration{ID: ring, Members: model.NewProcessSet("p01")}
+	rec.applyPrimary(p, []primary.Action{primary.PersistAttempt{Cfg: cfg}, primary.PersistPrimary{Cfg: cfg}})
+	rec.Crash("p01")
+
+	got, after, errs := st.LoadChecked()
+	if len(errs) != 0 || !reflect.DeepEqual(after, before) {
+		t.Fatalf("the primary writes changed the log: errors %v, Len %d → %d", errs, before.Len(), after.Len())
+	}
+	if got.LastPrimary.ID != ring || !got.PrimaryAttempt.ID.IsZero() {
+		t.Fatalf("primary records = %v / %v, want the installed primary and no attempt", got.LastPrimary.ID, got.PrimaryAttempt.ID)
+	}
+	if !st.TearLastWrite() {
+		t.Fatal("the torn write found no last-put entry")
+	}
+	if _, torn, _ := st.LoadChecked(); torn.Get(5) != nil || torn.Len() != 4 {
+		t.Fatalf("the torn write must destroy seq 5 alone, left Len %d", torn.Len())
+	}
 }

@@ -87,30 +87,17 @@ func (m *mapStore) insert(seq uint64, d wire.Data) {
 func (m *mapStore) Load() Record {
 	out := m.rec
 	out.SeenSeqs = maps.Clone(m.rec.SeenSeqs)
-	out.Log = make(map[uint64]wire.Data, len(m.log))
-	for k, v := range m.log {
-		out.Log[k] = cloneData(v)
-	}
 	return out
 }
 
 func (m *mapStore) Save(r Record) {
-	log := r.Log
-	r.Log = nil
-	r.SeenSeqs = maps.Clone(r.SeenSeqs)
-	m.rec, m.log, m.sums, m.rejected = r, nil, nil, 0
-	for seq, d := range log {
-		if m.admit(seq) {
-			m.insert(seq, d)
-		}
-	}
-	m.writes++
+	m.SetScalars(r)
+	m.rec.LastPrimary, m.rec.PrimaryAttempt = r.LastPrimary, r.PrimaryAttempt
 }
 
 func (m *mapStore) SetScalars(r Record) {
 	lp, pa, trimmed := m.rec.LastPrimary, m.rec.PrimaryAttempt, m.rec.TrimmedUpTo
 	m.rec = r
-	m.rec.Log = nil
 	m.rec.LastPrimary, m.rec.PrimaryAttempt = lp, pa
 	m.rec.SeenSeqs = maps.Clone(r.SeenSeqs)
 	switch {
@@ -222,18 +209,22 @@ func (m *mapStore) FlipLogBits(n int) int {
 	return n
 }
 
-func (m *mapStore) LoadChecked() (Record, []error) {
+func (m *mapStore) LoadChecked() (Record, map[uint64]wire.Data, []error) {
 	rec := m.Load()
+	log := make(map[uint64]wire.Data, len(m.log))
+	for k, v := range m.log {
+		log[k] = cloneData(v)
+	}
 	var errs []error
 	var bad []uint64
-	for seq, d := range rec.Log {
+	for seq, d := range log {
 		if fnv1a(d) != m.sums[seq] {
 			bad = append(bad, seq)
 		}
 	}
 	sort.Slice(bad, func(i, j int) bool { return bad[i] < bad[j] })
 	for _, seq := range bad {
-		delete(rec.Log, seq)
+		delete(log, seq)
 		errs = append(errs, fmt.Errorf("stable: log entry seq=%d failed checksum; dropped", seq))
 	}
 	if m.rejected > 0 {
@@ -243,27 +234,40 @@ func (m *mapStore) LoadChecked() (Record, []error) {
 		errs = append(errs, fmt.Errorf("stable: MaxRingSeq=%d below last installed configuration seq=%d; healed", rec.MaxRingSeq, last))
 		rec.MaxRingSeq = last
 	}
-	return rec, errs
+	return rec, log, errs
 }
 
-// normalize maps the snapshot forms that differ only in nil-versus-empty
+// normalize maps the record forms that differ only in nil-versus-empty
 // (a representation detail neither store promises) onto one.
 func normalize(r Record) Record {
-	if len(r.Log) == 0 {
-		r.Log = nil
-	}
 	if len(r.SeenSeqs) == 0 {
 		r.SeenSeqs = nil
 	}
 	return r
 }
 
+// entries renders a loaded window in the oracle's map form, checking that
+// it is based at the record's watermark.
+func entries(t *testing.T, rec Record, l *seqlog.Log) map[uint64]wire.Data {
+	t.Helper()
+	if l.Base() != rec.TrimmedUpTo {
+		t.Fatalf("loaded window based at %d, record's watermark %d", l.Base(), rec.TrimmedUpTo)
+	}
+	out := make(map[uint64]wire.Data, l.Len())
+	for seq := l.Base() + 1; seq <= l.High(); seq++ {
+		if e := l.Get(seq); e != nil {
+			out[seq] = e.Data
+		}
+	}
+	return out
+}
+
 // TestStoreMatchesMapModel drives the dense-window store and the map
 // oracle through the same random operation sequences — every write path,
-// advancing and non-advancing trims, every corruption mode, alien Save
-// keys — and requires the same record, the same dropped entries with the
-// same errors, the same return values and the same counters after each
-// step. The last-put record is covered by tears issued right after trims
+// advancing and non-advancing trims, whole-record Saves, every corruption
+// mode — and requires the same record, the same loaded window, the same
+// dropped entries with the same errors, the same return values and the
+// same counters after each step. The last-put record is covered by tears issued right after trims
 // that pass it.
 func TestStoreMatchesMapModel(t *testing.T) {
 	uni := vclock.NewUniverse([]model.ProcessID{"p", "q", "r"})
@@ -272,8 +276,8 @@ func TestStoreMatchesMapModel(t *testing.T) {
 		var s Store
 		var m mapStore
 		next := uint64(1) // the ring's next contiguous sequence number
-		// An entry at the bound makes every snapshot scan the whole
-		// window; two of the seeds pay for that.
+		// An entry at the bound makes every checked load scan the
+		// whole window; two of the seeds pay for that.
 		far := seed%8 == 0
 		scalars := Record{LastRegular: model.Configuration{ID: model.RegularID(2, "p"), Members: model.NewProcessSet("p", "q", "r")}, MaxRingSeq: 2}
 		msg := func(seq uint64) wire.Data {
@@ -330,7 +334,6 @@ func TestStoreMatchesMapModel(t *testing.T) {
 				if rng.Intn(3) == 0 {
 					r.SeenSeqs = map[model.ProcessID]uint64{"p": uint64(step), "q": 1}
 				}
-				r.Log = map[uint64]wire.Data{7: msg(7)} // must be ignored
 				s.SetScalars(r)
 				m.SetScalars(r)
 				if rng.Intn(2) == 0 { // a tear right behind a trim that may have passed lastPut
@@ -345,16 +348,11 @@ func TestStoreMatchesMapModel(t *testing.T) {
 					next = 1
 				}
 			case 10:
+				// The primary layer's Load→Save round trip, sometimes
+				// carrying a raised watermark.
 				r := m.Load()
-				switch rng.Intn(4) {
-				case 0:
-					r.Log[r.TrimmedUpTo+seqlog.MaxSpan+1] = msg(99999) // alien key past the bound
-				case 1:
-					if far {
-						r.Log[r.TrimmedUpTo+seqlog.MaxSpan] = wire.Data{} // at the bound, Seq ≠ key
-					}
-				case 2:
-					r.TrimmedUpTo += uint64(rng.Intn(4)) // keys at or below the watermark
+				if rng.Intn(2) == 0 {
+					r.TrimmedUpTo += uint64(rng.Intn(4))
 				}
 				r.PrimaryAttempt = scalars.LastRegular
 				s.Save(r)
@@ -386,10 +384,13 @@ func TestStoreMatchesMapModel(t *testing.T) {
 			if got, want := normalize(s.Load()), normalize(m.Load()); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: Load diverged\nstore: %+v\nmodel: %+v", what, got, want)
 			}
-			gotRec, gotErrs := s.LoadChecked()
-			wantRec, wantErrs := m.LoadChecked()
+			gotRec, gotLog, gotErrs := s.LoadChecked()
+			wantRec, wantLog, wantErrs := m.LoadChecked()
 			if !reflect.DeepEqual(normalize(gotRec), normalize(wantRec)) {
 				t.Fatalf("%s: LoadChecked record diverged\nstore: %+v\nmodel: %+v", what, gotRec, wantRec)
+			}
+			if got := entries(t, gotRec, gotLog); !reflect.DeepEqual(got, wantLog) {
+				t.Fatalf("%s: LoadChecked window diverged\nstore: %v\nmodel: %v", what, got, wantLog)
 			}
 			if fmt.Sprint(gotErrs) != fmt.Sprint(wantErrs) {
 				t.Fatalf("%s: LoadChecked errors diverged\nstore: %v\nmodel: %v", what, gotErrs, wantErrs)
@@ -401,25 +402,27 @@ func TestStoreMatchesMapModel(t *testing.T) {
 	}
 }
 
-// TestLastPutDoesNotSurviveATrimThatPassesIt pins the one place the
-// last-put record outlives its entry observably: the entry is trimmed, a
-// Save with a lower watermark commits a record at the same key, and a torn
-// write must not destroy that committed record (store and oracle agree).
+// TestLastPutDoesNotSurviveATrimThatPassesIt pins the last-put record
+// across a trim that passes it: the entry is trimmed, a Save with a lower
+// watermark (the primary layer's round trip) keeps the trim, and a torn
+// write then has nothing to destroy — above all not the entry that now
+// holds the lowest retained key (store and oracle agree).
 func TestLastPutDoesNotSurviveATrimThatPassesIt(t *testing.T) {
 	var s Store
 	var m mapStore
-	d := wire.Data{Seq: 5, Payload: []byte("x")}
-	s.PutLog(d)
-	m.PutLog(d)
+	for _, seq := range []uint64{8, 5} {
+		d := wire.Data{Seq: seq, Payload: []byte("x")}
+		s.PutLog(d)
+		m.PutLog(d)
+	}
 	s.SetScalars(Record{TrimmedUpTo: 7})
 	m.SetScalars(Record{TrimmedUpTo: 7})
-	resaved := Record{Log: map[uint64]wire.Data{5: d}}
-	s.Save(resaved)
-	m.Save(resaved)
+	s.Save(Record{TrimmedUpTo: 3})
+	m.Save(Record{TrimmedUpTo: 3})
 	if got, want := s.TearLastWrite(), m.TearLastWrite(); got || want {
 		t.Fatalf("tear destroyed a committed record: store %v, model %v", got, want)
 	}
-	if got := logSeqs(&s); !reflect.DeepEqual(got, []uint64{5}) {
-		t.Fatalf("log = %v, want [5]", got)
+	if got := logSeqs(&s); !reflect.DeepEqual(got, []uint64{8}) || s.Load().TrimmedUpTo != 7 {
+		t.Fatalf("log = %v above %d, want [8] above 7", got, s.Load().TrimmedUpTo)
 	}
 }

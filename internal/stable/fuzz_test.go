@@ -6,21 +6,23 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/seqlog"
 	"repro/internal/wire"
 )
 
-// fuzzRecord builds a deterministic record from the fuzz arguments:
-// entries log records with payloads derived from seed, plus every scalar,
-// set and map field populated so aliasing anywhere is visible.
-func fuzzRecord(seed uint64, entries int) Record {
+// fuzzRecord builds a deterministic record and log from the fuzz
+// arguments: entries log records with payloads derived from seed, plus
+// every scalar, set and map field populated so aliasing anywhere is
+// visible.
+func fuzzRecord(seed uint64, entries int) (Record, []wire.Data) {
 	cfg := model.Configuration{
 		ID:      model.RegularID(3+seed%5, "p"),
 		Members: model.NewProcessSet("p", "q", "r"),
 	}
-	log := make(map[uint64]wire.Data, entries)
-	for i := 0; i < entries; i++ {
+	log := make([]wire.Data, entries)
+	for i := range log {
 		seq := uint64(i + 1)
-		log[seq] = wire.Data{
+		log[i] = wire.Data{
 			ID:      model.MessageID{Sender: model.ProcessID(fmt.Sprintf("p%d", i%3)), SenderSeq: seq + seed%7},
 			Ring:    cfg.ID,
 			Seq:     seq,
@@ -36,10 +38,9 @@ func fuzzRecord(seed uint64, entries int) Record {
 		DeliveredUpTo: uint64(entries / 2),
 		SafeBound:     uint64(entries / 2),
 		HighestSeen:   uint64(entries),
-		Log:           log,
 		Obligations:   model.NewProcessSet("p", "q"),
 		SeenSeqs:      map[model.ProcessID]uint64{"p": seed % 100, "q": 1 + seed%3},
-	}
+	}, log
 }
 
 // corrupt applies one corruption mode to the store, mirroring the
@@ -61,17 +62,21 @@ func corrupt(s *Store, mode uint8, n int) {
 	}
 }
 
-// mutateDeep writes through every reachable reference of a loaded record;
-// if any of them aliases store-owned memory, the next load changes.
-func mutateDeep(r *Record) {
-	for seq, d := range r.Log {
-		if len(d.Payload) > 0 {
-			d.Payload[0] ^= 0xff
+// mutateDeep writes through every reachable reference of a loaded record
+// and window; if any of them aliases store-owned memory, the next load
+// changes.
+func mutateDeep(r *Record, log *seqlog.Log) {
+	for seq := log.Base() + 1; seq <= log.High(); seq++ {
+		if e := log.Get(seq); e != nil {
+			if len(e.Data.Payload) > 0 {
+				e.Data.Payload[0] ^= 0xff
+			}
+			e.Data.ID.SenderSeq += 1000
 		}
-		d.ID.SenderSeq += 1000
-		r.Log[seq] = d
 	}
-	r.Log[99999] = wire.Data{Seq: 99999}
+	if e, _ := log.Put(log.Base() + 99); e != nil {
+		e.Data = wire.Data{Seq: log.Base() + 99}
+	}
 	for p := range r.SeenSeqs {
 		r.SeenSeqs[p] += 1000
 	}
@@ -93,7 +98,9 @@ func FuzzStoreRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, mode uint8, n uint8) {
 		entries := int(2 + seed%9)
 		var s Store
-		s.Save(fuzzRecord(seed, entries))
+		rec, log := fuzzRecord(seed, entries)
+		s.PutLogBatch(log)
+		s.Save(rec)
 		// Half the corpus also exercises the incremental write path so
 		// tear/flip have a last-put record to hit.
 		if seed%2 == 1 {
@@ -104,17 +111,17 @@ func FuzzStoreRoundTrip(f *testing.F) {
 		}
 		corrupt(&s, mode, int(n%8))
 
-		pristine := s.Load()
-		loaded := s.Load()
-		mutateDeep(&loaded)
-		if got := s.Load(); !reflect.DeepEqual(got, pristine) {
+		pristine, pristineLog, _ := s.LoadChecked()
+		loaded, loadedLog, _ := s.LoadChecked()
+		mutateDeep(&loaded, loadedLog)
+		if got, gotLog, _ := s.LoadChecked(); !reflect.DeepEqual(got, pristine) || !reflect.DeepEqual(gotLog, pristineLog) {
 			t.Fatalf("mutating a loaded record changed the store (mode %d):\nbefore: %+v\nafter:  %+v",
 				mode%7, pristine, got)
 		}
 
-		recA, errsA := s.LoadChecked()
-		mutateDeep(&recA)
-		recB, errsB := s.LoadChecked()
+		recA, logA, errsA := s.LoadChecked()
+		mutateDeep(&recA, logA)
+		recB, logB, errsB := s.LoadChecked()
 		if len(errsA) != len(errsB) {
 			t.Fatalf("LoadChecked not repeatable: %d then %d errors", len(errsA), len(errsB))
 		}
@@ -124,11 +131,16 @@ func FuzzStoreRoundTrip(f *testing.F) {
 			}
 		}
 
-		// Self-healing: a record cleaned by LoadChecked re-persists and
-		// re-loads with zero rejections.
+		// Self-healing: a record and window cleaned by LoadChecked
+		// re-persist and re-load with zero rejections.
 		var s2 Store
 		s2.Save(recB)
-		if rec2, errs2 := s2.LoadChecked(); len(errs2) != 0 {
+		for seq := logB.Base() + 1; seq <= logB.High(); seq++ {
+			if e := logB.Get(seq); e != nil {
+				s2.PutLog(e.Data)
+			}
+		}
+		if rec2, _, errs2 := s2.LoadChecked(); len(errs2) != 0 {
 			t.Fatalf("cleaned record rejected again: %v (record %+v)", errs2, rec2)
 		}
 	})

@@ -9,20 +9,23 @@
 // obligation set itself, and the primary-component history used by the
 // primary component algorithm.
 //
-// Reads and writes deep-copy the record, simulating the disk boundary: no
-// aliasing between volatile protocol state and persisted state is possible.
+// Reads and writes deep-copy what crosses them, simulating the disk
+// boundary: no aliasing between volatile protocol state and persisted state
+// is possible.
 //
-// The message log is a dense window over the ring's contiguous sequence
-// numbers, (TrimmedUpTo, TrimmedUpTo+seqlog.MaxSpan], held in the same
-// seqlog.Log the ring's receive log uses: a put is one slot index, a deep
+// The message log is not part of the Record. It is a dense window over the
+// ring's contiguous sequence numbers, (TrimmedUpTo, TrimmedUpTo+seqlog.MaxSpan],
+// held in the same seqlog.Log the ring's receive log uses and written only
+// entry by entry (PutLog, PutLogBatch): a put is one slot index, a deep
 // copy of the payload and clock into the store's chunk arenas and a
 // word-wise checksum kept in the slot; a trim zeroes exactly the dropped
-// slots. An entry beyond the window is rejected, never sized for, and the
-// rejection is reported by LoadChecked like a failed checksum, so the
-// recovery machinery re-requests the entry. The ring persists only what
-// its own, narrower receive window accepted (seqlog.MaxSpan has the
-// arithmetic), so the bound is reached only by a damaged record or an
-// alien Save key.
+// slots. It is read back once, by LoadChecked at restart, as a fresh
+// window holding the entries whose checksums still match. An entry beyond
+// the window is rejected, never sized for, and the rejection is reported
+// by LoadChecked like a failed checksum, so the recovery machinery
+// re-requests the entry. The ring persists only what its own, narrower
+// receive window accepted (seqlog.MaxSpan has the arithmetic), so the
+// bound is reached only by a damaged record.
 package stable
 
 import (
@@ -62,10 +65,6 @@ type Record struct {
 	// HighestSeen is the highest sequence number known assigned in
 	// LastRegular.
 	HighestSeen uint64
-	// Log holds received messages of LastRegular by sequence number,
-	// persisted before acknowledging receipt so that a recovered
-	// process can still rebroadcast and deliver what it acknowledged.
-	Log map[uint64]wire.Data
 	// TrimmedUpTo is the discarded log prefix within LastRegular:
 	// sequence numbers at or below it were delivered locally and
 	// certified safe (received by every member), mirroring the ring's
@@ -98,9 +97,7 @@ type Record struct {
 // Store is the stable storage device of one process. The zero value is an
 // empty store ready for use.
 type Store struct {
-	// rec holds every persisted field except the log (rec.Log stays nil:
-	// Record.Log is the snapshot type — Load materialises it, Save
-	// ingests it).
+	// rec holds every persisted field except the log.
 	rec    Record
 	writes uint64
 	// lastPut is the sequence number of the most recent PutLog, the
@@ -116,10 +113,13 @@ type Store struct {
 	// SetScalars: merging into it in place keeps the hot-path write free
 	// of a map clone while still never aliasing the caller's live map.
 	seen map[model.ProcessID]uint64
-	// log is the persisted message log, based at rec.TrimmedUpTo. Each
-	// slot carries a checksum computed at write time — the device-level
-	// integrity metadata real storage keeps per block — so in-place bit
-	// rot of an entry (FlipLogBits) is detectable at the next LoadChecked.
+	// log is the persisted message log of LastRegular, based at
+	// rec.TrimmedUpTo: received messages, persisted before acknowledging
+	// receipt so that a recovered process can still rebroadcast and
+	// deliver what it acknowledged. Each slot carries a checksum computed
+	// at write time — the device-level integrity metadata real storage
+	// keeps per block — so in-place bit rot of an entry (FlipLogBits) is
+	// detectable at the next LoadChecked.
 	log seqlog.Log
 	// payArena and vcArena amortise the deep copies a put makes at the
 	// simulated disk boundary: payload bytes and vector-clock counters
@@ -147,28 +147,6 @@ func carve[S ~[]E, E any](arena *S, src S) S {
 	out := (*arena)[:n:n]
 	*arena = (*arena)[n:]
 	copy(out, src)
-	return out
-}
-
-// logSnapshot deep-copies the log into the Record.Log snapshot form (cold
-// path: Load/LoadChecked only). Keys are slot positions, not Data.Seq.
-func (s *Store) logSnapshot() map[uint64]wire.Data {
-	if s.log.Len() == 0 {
-		return nil
-	}
-	out := make(map[uint64]wire.Data, s.log.Len())
-	for seq := s.log.Base() + 1; seq <= s.log.High(); seq++ {
-		e := s.log.Get(seq)
-		if e == nil {
-			continue
-		}
-		c := e.Data
-		if c.Payload != nil {
-			c.Payload = append([]byte(nil), c.Payload...)
-		}
-		c.VC = c.VC.Clone()
-		out[seq] = c
-	}
 	return out
 }
 
@@ -207,45 +185,40 @@ func checksum(d *wire.Data) uint64 {
 	return (h ^ w) * prime
 }
 
-// Load returns a deep copy of the persisted record.
+// Load returns a deep copy of the persisted record. The message log is not
+// read: only LoadChecked materialises it.
 func (s *Store) Load() Record {
 	out := s.rec
 	// model.ProcessSet and model.Configuration are immutable by
 	// convention; sharing is safe.
 	out.SeenSeqs = maps.Clone(s.rec.SeenSeqs)
-	out.Log = s.logSnapshot()
 	return out
 }
 
-// Save persists a deep copy of the record, replacing the previous contents
-// atomically (simulating an atomic disk commit). Log entries outside the
-// record's own window (r.TrimmedUpTo, r.TrimmedUpTo+seqlog.MaxSpan] are not
-// stored: those at or below the watermark are discarded by definition,
-// those beyond it are rejected and counted.
+// SenderSeq returns the persisted sender sequence counter without copying
+// the record: the identifier of the last message the process originated.
+func (s *Store) SenderSeq() uint64 { return s.rec.SenderSeq }
+
+// Save persists a deep copy of every field of the record, the
+// primary-component records included, as one atomic write (simulating an
+// atomic disk commit). The message log is untouched, and TrimmedUpTo moves
+// as in SetScalars.
 func (s *Store) Save(r Record) {
-	log := r.Log
-	r.Log = nil
-	r.SeenSeqs = maps.Clone(r.SeenSeqs)
-	s.rec = r
-	s.seen = nil
-	s.rejected = 0
-	s.log = seqlog.Log{}
-	s.log.DropPrefix(r.TrimmedUpTo)
-	for seq, d := range log {
-		s.put(seq, &d)
-	}
-	s.writes++
+	s.SetScalars(r)
+	s.rec.LastPrimary = r.LastPrimary
+	s.rec.PrimaryAttempt = r.PrimaryAttempt
 }
 
 // Writes returns the number of persistence operations, a proxy for
 // stable-storage I/O cost in the benchmark harness.
 func (s *Store) Writes() uint64 { return s.writes }
 
-// SetScalars persists every field of r except the message log and the
-// primary-component records (Log, LastPrimary, PrimaryAttempt are left as
-// stored). It is the hot-path persistence operation: cost independent of
-// the log size, and free of allocations in steady state (the one mutable
-// map scalar, SeenSeqs, is merged into a store-owned map in place).
+// SetScalars persists every field of r except the primary-component
+// records (LastPrimary, PrimaryAttempt are left as stored; the message log
+// is never part of a Record). It is the hot-path persistence operation:
+// cost independent of the log size, and free of allocations in steady
+// state (the one mutable map scalar, SeenSeqs, is merged into a
+// store-owned map in place).
 // A TrimmedUpTo that advanced past the stored watermark discards the
 // corresponding log prefix, mirroring the ring's in-memory trim, at a cost
 // proportional to the entries dropped.
@@ -256,9 +229,6 @@ func (s *Store) SetScalars(r Record) {
 	pa := s.rec.PrimaryAttempt
 	trimmed := s.rec.TrimmedUpTo
 	s.rec = r
-	// The log is untouched; the record's snapshot field stays
-	// unmaterialised.
-	s.rec.Log = nil
 	s.rec.LastPrimary = lp
 	s.rec.PrimaryAttempt = pa
 	// SeenSeqs must never alias the caller's live map (disk boundary);
@@ -283,19 +253,20 @@ func (s *Store) SetScalars(r Record) {
 	s.writes++
 }
 
-// put writes one log entry at seq, deep-copying it across the disk
-// boundary (payload bytes and clock counters are carved from the store's
-// arenas: the make calls there refill a chunk, amortised over many
-// entries). It reports whether the entry was stored.
+// putOne writes one log entry at its sequence number, deep-copying it
+// across the disk boundary (payload bytes and clock counters are carved
+// from the store's arenas: the make calls there refill a chunk, amortised
+// over many entries), and remembers it as the record a torn write would
+// destroy.
 //
 //evs:noalloc
-func (s *Store) put(seq uint64, d *wire.Data) bool {
-	e, _ := s.log.Put(seq)
+func (s *Store) putOne(d *wire.Data) {
+	e, _ := s.log.Put(d.Seq)
 	if e == nil {
-		if seq > s.rec.TrimmedUpTo {
+		if d.Seq > s.rec.TrimmedUpTo {
 			s.rejected++
 		}
-		return false
+		return
 	}
 	e.Data = *d
 	if d.Payload != nil {
@@ -305,18 +276,8 @@ func (s *Store) put(seq uint64, d *wire.Data) bool {
 		e.Data.VC.D = carve(&s.vcArena, d.VC.D)
 	}
 	e.Sum = checksum(&e.Data)
-	return true
-}
-
-// putOne is the incremental write: put keyed by the message's own
-// sequence number, remembered as the record a torn write would destroy.
-//
-//evs:noalloc
-func (s *Store) putOne(d *wire.Data) {
-	if s.put(d.Seq, d) {
-		s.lastPut = d.Seq
-		s.lastPutValid = true
-	}
+	s.lastPut = d.Seq
+	s.lastPutValid = true
 }
 
 // PutLog persists one received message (deep-copied once).
@@ -496,23 +457,35 @@ func (s *Store) FlipLogBits(n int) int {
 	return flipped
 }
 
-// LoadChecked returns a deep copy of the persisted record after
-// integrity validation, together with one error per rejected or healed
-// element. Log entries whose checksum no longer matches are dropped
-// (the resulting gaps are re-requested by the recovery retransmission
+// LoadChecked returns a deep copy of the persisted record and of its
+// message log after integrity validation, together with one error per
+// rejected or healed element. The log comes back as a fresh window based
+// at TrimmedUpTo — the restarting process owns it — holding every entry
+// whose checksum still matches. Entries that fail are dropped (the
+// resulting gaps are re-requested by the recovery retransmission
 // machinery), entries refused at write time for lying beyond the window
 // are reported as one counted error (they were never stored, so the same
 // machinery re-requests them), and a MaxRingSeq below the process's own
-// last installed configuration is clamped back up. Corrupted state is thus rejected
-// with propagated errors, never trusted and never fatal.
-func (s *Store) LoadChecked() (Record, []error) {
+// last installed configuration is clamped back up. Corrupted state is thus
+// rejected with propagated errors, never trusted and never fatal.
+func (s *Store) LoadChecked() (Record, *seqlog.Log, []error) {
 	rec := s.Load()
+	log := &seqlog.Log{}
+	log.DropPrefix(s.log.Base())
 	var errs []error
 	for seq := s.log.Base() + 1; seq <= s.log.High(); seq++ {
-		if e := s.log.Get(seq); e != nil && checksum(&e.Data) != e.Sum {
-			delete(rec.Log, seq)
-			errs = append(errs, fmt.Errorf("stable: log entry seq=%d failed checksum; dropped", seq))
+		e := s.log.Get(seq)
+		if e == nil {
+			continue
 		}
+		if checksum(&e.Data) != e.Sum {
+			errs = append(errs, fmt.Errorf("stable: log entry seq=%d failed checksum; dropped", seq))
+			continue
+		}
+		c, _ := log.Put(seq)
+		c.Data = e.Data
+		c.Data.Payload = append([]byte(nil), e.Data.Payload...)
+		c.Data.VC = e.Data.VC.Clone()
 	}
 	if s.rejected > 0 {
 		errs = append(errs, fmt.Errorf("stable: %d log entries beyond the %d-entry window above TrimmedUpTo=%d; rejected", s.rejected, uint64(seqlog.MaxSpan), s.rec.TrimmedUpTo))
@@ -521,5 +494,5 @@ func (s *Store) LoadChecked() (Record, []error) {
 		errs = append(errs, fmt.Errorf("stable: MaxRingSeq=%d below last installed configuration seq=%d; healed", rec.MaxRingSeq, last))
 		rec.MaxRingSeq = last
 	}
-	return rec, errs
+	return rec, log, errs
 }

@@ -3,7 +3,6 @@ package stable
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/model"
@@ -15,8 +14,11 @@ import (
 func TestZeroStoreLoadsEmptyRecord(t *testing.T) {
 	var s Store
 	r := s.Load()
-	if r.SenderSeq != 0 || r.Log != nil || !r.LastRegular.ID.IsZero() {
+	if r.SenderSeq != 0 || !r.LastRegular.ID.IsZero() {
 		t.Fatalf("zero store should load zero record, got %+v", r)
+	}
+	if _, log, errs := s.LoadChecked(); log.Len() != 0 || log.Base() != 0 || len(errs) != 0 {
+		t.Fatalf("zero store should load an empty log, got Len=%d Base=%d errors %v", log.Len(), log.Base(), errs)
 	}
 }
 
@@ -29,52 +31,47 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		DeliveredUpTo: 9,
 		SafeBound:     7,
 		HighestSeen:   12,
-		Log: map[uint64]wire.Data{
-			10: {ID: model.MessageID{Sender: "q", SenderSeq: 2}, Seq: 10, Payload: []byte("x"), VC: vclock.NewStamp(vclock.VC{"q": 2})},
-		},
-		Obligations: model.NewProcessSet("q"),
+		Obligations:   model.NewProcessSet("q"),
 	}
+	s.PutLog(wire.Data{ID: model.MessageID{Sender: "q", SenderSeq: 2}, Seq: 10, Payload: []byte("x"), VC: vclock.NewStamp(vclock.VC{"q": 2})})
 	s.Save(rec)
-	got := s.Load()
+	got, log, _ := s.LoadChecked()
 	if got.SenderSeq != 5 || got.DeliveredUpTo != 9 || got.SafeBound != 7 || got.HighestSeen != 12 {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 	if !got.Obligations.Contains("q") {
 		t.Fatal("obligations lost")
 	}
-	if got.Log[10].ID.SenderSeq != 2 || string(got.Log[10].Payload) != "x" {
-		t.Fatalf("log lost: %+v", got.Log)
+	if e := log.Get(10); e == nil || e.Data.ID.SenderSeq != 2 || string(e.Data.Payload) != "x" || log.Len() != 1 {
+		t.Fatalf("Save must leave the log alone: Len=%d", log.Len())
 	}
 }
 
 func TestSaveIsDeepCopyIn(t *testing.T) {
 	var s Store
-	log := map[uint64]wire.Data{1: {Seq: 1, Payload: []byte("a")}}
-	s.Save(Record{Log: log})
-	// Mutate the caller's map and payload after Save.
-	log[2] = wire.Data{Seq: 2}
-	log1 := log[1]
-	log1.Payload[0] = 'z'
-	got := s.Load()
-	if len(got.Log) != 1 {
-		t.Fatal("Save must deep-copy the log map")
-	}
-	if string(got.Log[1].Payload) != "a" {
-		t.Fatal("Save must deep-copy payloads")
+	seen := map[model.ProcessID]uint64{"p": 1}
+	s.Save(Record{SeenSeqs: seen})
+	// Mutate the caller's map after Save.
+	seen["p"], seen["q"] = 9, 9
+	if got := s.Load().SeenSeqs; len(got) != 1 || got["p"] != 1 {
+		t.Fatalf("Save must deep-copy the record's maps, loaded %v", got)
 	}
 }
 
 func TestLoadIsDeepCopyOut(t *testing.T) {
 	var s Store
-	s.Save(Record{Log: map[uint64]wire.Data{1: {Seq: 1, Payload: []byte("a"), VC: vclock.NewStamp(vclock.VC{"p": 1})}}})
-	got := s.Load()
-	got.Log[2] = wire.Data{Seq: 2}
-	g1 := got.Log[1]
-	g1.Payload[0] = 'z'
-	g1.VC.D[0] = 99
-	again := s.Load()
-	if len(again.Log) != 1 || string(again.Log[1].Payload) != "a" || again.Log[1].VC.Get("p") != 1 {
-		t.Fatal("Load must deep-copy so callers cannot mutate the store")
+	s.PutLog(wire.Data{Seq: 1, Payload: []byte("a"), VC: vclock.NewStamp(vclock.VC{"p": 1})})
+	s.SetScalars(Record{SeenSeqs: map[model.ProcessID]uint64{"p": 1}})
+	rec, log, _ := s.LoadChecked()
+	rec.SeenSeqs["p"] = 9
+	e := log.Get(1)
+	e.Data.Payload[0] = 'z'
+	e.Data.VC.D[0] = 99
+	log.Put(2)
+	again, log2, _ := s.LoadChecked()
+	e2 := log2.Get(1)
+	if again.SeenSeqs["p"] != 1 || log2.Len() != 1 || string(e2.Data.Payload) != "a" || e2.Data.VC.Get("p") != 1 {
+		t.Fatal("Load and LoadChecked must deep-copy so callers cannot mutate the store")
 	}
 }
 
@@ -102,8 +99,8 @@ func TestSaveReplacesWholeRecord(t *testing.T) {
 
 func TestSetScalarsPreservesLogAndPrimary(t *testing.T) {
 	var s Store
+	s.PutLog(wire.Data{Seq: 1, Payload: []byte("x")})
 	s.Save(Record{
-		Log:            map[uint64]wire.Data{1: {Seq: 1, Payload: []byte("x")}},
 		LastPrimary:    model.Configuration{ID: model.RegularID(2, "p"), Members: model.NewProcessSet("p")},
 		PrimaryAttempt: model.Configuration{ID: model.RegularID(3, "p"), Members: model.NewProcessSet("p")},
 	})
@@ -115,16 +112,15 @@ func TestSetScalarsPreservesLogAndPrimary(t *testing.T) {
 		SafeBound:     1,
 		HighestSeen:   2,
 		Obligations:   model.NewProcessSet("q"),
-		// These must be ignored by SetScalars:
-		Log:         map[uint64]wire.Data{99: {Seq: 99}},
+		// This must be ignored by SetScalars:
 		LastPrimary: model.Configuration{ID: model.RegularID(9, "z")},
 	})
 	got := s.Load()
 	if got.SenderSeq != 7 || got.JoinAttempt != 9 || got.MaxRingSeq != 4 {
 		t.Fatalf("scalars not persisted: %+v", got)
 	}
-	if len(got.Log) != 1 || got.Log[1].Seq != 1 {
-		t.Fatalf("SetScalars must not touch the log: %v", got.Log)
+	if seqs := logSeqs(&s); !reflect.DeepEqual(seqs, []uint64{1}) {
+		t.Fatalf("SetScalars must not touch the log: %v", seqs)
 	}
 	if got.LastPrimary.ID != model.RegularID(2, "p") || got.PrimaryAttempt.ID != model.RegularID(3, "p") {
 		t.Fatalf("SetScalars must not touch primary records: %+v", got)
@@ -140,14 +136,14 @@ func TestPutLogDeepCopiesAndAccumulates(t *testing.T) {
 	s.PutLog(wire.Data{Seq: 5, Payload: payload, VC: vclock.NewStamp(vclock.VC{"p": 1})})
 	payload[0] = 'z'
 	s.PutLog(wire.Data{Seq: 6})
-	got := s.Load()
-	if len(got.Log) != 2 {
-		t.Fatalf("log size %d, want 2", len(got.Log))
+	_, log, _ := s.LoadChecked()
+	if log.Len() != 2 {
+		t.Fatalf("log size %d, want 2", log.Len())
 	}
-	if string(got.Log[5].Payload) != "abc" {
+	if string(log.Get(5).Data.Payload) != "abc" {
 		t.Fatal("PutLog must deep-copy the payload")
 	}
-	if got.Log[5].VC.Get("p") != 1 {
+	if log.Get(5).Data.VC.Get("p") != 1 {
 		t.Fatal("PutLog must keep the vector clock")
 	}
 }
@@ -158,8 +154,8 @@ func TestClearLog(t *testing.T) {
 	s.SetScalars(Record{SenderSeq: 3})
 	s.ClearLog()
 	got := s.Load()
-	if got.Log != nil {
-		t.Fatalf("log not cleared: %v", got.Log)
+	if seqs := logSeqs(&s); len(seqs) != 0 {
+		t.Fatalf("log not cleared: %v", seqs)
 	}
 	if got.SenderSeq != 3 {
 		t.Fatal("ClearLog must not touch scalars")
@@ -180,12 +176,14 @@ func logWith(seqs ...uint64) *Store {
 	return s
 }
 
+// logSeqs lists the sequence numbers the store's log holds, in order.
 func logSeqs(s *Store) []uint64 {
 	var out []uint64
-	for q := range s.Load().Log {
-		out = append(out, q)
+	for seq := s.log.Base() + 1; seq <= s.log.High(); seq++ {
+		if s.log.Get(seq) != nil {
+			out = append(out, seq)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -269,9 +267,9 @@ func TestLogWindowAtAndPastTheBound(t *testing.T) {
 	if got := logSeqs(&s); !reflect.DeepEqual(got, []uint64{10 + seqlog.MaxSpan}) {
 		t.Fatalf("log = %v, want only the entry at the bound", got)
 	}
-	rec, errs := s.LoadChecked()
-	if len(rec.Log) != 1 || len(errs) != 1 {
-		t.Fatalf("LoadChecked = %d entries, errors %v; want 1 entry and the rejection reported once", len(rec.Log), errs)
+	_, log, errs := s.LoadChecked()
+	if log.Len() != 1 || len(errs) != 1 {
+		t.Fatalf("LoadChecked = %d entries, errors %v; want 1 entry and the rejection reported once", log.Len(), errs)
 	}
 	// The refused put never became the last-put record: a torn write
 	// still destroys the entry at the bound.
@@ -286,7 +284,7 @@ func TestLogWindowAtAndPastTheBound(t *testing.T) {
 	}
 	// A new log forgets the old rejections.
 	s.ClearLog()
-	if _, errs := s.LoadChecked(); len(errs) != 0 {
+	if _, _, errs := s.LoadChecked(); len(errs) != 0 {
 		t.Fatalf("rejections survived ClearLog: %v", errs)
 	}
 }
@@ -294,13 +292,11 @@ func TestLogWindowAtAndPastTheBound(t *testing.T) {
 func TestFarOffKeyDoesNotSizeTheLog(t *testing.T) {
 	var s Store
 	_, got := allocsOf(func() {
-		// FuzzStoreRoundTrip's alien key, a key no window could hold, and
-		// a storage-damaged HighestSeen ahead of a normal put.
-		s.Save(Record{HighestSeen: 1 << 60, Log: map[uint64]wire.Data{
-			1:       {Seq: 1, Payload: []byte("x")},
-			99999:   {Seq: 99999},
-			1 << 50: {Seq: 1 << 50},
-		}})
+		// Sequence numbers no window could hold, and a storage-damaged
+		// HighestSeen ahead of normal puts.
+		s.Save(Record{HighestSeen: 1 << 60})
+		s.PutLog(wire.Data{Seq: 1, Payload: []byte("x")})
+		s.PutLogBatch([]wire.Data{{Seq: 99999}, {Seq: 1 << 50}})
 		s.PutLog(wire.Data{Seq: 2})
 		s.PutLog(wire.Data{Seq: 1 << 40})
 	})
@@ -310,7 +306,7 @@ func TestFarOffKeyDoesNotSizeTheLog(t *testing.T) {
 	if seqs := logSeqs(&s); !reflect.DeepEqual(seqs, []uint64{1, 2}) {
 		t.Fatalf("log = %v, want [1 2]", seqs)
 	}
-	if _, errs := s.LoadChecked(); len(errs) != 1 {
+	if _, _, errs := s.LoadChecked(); len(errs) != 1 {
 		t.Fatalf("errors = %v, want the three rejections reported as one counted error", errs)
 	}
 }

@@ -11,10 +11,10 @@ import (
 // The gap list is the load-bearing data structure of the flattened data
 // path: it backs the receipt watermark (advanceAru), the range-coded
 // retransmission requests on the token (OnToken's Rtr copy) and the
-// holey-log reconstruction after a crash (Restore). These tests fuzz the
-// three mutators — store, noteAssigned, fillGap — against a trivial
-// set-based reference model and check the representation invariants the
-// wire format relies on after every step.
+// exchange's receipt claims (Snapshot). These tests fuzz the three
+// mutators — store, noteAssigned, fillGap — against a trivial set-based
+// reference model and check the representation invariants the wire format
+// relies on after every step.
 
 // gapRef is the reference model: the set of present sequence numbers and
 // the highest number known assigned. Everything the gap list encodes is
@@ -151,29 +151,49 @@ func TestGapListPropertyRandomOps(t *testing.T) {
 	}
 }
 
-// TestRestoreHoleyLogProperty fuzzes Restore with randomly holey logs and
-// random trimmed prefixes: the rebuilt gap list must request exactly the
-// missing suffix numbers, and the trimmed prefix must be neither stored
-// nor treated as missing.
-func TestRestoreHoleyLogProperty(t *testing.T) {
+// fillAndTrim feeds r the contiguous messages 1..n and two token visits
+// acknowledging them, so n is delivered and safe and the trim path
+// discards everything a retention cushion below it. It returns the
+// trimmed prefix (zero when n is too short for a trim).
+func fillAndTrim(r *Ring, n uint64) uint64 {
+	for s := uint64(1); s <= n; s++ {
+		r.OnData(propData(s))
+	}
+	for id := uint64(1); id <= 2; id++ {
+		r.OnToken(wire.Token{Ring: r.cfg.ID, TokenID: id, Seq: n, Aru: n})
+	}
+	return r.Trimmed()
+}
+
+// TestHoleyLogProperty builds randomly holey logs above random trimmed
+// prefixes the way a ring comes by them — receipts, a token announcing
+// numbers never received, the trim path — and checks the gap list requests
+// exactly the missing suffix numbers while the trimmed prefix is neither
+// stored nor treated as missing.
+func TestHoleyLogProperty(t *testing.T) {
 	for seed := int64(1); seed <= 16; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		high := uint64(1 + rng.Intn(200))
-		trimmed := uint64(0)
+		r := propRing()
+		filled := uint64(0)
 		if rng.Intn(2) == 0 {
-			trimmed = uint64(rng.Intn(int(high)))
+			filled = 2*trimChunk + r.retainCushion() + uint64(rng.Intn(200))
 		}
+		trimmed := fillAndTrim(r, filled)
+		if (filled == 0) != (trimmed == 0) || trimmed > filled {
+			t.Fatalf("seed %d: %d contiguous receipts trimmed to %d", seed, filled, trimmed)
+		}
+		high := filled + uint64(1+rng.Intn(200))
 		ref := &gapRef{present: map[uint64]bool{}, high: high, trimmed: trimmed}
-		log := map[uint64]wire.Data{}
-		for s := trimmed + 1; s <= high; s++ {
+		for s := trimmed + 1; s <= filled; s++ {
+			ref.present[s] = true
+		}
+		for s := filled + 1; s <= high; s++ {
 			if rng.Intn(3) > 0 {
-				log[s] = propData(s)
+				r.OnData(propData(s))
 				ref.present[s] = true
 			}
 		}
-		delivered := trimmed + uint64(rng.Intn(int(high-trimmed)+1))
-		r := propRing()
-		r.Restore(log, delivered, delivered, high, trimmed)
+		r.OnToken(wire.Token{Ring: r.cfg.ID, TokenID: 3, Seq: high, Aru: filled})
 		checkGapInvariants(t, r, ref, int(seed))
 		if r.deliveredUpTo < trimmed {
 			t.Fatalf("seed %d: deliveredUpTo=%d below trimmed=%d", seed, r.deliveredUpTo, trimmed)
@@ -182,7 +202,7 @@ func TestRestoreHoleyLogProperty(t *testing.T) {
 }
 
 // TestTokenRtrRangeCodedRoundTrip drives the range-coded retransmission
-// request through a full wire round trip: a ring restored from a holey
+// request through a full wire round trip: a ring that received a holey
 // log must emit its missing set as sorted disjoint ranges on the
 // forwarded token, a peer holding the full log must serve exactly the
 // requested messages, and feeding those back must close every gap.
@@ -191,20 +211,16 @@ func TestTokenRtrRangeCodedRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		high := uint64(20 + rng.Intn(150))
 
-		full := map[uint64]wire.Data{}
-		holey := map[uint64]wire.Data{}
+		requester, peer := propRing(), propRing()
 		missing := map[uint64]bool{}
 		for s := uint64(1); s <= high; s++ {
-			full[s] = propData(s)
+			peer.OnData(propData(s))
 			if rng.Intn(4) == 0 {
 				missing[s] = true
 			} else {
-				holey[s] = propData(s)
+				requester.OnData(propData(s))
 			}
 		}
-
-		requester := propRing()
-		requester.Restore(holey, 0, 0, high, 0)
 
 		res := requester.OnToken(wire.Token{Ring: requester.cfg.ID, TokenID: 1, Seq: high, Aru: requester.myAru})
 		if !res.Accepted {
@@ -239,8 +255,6 @@ func TestTokenRtrRangeCodedRoundTrip(t *testing.T) {
 		}
 
 		// A peer with the full log serves exactly the requested messages.
-		peer := propRing()
-		peer.Restore(full, 0, 0, high, 0)
 		pres := peer.OnToken(fwd)
 		if !pres.Accepted {
 			t.Fatalf("seed %d: peer rejected forwarded token", seed)

@@ -156,8 +156,8 @@ type Ring struct {
 }
 
 // New creates the ordering state for configuration cfg at process self.
-// Received and delivered state may be seeded (recovered from stable
-// storage) via the returned ring's Restore method.
+// Every ring starts empty: a process recovering from stable storage
+// rejoins through the recovery algorithm, never by seeding a ring.
 func New(self model.ProcessID, cfg model.Configuration, opts Options) *Ring {
 	if opts.MaxPerToken <= 0 {
 		opts.MaxPerToken = DefaultOptions().MaxPerToken
@@ -700,17 +700,14 @@ func (r *Ring) Len() int { return r.log.Len() }
 // Trimmed returns the discarded log prefix watermark.
 func (r *Ring) Trimmed() uint64 { return r.trimmedUpTo }
 
-// Messages materialises the receive log as a map keyed by sequence number
-// (the representation the recovery algorithm exchanges and merges). The
-// result is a fresh map; the log itself is not exposed.
-func (r *Ring) Messages() map[uint64]wire.Data {
-	out := make(map[uint64]wire.Data, r.log.Len())
-	for seq := r.log.Base() + 1; seq <= r.log.High(); seq++ {
-		if e := r.log.Get(seq); e != nil {
-			out[seq] = e.Data
-		}
-	}
-	return out
+// TakeLog hands the receive log over to the caller — the recovery
+// algorithm, which reads and extends it through the reconfiguration —
+// and leaves the ring with an empty one. The ring is done once its log is
+// taken: the handoff moves the window, it copies no entry.
+func (r *Ring) TakeLog() *seqlog.Log {
+	l := r.log
+	r.log = seqlog.Log{}
+	return &l
 }
 
 // DeliveredUpTo returns the delivery watermark.
@@ -721,35 +718,3 @@ func (r *Ring) SafeBound() uint64 { return r.safeBound }
 
 // VC returns a sparse copy of the ring's vector clock.
 func (r *Ring) VC() vclock.VC { return r.uni.ToVC(r.vc) }
-
-// Restore seeds the ring with state recovered from stable storage: the
-// message log, delivery watermark, safe bound and trimmed prefix of a
-// configuration this process was a member of before failing. Sequence
-// numbers the process knows were assigned but whose messages it lacks
-// become gaps, re-requested at the next token visit; numbers at or below
-// trimmed were discarded as safe-and-delivered and are neither stored nor
-// treated as missing.
-func (r *Ring) Restore(log map[uint64]wire.Data, deliveredUpTo, safeBound, highestSeen, trimmed uint64) {
-	if trimmed > 0 {
-		r.log.DropPrefix(trimmed)
-		r.trimmedUpTo = trimmed
-		r.myAru = trimmed
-		r.highestSeen = trimmed
-		if deliveredUpTo < trimmed {
-			// Trimming never outruns delivery; a lower persisted
-			// watermark is storage damage. Delivery cannot resume
-			// below the trimmed prefix, so clamp instead of stalling.
-			deliveredUpTo = trimmed
-		}
-	}
-	for _, d := range log {
-		if d.Seq == 0 {
-			continue
-		}
-		r.store(d)
-	}
-	r.deliveredUpTo = deliveredUpTo
-	r.safeBound = safeBound
-	r.noteAssigned(highestSeen)
-	r.advanceAru()
-}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/model"
-	"repro/internal/stable"
 	"repro/internal/wire"
 )
 
@@ -228,7 +227,7 @@ func TestDuplicateDataIgnored(t *testing.T) {
 	h := newHarness(t, "p", "q")
 	h.submit("p", 1, model.Agreed)
 	h.rotate()
-	d := h.rings["q"].Messages()[1]
+	d := h.rings["q"].log.Get(1).Data
 	if got := h.rings["q"].OnData(d); got != nil {
 		t.Fatalf("duplicate data redelivered: %v", got)
 	}
@@ -303,20 +302,6 @@ func TestSnapshotReportsHaveBeyondAru(t *testing.T) {
 	}
 	if st.HighestSeen != 5 {
 		t.Fatalf("HighestSeen = %d, want 5", st.HighestSeen)
-	}
-}
-
-func TestRestoreSeedsState(t *testing.T) {
-	cfg := model.Configuration{ID: model.RegularID(1, "p"), Members: model.NewProcessSet("p", "q")}
-	r := New("p", cfg, DefaultOptions())
-	log := map[uint64]wire.Data{
-		1: {ID: model.MessageID{Sender: "q", SenderSeq: 1}, Ring: cfg.ID, Seq: 1, Service: model.Agreed},
-		2: {ID: model.MessageID{Sender: "q", SenderSeq: 2}, Ring: cfg.ID, Seq: 2, Service: model.Agreed},
-	}
-	r.Restore(log, 1, 1, 2, 0)
-	st := r.Snapshot()
-	if st.MyAru != 2 || st.DeliveredUpTo != 1 || st.SafeBound != 1 || st.HighestSeen != 2 {
-		t.Fatalf("restored snapshot %+v", st)
 	}
 }
 
@@ -466,19 +451,22 @@ func TestTokenVisitMixesRetransmissionsAndFreshSends(t *testing.T) {
 	}
 }
 
-// TestRestoreWithGapsRequestsMissingTail checks a restored log with holes
-// regenerates the gap ranges: the first forwarded token re-requests exactly
-// the missing messages.
-func TestRestoreWithGapsRequestsMissingTail(t *testing.T) {
+// TestHoleyLogRequestsMissingTail checks a log with holes, and a token
+// announcing a number beyond its highest receipt, yields the gap ranges:
+// the forwarded token re-requests exactly the missing messages, the tail
+// included, and delivery stops at the first hole.
+func TestHoleyLogRequestsMissingTail(t *testing.T) {
 	cfg := model.Configuration{ID: model.RegularID(1, "p"), Members: model.NewProcessSet("p", "q")}
 	r := New("p", cfg, DefaultOptions())
 	mk := func(seq uint64) wire.Data {
 		return wire.Data{ID: model.MessageID{Sender: "q", SenderSeq: seq}, Ring: cfg.ID, Seq: seq, Service: model.Agreed}
 	}
-	r.Restore(map[uint64]wire.Data{1: mk(1), 3: mk(3), 6: mk(6)}, 1, 1, 7, 0)
+	for _, seq := range []uint64{1, 3, 6} {
+		r.OnData(mk(seq))
+	}
 	st := r.Snapshot()
-	if st.MyAru != 1 || st.HighestSeen != 7 {
-		t.Fatalf("restored snapshot %+v", st)
+	if st.MyAru != 1 || st.HighestSeen != 6 || st.DeliveredUpTo != 1 {
+		t.Fatalf("holey snapshot %+v", st)
 	}
 	if fmt.Sprint(st.Have) != "[3 6]" {
 		t.Fatalf("Have = %v, want [3 6]", st.Have)
@@ -486,6 +474,9 @@ func TestRestoreWithGapsRequestsMissingTail(t *testing.T) {
 	res := r.OnToken(wire.Token{Ring: cfg.ID, TokenID: 1, Seq: 7, Aru: 1, AruID: "q"})
 	if fmt.Sprint(res.Forward.Rtr) != "[{2 2} {4 5} {7 7}]" {
 		t.Fatalf("token.Rtr = %v, want [{2 2} {4 5} {7 7}]", res.Forward.Rtr)
+	}
+	if r.highestSeen != 7 || len(res.Deliveries) != 0 {
+		t.Fatalf("highestSeen=%d deliveries=%v after the token, want 7 and none", r.highestSeen, seqsOf(res.Deliveries))
 	}
 }
 
@@ -538,66 +529,6 @@ func TestRandomLossConvergesToSameOrder(t *testing.T) {
 	}
 }
 
-// TestRestoreAfterBitRotRequestsDroppedEntries is the end-to-end
-// stable→totem regression for in-place log corruption: a bit-flipped
-// entry in the middle of the persisted log is rejected by the store's
-// checksums at LoadChecked, leaving a hole *below* the received
-// watermark. Restore must regenerate the gap range, the next token must
-// re-request exactly the dropped sequence number, and delivery must stay
-// in order — everything below the hole delivers, nothing above it does
-// until the retransmission arrives.
-func TestRestoreAfterBitRotRequestsDroppedEntries(t *testing.T) {
-	cfg := model.Configuration{ID: model.RegularID(1, "p"), Members: model.NewProcessSet("p", "q")}
-	mk := func(seq uint64) wire.Data {
-		return wire.Data{
-			ID:   model.MessageID{Sender: "q", SenderSeq: seq},
-			Ring: cfg.ID, Seq: seq, Service: model.Agreed,
-			Payload: []byte{byte(seq)},
-		}
-	}
-	st := &stable.Store{}
-	for seq := uint64(1); seq <= 4; seq++ {
-		st.PutLog(mk(seq))
-	}
-	// Rot the highest entry written so far (seq 4), then keep appending:
-	// the damage ends up mid-log, below the eventual watermark.
-	if n := st.FlipLogBits(1); n != 1 {
-		t.Fatalf("FlipLogBits corrupted %d entries, want 1", n)
-	}
-	for seq := uint64(5); seq <= 8; seq++ {
-		st.PutLog(mk(seq))
-	}
-
-	rec, errs := st.LoadChecked()
-	if len(errs) != 1 {
-		t.Fatalf("LoadChecked errors = %v, want exactly one rejection", errs)
-	}
-	if _, ok := rec.Log[4]; ok {
-		t.Fatal("rotted entry seq 4 survived LoadChecked")
-	}
-	if len(rec.Log) != 7 {
-		t.Fatalf("cleaned log holds %d entries, want 7", len(rec.Log))
-	}
-
-	// The process had delivered up to 1 before the crash; the hole at 4
-	// is below the highest-seen watermark 8.
-	r := New("p", cfg, DefaultOptions())
-	r.Restore(rec.Log, 1, 1, 8, 0)
-	res := r.OnToken(wire.Token{Ring: cfg.ID, TokenID: 1, Seq: 8, Aru: 1, AruID: "q"})
-	if fmt.Sprint(res.Forward.Rtr) != "[{4 4}]" {
-		t.Fatalf("token.Rtr = %v, want [{4 4}]", res.Forward.Rtr)
-	}
-	// Agreed delivery halts at the hole: 2 and 3 deliver, 5..8 must not.
-	if got := seqsOf(res.Deliveries); fmt.Sprint(got) != "[2 3]" {
-		t.Fatalf("deliveries after restore = %v, want [2 3]", got)
-	}
-	// The retransmission arrives: delivery resumes in order, no skips.
-	delivered := seqsOf(r.OnData(mk(4)))
-	if fmt.Sprint(delivered) != "[4 5 6 7 8]" {
-		t.Fatalf("deliveries after retransmission = %v, want [4 5 6 7 8]", delivered)
-	}
-}
-
 // seqsOf projects data messages onto their ring sequence numbers.
 func seqsOf(ds []wire.Data) []uint64 {
 	out := make([]uint64, len(ds))
@@ -639,15 +570,26 @@ func TestTrimSlidesTheWindowWithoutLosingRetainedEntries(t *testing.T) {
 		if r.Trimmed() < trimChunk || r.Trimmed()+r.retainCushion() > r.DeliveredUpTo() {
 			t.Fatalf("trimmed=%d delivered=%d cushion=%d: the trim bound must trail delivery by the cushion", r.Trimmed(), r.DeliveredUpTo(), r.retainCushion())
 		}
-		msgs := r.Messages()
-		if len(msgs) != r.Len() {
-			t.Fatalf("Messages has %d entries, Len=%d", len(msgs), r.Len())
-		}
+		held := 0
 		for seq := uint64(1); seq <= r.highestSeen; seq++ {
-			d, ok := msgs[seq]
-			if ok != (seq > r.Trimmed()) || r.present(seq) != ok || (ok && d.Seq != seq) {
-				t.Fatalf("seq %d (trimmed=%d): in Messages=%v present=%v Seq=%d", seq, r.Trimmed(), ok, r.present(seq), d.Seq)
+			e := r.log.Get(seq)
+			if ok := e != nil; ok != (seq > r.Trimmed()) || (ok && e.Data.Seq != seq) {
+				t.Fatalf("seq %d (trimmed=%d): present=%v", seq, r.Trimmed(), ok)
 			}
+			if e != nil {
+				held++
+			}
+		}
+		if held != r.Len() {
+			t.Fatalf("log holds %d entries, Len=%d", held, r.Len())
+		}
+		// The handoff to the recovery moves the window as it stands:
+		// based at the trimmed prefix, every retained entry, no copy left
+		// behind.
+		n, trimmed := r.Len(), r.Trimmed()
+		l := r.TakeLog()
+		if l.Len() != n || l.Base() != trimmed || l.Get(trimmed+1) == nil || r.Len() != 0 {
+			t.Fatalf("TakeLog: Len=%d Base=%d, want %d and %d; ring keeps %d", l.Len(), l.Base(), n, trimmed, r.Len())
 		}
 	}
 	if got := len(h.delivered["b"]); got != total || len(h.delivered["a"]) != total {
@@ -678,11 +620,12 @@ func TestLogWindowAtAndPastTheBound(t *testing.T) {
 	if r.highestSeen != high || fmt.Sprint(r.gaps) != gaps || r.Len() != 1 {
 		t.Fatalf("refused message moved state: highestSeen=%d gaps=%v Len=%d", r.highestSeen, r.gaps, r.Len())
 	}
-	// The bound is relative to the trimmed prefix: a restored ring
-	// accepts the same number once the prefix has advanced.
+	// The bound is relative to the trimmed prefix: once the trim path
+	// has advanced it, the ring accepts a number the bound refused before
+	// and still refuses one past the moved bound.
 	r2 := propRing()
-	r2.Restore(nil, 1, 1, 1, 1)
-	if !r2.store(propData(w + 1)) {
-		t.Fatal("the bound must move with the trimmed prefix")
+	trimmed := fillAndTrim(r2, 3000)
+	if trimmed == 0 || r2.store(propData(trimmed+w+1)) || !r2.store(propData(trimmed+w)) {
+		t.Fatalf("trimmed=%d: the bound must move with the trimmed prefix", trimmed)
 	}
 }
