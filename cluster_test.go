@@ -101,6 +101,16 @@ func TestClusterParity(t *testing.T) {
 					t.Fatalf("submit %q: %v", p, err)
 				}
 			}
+			// An unknown process is refused with the same error on every
+			// runtime, and the refusal is not counted.
+			stats := c.(interface{ Stats() GroupStats })
+			before := stats.Stats()
+			if err := c.Submit("nope", []byte("x"), Safe); err == nil || err.Error() != "unknown process nope" {
+				t.Errorf("submit at an unknown process: err = %v, want unknown process nope", err)
+			}
+			if after := stats.Stats(); after != before {
+				t.Errorf("refusal at an unknown process was counted: %+v, then %+v", before, after)
+			}
 			delivered := func() bool {
 				for _, id := range ids {
 					if len(c.Deliveries(id)) < len(payloads) {

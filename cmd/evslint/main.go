@@ -3,23 +3,14 @@
 // violations. It exits 0 on a clean tree, 1 on diagnostics, 2 on
 // operational errors.
 //
-// Direct mode loads packages itself (dependencies resolved from
-// compiler export data via `go list -export`, the way go vet resolves
-// them — no network, no third-party code):
+// It loads packages itself (dependencies resolved from compiler export
+// data via `go list -export`, the way go vet resolves them — no network,
+// no third-party code) and checks the whole set in one process, so the
+// audit sees every diagnostic before judging a waiver stale:
 //
 //	go run ./cmd/evslint ./...
 //	evslint -list              # print the analyzer registry
 //	evslint -allow-audit ./... # also report stale //lint:allow waivers
-//
-// Vettool mode speaks cmd/go's unitchecker protocol, so the suite also
-// runs under the standard vet driver (per-package, build-cached):
-//
-//	go build -o evslint ./cmd/evslint
-//	go vet -vettool=$PWD/evslint ./...
-//
-// In vettool mode cmd/go invokes the binary once with -V=full (for the
-// cache key) and then once per package with a *.cfg JSON file describing
-// the package's sources and the export data of its dependencies.
 //
 // Suppression: //lint:allow <analyzer> <reason> on the offending line or
 // the line above. Reasons are mandatory and unknown analyzer names are
@@ -30,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/analysis/lint"
 )
@@ -40,29 +30,16 @@ func main() {
 }
 
 func run(args []string, stdout, stderr *os.File) int {
-	// cmd/go probes `evslint -flags` for the tool's analyzer flags (a
-	// JSON array of flag definitions); the suite exposes none.
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Fprintln(stdout, "[]")
-		return 0
-	}
 	fs := flag.NewFlagSet("evslint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		version = fs.String("V", "", "print version for the go command's tool cache (vettool protocol)")
-		list    = fs.Bool("list", false, "print the analyzer registry and exit")
-		audit   = fs.Bool("allow-audit", false, "also report well-formed //lint:allow directives that suppress no diagnostic (direct mode only)")
+		list  = fs.Bool("list", false, "print the analyzer registry and exit")
+		audit = fs.Bool("allow-audit", false, "also report well-formed //lint:allow directives that suppress no diagnostic")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	// `go vet -vettool` probes with -V=full before doing anything else;
-	// the reply becomes part of vet's cache key, so it must be stable.
-	if *version != "" {
-		fmt.Fprintf(stdout, "evslint version %s\n", toolVersion)
-		return 0
-	}
 	if *list {
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
@@ -70,21 +47,12 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 0
 	}
 
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return unitcheck(rest[0], stderr)
-	}
-
-	patterns := rest
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	check := lint.Check
 	if *audit {
-		// The audit needs the whole suite's diagnostics before judging a
-		// waiver stale, so it only exists in direct mode — vet's
-		// per-package caching would replay "unused" verdicts for
-		// directives whose diagnostics were cached away.
 		check = lint.CheckAudit
 	}
 	diags, err := check(".", patterns...)
@@ -101,9 +69,3 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 	return 0
 }
-
-// toolVersion feeds vet's cache key. Bump it when analyzer behaviour
-// changes, or stale "clean" verdicts will be replayed from the cache.
-// 3: SSA dataflow layer — arenaesc + golife added; wireown and lockheld
-// alias/blocking resolution now interprocedural.
-const toolVersion = "3"

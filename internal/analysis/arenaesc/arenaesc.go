@@ -1,11 +1,11 @@
 // Package arenaesc polices the lifetime of arena-carved memory. The
 // zero-alloc data path (DESIGN.md §13) works by carving values out of
-// reusable storage — the stable store's payload/vclock chunk
-// arenas, the simulator's pooled event slots, the wire decoder's
-// dense-stamp arena, Group.wrapApp's envelope arena, the totem ring's
-// per-visit scratch buffers — and each of those arenas has a reset
-// point: a trim, a free-list release, a reuse of the chunk, the next
-// call into the ring. A carved value that outlives the reset point is a
+// reusable storage — the stable store's payload chunk arena, the
+// simulator's pooled event slots, Group.wrapApp's envelope arena, the
+// totem ring's per-visit scratch buffers, the receive buffer a decoded
+// wire message aliases — and each of those has a reset point: a trim,
+// a free-list release, a reuse of the chunk or buffer, the next call
+// into the ring. A carved value that outlives the reset point is a
 // use-after-reuse bug that no test reliably catches, because the
 // corruption lands wherever the arena's next tenant happens to be.
 //
@@ -59,8 +59,8 @@ var crossPkgArenas = map[string]bool{
 	"(*repro/internal/totem.Ring).OnData":      true,
 	"(*repro/internal/totem.Ring).OnDataBatch": true,
 	"(*repro/internal/totem.Ring).OnToken":     true,
-	// The wire decoder's results alias its intern tables and dense-stamp
-	// arena, valid until the decoder is reused for another message.
+	// The wire decoder's results alias the input buffer (payloads), valid
+	// for as long as the reader that owns the buffer leaves it alone.
 	"(*repro/internal/wire.Decoder).Decode":     true,
 	"(*repro/internal/wire.Decoder).DecodeData": true,
 }

@@ -1,7 +1,7 @@
-// Package lint assembles the repo's analyzer suite: the registry every
-// driver runs (cmd/evslint directly, go vet through the vettool shim)
-// and the shared load-and-check entry point. The suite's seven analyzers
-// each encode one invariant the repo's correctness story rests on:
+// Package lint assembles the repo's analyzer suite: the registry
+// cmd/evslint and TestTreeClean run, and the shared load-and-check entry
+// point. The suite's seven analyzers each encode one invariant the
+// repo's correctness story rests on:
 //
 //	determinism  no wall clock, global randomness, or order-leaking
 //	             map iteration in the simulator/checker zone

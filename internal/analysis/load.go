@@ -184,26 +184,6 @@ func LoadDir(dir, importPath string) (*Package, error) {
 	return typeCheckFiles(fset, exportImporter(fset, exports), importPath, asts)
 }
 
-// LoadFiles parses and type-checks an explicit file list as one package
-// under the given import path, resolving imports through lookup (which
-// returns a package's compiler export data by import path, after any
-// import-map canonicalisation the caller wants). It is the vettool entry
-// point: cmd/go's unitchecker protocol hands evslint exactly this — a
-// file list plus an export-data map — per package.
-func LoadFiles(importPath string, filenames []string, lookup func(path string) (io.ReadCloser, error)) (*Package, error) {
-	fset := token.NewFileSet()
-	var asts []*ast.File
-	for _, name := range filenames {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		asts = append(asts, f)
-	}
-	imp := importer.ForCompiler(fset, "gc", lookup)
-	return typeCheckFiles(fset, imp, importPath, asts)
-}
-
 func typeCheck(fset *token.FileSet, imp types.Importer, importPath, dir string, goFiles []string) (*Package, error) {
 	var asts []*ast.File
 	for _, name := range goFiles {

@@ -270,10 +270,3 @@ func exprString(e ast.Expr) string {
 	_ = printer.Fprint(&b, token.NewFileSet(), e)
 	return b.String()
 }
-
-func lastSeg(path string) string {
-	if i := strings.LastIndex(path, "/"); i >= 0 {
-		return path[i+1:]
-	}
-	return path
-}

@@ -33,11 +33,6 @@ func (p *Pass) IsPkgFunc(call *ast.CallExpr, pkgPath, name string) bool {
 		f.Name() == name && f.Type().(*types.Signature).Recv() == nil
 }
 
-// FuncDoc returns the doc comment group of the innermost function
-// declaration enclosing pos-bearing node n within file f, or nil.
-// (Helper for directive-driven analyzers like noalloc.)
-func FuncDoc(decl *ast.FuncDecl) *ast.CommentGroup { return decl.Doc }
-
 // HasDirective reports whether a comment group contains the given
 // machine directive on a line of its own (e.g. "//evs:noalloc").
 func HasDirective(doc *ast.CommentGroup, directive string) bool {

@@ -53,7 +53,7 @@ var wirePaths = map[string]func(name string) bool{
 	"repro/internal/wire": func(string) bool { return true },
 	"repro/internal/groups": func(name string) bool {
 		switch name {
-		case "Envelope", "LegacyEnvelope", "Deliver", "ViewChange", "ClientSub", "ClientOp":
+		case "Envelope", "Deliver", "ViewChange", "ClientSub", "ClientOp":
 			return true
 		}
 		return false

@@ -211,7 +211,11 @@ func (r *Recorder) Submit(id model.ProcessID, payload []byte, svc model.Service)
 // callback at that process, or the simulator's single thread, which owns
 // every process.
 func (r *Recorder) SubmitLocked(id model.ProcessID, payload []byte, svc model.Service) error {
-	return r.submit(r.procs[id], payload, svc)
+	p, ok := r.procs[id]
+	if !ok {
+		return fmt.Errorf("unknown process %s", id)
+	}
+	return r.submit(p, payload, svc)
 }
 
 // submit is the one submission path. Refusals are counted as well as

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/model"
-	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -18,8 +17,8 @@ const (
 	putRetain = 8
 )
 
-// putLoad is one reusable batch of size-byte messages stamped over a
-// four-member universe, renumbered before every write.
+// putLoad is one reusable batch of size-byte messages from a four-member
+// ring, renumbered before every write.
 type putLoad struct {
 	msgs []wire.Data
 	next uint64
@@ -27,23 +26,17 @@ type putLoad struct {
 
 func newPutLoad(size int) *putLoad {
 	ids := []model.ProcessID{"p01", "p02", "p03", "p04"}
-	u := vclock.NewUniverse(ids)
 	l := &putLoad{msgs: make([]wire.Data, putBatch), next: 1}
 	for i := range l.msgs {
 		payload := make([]byte, size)
 		for k := range payload {
 			payload[k] = byte(i + 7*k)
 		}
-		d := u.NewDense()
-		for k := range d {
-			d[k] = int32(1000 + i + k)
-		}
 		l.msgs[i] = wire.Data{
 			ID:      model.MessageID{Sender: ids[i%len(ids)]},
 			Ring:    model.RegularID(3, ids[0]),
 			Service: model.Agreed,
 			Payload: payload,
-			VC:      vclock.Stamp{U: u, D: d},
 		}
 	}
 	return l
@@ -107,7 +100,7 @@ func BenchmarkStorePutLogBatch(b *testing.B) {
 // log's Put/Get/DropPrefix). In steady state a put allocates nothing of
 // its own: the log's slots are reused as the window slides, and the only
 // allocations left are arena chunk refills — one per arenaChunk bytes of
-// payload and one per arenaChunk clock counters — so the count per put is
+// payload — so the count per put is
 // zero however the average is rounded, and a per-message allocation
 // sneaking back in (1.0 per put) fails by two orders of magnitude.
 func TestStorePutAllocGate(t *testing.T) {
@@ -124,10 +117,10 @@ func TestStorePutAllocGate(t *testing.T) {
 			}
 		})
 		puts := float64(batches * putBatch)
-		// Chunk refills for the bytes and counters carved, with a quarter
-		// spare for the partial chunks a too-large carve abandons and the
-		// measurement's own few allocations.
-		refills := 1.25*(puts*float64(size)/arenaChunk+puts*4/arenaChunk) + 8
+		// Chunk refills for the bytes carved, with a quarter spare for the
+		// partial chunks a too-large carve abandons and the measurement's
+		// own few allocations.
+		refills := 1.25*puts*float64(size)/arenaChunk + 8
 		t.Logf("%d B: %d allocations over %.0f puts (%.4f per put; budget %.0f arena chunk refills)", size, got, puts, float64(got)/puts, refills)
 		if float64(got) > refills {
 			t.Errorf("%d B: %d allocations over %.0f puts, want at most the %.0f arena chunk refills", size, got, puts, refills)

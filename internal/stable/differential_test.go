@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/seqlog"
-	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -34,7 +33,6 @@ func cloneData(d wire.Data) wire.Data {
 	if d.Payload != nil {
 		d.Payload = append([]byte(nil), d.Payload...)
 	}
-	d.VC = d.VC.Clone()
 	return d
 }
 
@@ -270,7 +268,6 @@ func entries(t *testing.T, rec Record, l *seqlog.Log) map[uint64]wire.Data {
 // same counters after each step. The last-put record is covered by tears issued right after trims
 // that pass it.
 func TestStoreMatchesMapModel(t *testing.T) {
-	uni := vclock.NewUniverse([]model.ProcessID{"p", "q", "r"})
 	for seed := int64(1); seed <= 16; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var s Store
@@ -290,9 +287,6 @@ func TestStoreMatchesMapModel(t *testing.T) {
 			if n := rng.Intn(40); n > 0 {
 				d.Payload = make([]byte, n-1) // sometimes empty but non-nil
 				rng.Read(d.Payload)
-			}
-			if rng.Intn(2) == 0 {
-				d.VC = vclock.Stamp{U: uni, D: vclock.Dense{int32(rng.Intn(9)), int32(seq), 0}}
 			}
 			return d
 		}

@@ -17,9 +17,9 @@
 // ring's contiguous sequence numbers, (TrimmedUpTo, TrimmedUpTo+seqlog.MaxSpan],
 // held in the same seqlog.Log the ring's receive log uses and written only
 // entry by entry (PutLog, PutLogBatch): a put is one slot index, a deep
-// copy of the payload and clock into the store's chunk arenas and a
-// word-wise checksum kept in the slot; a trim zeroes exactly the dropped
-// slots. It is read back once, by LoadChecked at restart, as a fresh
+// copy of the payload into the store's chunk arena and a word-wise
+// checksum kept in the slot; a trim zeroes exactly the dropped slots. It
+// is read back once, by LoadChecked at restart, as a fresh
 // window holding the entries whose checksums still match. An entry beyond
 // the window is rejected, never sized for, and the rejection is reported
 // by LoadChecked like a failed checksum, so the recovery machinery
@@ -35,7 +35,6 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/seqlog"
-	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -121,17 +120,14 @@ type Store struct {
 	// keeps per block — so in-place bit rot of an entry (FlipLogBits) is
 	// detectable at the next LoadChecked.
 	log seqlog.Log
-	// payArena and vcArena amortise the deep copies a put makes at the
-	// simulated disk boundary: payload bytes and vector-clock counters
-	// are carved from chunked arenas (one allocation per chunk) instead
-	// of one allocation each per message. A chunk is collected once every
-	// slot referencing it has been trimmed.
+	// payArena amortises the deep copy a put makes at the simulated disk
+	// boundary: payload bytes are carved from a chunked arena (one
+	// allocation per chunk) instead of one allocation per message. A
+	// chunk is collected once every slot referencing it has been trimmed.
 	payArena []byte
-	vcArena  vclock.Dense
 }
 
-// arenaChunk sizes the persistence arenas (bytes for payloads, counters
-// for clocks).
+// arenaChunk sizes the payload arena in bytes.
 const arenaChunk = 16 << 10
 
 // carve deep-copies src into a chunked arena and returns the carved
@@ -139,10 +135,10 @@ const arenaChunk = 16 << 10
 //
 //evs:arena
 //evs:noalloc
-func carve[S ~[]E, E any](arena *S, src S) S {
+func carve(arena *[]byte, src []byte) []byte {
 	n := len(src)
 	if len(*arena) < n {
-		*arena = make(S, max(arenaChunk, n))
+		*arena = make([]byte, max(arenaChunk, n))
 	}
 	out := (*arena)[:n:n]
 	*arena = (*arena)[n:]
@@ -254,10 +250,9 @@ func (s *Store) SetScalars(r Record) {
 }
 
 // putOne writes one log entry at its sequence number, deep-copying it
-// across the disk boundary (payload bytes and clock counters are carved
-// from the store's arenas: the make calls there refill a chunk, amortised
-// over many entries), and remembers it as the record a torn write would
-// destroy.
+// across the disk boundary (payload bytes are carved from the store's
+// arena: the make call there refills a chunk, amortised over many
+// entries), and remembers it as the record a torn write would destroy.
 //
 //evs:noalloc
 func (s *Store) putOne(d *wire.Data) {
@@ -271,9 +266,6 @@ func (s *Store) putOne(d *wire.Data) {
 	e.Data = *d
 	if d.Payload != nil {
 		e.Data.Payload = carve(&s.payArena, d.Payload)
-	}
-	if d.VC.U != nil {
-		e.Data.VC.D = carve(&s.vcArena, d.VC.D)
 	}
 	e.Sum = checksum(&e.Data)
 	s.lastPut = d.Seq
@@ -485,7 +477,6 @@ func (s *Store) LoadChecked() (Record, *seqlog.Log, []error) {
 		c, _ := log.Put(seq)
 		c.Data = e.Data
 		c.Data.Payload = append([]byte(nil), e.Data.Payload...)
-		c.Data.VC = e.Data.VC.Clone()
 	}
 	if s.rejected > 0 {
 		errs = append(errs, fmt.Errorf("stable: %d log entries beyond the %d-entry window above TrimmedUpTo=%d; rejected", s.rejected, uint64(seqlog.MaxSpan), s.rec.TrimmedUpTo))

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/seqlog"
-	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -33,7 +32,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		HighestSeen:   12,
 		Obligations:   model.NewProcessSet("q"),
 	}
-	s.PutLog(wire.Data{ID: model.MessageID{Sender: "q", SenderSeq: 2}, Seq: 10, Payload: []byte("x"), VC: vclock.NewStamp(vclock.VC{"q": 2})})
+	s.PutLog(wire.Data{ID: model.MessageID{Sender: "q", SenderSeq: 2}, Seq: 10, Payload: []byte("x")})
 	s.Save(rec)
 	got, log, _ := s.LoadChecked()
 	if got.SenderSeq != 5 || got.DeliveredUpTo != 9 || got.SafeBound != 7 || got.HighestSeen != 12 {
@@ -60,17 +59,16 @@ func TestSaveIsDeepCopyIn(t *testing.T) {
 
 func TestLoadIsDeepCopyOut(t *testing.T) {
 	var s Store
-	s.PutLog(wire.Data{Seq: 1, Payload: []byte("a"), VC: vclock.NewStamp(vclock.VC{"p": 1})})
+	s.PutLog(wire.Data{Seq: 1, Payload: []byte("a")})
 	s.SetScalars(Record{SeenSeqs: map[model.ProcessID]uint64{"p": 1}})
 	rec, log, _ := s.LoadChecked()
 	rec.SeenSeqs["p"] = 9
 	e := log.Get(1)
 	e.Data.Payload[0] = 'z'
-	e.Data.VC.D[0] = 99
 	log.Put(2)
 	again, log2, _ := s.LoadChecked()
 	e2 := log2.Get(1)
-	if again.SeenSeqs["p"] != 1 || log2.Len() != 1 || string(e2.Data.Payload) != "a" || e2.Data.VC.Get("p") != 1 {
+	if again.SeenSeqs["p"] != 1 || log2.Len() != 1 || string(e2.Data.Payload) != "a" {
 		t.Fatal("Load and LoadChecked must deep-copy so callers cannot mutate the store")
 	}
 }
@@ -133,7 +131,7 @@ func TestSetScalarsPreservesLogAndPrimary(t *testing.T) {
 func TestPutLogDeepCopiesAndAccumulates(t *testing.T) {
 	var s Store
 	payload := []byte("abc")
-	s.PutLog(wire.Data{Seq: 5, Payload: payload, VC: vclock.NewStamp(vclock.VC{"p": 1})})
+	s.PutLog(wire.Data{Seq: 5, Payload: payload})
 	payload[0] = 'z'
 	s.PutLog(wire.Data{Seq: 6})
 	_, log, _ := s.LoadChecked()
@@ -142,9 +140,6 @@ func TestPutLogDeepCopiesAndAccumulates(t *testing.T) {
 	}
 	if string(log.Get(5).Data.Payload) != "abc" {
 		t.Fatal("PutLog must deep-copy the payload")
-	}
-	if log.Get(5).Data.VC.Get("p") != 1 {
-		t.Fatal("PutLog must keep the vector clock")
 	}
 }
 

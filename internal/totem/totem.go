@@ -33,7 +33,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/seqlog"
-	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -98,9 +97,6 @@ type seqRange struct {
 	lo, hi uint64
 }
 
-// stampArenaChunk is how many stamps one arena allocation amortises.
-const stampArenaChunk = 64
-
 // Ring is the per-process ordering state for one regular configuration.
 type Ring struct {
 	self model.ProcessID
@@ -132,14 +128,6 @@ type Ring struct {
 	// is the loss signal the adaptive flow control shrinks on.
 	prevHigh, prevPrevHigh uint64
 
-	// Causality witness: a dense working clock over the ring members,
-	// snapshotted per send from an arena (one allocation per
-	// stampArenaChunk sends instead of one map clone per send).
-	uni     *vclock.Universe
-	vc      vclock.Dense
-	selfIdx int
-	arena   []int32
-
 	curMax int // adaptive per-visit sequencing budget
 
 	// Scratch buffers backing TokenResult and collectDeliverable: reused
@@ -168,15 +156,11 @@ func New(self model.ProcessID, cfg model.Configuration, opts Options) *Ring {
 	if opts.Adaptive && opts.AdaptiveMax < opts.MaxPerToken {
 		opts.AdaptiveMax = 8 * opts.MaxPerToken
 	}
-	uni := vclock.NewUniverse(cfg.Members.Members())
 	r := &Ring{
-		self:    self,
-		cfg:     cfg,
-		opts:    opts,
-		uni:     uni,
-		vc:      uni.NewDense(),
-		selfIdx: uni.Index(self),
-		curMax:  opts.MaxPerToken,
+		self:   self,
+		cfg:    cfg,
+		opts:   opts,
+		curMax: opts.MaxPerToken,
 	}
 	r.log.Limit = r.logWindow()
 	return r
@@ -365,44 +349,6 @@ func (r *Ring) put(d *wire.Data) bool {
 	return true
 }
 
-// stamp ticks the working clock for a send and snapshots it from the
-// arena: O(P) bytes copied, one allocation per stampArenaChunk sends.
-//
-//evs:arena
-func (r *Ring) stamp() vclock.Stamp {
-	if r.selfIdx >= 0 {
-		r.vc[r.selfIdx]++
-	}
-	n := len(r.vc)
-	if len(r.arena) < n {
-		r.arena = make([]int32, n*stampArenaChunk)
-	}
-	d := vclock.Dense(r.arena[:n:n])
-	r.arena = r.arena[n:]
-	copy(d, r.vc)
-	return vclock.Stamp{U: r.uni, D: d}
-}
-
-// mergeClock folds a delivered message's stamp into the working clock.
-func (r *Ring) mergeClock(s vclock.Stamp) {
-	switch {
-	case s.U == nil:
-	case s.U == r.uni:
-		r.vc.Merge(s.D)
-	default:
-		// Stamp from another universe (a message restored across a
-		// crash-recovery boundary): merge by identifier.
-		for i, t := range s.D {
-			if t == 0 {
-				continue
-			}
-			if j := r.uni.Index(s.U.ID(i)); j >= 0 && t > r.vc[j] {
-				r.vc[j] = t
-			}
-		}
-	}
-}
-
 // OnData ingests a received data message for this ring and returns any
 // messages that become deliverable, in total order. The returned slice is
 // per-ring scratch, valid until the next call into the Ring.
@@ -548,7 +494,6 @@ func (r *Ring) OnToken(t wire.Token) TokenResult {
 			Seq:     t.Seq,
 			Service: p.Service,
 			Payload: p.Payload, //lint:allow wireown Submit transfers payload ownership to the ring; the pending slot is dropped as the message is sequenced
-			VC:      r.stamp(),
 		}
 		r.put(&d)
 		res.Sent = append(res.Sent, d)
@@ -636,7 +581,6 @@ func (r *Ring) collectDeliverable() []wire.Data {
 			break
 		}
 		r.deliveredUpTo++
-		r.mergeClock(e.Data.VC)
 		out = append(out, e.Data)
 	}
 	r.met.Add(obs.CMsgsDelivered, uint64(len(out)))
@@ -715,6 +659,3 @@ func (r *Ring) DeliveredUpTo() uint64 { return r.deliveredUpTo }
 
 // SafeBound returns the current two-visit safe watermark.
 func (r *Ring) SafeBound() uint64 { return r.safeBound }
-
-// VC returns a sparse copy of the ring's vector clock.
-func (r *Ring) VC() vclock.VC { return r.uni.ToVC(r.vc) }

@@ -480,24 +480,6 @@ func TestHoleyLogRequestsMissingTail(t *testing.T) {
 	}
 }
 
-func TestCausalOrderPreservedByVC(t *testing.T) {
-	// q delivers p's message then sends its own: the VCs must order.
-	h := newHarness(t, "p", "q")
-	h.submit("p", 1, model.Agreed)
-	h.rotate()
-	h.submit("q", 1, model.Agreed)
-	for i := 0; i < 3; i++ {
-		h.rotate()
-	}
-	ds := h.delivered["p"]
-	if len(ds) != 2 {
-		t.Fatalf("p delivered %d, want 2", len(ds))
-	}
-	if !ds[0].VC.HappenedBefore(ds[1].VC) {
-		t.Fatalf("VC %v should precede %v", ds[0].VC, ds[1].VC)
-	}
-}
-
 func TestRandomLossConvergesToSameOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	h := newHarness(t, "a", "b", "c", "d")

@@ -1,10 +1,12 @@
-// Package vclock implements Lamport clocks and vector clocks.
+// Package vclock implements vector clocks.
 //
-// The ring total-ordering protocol preserves causality by construction, but
-// the specification checker and the causal-delivery conformance experiments
-// (Specification 5, Figure 5) need an independent witness of the causal
-// precedes relation. Vector clocks provide that witness: a message m
-// causally precedes m' within a configuration exactly when VC(m) < VC(m').
+// The ring total-ordering protocol preserves causality by construction, so
+// no ordered message carries a clock. Two consumers need one: the causal
+// multicast buffer of the Figure 5 experiments (internal/causal), which
+// orders by the sparse VC, and the specification checker (internal/spec),
+// which stamps every event of a recorded history with a Dense timestamp
+// over a Universe to answer precedes queries: an event e precedes e'
+// exactly when stamp(e) < stamp(e').
 package vclock
 
 import (
@@ -14,30 +16,6 @@ import (
 
 	"repro/internal/model"
 )
-
-// Lamport is a Lamport logical clock. The zero value is ready to use.
-type Lamport struct {
-	t uint64
-}
-
-// Tick advances the clock for a local event and returns the new time.
-func (l *Lamport) Tick() uint64 {
-	l.t++
-	return l.t
-}
-
-// Observe merges an observed remote timestamp and advances the clock,
-// returning the new time.
-func (l *Lamport) Observe(remote uint64) uint64 {
-	if remote > l.t {
-		l.t = remote
-	}
-	l.t++
-	return l.t
-}
-
-// Now returns the current time without advancing the clock.
-func (l *Lamport) Now() uint64 { return l.t }
 
 // VC is a vector clock: a map from process identifier to event count. A nil
 // VC is the zero clock.
@@ -237,103 +215,13 @@ func (d Dense) HappenedBefore(o Dense) bool {
 	return false
 }
 
-// Stamp is an immutable vector timestamp: a Dense vector paired with the
-// Universe giving its coordinate system. It is the wire representation of a
-// causality witness. Where a sparse VC costs a map allocation plus hashing
-// per clone, a Stamp is one small array copy — and because the Universe is
-// shared by every stamp of a configuration, producing one per sent message
-// costs O(P) bytes with no hashing (the ring amortises even the array
-// allocation through an arena). The zero Stamp is the zero clock.
-//
-// A Stamp must never be mutated after construction: stamps may share
-// backing storage with other stamps from the same arena.
+// Stamp pairs a Dense vector with its Universe. It is unread: no ordered
+// message carries a clock. It is kept only because the frozen
+// benchmark/rigs.go builds one for the VC field of wire.Data; it goes
+// with that file's next change.
 type Stamp struct {
 	U *Universe
 	D Dense
-}
-
-// IsZero reports whether the stamp is the zero clock.
-func (s Stamp) IsZero() bool { return s.U == nil }
-
-// Get returns the component of process p (zero if absent).
-func (s Stamp) Get(p model.ProcessID) uint64 {
-	if s.U == nil {
-		return 0
-	}
-	if i := s.U.Index(p); i >= 0 && i < len(s.D) {
-		return uint64(s.D[i])
-	}
-	return 0
-}
-
-// VC converts the stamp to a sparse clock (zero components omitted).
-func (s Stamp) VC() VC {
-	if s.U == nil {
-		return nil
-	}
-	return s.U.ToVC(s.D)
-}
-
-// Clone deep-copies the stamp's counters (the Universe is immutable and
-// shared). Used at the simulated disk boundary, where persisted state must
-// not alias volatile state.
-func (s Stamp) Clone() Stamp {
-	if s.U == nil {
-		return Stamp{}
-	}
-	d := make(Dense, len(s.D))
-	copy(d, s.D)
-	return Stamp{U: s.U, D: d}
-}
-
-// Compare classifies the causal relationship of s to o. Stamps from the
-// same Universe compare component-wise; stamps from different universes
-// (e.g. across a crash-recovery boundary) fall back to the sparse form.
-func (s Stamp) Compare(o Stamp) Ordering {
-	if s.U != nil && s.U == o.U {
-		sLess, oLess := false, false
-		for i := range s.D {
-			switch {
-			case s.D[i] < o.D[i]:
-				sLess = true
-			case s.D[i] > o.D[i]:
-				oLess = true
-			}
-		}
-		switch {
-		case sLess && oLess:
-			return Concurrent
-		case sLess:
-			return Before
-		case oLess:
-			return After
-		default:
-			return Equal
-		}
-	}
-	return s.VC().Compare(o.VC())
-}
-
-// HappenedBefore reports whether s strictly precedes o causally.
-func (s Stamp) HappenedBefore(o Stamp) bool { return s.Compare(o) == Before }
-
-// String renders the stamp like the equivalent sparse clock.
-func (s Stamp) String() string { return s.VC().String() }
-
-// NewStamp builds a self-contained stamp from a sparse clock (tests and
-// interop; the hot path stamps from a shared per-ring Universe instead).
-func NewStamp(v VC) Stamp {
-	ids := make([]model.ProcessID, 0, len(v))
-	for id := range v {
-		//lint:allow determinism NewUniverse sorts and dedupes the id set; accumulation order is irrelevant
-		ids = append(ids, id)
-	}
-	u := NewUniverse(ids)
-	d := u.NewDense()
-	for id, t := range v {
-		d[u.Index(id)] = int32(t)
-	}
-	return Stamp{U: u, D: d}
 }
 
 // String renders the clock deterministically, e.g. "[p:1 q:3]".

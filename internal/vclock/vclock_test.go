@@ -8,27 +8,6 @@ import (
 	"repro/internal/model"
 )
 
-func TestLamportTick(t *testing.T) {
-	var l Lamport
-	if l.Now() != 0 {
-		t.Fatal("zero Lamport clock should read 0")
-	}
-	if l.Tick() != 1 || l.Tick() != 2 {
-		t.Fatal("Tick should increment by one")
-	}
-}
-
-func TestLamportObserve(t *testing.T) {
-	var l Lamport
-	l.Tick() // 1
-	if got := l.Observe(10); got != 11 {
-		t.Fatalf("Observe(10) = %d, want 11", got)
-	}
-	if got := l.Observe(3); got != 12 {
-		t.Fatalf("Observe(3) after 11 = %d, want 12", got)
-	}
-}
-
 func TestVCBasics(t *testing.T) {
 	v := New()
 	v.Tick("p")

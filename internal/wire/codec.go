@@ -11,7 +11,7 @@
 //
 // Layouts (all integers unsigned varints; proc = len-prefixed process
 // identifier; cfg = configuration identifier as documented at
-// appendConfigID; vc = vector-clock stamp as documented at appendStamp):
+// appendConfigID):
 //
 //	data         k=1  | body
 //	data_batch   k=2  | cfg ring | n body*
@@ -26,33 +26,33 @@
 //	done         k=9  | cfg ring | proc sender | cfg oldRing
 //
 //	body = proc sender | senderSeq | cfg ring | seq | service | flags
-//	       | vc | len payload
+//	       | len payload
+//
+// A data body is what the Totem cost model prices a data message at: a
+// header, the sequence number and the payload. It carries no per-member
+// causality vector: the ring's total order already implies causal order,
+// and the specification checker derives the precedes relation from the
+// history's own send and deliver events (DESIGN.md §8).
 //
 // Decoding is strict and total: truncated or corrupt input yields an
 // error, never a panic (the nopanic analyzer polices this package), never
 // an allocation proportional to a length field the input cannot back, and
-// — because varints and stamp member lists are validated to canonical
-// form — decode(encode(decode(b))) always agrees with decode(b)
+// — because flags, configuration kinds and retransmission ranges are
+// validated — decode(encode(decode(b))) always agrees with decode(b)
 // (FuzzWireRoundTrip pins this).
 //
-// A Decoder amortises the two allocations a naive stamp decode would
-// pay per message: the member universe is interned keyed by its raw
-// encoded byte region (a repeat stamp over the same ring resolves with
-// one map probe and zero allocations), and the dense counter vectors are
-// carved from a chunked arena exactly like the receive-log arenas in
-// internal/stable. Decoded messages alias the input buffer (payloads)
-// and the decoder's arena (counter vectors); both are immutable after
-// handoff, per the package contract above.
+// A Decoder interns process identifiers keyed by their raw encoded bytes,
+// so a repeat identifier resolves with one map probe and zero
+// allocations. Decoded payloads alias the input buffer, which is
+// immutable after handoff, per the package contract above.
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"repro/internal/model"
-	"repro/internal/vclock"
 )
 
 // FrameKind tags the message type (byte 0 of every encoded message).
@@ -86,8 +86,8 @@ const (
 const (
 	// MaxProcIDLen bounds a process identifier on the wire.
 	MaxProcIDLen = 256
-	// MaxMembers bounds every member list (stamp universes, join sets,
-	// ring memberships, obligation sets).
+	// MaxMembers bounds every member list (join sets, ring memberships,
+	// obligation sets).
 	MaxMembers = 4096
 )
 
@@ -97,7 +97,7 @@ var (
 	ErrTruncated = errors.New("wire: truncated message")
 	// ErrCorrupt reports input that decodes to an impossible value
 	// (unknown kind, oversized identifier, count the input cannot back,
-	// non-canonical stamp, trailing bytes).
+	// unsorted retransmission ranges, trailing bytes).
 	ErrCorrupt = errors.New("wire: corrupt message")
 	// ErrUnencodable reports an encode of a message that violates the
 	// wire limits (oversized process identifier or member list, unknown
@@ -201,39 +201,6 @@ func appendMembers(b []byte, ids []model.ProcessID) ([]byte, error) {
 	return b, nil
 }
 
-// appendStamp appends a vector-clock stamp:
-//
-//	n | n × proc (the universe, strictly ascending) | n × counter
-//
-// The zero stamp (and a stamp over an empty universe) encodes as n=0.
-// Counters are int32 cast through uint32, a bijection.
-//
-//evs:noalloc
-func appendStamp(b []byte, s vclock.Stamp) ([]byte, error) {
-	if s.U == nil || s.U.Len() == 0 {
-		return appendUvarint(b, 0), nil
-	}
-	n := s.U.Len()
-	if n > MaxMembers {
-		return nil, ErrUnencodable
-	}
-	b = appendUvarint(b, uint64(n))
-	var err error
-	for i := 0; i < n; i++ {
-		if b, err = appendProc(b, s.U.ID(i)); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < n; i++ {
-		var c int32
-		if i < len(s.D) {
-			c = s.D[i]
-		}
-		b = appendUvarint(b, uint64(uint32(c)))
-	}
-	return b, nil
-}
-
 // appendDataBody appends a Data message without its kind byte (the form
 // batch elements share with standalone data messages).
 //
@@ -254,9 +221,6 @@ func appendDataBody(b []byte, d *Data) ([]byte, error) {
 		flags = 1
 	}
 	b = append(b, flags)
-	if b, err = appendStamp(b, d.VC); err != nil {
-		return nil, err
-	}
 	b = appendUvarint(b, uint64(len(d.Payload)))
 	return append(b, d.Payload...), nil
 }
@@ -406,29 +370,23 @@ func Encode(m Message) ([]byte, error) {
 }
 
 // Decoder decodes wire messages, amortising allocations across calls: it
-// interns process identifiers and stamp universes (keyed by their raw
-// encoded bytes, so a repeat lookup allocates nothing) and carves dense
-// counter vectors from a chunked arena. Carved and interned memory is
-// never reused or mutated, so decoded messages can be retained freely.
-// A Decoder is not safe for concurrent use; each transport reader owns
-// one.
+// interns process identifiers keyed by their raw encoded bytes, so a
+// repeat lookup allocates nothing. Interned identifiers are immutable
+// strings, so decoded messages can be retained as long as their input
+// buffer is left alone. A Decoder is not safe for concurrent use; each
+// transport reader owns one.
 type Decoder struct {
-	unis  map[string]*vclock.Universe
 	procs map[string]model.ProcessID
-	dense []int32
 }
 
-// internCap bounds the interning tables: input naming more distinct
-// universes or processes than any honest run still decodes correctly, it
-// just stops being amortised.
+// internCap bounds the interning table: input naming more distinct
+// processes than any honest run still decodes correctly, it just stops
+// being amortised.
 const internCap = 1 << 14
 
 // NewDecoder returns an empty decoder.
 func NewDecoder() *Decoder {
-	return &Decoder{
-		unis:  make(map[string]*vclock.Universe),
-		procs: make(map[string]model.ProcessID),
-	}
+	return &Decoder{procs: make(map[string]model.ProcessID)}
 }
 
 // takeProc decodes a length-prefixed process identifier, interned so the
@@ -510,94 +468,9 @@ func (d *Decoder) takeMembers(b []byte) ([]model.ProcessID, []byte, error) {
 	return out, rest, nil
 }
 
-// carve cuts an n-counter vector out of the decoder's arena. Carved
-// regions are never reused, so the vector is immutable-by-construction
-// once filled.
-//
-//evs:arena
-//evs:noalloc
-func (d *Decoder) carve(n int) vclock.Dense {
-	if n > len(d.dense) {
-		size := 4096
-		if n > size {
-			size = n
-		}
-		d.dense = make([]int32, size)
-	}
-	out := d.dense[:n:n]
-	//lint:allow wireown Decoder is arena state, not a wire message: carve advances the arena cursor over memory the decoder itself owns
-	d.dense = d.dense[n:]
-	return vclock.Dense(out)
-}
-
-// takeStamp decodes a vector-clock stamp. The member list must be in
-// canonical form — strictly ascending, so it round-trips through
-// vclock.NewUniverse unchanged — which is also what lets the universe be
-// interned by its raw encoded bytes: region equality implies universe
-// equality.
-//
-//evs:arena
-func (d *Decoder) takeStamp(b []byte) (vclock.Stamp, []byte, error) {
-	n, rest, ok := takeUvarint(b)
-	if !ok {
-		return vclock.Stamp{}, nil, ErrTruncated
-	}
-	if n == 0 {
-		return vclock.Stamp{}, rest, nil
-	}
-	// Each member needs its length byte and each counter one byte.
-	if n > MaxMembers || 2*n > uint64(len(rest)) {
-		return vclock.Stamp{}, nil, ErrCorrupt
-	}
-	region := rest
-	var prev []byte
-	for i := uint64(0); i < n; i++ {
-		var nb []byte
-		var err error
-		if nb, rest, err = takeProcBytes(rest); err != nil {
-			return vclock.Stamp{}, nil, err
-		}
-		if i > 0 && bytes.Compare(prev, nb) >= 0 {
-			return vclock.Stamp{}, nil, ErrCorrupt
-		}
-		prev = nb
-	}
-	region = region[:len(region)-len(rest)]
-	u, ok := d.unis[string(region)]
-	if !ok {
-		ids := make([]model.ProcessID, 0, n)
-		mb := region
-		for i := uint64(0); i < n; i++ {
-			var nb []byte
-			var err error
-			if nb, mb, err = takeProcBytes(mb); err != nil {
-				return vclock.Stamp{}, nil, err
-			}
-			ids = append(ids, model.ProcessID(nb))
-		}
-		u = vclock.NewUniverse(ids)
-		if len(d.unis) < internCap {
-			d.unis[string(region)] = u
-		}
-	}
-	dv := d.carve(int(n))
-	for i := uint64(0); i < n; i++ {
-		var c uint64
-		if c, rest, ok = takeUvarint(rest); !ok {
-			return vclock.Stamp{}, nil, ErrTruncated
-		}
-		if c > 0xffffffff {
-			return vclock.Stamp{}, nil, ErrCorrupt
-		}
-		dv[i] = int32(uint32(c))
-	}
-	return vclock.Stamp{U: u, D: dv}, rest, nil
-}
-
 // takeDataBody decodes a Data message body into out, returning the rest
 // of the buffer. The payload aliases b.
 //
-//evs:arena
 //evs:noalloc
 func (d *Decoder) takeDataBody(b []byte, out *Data) ([]byte, error) {
 	var err error
@@ -631,9 +504,6 @@ func (d *Decoder) takeDataBody(b []byte, out *Data) ([]byte, error) {
 		return nil, ErrCorrupt
 	}
 	b = b[1:]
-	if out.VC, b, err = d.takeStamp(b); err != nil {
-		return nil, err
-	}
 	var plen uint64
 	if plen, b, ok = takeUvarint(b); !ok {
 		return nil, ErrTruncated
@@ -651,8 +521,7 @@ func (d *Decoder) takeDataBody(b []byte, out *Data) ([]byte, error) {
 }
 
 // DecodeData decodes a standalone Data message into out without boxing:
-// the receive-side hot path. The payload and counter vector alias the
-// input buffer and the decoder's arena respectively.
+// the receive-side hot path. The payload aliases the input buffer.
 //
 //evs:arena
 //evs:noalloc
@@ -674,8 +543,8 @@ func (d *Decoder) DecodeData(b []byte, out *Data) error {
 }
 
 // Decode parses any wire message. Input must be consumed exactly;
-// payloads of data messages alias b, counter vectors alias the
-// decoder's arena — both valid until the decoder's next message.
+// payloads of data messages alias b, so a decoded message lives no
+// longer than the caller leaves b alone.
 //
 //evs:arena
 func (d *Decoder) Decode(b []byte) (Message, error) {
@@ -916,7 +785,7 @@ func (d *Decoder) Decode(b []byte) (Message, error) {
 // Decode parses a message with a throwaway decoder (tests, one-shot
 // tools; transports hold a Decoder to amortise).
 func Decode(b []byte) (Message, error) {
-	//lint:allow arenaesc the throwaway decoder is never reused, so its arena has no reset point for the result to outlive
+	//lint:allow arenaesc the result aliases only b, which the caller owns, and the throwaway decoder is never reused
 	return NewDecoder().Decode(b)
 }
 

@@ -6,18 +6,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/model"
-	"repro/internal/vclock"
 )
-
-// mkStamp builds a stamp over the given members with the given counters.
-func mkStamp(ids []model.ProcessID, counters []int32) vclock.Stamp {
-	u := vclock.NewUniverse(ids)
-	d := u.NewDense()
-	copy(d, counters)
-	return vclock.Stamp{U: u, D: d}
-}
 
 var (
 	testRing  = model.RegularID(7, "p01")
@@ -35,7 +27,6 @@ func sampleMessages() []Message {
 			Seq:     129,
 			Service: model.Agreed,
 			Payload: []byte("hello world"),
-			VC:      mkStamp(procs, []int32{3, 41, 7}),
 		},
 		Data{
 			ID:      model.MessageID{Sender: "p01", SenderSeq: 1},
@@ -54,7 +45,6 @@ func sampleMessages() []Message {
 					Seq:     10,
 					Service: model.Agreed,
 					Payload: []byte("a"),
-					VC:      mkStamp(procs, []int32{9, 0, 0}),
 				},
 				{
 					ID:      model.MessageID{Sender: "p03", SenderSeq: 2},
@@ -62,7 +52,6 @@ func sampleMessages() []Message {
 					Seq:     11,
 					Service: model.Safe,
 					Retrans: true,
-					VC:      mkStamp(procs, []int32{9, 0, 2}),
 				},
 			},
 		},
@@ -105,32 +94,12 @@ func sampleMessages() []Message {
 	}
 }
 
-// stampEqual compares stamps semantically: same member universe, same
-// counters (Universe pointers differ across decoders).
-func stampEqual(a, b vclock.Stamp) bool {
-	if a.IsZero() != b.IsZero() {
-		return false
-	}
-	if a.IsZero() {
-		return true
-	}
-	if a.U.Len() != b.U.Len() || len(a.D) != len(b.D) {
-		return false
-	}
-	for i := 0; i < a.U.Len(); i++ {
-		if a.U.ID(i) != b.U.ID(i) || a.D[i] != b.D[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// dataEqual compares Data messages semantically (stamp by value,
-// payload by bytes).
+// dataEqual compares Data messages semantically (payload by bytes, so a
+// nil and an empty payload agree).
 func dataEqual(a, b Data) bool {
 	return a.ID == b.ID && a.Ring == b.Ring && a.Seq == b.Seq &&
 		a.Service == b.Service && a.Retrans == b.Retrans &&
-		bytes.Equal(a.Payload, b.Payload) && stampEqual(a.VC, b.VC)
+		bytes.Equal(a.Payload, b.Payload)
 }
 
 // messagesEqual compares any two wire messages semantically.
@@ -185,8 +154,8 @@ func TestDecoderInternsAcrossMessages(t *testing.T) {
 	if err := d.DecodeData(b, &m2); err != nil {
 		t.Fatal(err)
 	}
-	if m1.VC.U != m2.VC.U {
-		t.Fatalf("universe not interned: %p vs %p", m1.VC.U, m2.VC.U)
+	if unsafe.StringData(string(m1.ID.Sender)) != unsafe.StringData(string(m2.ID.Sender)) {
+		t.Fatalf("sender %q not interned: two decodes hold two copies", m1.ID.Sender)
 	}
 	if !dataEqual(m1, msg) || !dataEqual(m2, msg) {
 		t.Fatalf("interned decode mismatch")
@@ -197,8 +166,8 @@ func TestDecodeErrorsNotPanics(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{},
-		{0},            // zero kind
-		{42},           // unknown kind
+		{0},  // zero kind
+		{42}, // unknown kind
 		{byte(FrameData)},
 		{byte(FrameToken), 1}, // truncated config
 		{byte(FrameJoin), 0, 0xff, 0xff, 0xff, 0xff, 0xff}, // huge count
@@ -246,28 +215,25 @@ func TestEncodeRejectsOversized(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsNonCanonicalStamp(t *testing.T) {
-	// Hand-build a data message whose stamp members are out of order:
-	// decode must reject it rather than silently re-sorting (which would
-	// detach counters from their processes).
-	b := []byte{byte(FrameData)}
-	b = appendUvarint(b, 1)
-	b = append(b, 'p')
-	b = appendUvarint(b, 1)    // senderSeq
-	b = append(b, 0)           // zero ring
-	b = appendUvarint(b, 1)    // seq
-	b = appendUvarint(b, 1)    // service
-	b = append(b, 0)           // flags
-	b = appendUvarint(b, 2)    // stamp: 2 members
-	b = appendUvarint(b, 1)
-	b = append(b, 'q')
-	b = appendUvarint(b, 1)
-	b = append(b, 'p')         // q before p: not ascending
-	b = appendUvarint(b, 3)
-	b = appendUvarint(b, 4)
-	b = appendUvarint(b, 0) // payload
-	if _, err := Decode(b); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("unsorted stamp: err = %v, want ErrCorrupt", err)
+// TestDataFrameSize pins the size of a loaded ring's typical data frame: a
+// 64 B Agreed message from p02 on a four-member ring, deep into a run. The
+// frame is the header, the sequence number and the payload — kind 1,
+// sender 4, senderSeq 3, ring 7, seq 3, service 1, flags 1, payload
+// length 1, payload 64 — and nothing per member.
+func TestDataFrameSize(t *testing.T) {
+	d := Data{
+		ID:      model.MessageID{Sender: "p02", SenderSeq: 125_000},
+		Ring:    model.RegularID(300, "p01"),
+		Seq:     500_000,
+		Service: model.Agreed,
+		Payload: make([]byte, 64),
+	}
+	b, err := AppendData(nil, &d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) != 85 {
+		t.Fatalf("64 B data frame is %d bytes, want 85", len(b))
 	}
 }
 
@@ -313,8 +279,7 @@ func TestPeekKind(t *testing.T) {
 
 // TestWireDataCodecZeroAlloc is the noalloc gate for the Data hot path:
 // steady-state encode and decode of a Data message must not allocate
-// (the decoder's universe interning and dense arena amortise to zero;
-// AllocsPerRun averages out the rare arena chunk refill).
+// (the decoder's process-identifier interning amortises to zero).
 func TestWireDataCodecZeroAlloc(t *testing.T) {
 	msg := sampleMessages()[0].(Data)
 	buf := make([]byte, 0, 256)

@@ -37,10 +37,10 @@ type Data struct {
 	Seq     uint64         // total-order position within Ring
 	Service model.Service
 	Payload []byte
-	// VC is the originator's vector clock at the send, an independent
-	// causality witness consumed by the specification checker. It is a
-	// dense stamp over the ring's member universe so that producing one
-	// per sequenced message is a flat array copy, not a map clone.
+	// VC is unread: nothing in the program sets it, the codec does not
+	// carry it and the stable store does not deep-copy it. It is kept only
+	// because the frozen benchmark/rigs.go sets it; it goes with that
+	// file's next change.
 	VC vclock.Stamp
 	// Retrans marks operational retransmissions and recovery
 	// rebroadcasts (Step 5.a).
