@@ -112,11 +112,19 @@ func (n *Node) maybeForeign(from model.ProcessID, ring model.ConfigID) {
 // messages are stored, persisted and delivered in the same total order —
 // but the per-packet cost is flat: receipt bookkeeping per element, then
 // one delivery collection, one batched log write and one scalar persist.
+// Sender evidence is noted once per run of same-sender elements (a
+// visit's fresh messages are all the token holder's own), with the run's
+// highest counter: the max-merge makes that equal to noting each element.
 //
 //evs:noalloc
 func (n *Node) onDataBatch(m wire.DataBatch) {
-	for _, d := range m.Msgs {
-		n.noteSeen(d.ID)
+	ds := m.Msgs
+	for i := 0; i < len(ds); {
+		id := ds[i].ID
+		for i++; i < len(ds) && ds[i].ID.Sender == id.Sender; i++ {
+			id.SenderSeq = max(id.SenderSeq, ds[i].ID.SenderSeq)
+		}
+		n.noteSeen(id)
 	}
 	deliveries, fresh := n.ring.OnDataBatch(m.Msgs)
 	if len(fresh) == 0 {
@@ -275,7 +283,8 @@ func (n *Node) broadcastData(ds []wire.Data) {
 //
 //evs:noalloc
 func (n *Node) deliverAll(ds []wire.Data, cfg model.Configuration) {
-	for _, d := range ds {
+	for i := range ds {
+		d := &ds[i]
 		n.host.Trace(model.Event{
 			Type:    model.EventDeliver,
 			Proc:    n.id,
@@ -460,7 +469,7 @@ func (n *Node) startRecovery(ring model.Configuration) {
 			n.met.Inc(obs.CStateRejects)
 		}
 	}
-	n.rec = evs.New(n.id, ring, n.ringCfg, n.oldState, n.oldLog, n.obligations, n.seenSeqs)
+	n.rec = evs.New(n.id, ring, n.ringCfg, n.oldState, n.oldLog, n.obligations, n.store.SeenSeqs())
 	n.applyRecActions(n.rec.Start())
 	if n.mode == Recovering {
 		n.host.SetTimer(TimerRecoveryRetry, n.cfg.RecoveryRetry)
@@ -489,7 +498,7 @@ func (n *Node) validateObligations(ring model.Configuration) int {
 	universe := n.ringCfg.Members.Union(ring.Members)
 	kept := make([]model.ProcessID, 0, before)
 	for _, p := range n.obligations.Members() {
-		_, observed := n.seenSeqs[p]
+		_, observed := n.store.SeenSeq(p)
 		if observed || universe.Contains(p) {
 			kept = append(kept, p)
 		}
@@ -569,14 +578,9 @@ func (n *Node) finishRecovery(res evs.Result) {
 	// runs local evidence already dominates).
 	// Per-entry max-merge: the result does not depend on iteration order.
 	for p, v := range n.rec.SeenSeqs() {
-		if n.seenSeqs == nil {
-			n.seenSeqs = make(map[model.ProcessID]uint64)
-		}
-		if v > n.seenSeqs[p] {
-			n.seenSeqs[p] = v
-		}
+		n.store.NoteSeen(p, v)
 	}
-	if seen := n.seenSeqs[n.id]; seen > n.senderSeq {
+	if seen, _ := n.store.SeenSeq(n.id); seen > n.senderSeq {
 		n.senderSeq = seen
 		n.met.Inc(obs.CSeqHeals)
 	}

@@ -197,13 +197,13 @@ type Node struct {
 	oldState    totem.State
 	obligations model.ProcessSet
 	pending     []totem.Pending
-	senderSeq   uint64
-	// seenSeqs is the highest sender sequence observed per originator
-	// (including self): redundant evidence that heals a transiently
-	// wrapped senderSeq, locally at Submit/Start and from peers'
-	// exchanges at configuration installation (Specification 1.4
+	// senderSeq is the last sender sequence used. Its redundant evidence,
+	// the highest sender sequence observed per originator (including
+	// self), has one owner, the store (Record.SeenSeqs): it heals a
+	// transiently wrapped senderSeq, locally at Submit/Start and from
+	// peers' exchanges at configuration installation (Specification 1.4
 	// forbids reusing a message identifier).
-	seenSeqs     map[model.ProcessID]uint64
+	senderSeq    uint64
 	buffered     []bufferedMsg
 	preBuffer    []bufferedMsg // proposed-ring messages received before Install
 	lastToken    *wire.Token
@@ -271,11 +271,7 @@ func (n *Node) Start() {
 		n.met.Inc(obs.CStateRejects)
 	}
 	n.senderSeq = rec.SenderSeq
-	n.seenSeqs = rec.SeenSeqs
-	if n.seenSeqs == nil {
-		n.seenSeqs = make(map[model.ProcessID]uint64)
-	}
-	if seen := n.seenSeqs[n.id]; seen > n.senderSeq {
+	if seen, _ := n.store.SeenSeq(n.id); seen > n.senderSeq {
 		// The persisted sender counter regressed below our own recorded
 		// observations of it: a transient wrap. Heal from the evidence.
 		n.senderSeq = seen
@@ -308,6 +304,12 @@ func (n *Node) Start() {
 // Messages submitted while no regular configuration is installed are
 // buffered and sent — in the formal model's sense — once one is.
 //
+// Submit persists exactly what it changed: the sender counter and its own
+// observation record, one store write that is durable before Submit
+// returns, so no identifier is reused across a crash. Queueing moves no
+// watermark, so the rest of the record is left to the next event's
+// persist.
+//
 //evs:noalloc
 func (n *Node) Submit(payload []byte, svc model.Service) error {
 	if n.mode == Down {
@@ -317,7 +319,7 @@ func (n *Node) Submit(payload []byte, svc model.Service) error {
 		n.met.Inc(obs.CSubmitBacklog)
 		return ErrBacklog
 	}
-	if seen := n.seenSeqs[n.id]; seen > n.senderSeq {
+	if seen, _ := n.store.SeenSeq(n.id); seen > n.senderSeq {
 		// A live perturbation wrapped the counter since the last send;
 		// heal from the observation record before minting an identifier
 		// (Specification 1.4).
@@ -325,10 +327,7 @@ func (n *Node) Submit(payload []byte, svc model.Service) error {
 		n.met.Inc(obs.CSeqHeals)
 	}
 	n.senderSeq++
-	if n.seenSeqs == nil {
-		n.seenSeqs = make(map[model.ProcessID]uint64)
-	}
-	n.seenSeqs[n.id] = n.senderSeq
+	n.store.NoteSent(n.id, n.senderSeq)
 	p := totem.Pending{
 		ID:      model.MessageID{Sender: n.id, SenderSeq: n.senderSeq},
 		Service: svc,
@@ -341,7 +340,6 @@ func (n *Node) Submit(payload []byte, svc model.Service) error {
 	}
 	n.met.Inc(obs.CSubmits)
 	n.met.Set(obs.GPendingDepth, int64(n.PendingDepth()))
-	n.persist()
 	return nil
 }
 
@@ -375,7 +373,6 @@ func (n *Node) Crash() {
 	n.pending = nil
 	n.buffered = nil
 	n.lastToken = nil
-	n.seenSeqs = nil
 	n.cancelAllTimers()
 }
 
@@ -402,11 +399,22 @@ func (n *Node) cancelAllTimers() {
 
 // persist saves the hot-path protocol scalars: watermarks, counters and
 // the obligation set. Message-log persistence is incremental (persistLog),
-// and a configuration boundary only clears the log, so the per-event cost
-// is independent of log size.
+// a configuration boundary only clears the log, and the observation record
+// (SeenSeqs) lives in the store and is raised there in place (noteSeen), so
+// the per-event cost is independent of log size and of how many
+// originators were observed.
 //
 //evs:noalloc
 func (n *Node) persist() {
+	n.store.SetScalars(n.scalars())
+}
+
+// scalars is the record persist writes: the protocol scalars as they
+// stand now (SeenSeqs, the primary-component records and the log are not
+// part of it).
+//
+//evs:noalloc
+func (n *Node) scalars() stable.Record {
 	var st totem.State
 	switch {
 	case n.mode == Operational && n.ring != nil:
@@ -420,7 +428,7 @@ func (n *Node) persist() {
 	if n.rec != nil {
 		obligations = n.rec.Obligations()
 	}
-	n.store.SetScalars(stable.Record{
+	return stable.Record{
 		SenderSeq:     n.senderSeq,
 		JoinAttempt:   n.memAttempt(),
 		MaxRingSeq:    n.memMaxRingSeq(),
@@ -430,21 +438,16 @@ func (n *Node) persist() {
 		HighestSeen:   st.HighestSeen,
 		TrimmedUpTo:   st.Trimmed,
 		Obligations:   obligations,
-		SeenSeqs:      n.seenSeqs,
-	})
+	}
 }
 
 // noteSeen records observation evidence for an originator's sender
-// sequence counter (the healing source for transient counter wraps).
+// sequence counter (the healing source for transient counter wraps) in
+// the store, which owns it.
 //
 //evs:noalloc
 func (n *Node) noteSeen(id model.MessageID) {
-	if n.seenSeqs == nil {
-		n.seenSeqs = make(map[model.ProcessID]uint64)
-	}
-	if id.SenderSeq > n.seenSeqs[id.Sender] {
-		n.seenSeqs[id.Sender] = id.SenderSeq
-	}
+	n.store.NoteSeen(id.Sender, id.SenderSeq)
 }
 
 // ---------------------------------------------------------------------------
@@ -457,8 +460,8 @@ func (n *Node) noteSeen(id model.MessageID) {
 // actually changed, so the harness can count materialized faults.
 
 // PerturbSenderSeq wraps the live sender sequence counter to half its
-// value. The Submit-time heal must restore it from seenSeqs before the
-// next identifier is minted.
+// value. The Submit-time heal must restore it from the store's SeenSeqs
+// before the next identifier is minted.
 func (n *Node) PerturbSenderSeq() bool {
 	if n.mode == Down || n.senderSeq == 0 {
 		return false

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/stable"
+	"repro/internal/wire"
 )
 
 // pairWorld connects two (or more) nodes through synchronous loopback
@@ -39,7 +40,12 @@ func newPairWorld(t *testing.T, ids ...model.ProcessID) *pairWorld {
 // pump delivers queued broadcasts for a bounded number of rounds. It
 // cannot wait for quiescence: once a ring is operational the token
 // circulates forever by design.
-func (w *pairWorld) pump() {
+func (w *pairWorld) pump() { w.pumpUntil(nil) }
+
+// pumpUntil is pump that stops right after the first delivery for which
+// stop (when non-nil) returns true, leaving the rest of the round's
+// traffic undelivered. It reports whether it stopped.
+func (w *pairWorld) pumpUntil(stop func(from, to model.ProcessID, msg wire.Message) bool) bool {
 	for round := 0; round < 50; round++ {
 		moved := false
 		for _, from := range w.ids {
@@ -50,13 +56,17 @@ func (w *pairWorld) pump() {
 						continue
 					}
 					w.nodes[to].OnMessage(from, msg)
+					if stop != nil && stop(from, to, msg) {
+						return true
+					}
 				}
 			}
 		}
 		if !moved {
-			return
+			return false
 		}
 	}
+	return false
 }
 
 // fireJoinTimeouts triggers gather timeouts where armed.

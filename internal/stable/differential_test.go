@@ -17,7 +17,9 @@ import (
 // keyed by sequence number, a second map of byte-at-a-time FNV-1a
 // checksums, a full scan on every trim. It is the differential oracle for
 // Store, extended only by the one rule the dense log added — the window
-// bound (admit), applied wherever an entry enters the log.
+// bound (admit), applied wherever an entry enters the log — and by the
+// observation record's contract: SetScalars leaves SeenSeqs as stored,
+// NoteSeen/NoteSent raise one entry, and only Save replaces the map.
 type mapStore struct {
 	rec          Record
 	log          map[uint64]wire.Data
@@ -90,14 +92,29 @@ func (m *mapStore) Load() Record {
 
 func (m *mapStore) Save(r Record) {
 	m.SetScalars(r)
+	m.rec.SeenSeqs = maps.Clone(r.SeenSeqs)
 	m.rec.LastPrimary, m.rec.PrimaryAttempt = r.LastPrimary, r.PrimaryAttempt
 }
 
+func (m *mapStore) NoteSeen(p model.ProcessID, seq uint64) {
+	if seq > m.rec.SeenSeqs[p] {
+		if m.rec.SeenSeqs == nil {
+			m.rec.SeenSeqs = map[model.ProcessID]uint64{}
+		}
+		m.rec.SeenSeqs[p] = seq
+	}
+}
+
+func (m *mapStore) NoteSent(self model.ProcessID, seq uint64) {
+	m.rec.SenderSeq = seq
+	m.NoteSeen(self, seq)
+	m.writes++
+}
+
 func (m *mapStore) SetScalars(r Record) {
-	lp, pa, trimmed := m.rec.LastPrimary, m.rec.PrimaryAttempt, m.rec.TrimmedUpTo
+	lp, pa, seen, trimmed := m.rec.LastPrimary, m.rec.PrimaryAttempt, m.rec.SeenSeqs, m.rec.TrimmedUpTo
 	m.rec = r
-	m.rec.LastPrimary, m.rec.PrimaryAttempt = lp, pa
-	m.rec.SeenSeqs = maps.Clone(r.SeenSeqs)
+	m.rec.LastPrimary, m.rec.PrimaryAttempt, m.rec.SeenSeqs = lp, pa, seen
 	switch {
 	case r.TrimmedUpTo < trimmed:
 		m.rec.TrimmedUpTo = trimmed
@@ -262,8 +279,8 @@ func entries(t *testing.T, rec Record, l *seqlog.Log) map[uint64]wire.Data {
 
 // TestStoreMatchesMapModel drives the dense-window store and the map
 // oracle through the same random operation sequences — every write path,
-// advancing and non-advancing trims, whole-record Saves, every corruption
-// mode — and requires the same record, the same loaded window, the same
+// advancing and non-advancing trims, whole-record Saves, observation
+// raises and sender-counter writes, every corruption mode — and requires the same record, the same loaded window, the same
 // dropped entries with the same errors, the same return values and the
 // same counters after each step. The last-put record is covered by tears issued right after trims
 // that pass it.
@@ -326,6 +343,7 @@ func TestStoreMatchesMapModel(t *testing.T) {
 				r.DeliveredUpTo = r.SafeBound
 				r.TrimmedUpTo = uint64(rng.Intn(int(next) + 2)) // below, at, above and past the log
 				if rng.Intn(3) == 0 {
+					// Ignored: SetScalars leaves the observation record alone.
 					r.SeenSeqs = map[model.ProcessID]uint64{"p": uint64(step), "q": 1}
 				}
 				s.SetScalars(r)
@@ -349,6 +367,10 @@ func TestStoreMatchesMapModel(t *testing.T) {
 					r.TrimmedUpTo += uint64(rng.Intn(4))
 				}
 				r.PrimaryAttempt = scalars.LastRegular
+				if rng.Intn(4) == 0 {
+					// Save replaces the observation record wholesale.
+					r.SeenSeqs = map[model.ProcessID]uint64{"q": uint64(step)}
+				}
 				s.Save(r)
 				m.Save(r)
 			case 11:
@@ -374,6 +396,28 @@ func TestStoreMatchesMapModel(t *testing.T) {
 					m.rec.MaxRingSeq = s.rec.MaxRingSeq
 				}
 				m.corruptions = s.Corruptions()
+			case 15:
+				// Observation raises, lowering attempts and zero
+				// observations included, and the Submit-time write.
+				p := model.ProcessID([]string{"p", "q", "a-long-process-name"}[rng.Intn(3)])
+				seq := uint64(rng.Intn(step + 2))
+				if rng.Intn(2) == 0 {
+					s.NoteSeen(p, seq)
+					m.NoteSeen(p, seq)
+				} else {
+					s.NoteSent(p, seq)
+					m.NoteSent(p, seq)
+				}
+				for _, q := range []model.ProcessID{"p", "q", "a-long-process-name", "never"} {
+					got, gotOK := s.SeenSeq(q)
+					want, wantOK := m.rec.SeenSeqs[q]
+					if got != want || gotOK != wantOK {
+						t.Fatalf("%s: SeenSeq(%s) = %d,%v, model %d,%v", what, q, got, gotOK, want, wantOK)
+					}
+				}
+				if got, want := normalize(Record{SeenSeqs: s.SeenSeqs()}), normalize(Record{SeenSeqs: m.rec.SeenSeqs}); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: SeenSeqs() = %v, model %v", what, got.SeenSeqs, want.SeenSeqs)
+				}
 			}
 			if got, want := normalize(s.Load()), normalize(m.Load()); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: Load diverged\nstore: %+v\nmodel: %+v", what, got, want)

@@ -82,6 +82,8 @@ type Record struct {
 	// Specification 1.4. A fault that destroys the counter *and* every
 	// observation of it — local and remote — is indistinguishable from
 	// Byzantine storage, which the protocol does not claim to survive.
+	// The store is its one owner: NoteSeen and NoteSent raise it in
+	// place, SetScalars leaves it alone, and only Save replaces it.
 	SeenSeqs map[model.ProcessID]uint64
 	// LastPrimary is the most recent primary component this process
 	// installed or learned of, with its sequence for recency.
@@ -108,10 +110,6 @@ type Store struct {
 	// rejected counts entries refused since the log was last replaced
 	// because they lay more than seqlog.MaxSpan above TrimmedUpTo.
 	rejected uint64
-	// seen is the store-owned copy of Record.SeenSeqs maintained by
-	// SetScalars: merging into it in place keeps the hot-path write free
-	// of a map clone while still never aliasing the caller's live map.
-	seen map[model.ProcessID]uint64
 	// log is the persisted message log of LastRegular, based at
 	// rec.TrimmedUpTo: received messages, persisted before acknowledging
 	// receipt so that a recovered process can still rebroadcast and
@@ -196,13 +194,56 @@ func (s *Store) Load() Record {
 func (s *Store) SenderSeq() uint64 { return s.rec.SenderSeq }
 
 // Save persists a deep copy of every field of the record, the
-// primary-component records included, as one atomic write (simulating an
-// atomic disk commit). The message log is untouched, and TrimmedUpTo moves
-// as in SetScalars.
+// primary-component records and SeenSeqs included, as one atomic write
+// (simulating an atomic disk commit). The message log is untouched, and
+// TrimmedUpTo moves as in SetScalars.
 func (s *Store) Save(r Record) {
 	s.SetScalars(r)
+	s.rec.SeenSeqs = maps.Clone(r.SeenSeqs)
 	s.rec.LastPrimary = r.LastPrimary
 	s.rec.PrimaryAttempt = r.PrimaryAttempt
+}
+
+// SeenSeq returns the highest sender sequence recorded as observed for
+// originator p, and whether any was recorded.
+//
+//evs:noalloc
+func (s *Store) SeenSeq(p model.ProcessID) (uint64, bool) {
+	v, ok := s.rec.SeenSeqs[p]
+	return v, ok
+}
+
+// SeenSeqs returns a copy of the observation record: the store owns the
+// map, and no caller may alias it (disk boundary).
+func (s *Store) SeenSeqs() map[model.ProcessID]uint64 {
+	return maps.Clone(s.rec.SeenSeqs)
+}
+
+// NoteSeen raises the observation record for originator p to seq (never
+// lowers it). The raise rides on the write of the event that observed it,
+// so it is not counted as a write of its own.
+//
+//evs:noalloc
+func (s *Store) NoteSeen(p model.ProcessID, seq uint64) {
+	if seq <= s.rec.SeenSeqs[p] {
+		return
+	}
+	if s.rec.SeenSeqs == nil {
+		s.rec.SeenSeqs = make(map[model.ProcessID]uint64)
+	}
+	s.rec.SeenSeqs[p] = seq
+}
+
+// NoteSent persists the sender counter of a just-minted message identifier
+// and records it as observed for the sender itself, as one write: the
+// counter is durable before the identifier is used, so it is never reused
+// across a crash (Specification 1.4).
+//
+//evs:noalloc
+func (s *Store) NoteSent(self model.ProcessID, seq uint64) {
+	s.rec.SenderSeq = seq
+	s.NoteSeen(self, seq)
+	s.writes++
 }
 
 // Writes returns the number of persistence operations, a proxy for
@@ -210,11 +251,10 @@ func (s *Store) Save(r Record) {
 func (s *Store) Writes() uint64 { return s.writes }
 
 // SetScalars persists every field of r except the primary-component
-// records (LastPrimary, PrimaryAttempt are left as stored; the message log
-// is never part of a Record). It is the hot-path persistence operation:
-// cost independent of the log size, and free of allocations in steady
-// state (the one mutable map scalar, SeenSeqs, is merged into a
-// store-owned map in place).
+// records (LastPrimary, PrimaryAttempt) and SeenSeqs, which are left as
+// stored (the message log is never part of a Record). It is the hot-path
+// persistence operation: cost independent of the log size and of the
+// observation record, and free of allocations.
 // A TrimmedUpTo that advanced past the stored watermark discards the
 // corresponding log prefix, mirroring the ring's in-memory trim, at a cost
 // proportional to the entries dropped.
@@ -223,18 +263,12 @@ func (s *Store) Writes() uint64 { return s.writes }
 func (s *Store) SetScalars(r Record) {
 	lp := s.rec.LastPrimary
 	pa := s.rec.PrimaryAttempt
+	seen := s.rec.SeenSeqs
 	trimmed := s.rec.TrimmedUpTo
 	s.rec = r
 	s.rec.LastPrimary = lp
 	s.rec.PrimaryAttempt = pa
-	// SeenSeqs must never alias the caller's live map (disk boundary);
-	// rebuild the store-owned copy rather than allocating a fresh clone.
-	if s.seen == nil && len(r.SeenSeqs) > 0 {
-		s.seen = make(map[model.ProcessID]uint64, len(r.SeenSeqs))
-	}
-	clear(s.seen)
-	maps.Copy(s.seen, r.SeenSeqs)
-	s.rec.SeenSeqs = s.seen
+	s.rec.SeenSeqs = seen
 	if r.TrimmedUpTo <= trimmed {
 		// The watermark is monotone within a configuration; lower
 		// inputs (e.g. scalars persisted mid-recovery, which carry no

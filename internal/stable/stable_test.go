@@ -60,9 +60,10 @@ func TestSaveIsDeepCopyIn(t *testing.T) {
 func TestLoadIsDeepCopyOut(t *testing.T) {
 	var s Store
 	s.PutLog(wire.Data{Seq: 1, Payload: []byte("a")})
-	s.SetScalars(Record{SeenSeqs: map[model.ProcessID]uint64{"p": 1}})
+	s.NoteSeen("p", 1)
 	rec, log, _ := s.LoadChecked()
 	rec.SeenSeqs["p"] = 9
+	s.SeenSeqs()["p"] = 9
 	e := log.Get(1)
 	e.Data.Payload[0] = 'z'
 	log.Put(2)

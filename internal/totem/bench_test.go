@@ -2,6 +2,7 @@ package totem
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/model"
@@ -96,5 +97,53 @@ func BenchmarkOnData(b *testing.B) {
 			Seq:     uint64(i + 1),
 			Service: model.Agreed,
 		})
+	}
+}
+
+// TestSendQueueReusesItsArray pins the send queue at a standing backlog:
+// every cycle submits exactly what one token visit sequenced, so the
+// queue neither drains nor grows. Popping from the front must not make
+// Submit reallocate and copy the backlog as the queue moves through
+// memory; over 10,000 cycles the ring may allocate only a handful of
+// times in all.
+func TestSendQueueReusesItsArray(t *testing.T) {
+	cfg := model.Configuration{ID: model.RegularID(1, "p"), Members: model.NewProcessSet("p")}
+	r := New("p", cfg, DefaultOptions())
+	seq := uint64(0)
+	submit := func() {
+		seq++
+		r.Submit(Pending{ID: model.MessageID{Sender: "p", SenderSeq: seq}, Service: model.Agreed})
+	}
+	const backlog = 1000
+	for i := 0; i < backlog; i++ {
+		submit()
+	}
+	tok := r.InitialToken()
+	cycle := func() {
+		res := r.OnToken(tok)
+		if !res.Accepted || len(res.Sent) == 0 {
+			t.Fatalf("visit sequenced nothing (accepted %v)", res.Accepted)
+		}
+		for range res.Sent {
+			submit()
+		}
+		tok = res.Forward
+	}
+	for i := 0; i < 1000; i++ {
+		cycle() // warm up: scratch buffers, the adaptive budget, log slots
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const cycles = 10_000
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if got := r.PendingCount(); got != backlog {
+		t.Fatalf("backlog = %d, want the standing %d", got, backlog)
+	}
+	if n := after.Mallocs - before.Mallocs; n > 8 {
+		t.Fatalf("%d allocations over %d submit/visit cycles at a standing backlog of %d, want at most 8", n, cycles, backlog)
 	}
 }

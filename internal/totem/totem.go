@@ -120,7 +120,12 @@ type Ring struct {
 	lastFwdAru    uint64 // aru on the token this process last forwarded
 	everForwarded bool
 	lastTokenID   uint64
-	pending       []Pending
+	// pending[pendHead:] is the send queue. A visit pops by advancing
+	// pendHead, and Submit slides the queue down over the popped prefix
+	// once that prefix is half the array, so a standing backlog reuses one
+	// array instead of reallocating it as the queue moves.
+	pending  []Pending
+	pendHead int
 	// prevHigh and prevPrevHigh are highestSeen at the last two token
 	// forwards: sequence numbers at or below prevPrevHigh were assigned
 	// two full rotations ago, so a message still missing from that range
@@ -197,18 +202,26 @@ func (r *Ring) InitialToken() wire.Token {
 // Submit queues an application message for sequencing at the next token
 // visit.
 func (r *Ring) Submit(p Pending) {
+	if r.pendHead > 0 && 2*r.pendHead >= cap(r.pending) && len(r.pending) == cap(r.pending) {
+		// Full, and at least half of it popped: slide the backlog down
+		// instead of growing. Each slide copies no more than it frees.
+		n := copy(r.pending, r.pending[r.pendHead:])
+		clear(r.pending[n:])
+		r.pending = r.pending[:n]
+		r.pendHead = 0
+	}
 	r.pending = append(r.pending, p)
 }
 
 // PendingCount returns the number of queued, not-yet-sequenced messages.
-func (r *Ring) PendingCount() int { return len(r.pending) }
+func (r *Ring) PendingCount() int { return len(r.pending) - r.pendHead }
 
 // TakePending removes and returns all queued messages; the EVS recovery
 // algorithm carries them into the next regular configuration, where they
 // are sequenced (and thus, in the formal model's terms, sent).
 func (r *Ring) TakePending() []Pending {
-	p := r.pending
-	r.pending = nil
+	p := r.pending[r.pendHead:]
+	r.pending, r.pendHead = nil, 0
 	return p
 }
 
@@ -484,9 +497,10 @@ func (r *Ring) OnToken(t wire.Token) TokenResult {
 	}
 
 	// Sequence new messages within the flow-control window.
-	for len(r.pending) > 0 && len(res.Sent) < maxPer && t.Seq-t.Aru < win {
-		p := r.pending[0]
-		r.pending = r.pending[1:]
+	for r.pendHead < len(r.pending) && len(res.Sent) < maxPer && t.Seq-t.Aru < win {
+		p := r.pending[r.pendHead]
+		r.pending[r.pendHead] = Pending{}
+		r.pendHead++
 		t.Seq++
 		d := wire.Data{
 			ID:      p.ID,
@@ -499,7 +513,10 @@ func (r *Ring) OnToken(t wire.Token) TokenResult {
 		res.Sent = append(res.Sent, d)
 		res.Broadcasts = append(res.Broadcasts, d)
 	}
-	if r.opts.Adaptive && !pressure && len(r.pending) > 0 &&
+	if r.pendHead == len(r.pending) {
+		r.pending, r.pendHead = r.pending[:0], 0
+	}
+	if r.opts.Adaptive && !pressure && r.PendingCount() > 0 &&
 		len(res.Sent) == maxPer && t.Seq-t.Aru < win {
 		// Loss-free and budget-limited with window headroom: grow.
 		r.growBudget()

@@ -14,7 +14,7 @@
 // appendConfigID):
 //
 //	data         k=1  | body
-//	data_batch   k=2  | cfg ring | n body*
+//	data_batch   k=2  | cfg ring | n elem*
 //	token        k=3  | cfg ring | tokenID seq aru | proc aruID | n (lo hi-lo)*
 //	join         k=4  | proc sender | n proc* alive | n proc* failed | maxRingSeq attempt
 //	commit       k=5  | cfg newRing | n proc* members | attempt
@@ -27,12 +27,17 @@
 //
 //	body = proc sender | senderSeq | cfg ring | seq | service | flags
 //	       | len payload
+//	elem = proc sender | senderSeq | seq | service | flags | len payload
 //
 // A data body is what the Totem cost model prices a data message at: a
 // header, the sequence number and the payload. It carries no per-member
 // causality vector: the ring's total order already implies causal order,
 // and the specification checker derives the precedes relation from the
-// history's own send and deliver events (DESIGN.md §8).
+// history's own send and deliver events (DESIGN.md §8). The ring is a
+// per-packet fact: a batch element is a body without it, and decodes with
+// the batch's ring, so every element of an encodable batch is on the
+// batch's ring (a mixed batch is ErrUnencodable). The smallest element is
+// six bytes: an empty sender and five one-byte fields.
 //
 // Decoding is strict and total: truncated or corrupt input yields an
 // error, never a panic (the nopanic analyzer polices this package), never
@@ -201,18 +206,20 @@ func appendMembers(b []byte, ids []model.ProcessID) ([]byte, error) {
 	return b, nil
 }
 
-// appendDataBody appends a Data message without its kind byte (the form
-// batch elements share with standalone data messages).
+// appendDataBody appends a Data message without its kind byte, and
+// without its ring when inBatch (the batch frame carries it once).
 //
 //evs:noalloc
-func appendDataBody(b []byte, d *Data) ([]byte, error) {
+func appendDataBody(b []byte, d *Data, inBatch bool) ([]byte, error) {
 	var err error
 	if b, err = appendProc(b, d.ID.Sender); err != nil {
 		return nil, err
 	}
 	b = appendUvarint(b, d.ID.SenderSeq)
-	if b, err = appendConfigID(b, d.Ring); err != nil {
-		return nil, err
+	if !inBatch {
+		if b, err = appendConfigID(b, d.Ring); err != nil {
+			return nil, err
+		}
 	}
 	b = appendUvarint(b, d.Seq)
 	b = appendUvarint(b, uint64(d.Service))
@@ -231,7 +238,7 @@ func appendDataBody(b []byte, d *Data) ([]byte, error) {
 //evs:noalloc
 func AppendData(dst []byte, d *Data) ([]byte, error) {
 	dst = append(dst, byte(FrameData))
-	return appendDataBody(dst, d)
+	return appendDataBody(dst, d, false)
 }
 
 // AppendMessage encodes any wire message into dst. Encode failures
@@ -252,7 +259,10 @@ func AppendMessage(dst []byte, m Message) ([]byte, error) {
 		}
 		dst = appendUvarint(dst, uint64(len(v.Msgs)))
 		for i := range v.Msgs {
-			if dst, err = appendDataBody(dst, &v.Msgs[i]); err != nil {
+			if v.Msgs[i].Ring != v.Ring {
+				return nil, ErrUnencodable
+			}
+			if dst, err = appendDataBody(dst, &v.Msgs[i], true); err != nil {
 				return nil, err
 			}
 		}
@@ -469,10 +479,11 @@ func (d *Decoder) takeMembers(b []byte) ([]model.ProcessID, []byte, error) {
 }
 
 // takeDataBody decodes a Data message body into out, returning the rest
-// of the buffer. The payload aliases b.
+// of the buffer. The payload aliases b. A batch element (inBatch) carries
+// no ring: out.Ring is left as the caller set it.
 //
 //evs:noalloc
-func (d *Decoder) takeDataBody(b []byte, out *Data) ([]byte, error) {
+func (d *Decoder) takeDataBody(b []byte, out *Data, inBatch bool) ([]byte, error) {
 	var err error
 	if out.ID.Sender, b, err = d.takeProc(b); err != nil {
 		return nil, err
@@ -481,8 +492,10 @@ func (d *Decoder) takeDataBody(b []byte, out *Data) ([]byte, error) {
 	if out.ID.SenderSeq, b, ok = takeUvarint(b); !ok {
 		return nil, ErrTruncated
 	}
-	if out.Ring, b, err = d.takeConfigID(b); err != nil {
-		return nil, err
+	if !inBatch {
+		if out.Ring, b, err = d.takeConfigID(b); err != nil {
+			return nil, err
+		}
 	}
 	if out.Seq, b, ok = takeUvarint(b); !ok {
 		return nil, ErrTruncated
@@ -532,7 +545,7 @@ func (d *Decoder) DecodeData(b []byte, out *Data) error {
 	if FrameKind(b[0]) != FrameData {
 		return ErrCorrupt
 	}
-	rest, err := d.takeDataBody(b[1:], out)
+	rest, err := d.takeDataBody(b[1:], out, false)
 	if err != nil {
 		return err
 	}
@@ -572,14 +585,15 @@ func (d *Decoder) Decode(b []byte) (Message, error) {
 		if n, rest, ok = takeUvarint(rest); !ok {
 			return nil, ErrTruncated
 		}
-		// A body is at least 8 bytes (empty identifiers, zero fields).
-		if n > MaxMembers || n > uint64(len(rest))/8+1 {
+		// An element is at least 6 bytes (empty sender, zero fields).
+		if n > MaxMembers || n > uint64(len(rest))/6 {
 			return nil, ErrCorrupt
 		}
 		if n > 0 {
 			v.Msgs = make([]Data, n)
-			for i := uint64(0); i < n; i++ {
-				if rest, err = d.takeDataBody(rest, &v.Msgs[i]); err != nil {
+			for i := range v.Msgs {
+				v.Msgs[i].Ring = v.Ring
+				if rest, err = d.takeDataBody(rest, &v.Msgs[i], true); err != nil {
 					return nil, err
 				}
 			}

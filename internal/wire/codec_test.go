@@ -56,6 +56,8 @@ func sampleMessages() []Message {
 			},
 		},
 		DataBatch{Ring: testRing},
+		// Minimum-size elements: empty sender, zero fields, no payload.
+		DataBatch{Msgs: make([]Data, 3)},
 		Token{
 			Ring:    testRing,
 			TokenID: 88,
@@ -211,6 +213,73 @@ func TestEncodeRejectsOversized(t *testing.T) {
 	for _, m := range cases {
 		if _, err := AppendMessage(nil, m); !errors.Is(err, ErrUnencodable) {
 			t.Fatalf("AppendMessage(%T) err = %v, want ErrUnencodable", m, err)
+		}
+	}
+}
+
+// TestDataBatchFrameSize pins the size of a loaded ring's typical batch:
+// 64 Agreed messages of 64 B from the four members of a ring, deep into a
+// run. The ring is a per-packet fact, carried once: kind 1, ring 7, count
+// 1, then 64 elements of sender 4, senderSeq 3, seq 3, service 1, flags 1,
+// payload length 1, payload 64 — 77 bytes each, against the 84 of a
+// standalone data frame's body.
+func TestDataBatchFrameSize(t *testing.T) {
+	ring := model.RegularID(300, "p01")
+	b := DataBatch{Ring: ring, Msgs: make([]Data, 64)}
+	for i := range b.Msgs {
+		b.Msgs[i] = Data{
+			ID:      model.MessageID{Sender: []model.ProcessID{"p01", "p02", "p03", "p04"}[i%4], SenderSeq: 125_000 + uint64(i)},
+			Ring:    ring,
+			Seq:     500_000 + uint64(i),
+			Service: model.Agreed,
+			Payload: make([]byte, 64),
+		}
+	}
+	enc, err := Encode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 1 + 7 + 1 + 64*77; len(enc) != want {
+		t.Fatalf("64 x 64 B batch frame is %d bytes, want %d", len(enc), want)
+	}
+	got, err := Decode(enc)
+	if err != nil || !messagesEqual(b, got) {
+		t.Fatalf("batch round trip: err %v, equal %v", err, messagesEqual(b, got))
+	}
+}
+
+// TestMixedRingBatchUnencodable: a batch frame carries one ring for all
+// its elements, so an element on another ring cannot be encoded in it.
+func TestMixedRingBatchUnencodable(t *testing.T) {
+	b := DataBatch{Ring: testRing, Msgs: []Data{
+		{ID: model.MessageID{Sender: "p01", SenderSeq: 1}, Ring: testRing, Seq: 1},
+		{ID: model.MessageID{Sender: "p02", SenderSeq: 1}, Ring: testTrans, Seq: 2},
+	}}
+	if _, err := AppendMessage(nil, b); !errors.Is(err, ErrUnencodable) {
+		t.Fatalf("mixed-ring batch: err = %v, want ErrUnencodable", err)
+	}
+}
+
+// TestMinimumElementBatchRoundTrips: the decoder's bound on the element
+// count (no allocation the input cannot back) must still admit a batch
+// made entirely of the smallest elements.
+func TestMinimumElementBatchRoundTrips(t *testing.T) {
+	for _, n := range []int{1, 2, 9, 100, MaxMembers} {
+		b := DataBatch{Msgs: make([]Data, n)}
+		enc, err := Encode(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("%d minimum elements (%d bytes): %v", n, len(enc), err)
+		}
+		if !messagesEqual(b, got) {
+			t.Fatalf("%d minimum elements: round trip mismatch", n)
+		}
+		// One byte short of the last element is truncated, not accepted.
+		if _, err := Decode(enc[:len(enc)-1]); err == nil {
+			t.Fatalf("%d minimum elements: a truncated frame decoded", n)
 		}
 	}
 }

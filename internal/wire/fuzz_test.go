@@ -15,6 +15,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(FrameToken), 0})
+	// An element that still carries its ring, as batch elements once
+	// did: the ring's kind and sequence bytes now read as the element's
+	// sequence number and service, and its length byte is no valid flags.
+	f.Add([]byte{byte(FrameDataBatch), 1, 7, 3, 'p', '0', '1', 1, 3, 'p', '0', '2', 5, 1, 7, 3, 'p', '0', '1', 10, 1, 0, 0})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		d := NewDecoder()
 		m1, err := d.Decode(b)
