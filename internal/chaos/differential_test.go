@@ -1,11 +1,14 @@
 package chaos
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/spec"
 	"repro/internal/spec/refcheck"
@@ -40,14 +43,17 @@ func render(vs []spec.Violation) []string {
 
 // mutate corrupts a chaos-generated history so the checkers have real
 // violations to agree on: drop an event, duplicate a delivery, swap two
-// adjacent events, or relabel a delivery's configuration.
+// adjacent events, relabel a delivery's configuration, move a delivery
+// into a transitional configuration its process did not install (outside
+// the process's com zone), or remove one process's delivery from a
+// configuration whose other members kept theirs (unequal delivered sets).
 func mutate(rng *rand.Rand, events []model.Event) []model.Event {
 	out := append([]model.Event(nil), events...)
 	if len(out) < 4 {
 		return out
 	}
 	for k := 0; k < 1+rng.Intn(3); k++ {
-		switch rng.Intn(4) {
+		switch rng.Intn(6) {
 		case 0: // drop
 			i := rng.Intn(len(out))
 			out = append(out[:i], out[i+1:]...)
@@ -71,9 +77,45 @@ func mutate(rng *rand.Rand, events []model.Event) []model.Event {
 					break
 				}
 			}
+		case 4: // move a delivery out of its process's com zone
+			for try := 0; try < 20; try++ {
+				i := rng.Intn(len(out))
+				if out[i].Type == model.EventDeliver {
+					out[i].Config = uninstalledTransitional(out, out[i].Proc, out[i].Config.Prev())
+					break
+				}
+			}
+		case 5: // remove a delivery other members of its configuration kept
+			for try := 0; try < 20; try++ {
+				i := rng.Intn(len(out))
+				e := out[i]
+				if e.Type == model.EventDeliver && slices.ContainsFunc(out, func(f model.Event) bool {
+					return f.Type == model.EventDeliver && f.Msg == e.Msg && f.Config == e.Config && f.Proc != e.Proc
+				}) {
+					out = append(out[:i], out[i+1:]...)
+					break
+				}
+			}
 		}
 	}
 	return out
+}
+
+// uninstalledTransitional returns a transitional configuration out of reg
+// that p never installed: one other processes installed if the history has
+// it, else a fresh one.
+func uninstalledTransitional(events []model.Event, p model.ProcessID, reg model.ConfigID) model.ConfigID {
+	installed := func(c model.ConfigID) bool {
+		return slices.ContainsFunc(events, func(f model.Event) bool {
+			return f.Type == model.EventDeliverConf && f.Proc == p && f.Config == c
+		})
+	}
+	for _, e := range events {
+		if e.Type == model.EventDeliverConf && e.Config.IsTransitional() && e.Config.Prev() == reg && !installed(e.Config) {
+			return e.Config
+		}
+	}
+	return model.TransitionalID(model.RegularID(reg.Seq+1000, p), reg)
 }
 
 // TestChaosHistoriesMatchReference: on real protocol executions — clean
@@ -98,7 +140,46 @@ func TestChaosHistoriesMatchReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed * 31))
 		for trial := 0; trial < 5; trial++ {
 			bad := mutate(rng, events)
-			compareCheckers(t, "mutated", bad, spec.Options{Settled: true})
+			for _, opts := range []spec.Options{{Settled: true}, {}} {
+				compareCheckers(t, "mutated", bad, opts)
+			}
+		}
+	}
+}
+
+// TestLargeHarnessHistoryMatchesReference: one longer execution — agreed
+// and safe traffic through a partition, a merge and a crash/recover —
+// judged clean and mutated by both checkers.
+func TestLargeHarnessHistoryMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos differential comparison is slow")
+	}
+	c := harness.New(harness.Options{Procs: 5, Seed: 9})
+	ids := c.IDs()
+	for i := 0; i < 400; i++ {
+		svc := model.Agreed
+		if i%3 == 0 {
+			svc = model.Safe
+		}
+		c.Send(time.Duration(100+3*i)*time.Millisecond, ids[i%len(ids)], fmt.Sprintf("m%d", i), svc)
+	}
+	c.Partition(400*time.Millisecond, ids[:2], ids[2:])
+	c.Merge(700 * time.Millisecond)
+	c.Crash(900*time.Millisecond, ids[3])
+	c.Recover(1100*time.Millisecond, ids[3])
+	c.Run(3 * time.Second)
+	events := c.History.Events()
+	if len(events) < 1800 {
+		t.Fatalf("execution has only %d events", len(events))
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 4; trial++ {
+		label, h := "clean", events
+		if trial > 0 {
+			label, h = "mutated", mutate(rng, events)
+		}
+		for _, opts := range []spec.Options{{Settled: true}, {}} {
+			compareCheckers(t, label, h, opts)
 		}
 	}
 }

@@ -157,7 +157,7 @@ func (d *Daemon) Status() Status {
 		Deliveries: d.Deliveries(),
 		Configs:    len(d.rec.ConfigChanges(d.ID())),
 	}
-	for _, m := range cfg.Members.Members() {
+	for _, m := range cfg.Members.View() {
 		st.Members = append(st.Members, string(m))
 	}
 	return st

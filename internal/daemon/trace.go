@@ -48,7 +48,7 @@ func toRecord(t int64, e model.Event) traceRecord {
 		Service: int(e.Service),
 		Primary: e.Primary,
 	}
-	for _, m := range e.Members.Members() {
+	for _, m := range e.Members.View() {
 		rec.Members = append(rec.Members, string(m))
 	}
 	return rec

@@ -358,7 +358,7 @@ func (r *Recovery) step() []Action {
 		// Step 4 needs exchanges from every member of the proposed
 		// configuration: the transitional configuration is defined
 		// over all members' previous regular configurations.
-		for _, q := range r.newRing.Members.Members() {
+		for _, q := range r.newRing.Members.View() {
 			if _, ok := r.exchanges[q]; !ok {
 				return nil
 			}
@@ -378,7 +378,7 @@ func (r *Recovery) step() []Action {
 		r.sentDone = true
 		r.done[r.self] = true
 		r.obligations = r.obligations.Union(r.trans)
-		for _, q := range r.trans.Members() {
+		for _, q := range r.trans.View() {
 			r.obligations = r.obligations.Union(
 				model.NewProcessSet(r.exchanges[q].Obligations...))
 		}
@@ -461,7 +461,7 @@ func (r *Recovery) rebroadcasts(force bool) []Action {
 		}
 		d := e.Data
 		neededBy := false
-		for _, q := range r.trans.Members() {
+		for _, q := range r.trans.View() {
 			if q == r.self {
 				continue
 			}
@@ -480,7 +480,7 @@ func (r *Recovery) rebroadcasts(force bool) []Action {
 			// claimer, since the needed set is the union of the
 			// exchanged claims.
 			var lowest model.ProcessID
-			for _, q := range r.trans.Members() {
+			for _, q := range r.trans.View() {
 				if holdsSeq(r.exchanges[q], seq) {
 					lowest = q
 					break
@@ -526,7 +526,7 @@ func (r *Recovery) holdsAllNeeded() bool {
 
 // allDone reports whether every transitional member announced completion.
 func (r *Recovery) allDone() bool {
-	for _, q := range r.trans.Members() {
+	for _, q := range r.trans.View() {
 		if !r.done[q] {
 			return false
 		}

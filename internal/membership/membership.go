@@ -320,7 +320,7 @@ func (m *Protocol) checkConsensus() []Action {
 		// nobody else is speaking.
 		return nil
 	}
-	for _, q := range cand.Members() {
+	for _, q := range cand.View() {
 		j, ok := m.joins[q]
 		if !ok {
 			return nil
@@ -406,7 +406,7 @@ func (m *Protocol) OnCommitAck(a wire.CommitAck) []Action {
 // maybeInstall broadcasts Install once every proposed member has
 // acknowledged.
 func (m *Protocol) maybeInstall() []Action {
-	for _, q := range m.proposed.Members.Members() {
+	for _, q := range m.proposed.Members.View() {
 		if !m.acks[q] {
 			return nil
 		}
@@ -459,7 +459,7 @@ func (m *Protocol) OnJoinTimeout() []Action {
 		expected = expected.Union(model.NewProcessSet(j.Alive...))
 	}
 	var newlyFailed []model.ProcessID
-	for _, q := range expected.Members() {
+	for _, q := range expected.View() {
 		if q == m.self {
 			continue
 		}
@@ -513,7 +513,7 @@ func (m *Protocol) OnCommitTimeout() []Action {
 	}
 	var silent []model.ProcessID
 	if m.isRep {
-		for _, q := range m.proposed.Members.Members() {
+		for _, q := range m.proposed.Members.View() {
 			if !m.acks[q] {
 				silent = append(silent, q)
 			}

@@ -65,6 +65,11 @@ func (s ProcessSet) Members() []ProcessID {
 	return out
 }
 
+// View returns the sorted member list without copying it. The slice
+// aliases the set: range over it, but never modify it; use Members for a
+// slice of your own.
+func (s ProcessSet) View() []ProcessID { return s.ids }
+
 // Next returns the member after id in the canonical order, wrapping from
 // the last member to the first — id's successor on a ring of the set's
 // members — or "" and false if id is not a member. It copies nothing.

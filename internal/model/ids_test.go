@@ -131,6 +131,22 @@ func TestProcessSetMembersIsACopy(t *testing.T) {
 	}
 }
 
+func TestProcessSetViewDoesNotCopy(t *testing.T) {
+	s := NewProcessSet("q", "p", "t")
+	if got := s.View(); !reflect.DeepEqual(got, s.Members()) {
+		t.Fatalf("View() = %v, want %v", got, s.Members())
+	}
+	// The specification checker ranges over a membership per delivery.
+	n := testing.AllocsPerRun(100, func() {
+		for _, id := range s.View() {
+			_ = id
+		}
+	})
+	if n != 0 {
+		t.Errorf("ranging over View allocates %v per call, want 0", n)
+	}
+}
+
 func TestProcessSetString(t *testing.T) {
 	s := NewProcessSet("q", "p")
 	if got := s.String(); got != "{p,q}" {

@@ -497,7 +497,7 @@ func (n *Node) validateObligations(ring model.Configuration) int {
 	}
 	universe := n.ringCfg.Members.Union(ring.Members)
 	kept := make([]model.ProcessID, 0, before)
-	for _, p := range n.obligations.Members() {
+	for _, p := range n.obligations.View() {
 		_, observed := n.store.SeenSeq(p)
 		if observed || universe.Contains(p) {
 			kept = append(kept, p)

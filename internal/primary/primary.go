@@ -220,7 +220,7 @@ func (p *Protocol) evaluate() []Action {
 	if p.committed {
 		return nil
 	}
-	for _, q := range p.cur.Members.Members() {
+	for _, q := range p.cur.Members.View() {
 		if _, ok := p.proposals[q]; !ok {
 			return nil
 		}
@@ -255,7 +255,7 @@ func (p *Protocol) finalize() []Action {
 	if !p.committed || p.decided {
 		return nil
 	}
-	for _, q := range p.cur.Members.Members() {
+	for _, q := range p.cur.Members.View() {
 		if !p.commits[q] {
 			return nil
 		}

@@ -166,3 +166,32 @@ func TestSyntheticHistoryConforms(t *testing.T) {
 		t.Fatalf("synthetic history flagged: %v", vs)
 	}
 }
+
+// TestCheckerAllocBudget pins what NewChecker plus CheckAll allocate per
+// event on the scaling histories: at most a third of the 1,021 and 711
+// B/event the string-keyed index allocated, whose per-event map entries
+// and second copy of every delivery the dense-id index removed.
+func TestCheckerAllocBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		events []model.Event
+		budget float64 // bytes per event
+	}{
+		{"synthetic procs=4 msgs=4000", syntheticHistory(4, 4000), 1021.0 / 3},
+		{"churn procs=5 cfgs=100 msgs=100", churnHistory(5, 100, 100), 711.0 / 3},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		vs := NewChecker(tc.events, Options{Settled: true}).CheckAll()
+		runtime.ReadMemStats(&after)
+		if len(vs) != 0 {
+			t.Fatalf("%s: history flagged: %v", tc.name, vs)
+		}
+		got := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(tc.events))
+		t.Logf("%s: %.0f B/event (budget %.0f)", tc.name, got, tc.budget)
+		if got > tc.budget {
+			t.Errorf("%s: checker allocated %.0f B/event, budget %.0f", tc.name, got, tc.budget)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -27,9 +28,8 @@ func (c *Checker) Precedes(i, j int) bool { return c.ix.precedes(i, j) }
 
 // CheckAll runs every specification check and returns all violations.
 // The index is fully precomputed and read-only, so the seven checks run
-// concurrently; the combined result is sorted into a deterministic order
-// (the individual checks inherit map-iteration order, as they always
-// did).
+// concurrently; the combined result is sorted into the order of
+// sortViolations.
 func (c *Checker) CheckAll() []Violation {
 	checks := []func() []Violation{
 		c.CheckBasicDelivery,
@@ -87,74 +87,69 @@ func sortViolations(vs []Violation) {
 func (c *Checker) CheckBasicDelivery() []Violation {
 	var out []Violation
 	ix := c.ix
+	last := filled(ix.uni.Len(), -1) // per process: its latest delivery of m so far
+	for m, mid := range ix.msgIDs {
+		sIdxs, dIdxs := ix.sends.of(int32(m)), ix.delivers.of(int32(m))
 
-	// 1.4: a message is sent exactly once, in a regular configuration,
-	// and no process delivers it twice.
-	for m, sIdxs := range ix.sends {
+		// 1.4: a message is sent exactly once, in a regular
+		// configuration, and no process delivers it twice.
 		if len(sIdxs) > 1 {
-			//lint:allow determinism violation order is canonicalised by sortViolations in CheckAll
 			out = append(out, Violation{
 				Spec:   "1.4",
-				Msg:    fmt.Sprintf("message %s sent %d times", m, len(sIdxs)),
-				Events: sIdxs,
+				Msg:    fmt.Sprintf("message %s sent %d times", mid, len(sIdxs)),
+				Events: ints(sIdxs),
 			})
 		}
 		for _, s := range sIdxs {
 			if !ix.events[s].Config.IsRegular() {
 				out = append(out, Violation{
 					Spec:   "1.4",
-					Msg:    fmt.Sprintf("message %s sent in non-regular configuration %s", m, ix.events[s].Config),
-					Events: []int{s},
+					Msg:    fmt.Sprintf("message %s sent in non-regular configuration %s", mid, ix.events[s].Config),
+					Events: []int{int(s)},
 				})
 			}
 		}
-	}
-	for m, dIdxs := range ix.delivers {
 		for _, d := range dIdxs {
-			p := ix.events[d].Proc
-			mine := ix.procDelivers[procMsg{p, m}]
-			k := sort.SearchInts(mine, d)
-			if k > 0 {
-				//lint:allow determinism violation order is canonicalised by sortViolations in CheckAll
+			p := ix.procOf[d]
+			if last[p] >= 0 {
 				out = append(out, Violation{
 					Spec:   "1.4",
-					Msg:    fmt.Sprintf("process %s delivered message %s twice", p, m),
-					Events: []int{mine[k-1], d},
+					Msg:    fmt.Sprintf("process %s delivered message %s twice", ix.events[d].Proc, mid),
+					Events: []int{int(last[p]), int(d)},
 				})
 			}
+			last[p] = d
 		}
-	}
-
-	// 1.3: every delivery has a preceding send in the regular
-	// configuration underlying the delivery configuration.
-	for m, dIdxs := range ix.delivers {
-		sIdxs := ix.sends[m]
 		for _, d := range dIdxs {
-			de := ix.events[d]
+			last[ix.procOf[d]] = -1
+		}
+
+		// 1.3: every delivery has a preceding send in the regular
+		// configuration underlying the delivery configuration.
+		for _, d := range dIdxs {
+			de := &ix.events[d]
 			if len(sIdxs) == 0 {
-				//lint:allow determinism violation order is canonicalised by sortViolations in CheckAll
 				out = append(out, Violation{
 					Spec:   "1.3",
-					Msg:    fmt.Sprintf("message %s delivered by %s but never sent", m, de.Proc),
-					Events: []int{d},
+					Msg:    fmt.Sprintf("message %s delivered by %s but never sent", mid, de.Proc),
+					Events: []int{int(d)},
 				})
 				continue
 			}
-			s := sIdxs[0]
-			se := ix.events[s]
-			if se.Config != de.Config.Prev() {
+			s := int(sIdxs[0])
+			if ix.cfgOf[s] != ix.cfgPrev[ix.cfgOf[d]] {
 				out = append(out, Violation{
 					Spec: "1.3",
 					Msg: fmt.Sprintf("message %s sent in %s but delivered by %s in %s",
-						m, se.Config, de.Proc, de.Config),
-					Events: []int{s, d},
+						mid, ix.events[s].Config, de.Proc, de.Config),
+					Events: []int{s, int(d)},
 				})
 			}
-			if !ix.precedes(s, d) {
+			if !ix.precedes(s, int(d)) {
 				out = append(out, Violation{
 					Spec:   "1.3",
-					Msg:    fmt.Sprintf("delivery of %s by %s does not follow its send", m, de.Proc),
-					Events: []int{s, d},
+					Msg:    fmt.Sprintf("delivery of %s by %s does not follow its send", mid, de.Proc),
+					Events: []int{s, int(d)},
 				})
 			}
 		}
@@ -174,55 +169,57 @@ func (c *Checker) CheckConfigChanges() []Violation {
 
 	// A configuration must be delivered at most once per process, with
 	// consistent membership, and the process must be a member.
-	for cfg, idxs := range ix.confs {
-		seen := make(map[model.ProcessID]int)
+	seen := filled(ix.uni.Len(), -1)
+	for cfg, members := range ix.members {
+		idxs := ix.confs.of(int32(cfg))
 		for _, i := range idxs {
-			e := ix.events[i]
-			if prev, dup := seen[e.Proc]; dup {
-				//lint:allow determinism violation order is canonicalised by sortViolations in CheckAll
+			e := &ix.events[i]
+			if prev := seen[ix.procOf[i]]; prev >= 0 {
 				out = append(out, Violation{
 					Spec:   "2.1",
-					Msg:    fmt.Sprintf("process %s delivered configuration %s twice", e.Proc, cfg),
-					Events: []int{prev, i},
+					Msg:    fmt.Sprintf("process %s delivered configuration %s twice", e.Proc, e.Config),
+					Events: []int{int(prev), int(i)},
 				})
 			}
-			seen[e.Proc] = i
-			if !e.Members.Equal(ix.members[cfg]) {
+			seen[ix.procOf[i]] = i
+			if !e.Members.Equal(members) {
 				out = append(out, Violation{
 					Spec:   "2.1",
-					Msg:    fmt.Sprintf("configuration %s has inconsistent membership: %s vs %s", cfg, e.Members, ix.members[cfg]),
-					Events: []int{i},
+					Msg:    fmt.Sprintf("configuration %s has inconsistent membership: %s vs %s", e.Config, e.Members, members),
+					Events: []int{int(i)},
 				})
 			}
 			if !e.Members.Contains(e.Proc) {
 				out = append(out, Violation{
 					Spec:   "2.2",
-					Msg:    fmt.Sprintf("process %s installed configuration %s it is not a member of", e.Proc, cfg),
-					Events: []int{i},
+					Msg:    fmt.Sprintf("process %s installed configuration %s it is not a member of", e.Proc, e.Config),
+					Events: []int{int(i)},
 				})
 			}
+		}
+		for _, i := range idxs {
+			seen[ix.procOf[i]] = -1
 		}
 	}
 
 	// 2.2: every send/deliver/fail occurs in the configuration initiated
 	// by the most recent configuration change of that process, with no
 	// intervening failure.
-	for p, idxs := range ix.byProc {
-		var current model.ConfigID
+	for p := range seen {
+		current := int32(0) // the zero configuration
 		failed := false
-		for _, i := range idxs {
-			e := ix.events[i]
+		for _, i := range ix.byProc.of(int32(p)) {
+			e := &ix.events[i]
 			switch e.Type {
 			case model.EventDeliverConf:
-				current = e.Config
+				current = ix.cfgOf[i]
 				failed = false
 			case model.EventFail:
-				if e.Config != current {
-					//lint:allow determinism violation order is canonicalised by sortViolations in CheckAll
+				if ix.cfgOf[i] != current {
 					out = append(out, Violation{
 						Spec:   "2.2",
-						Msg:    fmt.Sprintf("process %s failed in %s while its configuration is %s", p, e.Config, current),
-						Events: []int{i},
+						Msg:    fmt.Sprintf("process %s failed in %s while its configuration is %s", e.Proc, e.Config, ix.cfgIDs[current]),
+						Events: []int{int(i)},
 					})
 				}
 				failed = true
@@ -230,16 +227,16 @@ func (c *Checker) CheckConfigChanges() []Violation {
 				if failed {
 					out = append(out, Violation{
 						Spec:   "2.2",
-						Msg:    fmt.Sprintf("process %s has %s after failing without recovering", p, e.Type),
-						Events: []int{i},
+						Msg:    fmt.Sprintf("process %s has %s after failing without recovering", e.Proc, e.Type),
+						Events: []int{int(i)},
 					})
 				}
-				if e.Config != current {
+				if ix.cfgOf[i] != current {
 					out = append(out, Violation{
 						Spec: "2.2",
 						Msg: fmt.Sprintf("process %s has %s event in %s while its configuration is %s",
-							p, e.Type, e.Config, current),
-						Events: []int{i},
+							e.Proc, e.Type, e.Config, ix.cfgIDs[current]),
+						Events: []int{int(i)},
 					})
 				}
 			}
@@ -258,34 +255,29 @@ func (c *Checker) CheckConfigChanges() []Violation {
 func (c *Checker) checkFinalAgreement() []Violation {
 	var out []Violation
 	ix := c.ix
-	finals := make(map[model.ProcessID]model.ConfigID)
-	failedIn := make(map[model.ProcessID]bool)
-	for p, idxs := range ix.byProc {
-		for _, i := range idxs {
-			e := ix.events[i]
-			switch e.Type {
-			case model.EventDeliverConf:
-				finals[p] = e.Config
-				failedIn[p] = false
-			case model.EventFail:
-				failedIn[p] = true
-			}
+	// final returns p's final configuration (the zero one if it never
+	// installed any) and whether p failed after installing it.
+	final := func(p int32) (int32, bool) {
+		seq, fails := ix.confSeqs.of(p), ix.fails.of(p)
+		cfg, last := int32(0), int32(-1)
+		if len(seq) > 0 {
+			last = seq[len(seq)-1]
+			cfg = ix.cfgOf[last]
 		}
+		return cfg, len(fails) > 0 && fails[len(fails)-1] > last
 	}
-	for p, cfg := range finals {
-		if failedIn[p] {
+	for p := 0; p < ix.uni.Len(); p++ {
+		cfg, failed := final(int32(p))
+		if len(ix.confSeqs.of(int32(p))) == 0 || failed {
 			continue
 		}
-		for _, q := range ix.members[cfg].Members() {
-			if failedIn[q] {
-				continue
-			}
-			if finals[q] != cfg {
-				//lint:allow determinism violation order is canonicalised by sortViolations in CheckAll
+		for _, q := range ix.members[cfg].View() {
+			qcfg, qfailed := final(ix.proc(q))
+			if !qfailed && qcfg != cfg {
 				out = append(out, Violation{
 					Spec: "2.1",
 					Msg: fmt.Sprintf("process %s finished in %s but member %s finished in %s",
-						p, cfg, q, finals[q]),
+						ix.uni.ID(p), ix.cfgIDs[cfg], q, ix.cfgIDs[qcfg]),
 				})
 			}
 		}
@@ -303,24 +295,23 @@ func (c *Checker) checkFinalAgreement() []Violation {
 func (c *Checker) CheckSelfDelivery() []Violation {
 	var out []Violation
 	ix := c.ix
-	for m, sIdxs := range ix.sends {
-		for _, s := range sIdxs {
-			se := ix.events[s]
-			p := se.Proc
-			zone := ix.comZone(p, se.Config)
-			if ix.failedIn(p, zone) {
+	for m, mid := range ix.msgIDs {
+		for _, s := range ix.sends.of(int32(m)) {
+			p := ix.procOf[s]
+			z := ix.comZone(p, ix.cfgOf[s])
+			if ix.failedIn(p, z) {
 				continue
 			}
-			movedOn := ix.leftZone(p, s, zone)
+			movedOn := ix.leftZone(p, int(s), z)
 			if !movedOn && !c.opts.Settled {
 				continue
 			}
-			if !ix.deliveredIn(p, m, zone) {
-				//lint:allow determinism violation order is canonicalised by sortViolations in CheckAll
+			if !ix.deliveredIn(p, int32(m), z) {
+				se := &ix.events[s]
 				out = append(out, Violation{
 					Spec:   "3",
-					Msg:    fmt.Sprintf("process %s never delivered its own message %s sent in %s", p, m, se.Config),
-					Events: []int{s},
+					Msg:    fmt.Sprintf("process %s never delivered its own message %s sent in %s", se.Proc, mid, se.Config),
+					Events: []int{int(s)},
 				})
 			}
 		}
@@ -336,104 +327,75 @@ func (c *Checker) CheckSelfDelivery() []Violation {
 // set of messages in c.
 //
 // The quadratic all-pairs set comparison is replaced by an equivalence
-// grouping: within each (configuration, next-configuration) group the
-// installers' delivered sets are bucketed by comparing to class
-// representatives, and only configurations where more than one class
-// exists — i.e. an actual violation — fall back to the original pairwise
-// loop, reproducing the reference violations exactly.
+// test: within each (configuration, next-configuration) group every
+// installer's delivered set is compared with the group's first, and only
+// configurations where one differs — i.e. an actual violation — fall back
+// to the original pairwise loop, reproducing the reference violations
+// exactly.
 func (c *Checker) CheckFailureAtomicity() []Violation {
 	var out []Violation
 	ix := c.ix
+	P, C := ix.uni.Len(), len(ix.cfgIDs)
 
-	// next[p,cfg] = the configuration p installed after cfg, from the
-	// cached configuration sequences.
-	next := make(map[procCfg]model.ConfigID)
-	for p := range ix.byProc {
-		seq := ix.confSeq(p)
+	// next[pc(p, cfg)] = the configuration p installed after (its last
+	// installation of) cfg, or -1.
+	next := filled(P*C, -1)
+	for p := int32(0); int(p) < P; p++ {
+		seq := ix.confSeqs.of(p)
 		for k := 0; k+1 < len(seq); k++ {
-			cur := ix.events[seq[k]].Config
-			nxt := ix.events[seq[k+1]].Config
-			next[procCfg{p, cur}] = nxt
+			next[ix.pc(p, ix.cfgOf[seq[k]])] = ix.cfgOf[seq[k+1]]
 		}
 	}
-
-	sameSet := func(a, b map[model.MessageID]bool) bool {
-		if len(a) != len(b) {
-			return false
+	// delivered.of(pc(p, cfg)) = the sorted set of messages p delivered
+	// in cfg.
+	keys := make([]int32, len(ix.events))
+	for i := range ix.events {
+		keys[i] = -1
+		if ix.events[i].Type == model.EventDeliver {
+			keys[i] = int32(ix.pc(ix.procOf[i], ix.cfgOf[i]))
 		}
-		for m := range a {
-			if !b[m] {
-				return false
-			}
-		}
-		return true
 	}
+	delivered := group(P*C, keys, ix.msgOf)
+	delivered.sortUnique()
 
-	var slow []model.ConfigID
-	slowSeen := make(map[model.ConfigID]bool)
-	for cfg, idxs := range ix.confs {
-		// Group installers by their next configuration and bucket the
-		// delivered sets into equivalence classes per group.
-		type group struct {
-			reps []map[model.MessageID]bool
-		}
-		groups := make(map[model.ConfigID]*group)
-		for _, i := range idxs {
-			p := ix.events[i].Proc
-			nxt, ok := next[procCfg{p, cfg}]
-			if !ok {
+	var slow []int32
+	for cfg := int32(0); int(cfg) < C; cfg++ {
+		idxs := ix.confs.of(cfg)
+	classes:
+		for a, i := range idxs {
+			ka := ix.pc(ix.procOf[i], cfg)
+			if next[ka] < 0 {
 				continue
 			}
-			g := groups[nxt]
-			if g == nil {
-				g = &group{}
-				groups[nxt] = g
-			}
-			dp := ix.cfgDelivered[procCfg{p, cfg}]
-			matched := false
-			for _, rep := range g.reps {
-				if sameSet(dp, rep) {
-					matched = true
+			for _, j := range idxs[:a] {
+				if kb := ix.pc(ix.procOf[j], cfg); next[kb] == next[ka] {
+					if !slices.Equal(delivered.of(int32(ka)), delivered.of(int32(kb))) {
+						slow = append(slow, cfg)
+						break classes
+					}
 					break
 				}
-			}
-			if !matched {
-				g.reps = append(g.reps, dp)
-			}
-		}
-		for _, g := range groups {
-			if len(g.reps) > 1 && !slowSeen[cfg] {
-				slowSeen[cfg] = true
-				slow = append(slow, cfg)
 			}
 		}
 	}
 
 	// Fallback: re-run the reference pairwise comparison for the
 	// configurations where classes diverged, producing the exact
-	// reference violations. Order the configurations by their first
-	// installation event for determinism.
-	sort.Slice(slow, func(a, b int) bool {
-		return ix.confs[slow[a]][0] < ix.confs[slow[b]][0]
-	})
+	// reference violations.
 	for _, cfg := range slow {
-		idxs := ix.confs[cfg]
+		idxs := ix.confs.of(cfg)
 		for a := 0; a < len(idxs); a++ {
 			for b := a + 1; b < len(idxs); b++ {
-				p := ix.events[idxs[a]].Proc
-				q := ix.events[idxs[b]].Proc
-				np, okp := next[procCfg{p, cfg}]
-				nq, okq := next[procCfg{q, cfg}]
-				if !okp || !okq || np != nq {
+				kp, kq := ix.pc(ix.procOf[idxs[a]], cfg), ix.pc(ix.procOf[idxs[b]], cfg)
+				np := next[kp]
+				if np < 0 || np != next[kq] {
 					continue
 				}
-				dp := ix.cfgDelivered[procCfg{p, cfg}]
-				dq := ix.cfgDelivered[procCfg{q, cfg}]
-				if diff := setDiff(dp, dq); diff != "" {
+				if diff := ix.setDiff(delivered.of(int32(kp)), delivered.of(int32(kq))); diff != "" {
 					out = append(out, Violation{
 						Spec: "4",
 						Msg: fmt.Sprintf("processes %s and %s proceeded from %s to %s but delivered different sets: %s",
-							p, q, cfg, np, diff),
+							ix.events[idxs[a]].Proc, ix.events[idxs[b]].Proc, ix.cfgIDs[cfg], ix.cfgIDs[np], diff),
 					})
 				}
 			}
@@ -442,18 +404,20 @@ func (c *Checker) CheckFailureAtomicity() []Violation {
 	return out
 }
 
-// setDiff describes the symmetric difference of two message sets ("" when
-// equal).
-func setDiff(a, b map[model.MessageID]bool) string {
+// setDiff describes the symmetric difference of two sorted message sets
+// ("" when equal).
+func (ix *index) setDiff(a, b []int32) string {
 	var onlyA, onlyB []string
-	for m := range a {
-		if !b[m] {
-			onlyA = append(onlyA, m.String())
-		}
-	}
-	for m := range b {
-		if !a[m] {
-			onlyB = append(onlyB, m.String())
+	for len(a) > 0 || len(b) > 0 {
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0] < b[0]:
+			onlyA = append(onlyA, ix.msgIDs[a[0]].String())
+			a = a[1:]
+		case len(a) == 0 || b[0] < a[0]:
+			onlyB = append(onlyB, ix.msgIDs[b[0]].String())
+			b = b[1:]
+		default:
+			a, b = a[1:], b[1:]
 		}
 	}
 	if len(onlyA) == 0 && len(onlyB) == 0 {
@@ -483,106 +447,78 @@ func setDiff(a, b map[model.MessageID]bool) string {
 func (c *Checker) CheckCausalDelivery() []Violation {
 	var out []Violation
 	ix := c.ix
-	P := ix.uni.Len()
+	P, C := ix.uni.Len(), len(ix.cfgIDs)
 
-	// Per configuration, the send events grouped by sending process, in
-	// history order (so local indices are ascending).
-	type cfgSends struct {
-		all    []int         // every send in the configuration, ascending
-		procs  []int32       // dense process ids with sends here
-		slot   map[int32]int // dense process id -> index into procs/lists
-		lists  [][]int       // per slot: send event indices, ascending
-		locals [][]int32     // per slot: matching local indices, ascending
+	// bySender.of(cfg*P + p): p's sends in cfg in history order, so
+	// their local indices ascend.
+	keys := make([]int32, len(ix.events))
+	for i := range ix.events {
+		keys[i] = -1
+		if ix.events[i].Type == model.EventSend {
+			keys[i] = ix.cfgOf[i]*int32(P) + ix.procOf[i]
+		}
 	}
-	byCfg := make(map[model.ConfigID]*cfgSends)
-	for i, e := range ix.events {
-		if e.Type != model.EventSend {
-			continue
-		}
-		cs := byCfg[e.Config]
-		if cs == nil {
-			cs = &cfgSends{slot: make(map[int32]int)}
-			byCfg[e.Config] = cs
-		}
-		cs.all = append(cs.all, i)
-		p := ix.procOf[i]
-		t, ok := cs.slot[p]
-		if !ok {
-			t = len(cs.procs)
-			cs.slot[p] = t
-			cs.procs = append(cs.procs, p)
-			cs.lists = append(cs.lists, nil)
-			cs.locals = append(cs.locals, nil)
-		}
-		cs.lists[t] = append(cs.lists[t], i)
-		cs.locals[t] = append(cs.locals[t], ix.local[i])
-	}
+	bySender := group(C*P, keys, nil)
 
-	slow := make(map[model.ConfigID]bool)
+	slow := make([]bool, C)
 	// Multiply-sent messages (a 1.4 violation) have no single send to
 	// certify against; route their configurations through the fallback.
-	for _, sIdxs := range ix.sends {
-		if len(sIdxs) > 1 {
+	for m := range ix.msgIDs {
+		if sIdxs := ix.sends.of(int32(m)); len(sIdxs) > 1 {
 			for _, s := range sIdxs {
-				slow[ix.events[s].Config] = true
+				slow[ix.cfgOf[s]] = true
 			}
 		}
 	}
 
-	// prefixDone[r, cfg] = per sender slot, how many of that sender's
-	// sends the receiver has first-delivered strictly before the event
-	// currently being certified. Monotone in the scan, so each position
-	// is verified at most once plus one failed probe per certification.
-	type rcKey struct {
-		r   model.ProcessID
-		cfg model.ConfigID
-	}
-	prefixDone := make(map[rcKey][]int32)
-
-	for i, e := range ix.events {
-		if e.Type != model.EventDeliver {
+	// The P counters at done[row[pc(r, cfg)]:] = per sender, how many of
+	// that sender's sends the receiver r has first-delivered strictly
+	// before the event currently being certified. Monotone in the scan,
+	// so each position is verified at most once plus one failed probe
+	// per certification.
+	row := filled(P*C, -1)
+	var done []int32
+	for i := range ix.events {
+		if ix.events[i].Type != model.EventDeliver {
 			continue
 		}
-		sIdxs := ix.sends[e.Msg]
+		sIdxs := ix.sends.of(ix.msgOf[i])
 		if len(sIdxs) != 1 {
 			continue // no send: no pairs; multi-send: already slow
 		}
-		s := sIdxs[0]
-		cfg := ix.events[s].Config
+		s := int(sIdxs[0])
+		cfg := ix.cfgOf[s]
 		if slow[cfg] {
 			continue
 		}
-		cs := byCfg[cfg]
-		r := e.Proc
-		key := rcKey{r, cfg}
-		done := prefixDone[key]
-		if done == nil {
-			done = make([]int32, len(cs.procs))
-			prefixDone[key] = done
+		r := ix.procOf[i]
+		k := ix.pc(r, cfg)
+		if row[k] < 0 {
+			row[k] = int32(len(done))
+			done = append(done, make([]int32, P)...)
 		}
-		svt := ix.vt[s*P : (s+1)*P]
-		for t, p := range cs.procs {
-			locals := cs.locals[t]
+		prefix := done[row[k] : int(row[k])+P]
+		svt := ix.vtOf(s)
+		for p := range prefix {
+			sends := bySender.of(cfg*int32(P) + int32(p))
 			// Sends by p causally preceding s: the prefix with
 			// local index <= vt(s)[p]; s itself is excluded when
 			// p is s's own process (its component equals s's
 			// local index).
-			k := int32(sort.Search(len(locals), func(x int) bool {
-				return locals[x] > svt[p]
+			n := int32(sort.Search(len(sends), func(x int) bool {
+				return ix.local(int(sends[x])) > svt[p]
 			}))
-			if p == ix.procOf[s] {
-				k--
+			if int32(p) == ix.procOf[s] {
+				n--
 			}
-			for done[t] < k {
-				m := ix.events[cs.lists[t][done[t]]].Msg
-				d1 := ix.deliveryIndex(r, m)
-				if d1 >= 0 && d1 < i {
-					done[t]++
-				} else {
+			for prefix[p] < n {
+				d1 := ix.deliveryIndex(r, ix.msgOf[sends[prefix[p]]])
+				if d1 < 0 || d1 >= i {
 					break
 				}
+				prefix[p]++
 			}
-			if done[t] < k {
+			if prefix[p] < n {
 				slow[cfg] = true
 				break
 			}
@@ -590,44 +526,36 @@ func (c *Checker) CheckCausalDelivery() []Violation {
 	}
 
 	// Fallback: the reference triple loop, restricted to the slow
-	// configurations (exactly those containing a violation), ordered by
-	// first send for determinism.
-	slowCfgs := make([]model.ConfigID, 0, len(slow))
-	for cfg := range slow {
-		if byCfg[cfg] != nil {
-			slowCfgs = append(slowCfgs, cfg)
+	// configurations (exactly those containing a violation).
+	for cfg, isSlow := range slow {
+		if !isSlow {
+			continue
 		}
-	}
-	sort.Slice(slowCfgs, func(a, b int) bool {
-		return byCfg[slowCfgs[a]].all[0] < byCfg[slowCfgs[b]].all[0]
-	})
-	for _, cfg := range slowCfgs {
-		sends := byCfg[cfg].all
-		for a := 0; a < len(sends); a++ {
-			for b := 0; b < len(sends); b++ {
-				if a == b || !ix.precedes(sends[a], sends[b]) {
+		sends := bySender.item[bySender.start[cfg*P]:bySender.start[(cfg+1)*P]]
+		for _, sa := range sends {
+			for _, sb := range sends {
+				if sa == sb || !ix.precedes(int(sa), int(sb)) {
 					continue
 				}
-				m := ix.events[sends[a]].Msg
-				m2 := ix.events[sends[b]].Msg
-				for _, d2 := range ix.delivers[m2] {
+				m, m2 := ix.msgOf[sa], ix.msgOf[sb]
+				for _, d2 := range ix.delivers.of(m2) {
 					r := ix.events[d2].Proc
-					d1 := ix.deliveryIndex(r, m)
+					d1 := ix.deliveryIndex(ix.procOf[d2], m)
 					if d1 < 0 {
 						out = append(out, Violation{
 							Spec: "5",
 							Msg: fmt.Sprintf("%s delivered %s but not its causal predecessor %s",
-								r, m2, m),
-							Events: []int{sends[a], sends[b], d2},
+								r, ix.msgIDs[m2], ix.msgIDs[m]),
+							Events: []int{int(sa), int(sb), int(d2)},
 						})
 						continue
 					}
-					if d1 > d2 {
+					if d1 > int(d2) {
 						out = append(out, Violation{
 							Spec: "5",
 							Msg: fmt.Sprintf("%s delivered %s before its causal predecessor %s",
-								r, m2, m),
-							Events: []int{d1, d2},
+								r, ix.msgIDs[m2], ix.msgIDs[m]),
+							Events: []int{d1, int(d2)},
 						})
 					}
 				}

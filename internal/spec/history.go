@@ -29,17 +29,19 @@
 // precedes(i,j) is one O(1) array probe and the whole relation costs
 // O(n·P) memory for n events and P processes — the n×n bitset closure of
 // the original checker is kept only as a differential-testing oracle in
-// package refcheck. On top of the timestamps the index precomputes the
-// lookup tables the checks share (per-process configuration sequences,
-// per-(process,message) delivery lists, per-(process,configuration)
-// delivered sets, installation and failure tables, com-zone caches), so
-// each specification check runs in near-linear time on conforming
-// histories and CheckAll runs the seven checks concurrently.
+// package refcheck. Processes, messages and configurations are interned
+// once per history into dense ids; on top of the timestamps the index
+// holds the lookup tables the checks share (per-process event and
+// configuration sequences, per-message sends and deliveries,
+// per-(process,configuration) installations and com-zone delivered sets)
+// as flat int32 arrays, with no second copy of any delivery and no map
+// probed per event. Each specification check runs in near-linear time on
+// conforming histories and CheckAll runs the seven checks concurrently.
 package spec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/vclock"
@@ -93,127 +95,237 @@ type Options struct {
 	Settled bool
 }
 
-// procMsg keys per-(process,message) tables.
-type procMsg struct {
-	p model.ProcessID
-	m model.MessageID
+// table groups items under dense integer keys in compressed-sparse-row
+// form: the items of key k are item[start[k]:start[k+1]].
+type table struct {
+	start, item []int32
 }
 
-// procCfg keys per-(process,configuration) tables.
-type procCfg struct {
-	p model.ProcessID
-	c model.ConfigID
+// group builds a table over nkeys keys: item i of the input lands under
+// key keys[i] (skipped when negative), carrying vals[i] — or i itself when
+// vals is nil. Items of one key keep their input order.
+func group(nkeys int, keys, vals []int32) table {
+	t := table{start: make([]int32, nkeys+1)}
+	for _, k := range keys {
+		if k >= 0 {
+			t.start[k+1]++
+		}
+	}
+	for k := 0; k < nkeys; k++ {
+		t.start[k+1] += t.start[k]
+	}
+	t.item = make([]int32, t.start[nkeys])
+	// Fill using start[k] as key k's cursor, then shift the cursors back.
+	for i, k := range keys {
+		if k < 0 {
+			continue
+		}
+		v := int32(i)
+		if vals != nil {
+			v = vals[i]
+		}
+		t.item[t.start[k]] = v
+		t.start[k]++
+	}
+	copy(t.start[1:], t.start[:nkeys])
+	t.start[0] = 0
+	return t
+}
+
+// of returns the items of key k (none for a negative key). The slice is
+// shared; callers must not mutate it.
+func (t table) of(k int32) []int32 {
+	if k < 0 {
+		return nil
+	}
+	return t.item[t.start[k]:t.start[k+1]]
+}
+
+// sortUnique turns every key's items into a sorted set, compacting the
+// table in place.
+func (t *table) sortUnique() {
+	w := int32(0)
+	for k := 0; k+1 < len(t.start); k++ {
+		items := t.item[t.start[k]:t.start[k+1]]
+		slices.Sort(items)
+		t.start[k] = w
+		for j, v := range items {
+			if j == 0 || v != items[j-1] {
+				t.item[w] = v
+				w++
+			}
+		}
+	}
+	t.start[len(t.start)-1] = w
+	t.item = t.item[:w]
+}
+
+// has reports whether the sorted set of key k contains v.
+func (t table) has(k, v int32) bool {
+	_, ok := slices.BinarySearch(t.of(k), v)
+	return ok
+}
+
+// filled returns n copies of v.
+func filled(n int, v int32) []int32 {
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
 }
 
 // index holds the derived structures every check shares. It is built once
 // by NewChecker and read-only afterwards, which is what makes the
 // concurrent CheckAll safe: no check mutates the index.
+//
+// Processes, messages and configurations are interned once, so every
+// table below is a flat int32 array indexed by dense ids: a process is its
+// vclock.Universe index, a message its first-appearance number, a
+// configuration its first-appearance number (id 0 is the zero ConfigID).
+// Per-(process, configuration) tables use the packed key pc(p, c).
 type index struct {
 	events []model.Event
-	// byProc lists event indices per process in history order, which is
-	// per-process order (Specification 1.2).
-	byProc map[model.ProcessID][]int
-	// sends maps message ID to the indices of its send events
-	// (Specification 1.4 demands exactly one).
-	sends map[model.MessageID][]int
-	// delivers maps message ID to indices of its deliver events.
-	delivers map[model.MessageID][]int
-	// confs maps configuration ID to indices of its deliver_conf
-	// events.
-	confs map[model.ConfigID][]int
-	// members caches the membership recorded for each configuration.
-	members map[model.ConfigID]model.ProcessSet
 
-	// Vector-timestamp representation of the precedes closure. uni
-	// enumerates the processes appearing in the history; procOf and
-	// local give each event its (dense process, 1-based per-process
-	// position); vt is the flat n×P timestamp array: row i (a
-	// vclock.Dense) is the componentwise maximum over event i's causal
-	// past, with vt[i][procOf[i]] = local[i].
-	uni    *vclock.Universe
-	procOf []int32
-	local  []int32
-	vt     []int32
+	uni     *vclock.Universe
+	msgIDs  []model.MessageID
+	cfgIDs  []model.ConfigID
+	cfgPrev []int32 // dense id of cfgIDs[c].Prev()
+	// members caches the membership recorded by each configuration's
+	// first deliver_conf (zero when it has none).
+	members []model.ProcessSet
 
-	// confSeqs caches, per process, the indices of its deliver_conf
-	// events in order: the process's configuration sequence.
-	confSeqs map[model.ProcessID][]int
-	// procDelivers lists, per (process,message), the indices of that
-	// process's deliveries of the message in history order. Conforming
-	// histories have at most one entry; duplicates are kept so the
-	// duplicate-delivery check and zone lookups see them.
-	procDelivers map[procMsg][]int
-	// installedBy records which processes delivered a configuration
-	// change for each configuration.
-	installedBy map[procCfg]bool
-	// failCfgs lists, per process, the configurations of its fail
-	// events in history order.
-	failCfgs map[model.ProcessID][]model.ConfigID
-	// zones caches com_p(c) per (process, regular configuration): the
-	// regular configuration itself followed by the process's installed
-	// transitional successors of it, in installation order. Regular
-	// configurations with no transitional successor have no entry;
-	// comZone synthesizes the singleton zone on the fly.
-	zones map[procCfg][]model.ConfigID
-	// cfgDelivered is the per-(process,configuration) delivered message
-	// set (failure atomicity compares these across processes).
-	cfgDelivered map[procCfg]map[model.MessageID]bool
-	// famDelivered is the per-(process, regular family) delivered set
-	// restricted to the process's com zone of the family: exactly the
-	// messages deliveredIn(p, ·, comZone(p, reg)) would accept.
-	famDelivered map[procCfg]map[model.MessageID]bool
+	// Per event: its process, message (-1 for deliver_conf and fail)
+	// and configuration.
+	procOf, msgOf, cfgOf []int32
+	// vt is the flat n×P vector-timestamp array of the precedes
+	// closure: row i (a vclock.Dense) is the componentwise maximum over
+	// event i's causal past, and vt[i][procOf[i]] is i's 1-based
+	// position in its process's order.
+	vt []int32
+
+	// Event indices in history order, keyed by process (byProc:
+	// every event, which is per-process order, Specification 1.2;
+	// confSeqs: deliver_conf events, the configuration sequence;
+	// fails: fail events), by message (sends, delivers) and by
+	// configuration (confs: its deliver_conf events). A process's
+	// deliveries of m are the entries of delivers at that process.
+	byProc, confSeqs, fails table
+	sends, delivers         table
+	confs                   table
+	// installed is the bitset over pc(p, c) of the configurations each
+	// process delivered a configuration change for.
+	installed []uint64
+	// famDelivered is, per pc(p, reg) for a regular configuration reg,
+	// the sorted set of messages p delivered within com_p(reg): exactly
+	// the messages deliveredIn(p, ·, comZone(p, reg)) would accept.
+	famDelivered table
 }
 
 func buildIndex(events []model.Event) *index {
+	n := len(events)
 	ix := &index{
-		events:       events,
-		byProc:       make(map[model.ProcessID][]int),
-		sends:        make(map[model.MessageID][]int),
-		delivers:     make(map[model.MessageID][]int),
-		confs:        make(map[model.ConfigID][]int),
-		members:      make(map[model.ConfigID]model.ProcessSet),
-		confSeqs:     make(map[model.ProcessID][]int),
-		procDelivers: make(map[procMsg][]int),
-		installedBy:  make(map[procCfg]bool),
-		failCfgs:     make(map[model.ProcessID][]model.ConfigID),
-		zones:        make(map[procCfg][]model.ConfigID),
-		cfgDelivered: make(map[procCfg]map[model.MessageID]bool),
-		famDelivered: make(map[procCfg]map[model.MessageID]bool),
+		events: events,
+		procOf: make([]int32, n),
+		msgOf:  make([]int32, n),
+		cfgOf:  make([]int32, n),
 	}
-	for i, e := range events {
-		ix.byProc[e.Proc] = append(ix.byProc[e.Proc], i)
-		switch e.Type {
-		case model.EventSend:
-			ix.sends[e.Msg] = append(ix.sends[e.Msg], i)
-		case model.EventDeliver:
-			ix.delivers[e.Msg] = append(ix.delivers[e.Msg], i)
-			ix.procDelivers[procMsg{e.Proc, e.Msg}] = append(ix.procDelivers[procMsg{e.Proc, e.Msg}], i)
-			k := procCfg{e.Proc, e.Config}
-			if ix.cfgDelivered[k] == nil {
-				ix.cfgDelivered[k] = make(map[model.MessageID]bool)
+	ix.intern()
+	C := len(ix.cfgIDs)
+	keys := make([]int32, n)
+	byType := func(typ model.EventType, of []int32) []int32 {
+		for i := range events {
+			keys[i] = -1
+			if events[i].Type == typ {
+				keys[i] = of[i]
 			}
-			ix.cfgDelivered[k][e.Msg] = true
-		case model.EventDeliverConf:
-			ix.confs[e.Config] = append(ix.confs[e.Config], i)
-			if _, ok := ix.members[e.Config]; !ok {
-				ix.members[e.Config] = e.Members
-			}
-			ix.confSeqs[e.Proc] = append(ix.confSeqs[e.Proc], i)
-			ix.installedBy[procCfg{e.Proc, e.Config}] = true
-			if e.Config.IsTransitional() {
-				zk := procCfg{e.Proc, e.Config.Prev()}
-				if ix.zones[zk] == nil {
-					ix.zones[zk] = []model.ConfigID{e.Config.Prev()}
-				}
-				ix.zones[zk] = append(ix.zones[zk], e.Config)
-			}
-		case model.EventFail:
-			ix.failCfgs[e.Proc] = append(ix.failCfgs[e.Proc], e.Config)
+		}
+		return keys
+	}
+	ix.byProc = group(ix.uni.Len(), ix.procOf, nil)
+	ix.sends = group(len(ix.msgIDs), byType(model.EventSend, ix.msgOf), nil)
+	ix.delivers = group(len(ix.msgIDs), byType(model.EventDeliver, ix.msgOf), nil)
+	ix.confs = group(C, byType(model.EventDeliverConf, ix.cfgOf), nil)
+	ix.confSeqs = group(ix.uni.Len(), byType(model.EventDeliverConf, ix.procOf), nil)
+	ix.fails = group(ix.uni.Len(), byType(model.EventFail, ix.procOf), nil)
+
+	ix.members = make([]model.ProcessSet, C)
+	ix.installed = make([]uint64, (ix.uni.Len()*C+63)/64)
+	for c := range ix.members {
+		idxs := ix.confs.of(int32(c))
+		for _, i := range idxs {
+			k := ix.pc(ix.procOf[i], int32(c))
+			ix.installed[k/64] |= 1 << (k % 64)
+		}
+		if len(idxs) > 0 {
+			ix.members[c] = events[idxs[0]].Members
 		}
 	}
 	ix.buildTimestamps()
-	ix.buildFamDelivered()
+	ix.buildFamDelivered(keys)
 	return ix
+}
+
+// intern assigns the dense ids and fills procOf, msgOf and cfgOf. Its
+// maps and the Universe's are the index's only tables keyed by
+// identifier, one entry per distinct id.
+func (ix *index) intern() {
+	var procs []model.ProcessID
+	procIdx := make(map[model.ProcessID]int32)
+	msgIdx := make(map[model.MessageID]int32)
+	cfgIdx := make(map[model.ConfigID]int32)
+	ix.internCfg(cfgIdx, model.ConfigID{})
+	for i, e := range ix.events {
+		p, ok := procIdx[e.Proc]
+		if !ok {
+			p = int32(len(procs))
+			procIdx[e.Proc] = p
+			procs = append(procs, e.Proc)
+		}
+		ix.procOf[i] = p
+		ix.cfgOf[i] = ix.internCfg(cfgIdx, e.Config)
+		ix.msgOf[i] = -1
+		if e.Type == model.EventSend || e.Type == model.EventDeliver {
+			m, ok := msgIdx[e.Msg]
+			if !ok {
+				m = int32(len(ix.msgIDs))
+				msgIdx[e.Msg] = m
+				ix.msgIDs = append(ix.msgIDs, e.Msg)
+			}
+			ix.msgOf[i] = m
+		}
+	}
+	// Renumber processes from first appearance to universe order.
+	ix.uni = vclock.NewUniverse(procs)
+	perm := make([]int32, len(procs))
+	for k, p := range procs {
+		perm[k] = int32(ix.uni.Index(p))
+	}
+	for i, p := range ix.procOf {
+		ix.procOf[i] = perm[p]
+	}
+}
+
+// internCfg returns c's dense id, interning it (and, for a transitional
+// configuration, its regular predecessor first) on first sight.
+func (ix *index) internCfg(ids map[model.ConfigID]int32, c model.ConfigID) int32 {
+	if id, ok := ids[c]; ok {
+		return id
+	}
+	prev := int32(len(ix.cfgIDs))
+	if c.IsTransitional() {
+		prev = ix.internCfg(ids, c.Prev())
+	}
+	id := int32(len(ix.cfgIDs))
+	ids[c] = id
+	ix.cfgIDs = append(ix.cfgIDs, c)
+	ix.cfgPrev = append(ix.cfgPrev, prev)
+	return id
+}
+
+// pc packs a (process, configuration) pair into one dense key.
+func (ix *index) pc(p, c int32) int {
+	return int(p)*len(ix.cfgIDs) + int(c)
 }
 
 // buildTimestamps stamps every event with a dense vector timestamp over
@@ -223,39 +335,26 @@ func buildIndex(events []model.Event) *index {
 // the history — the same edge set the reference closure uses; a deliver
 // preceding its send simply lacks the edge and Check 1.3 reports it.
 func (ix *index) buildTimestamps() {
-	n := len(ix.events)
-	procs := make([]model.ProcessID, 0, len(ix.byProc))
-	for p := range ix.byProc {
-		//lint:allow determinism NewUniverse sorts and dedupes the id set; accumulation order is irrelevant
-		procs = append(procs, p)
-	}
-	ix.uni = vclock.NewUniverse(procs)
 	P := ix.uni.Len()
-	ix.procOf = make([]int32, n)
-	ix.local = make([]int32, n)
-	ix.vt = make([]int32, n*P)
-
+	ix.vt = make([]int32, len(ix.events)*P)
 	prev := make([]int32, P) // last event index per process, or -1
 	for i := range prev {
 		prev[i] = -1
 	}
-	counts := make([]int32, P)
 	for i, e := range ix.events {
-		p := int32(ix.uni.Index(e.Proc))
-		ix.procOf[i] = p
-		counts[p]++
-		ix.local[i] = counts[p]
-
+		p := ix.procOf[i]
 		row := vclock.Dense(ix.vt[i*P : (i+1)*P])
-		if pr := prev[p]; pr >= 0 {
-			copy(row, ix.vt[int(pr)*P:(int(pr)+1)*P])
+		local := int32(1)
+		if pr := int(prev[p]); pr >= 0 {
+			copy(row, ix.vt[pr*P:(pr+1)*P])
+			local = row[p] + 1
 		}
 		if e.Type == model.EventDeliver {
-			if sIdxs := ix.sends[e.Msg]; len(sIdxs) > 0 && sIdxs[0] < i {
-				row.Merge(ix.vt[sIdxs[0]*P : (sIdxs[0]+1)*P])
+			if sIdxs := ix.sends.of(ix.msgOf[i]); len(sIdxs) > 0 && int(sIdxs[0]) < i {
+				row.Merge(ix.vtOf(int(sIdxs[0])))
 			}
 		}
-		row[p] = ix.local[i]
+		row[p] = local
 		prev[p] = int32(i)
 	}
 }
@@ -264,38 +363,29 @@ func (ix *index) buildTimestamps() {
 // sets. A delivery by p in configuration c contributes to family reg =
 // c.Prev() exactly when c lies in com_p(reg): always for c == reg, and
 // for a transitional c only when p installed it (the zone follows the
-// process's own configuration sequence).
-func (ix *index) buildFamDelivered() {
-	for _, e := range ix.events {
-		if e.Type != model.EventDeliver {
-			continue
+// process's own configuration sequence). keys is scratch of one entry per
+// event.
+func (ix *index) buildFamDelivered(keys []int32) {
+	for i, e := range ix.events {
+		keys[i] = -1
+		p, c := ix.procOf[i], ix.cfgOf[i]
+		if e.Type == model.EventDeliver && ix.inZone(ix.comZoneOf(p, c), c) {
+			keys[i] = int32(ix.pc(p, ix.cfgPrev[c]))
 		}
-		c := e.Config
-		reg := c.Prev()
-		if c.IsTransitional() {
-			inZone := false
-			for _, z := range ix.zones[procCfg{e.Proc, reg}] {
-				if z == c {
-					inZone = true
-					break
-				}
-			}
-			if !inZone {
-				continue
-			}
-		}
-		k := procCfg{e.Proc, reg}
-		if ix.famDelivered[k] == nil {
-			ix.famDelivered[k] = make(map[model.MessageID]bool)
-		}
-		ix.famDelivered[k][e.Msg] = true
 	}
+	ix.famDelivered = group(ix.uni.Len()*len(ix.cfgIDs), keys, ix.msgOf)
+	ix.famDelivered.sortUnique()
 }
 
 // vtOf returns event i's dense vector timestamp (a view, not a copy).
 func (ix *index) vtOf(i int) vclock.Dense {
 	P := ix.uni.Len()
 	return vclock.Dense(ix.vt[i*P : (i+1)*P])
+}
+
+// local returns event i's 1-based position in its process's order.
+func (ix *index) local(i int) int32 {
+	return ix.vt[i*ix.uni.Len()+int(ix.procOf[i])]
 }
 
 // precedes reports whether event i precedes event j in the closure of the
@@ -308,27 +398,35 @@ func (ix *index) precedes(i, j int) bool {
 	if i >= j {
 		return false
 	}
-	return ix.vt[j*ix.uni.Len()+int(ix.procOf[i])] >= ix.local[i]
+	return ix.vt[j*ix.uni.Len()+int(ix.procOf[i])] >= ix.local(i)
 }
 
-// confSeq returns, for process p, the indices of its deliver_conf events in
-// order: p's configuration sequence.
-func (ix *index) confSeq(p model.ProcessID) []int {
-	return ix.confSeqs[p]
+// proc returns p's dense id, or -1 for a process with no events.
+func (ix *index) proc(p model.ProcessID) int32 {
+	return int32(ix.uni.Index(p))
 }
 
-// comZone returns the configurations forming com_p(c): the regular
-// configuration c plus p's installed transitional successors of c, if
-// any. For a transitional c the zone is c alone. The returned slice is
-// shared; callers must not mutate it.
-func (ix *index) comZone(p model.ProcessID, cfg model.ConfigID) []model.ConfigID {
-	if cfg.IsTransitional() {
-		return []model.ConfigID{cfg}
+// isInstalled reports whether process p delivered a configuration change
+// for configuration c.
+func (ix *index) isInstalled(p, c int32) bool {
+	if p < 0 {
+		return false
 	}
-	if z, ok := ix.zones[procCfg{p, cfg}]; ok {
-		return z
-	}
-	return []model.ConfigID{cfg}
+	k := ix.pc(p, c)
+	return ix.installed[k/64]&(1<<(k%64)) != 0
+}
+
+// zone is com_p(c) as a membership test rather than a list: the
+// configuration c itself and, when family is set (c regular), every
+// transitional successor of c that p installed.
+type zone struct {
+	p, c   int32
+	family bool
+}
+
+// comZone returns com_p(c): for a transitional c the zone is c alone.
+func (ix *index) comZone(p, c int32) zone {
+	return zone{p, c, !ix.cfgIDs[c].IsTransitional()}
 }
 
 // comZoneOf returns com_q(c') as a zone: for a regular configuration, the
@@ -339,18 +437,22 @@ func (ix *index) comZone(p model.ProcessID, cfg model.ConfigID) []model.ConfigID
 // the others carries its obligations into a later recovery and delivers
 // them in its own transitional configuration arising from the same
 // regular one; the zone must follow the member, not the observer.
-func (ix *index) comZoneOf(q model.ProcessID, cfg model.ConfigID) []model.ConfigID {
-	return ix.comZone(q, cfg.Prev())
+func (ix *index) comZoneOf(q, c int32) zone {
+	return zone{q, ix.cfgPrev[c], true}
 }
 
-// failedIn reports whether p has a fail event in any of the zone's
+// inZone reports whether configuration c belongs to zone z. A
+// configuration other than z.c whose predecessor is z.c is transitional.
+func (ix *index) inZone(z zone, c int32) bool {
+	return c == z.c || z.family && ix.cfgPrev[c] == z.c && ix.isInstalled(z.p, c)
+}
+
+// failedIn reports whether p has a fail event in one of the zone's
 // configurations.
-func (ix *index) failedIn(p model.ProcessID, zone []model.ConfigID) bool {
-	for _, fc := range ix.failCfgs[p] {
-		for _, z := range zone {
-			if fc == z {
-				return true
-			}
+func (ix *index) failedIn(p int32, z zone) bool {
+	for _, f := range ix.fails.of(p) {
+		if ix.inZone(z, ix.cfgOf[f]) {
+			return true
 		}
 	}
 	return false
@@ -358,66 +460,55 @@ func (ix *index) failedIn(p model.ProcessID, zone []model.ConfigID) bool {
 
 // deliveredIn reports whether p delivered m in one of the zone's
 // configurations.
-func (ix *index) deliveredIn(p model.ProcessID, m model.MessageID, zone []model.ConfigID) bool {
-	for _, d := range ix.procDelivers[procMsg{p, m}] {
-		c := ix.events[d].Config
-		for _, z := range zone {
-			if c == z {
-				return true
-			}
+func (ix *index) deliveredIn(p, m int32, z zone) bool {
+	for _, d := range ix.delivers.of(m) {
+		if ix.procOf[d] == p && ix.inZone(z, ix.cfgOf[d]) {
+			return true
 		}
 	}
 	return false
 }
 
 // deliveryIndex returns the index of p's (first) delivery of m, or -1.
-func (ix *index) deliveryIndex(p model.ProcessID, m model.MessageID) int {
-	if ds := ix.procDelivers[procMsg{p, m}]; len(ds) > 0 {
-		return ds[0]
+func (ix *index) deliveryIndex(p, m int32) int {
+	for _, d := range ix.delivers.of(m) {
+		if ix.procOf[d] == p {
+			return int(d)
+		}
 	}
 	return -1
 }
 
 // leftZone reports whether p delivered a configuration change outside the
 // zone after event idx.
-func (ix *index) leftZone(p model.ProcessID, idx int, zone []model.ConfigID) bool {
-	seq := ix.confSeqs[p]
+func (ix *index) leftZone(p int32, idx int, z zone) bool {
+	seq := ix.confSeqs.of(p)
 	// First configuration change strictly after idx.
-	k := sort.SearchInts(seq, idx+1)
+	k, _ := slices.BinarySearch(seq, int32(idx+1))
 	for ; k < len(seq); k++ {
-		c := ix.events[seq[k]].Config
-		inZone := false
-		for _, z := range zone {
-			if c == z {
-				inZone = true
-				break
-			}
-		}
-		if !inZone {
+		if !ix.inZone(z, ix.cfgOf[seq[k]]) {
 			return true
 		}
 	}
 	return false
 }
 
-// installed reports whether q delivered a configuration change for cfg.
-func (ix *index) installed(q model.ProcessID, cfg model.ConfigID) bool {
-	return ix.installedBy[procCfg{q, cfg}]
-}
-
 // inFinalZone reports whether q's last configuration belongs to the zone.
-func (ix *index) inFinalZone(q model.ProcessID, zone []model.ConfigID) bool {
-	seq := ix.confSeqs[q]
+func (ix *index) inFinalZone(q int32, z zone) bool {
+	seq := ix.confSeqs.of(q)
 	if len(seq) == 0 {
 		// q never installed anything; its whole (empty) history is
 		// final.
 		return true
 	}
-	last := ix.events[seq[len(seq)-1]].Config
-	for _, z := range zone {
-		if last == z {
-			return true
-		}
+	return ix.inZone(z, ix.cfgOf[seq[len(seq)-1]])
+}
+
+// ints converts event indices for a Violation.
+func ints(idxs []int32) []int {
+	out := make([]int, len(idxs))
+	for k, i := range idxs {
+		out[k] = int(i)
 	}
-	return false
+	return out
 }

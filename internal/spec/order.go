@@ -1,8 +1,8 @@
 package spec
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/model"
@@ -15,7 +15,7 @@ import (
 // deliveries of one configuration merged — is acyclic.
 func (c *Checker) CheckTotalOrder() []Violation {
 	var out []Violation
-	if _, cyclic := c.BuildOrd(); cyclic {
+	if _, rank := c.ix.condense(); rank == nil {
 		out = append(out, Violation{
 			Spec: "6.1/6.2",
 			Msg:  "no legal ord exists: the condensed event graph is cyclic",
@@ -25,158 +25,144 @@ func (c *Checker) CheckTotalOrder() []Violation {
 	return out
 }
 
-// intHeap is a plain min-heap of supernode ids for the Kahn loop.
-type intHeap []int
-
-func (h intHeap) Len() int            { return len(h) }
-func (h intHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h intHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *intHeap) Push(x interface{}) { *h = append(*h, x.(int)) }
-func (h *intHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // BuildOrd constructs a witness ord assignment: a map from event index to
 // logical time such that ord respects the generating edges (6.1), gives
 // deliveries of one message — and configuration changes of one
 // configuration — the same time (6.2), and gives distinct times otherwise.
 // The second result reports whether the condensation is cyclic, in which
 // case the assignment is nil.
-//
-// Supernodes are numbered by first occurrence in the history (so the
-// assignment is deterministic), edges live in a compact sorted slice
-// instead of nested maps, and the Kahn loop picks the smallest ready
-// supernode with a container/heap min-heap instead of an O(q) scan.
 func (c *Checker) BuildOrd() (map[int]uint64, bool) {
-	ix := c.ix
-	n := len(ix.events)
-
-	// Assign each event to a supernode, numbering supernodes in order
-	// of their first event.
-	super := make([]int, n)
-	nextSuper := 0
-	msgSuper := make(map[model.MessageID]int)
-	cfgSuper := make(map[model.ConfigID]int)
-	for i, e := range ix.events {
-		switch e.Type {
-		case model.EventDeliver:
-			s, ok := msgSuper[e.Msg]
-			if !ok {
-				s = nextSuper
-				nextSuper++
-				msgSuper[e.Msg] = s
-			}
-			super[i] = s
-		case model.EventDeliverConf:
-			s, ok := cfgSuper[e.Config]
-			if !ok {
-				s = nextSuper
-				nextSuper++
-				cfgSuper[e.Config] = s
-			}
-			super[i] = s
-		default:
-			super[i] = nextSuper
-			nextSuper++
-		}
-	}
-
-	// Lift generating edges to supernodes, packed as (from,to) pairs,
-	// then sort and dedup into CSR form.
-	var edges []uint64
-	addEdge := func(a, b int) {
-		sa, sb := super[a], super[b]
-		if sa == sb {
-			return
-		}
-		edges = append(edges, uint64(sa)<<32|uint64(sb))
-	}
-	for _, idxs := range ix.byProc {
-		for k := 0; k+1 < len(idxs); k++ {
-			addEdge(idxs[k], idxs[k+1])
-		}
-	}
-	for m, sIdxs := range ix.sends {
-		if len(sIdxs) == 0 {
-			continue
-		}
-		for _, d := range ix.delivers[m] {
-			addEdge(sIdxs[0], d)
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i] < edges[j] })
-	uniq := edges[:0]
-	for i, e := range edges {
-		if i == 0 || e != edges[i-1] {
-			uniq = append(uniq, e)
-		}
-	}
-	edges = uniq
-	start := make([]int32, nextSuper+1)
-	dst := make([]int32, len(edges))
-	indeg := make([]int32, nextSuper)
-	for _, e := range edges {
-		start[int(e>>32)+1]++
-		indeg[uint32(e)]++
-	}
-	for s := 0; s < nextSuper; s++ {
-		start[s+1] += start[s]
-	}
-	for _, e := range edges {
-		fill := e >> 32
-		dst[start[fill]] = int32(uint32(e))
-		start[fill]++
-	}
-	// start was consumed as a fill cursor; shift it back.
-	for s := nextSuper; s > 0; s-- {
-		start[s] = start[s-1]
-	}
-	start[0] = 0
-
-	// Topologically sort the supernode graph (Kahn), always taking the
-	// smallest ready supernode.
-	var ready intHeap
-	for s := 0; s < nextSuper; s++ {
-		if indeg[s] == 0 {
-			ready = append(ready, s)
-		}
-	}
-	heap.Init(&ready)
-	rank := make([]uint64, nextSuper)
-	var done int
-	var t uint64
-	for ready.Len() > 0 {
-		s := heap.Pop(&ready).(int)
-		t++
-		rank[s] = t
-		done++
-		for k := start[s]; k < start[s+1]; k++ {
-			b := int(dst[k])
-			indeg[b]--
-			if indeg[b] == 0 {
-				heap.Push(&ready, b)
-			}
-		}
-	}
-	if done != nextSuper {
+	super, rank := c.ix.condense()
+	if rank == nil {
 		return nil, true
 	}
-	ord := make(map[int]uint64, n)
-	for i := 0; i < n; i++ {
-		ord[i] = rank[super[i]]
+	ord := make(map[int]uint64, len(super))
+	for i, s := range super {
+		ord[i] = rank[s]
 	}
 	return ord, false
 }
 
-// famKey identifies a per-process delivery family: a regular
-// configuration together with its transitional successors.
-type famKey struct {
-	p   model.ProcessID
-	reg model.ConfigID
+// condense returns each event's supernode and each supernode's logical
+// time, or a nil rank when the condensation is cyclic.
+//
+// Supernodes are numbered by first occurrence in the history (so the
+// assignment is deterministic), edges live in a compact sorted slice, and
+// the Kahn loop picks the smallest ready supernode from a min-heap.
+func (ix *index) condense() (super []int32, rank []uint64) {
+	// Assign each event to a supernode: deliveries of one message share
+	// one, as do deliver_conf events of one configuration.
+	super = filled(len(ix.events), -1)
+	msgSuper := filled(len(ix.msgIDs), -1)
+	cfgSuper := filled(len(ix.cfgIDs), -1)
+	nodes := int32(0)
+	for i := range ix.events {
+		slot := &super[i]
+		switch ix.events[i].Type {
+		case model.EventDeliver:
+			slot = &msgSuper[ix.msgOf[i]]
+		case model.EventDeliverConf:
+			slot = &cfgSuper[ix.cfgOf[i]]
+		}
+		if *slot < 0 {
+			*slot = nodes
+			nodes++
+		}
+		super[i] = *slot
+	}
+
+	// Lift generating edges to supernodes, packed as (from,to) pairs,
+	// then sort and dedup into CSR form.
+	edges := make([]uint64, 0, len(ix.events)+len(ix.delivers.item))
+	addEdge := func(a, b int32) {
+		if sa, sb := super[a], super[b]; sa != sb {
+			edges = append(edges, uint64(sa)<<32|uint64(sb))
+		}
+	}
+	for p := int32(0); int(p) < ix.uni.Len(); p++ {
+		idxs := ix.byProc.of(p)
+		for k := 0; k+1 < len(idxs); k++ {
+			addEdge(idxs[k], idxs[k+1])
+		}
+	}
+	for m := range ix.msgIDs {
+		if sIdxs := ix.sends.of(int32(m)); len(sIdxs) > 0 {
+			for _, d := range ix.delivers.of(int32(m)) {
+				addEdge(sIdxs[0], d)
+			}
+		}
+	}
+	slices.Sort(edges)
+	edges = slices.Compact(edges)
+	start := make([]int32, nodes+1)
+	dst := make([]int32, len(edges))
+	indeg := make([]int32, nodes)
+	for k, e := range edges {
+		start[e>>32+1]++
+		dst[k] = int32(uint32(e))
+		indeg[dst[k]]++
+	}
+	for s := int32(0); s < nodes; s++ {
+		start[s+1] += start[s]
+	}
+
+	// Topologically sort the supernode graph (Kahn), always taking the
+	// smallest ready supernode.
+	var ready minHeap
+	for s := int32(0); s < nodes; s++ {
+		if indeg[s] == 0 {
+			ready.push(s)
+		}
+	}
+	rank = make([]uint64, nodes)
+	var t uint64
+	for len(ready) > 0 {
+		s := ready.pop()
+		t++
+		rank[s] = t
+		for _, b := range dst[start[s]:start[s+1]] {
+			indeg[b]--
+			if indeg[b] == 0 {
+				ready.push(b)
+			}
+		}
+	}
+	if t != uint64(nodes) {
+		return super, nil
+	}
+	return super, rank
+}
+
+// minHeap is a binary min-heap of supernode ids, written out because
+// container/heap would box every id it pushes or pops.
+type minHeap []int32
+
+func (h *minHeap) push(v int32) {
+	q := append(*h, v)
+	for i := len(q) - 1; i > 0 && q[(i-1)/2] > q[i]; i = (i - 1) / 2 {
+		q[(i-1)/2], q[i] = q[i], q[(i-1)/2]
+	}
+	*h = q
+}
+
+func (h *minHeap) pop() int32 {
+	q := *h
+	top, n := q[0], len(q)-1
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c+1 < n && q[c+1] < q[c] {
+			c++
+		}
+		if c >= n || q[i] <= q[c] {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return top
 }
 
 // checkDeliveryPrefix verifies Specification 6.3: if p delivered m before
@@ -188,111 +174,94 @@ type famKey struct {
 // certified directly: q delivering m' in c' must hold, in its own com
 // zone of c'.Prev(), every message p delivered before m' in p's family.
 // Because q's zone-delivered set is precomputed (famDelivered), that is a
-// monotone prefix pointer per (q, family). Certification is conservative
-// — it ignores the sender-membership escape clause and zone mismatches —
-// so a failed family falls back to the reference pair loop, emitting
-// exactly the reference violations (or none, when the escape clause
-// applies).
+// monotone prefix pointer per q within the family. Certification is
+// conservative — it ignores the sender-membership escape clause and zone
+// mismatches — so a failed family falls back to the reference pair loop,
+// emitting exactly the reference violations (or none, when the escape
+// clause applies).
 func (c *Checker) checkDeliveryPrefix() []Violation {
 	var out []Violation
 	ix := c.ix
+	P, C := ix.uni.Len(), len(ix.cfgIDs)
 
-	// Per-process delivery order per regular family, in history order,
-	// plus each delivery's position in its family list.
-	famDeliveries := make(map[famKey][]int)
-	famPos := make(map[int]int32)
-	for i, e := range ix.events {
-		if e.Type != model.EventDeliver {
-			continue
+	// fams.of(pc(p, reg)): p's deliveries in the configurations of the
+	// regular family reg, in history order.
+	keys := make([]int32, len(ix.events))
+	for i := range ix.events {
+		keys[i] = -1
+		if ix.events[i].Type == model.EventDeliver {
+			keys[i] = int32(ix.pc(ix.procOf[i], ix.cfgPrev[ix.cfgOf[i]]))
 		}
-		k := famKey{e.Proc, e.Config.Prev()}
-		famPos[i] = int32(len(famDeliveries[k]))
-		famDeliveries[k] = append(famDeliveries[k], i)
 	}
+	fams := group(P*C, keys, nil)
 
-	// prefixDone[q, fam] = how many leading deliveries of
-	// famDeliveries[fam] the process q has delivered within its own com
-	// zone of fam.reg. Monotone; amortized linear.
-	type qFam struct {
-		q model.ProcessID
-		k famKey
+	// done[q] = how many leading deliveries of the family q has
+	// delivered within its own com zone of the family's regular
+	// configuration. Monotone; amortized linear.
+	done := make([]int32, P)
+	for k := 0; k < P*C; k++ {
+		dels := fams.of(int32(k))
+		if len(dels) < 2 {
+			continue // no delivery has a predecessor in the family
+		}
+		p, reg := int32(k/C), int32(k%C)
+		clear(done)
+		if !ix.prefixCertified(p, reg, dels, done) {
+			out = append(out, ix.prefixViolations(p, dels)...)
+		}
 	}
-	prefixDone := make(map[qFam]int32)
-	slow := make(map[famKey]bool)
+	return out
+}
 
-	for _, dIdxs := range ix.delivers {
-		for _, dp := range dIdxs {
-			k := famKey{ix.events[dp].Proc, ix.events[dp].Config.Prev()}
-			if slow[k] {
+// prefixCertified reports whether every co-delivery of the family's
+// deliveries dels (by process p, family reg) holds the prefix before it.
+func (ix *index) prefixCertified(p, reg int32, dels, done []int32) bool {
+	for b := int32(1); int(b) < len(dels); b++ {
+		for _, d2 := range ix.delivers.of(ix.msgOf[dels[b]]) {
+			q := ix.procOf[d2]
+			if q == p {
 				continue
 			}
-			b := famPos[dp]
-			if b == 0 {
-				continue
+			if ix.cfgPrev[ix.cfgOf[d2]] != reg {
+				// q delivered m' under a different family; its
+				// com zone does not line up with the prefix set.
+				// Resolve by reference.
+				return false
 			}
-			m2 := ix.events[dp].Msg
-			for _, d2 := range ix.delivers[m2] {
-				q := ix.events[d2].Proc
-				if q == k.p {
+			got := int32(ix.pc(q, reg))
+			for done[q] < b && ix.famDelivered.has(got, ix.msgOf[dels[done[q]]]) {
+				done[q]++
+			}
+			if done[q] < b {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// prefixViolations is the reference double loop over one family's
+// deliveries dels by process p.
+func (ix *index) prefixViolations(p int32, dels []int32) []Violation {
+	var out []Violation
+	for a := 0; a < len(dels); a++ {
+		for b := a + 1; b < len(dels); b++ {
+			m := ix.msgOf[dels[a]]        // delivered first
+			m2 := ix.msgOf[dels[b]]       // delivered later
+			sender := ix.msgIDs[m].Sender // = r in the spec
+			for _, d2 := range ix.delivers.of(m2) {
+				q := ix.procOf[d2]
+				de := &ix.events[d2]
+				if q == p || !de.Members.Contains(sender) {
 					continue
 				}
-				cPrime := ix.events[d2].Config
-				if cPrime.Prev() != k.reg {
-					// q delivered m' under a different family;
-					// its com zone does not line up with the
-					// prefix set. Resolve by reference.
-					slow[k] = true
-					break
-				}
-				qk := qFam{q, k}
-				done := prefixDone[qk]
-				dels := famDeliveries[k]
-				got := ix.famDelivered[procCfg{q, k.reg}]
-				for done < b && got[ix.events[dels[done]].Msg] {
-					done++
-				}
-				prefixDone[qk] = done
-				if done < b {
-					slow[k] = true
-					break
-				}
-			}
-		}
-	}
-
-	// Fallback: the reference double loop for the families that failed
-	// certification, ordered by first family delivery for determinism.
-	slowKeys := make([]famKey, 0, len(slow))
-	for k := range slow {
-		slowKeys = append(slowKeys, k)
-	}
-	sort.Slice(slowKeys, func(a, b int) bool {
-		return famDeliveries[slowKeys[a]][0] < famDeliveries[slowKeys[b]][0]
-	})
-	for _, key := range slowKeys {
-		dels := famDeliveries[key]
-		for a := 0; a < len(dels); a++ {
-			for b := a + 1; b < len(dels); b++ {
-				m := ix.events[dels[a]].Msg  // delivered first
-				m2 := ix.events[dels[b]].Msg // delivered later
-				sender := m.Sender           // = r in the spec
-				for _, d2 := range ix.delivers[m2] {
-					q := ix.events[d2].Proc
-					if q == key.p {
-						continue
-					}
-					cPrime := ix.events[d2].Config
-					if !ix.events[d2].Members.Contains(sender) {
-						continue
-					}
-					if !ix.deliveredIn(q, m, ix.comZoneOf(q, cPrime)) {
-						out = append(out, Violation{
-							Spec: "6.3",
-							Msg: fmt.Sprintf("%s delivered %s (after %s at %s) in %s whose membership includes %s, but never delivered %s",
-								q, m2, m, key.p, cPrime, sender, m),
-							Events: []int{dels[a], dels[b], d2},
-						})
-					}
+				if !ix.deliveredIn(q, m, ix.comZoneOf(q, ix.cfgOf[d2])) {
+					out = append(out, Violation{
+						Spec: "6.3",
+						Msg: fmt.Sprintf("%s delivered %s (after %s at %s) in %s whose membership includes %s, but never delivered %s",
+							de.Proc, ix.msgIDs[m2], ix.msgIDs[m], ix.events[dels[a]].Proc, de.Config, sender, ix.msgIDs[m]),
+						Events: []int{int(dels[a]), int(dels[b]), int(d2)},
+					})
 				}
 			}
 		}
@@ -310,49 +279,43 @@ func (c *Checker) checkDeliveryPrefix() []Violation {
 func (c *Checker) CheckSafeDelivery() []Violation {
 	var out []Violation
 	ix := c.ix
-
-	for m, dIdxs := range ix.delivers {
-		for _, d := range dIdxs {
-			e := ix.events[d]
+	for m, mid := range ix.msgIDs {
+		for _, d := range ix.delivers.of(int32(m)) {
+			e := &ix.events[d]
 			if e.Service != model.Safe {
 				continue
 			}
-			members := e.Members
-
-			// 7.2: a safe delivery in a regular configuration
-			// requires every member to have installed it.
-			if e.Config.IsRegular() {
-				for _, q := range members.Members() {
-					if !ix.installed(q, e.Config) {
-						//lint:allow determinism violation order is canonicalised by sortViolations in CheckAll
-						out = append(out, Violation{
-							Spec: "7.2",
-							Msg: fmt.Sprintf("%s delivered safe message %s in %s but member %s never installed it",
-								e.Proc, m, e.Config, q),
-							Events: []int{d},
-						})
-					}
+			cfg := ix.cfgOf[d]
+			for _, q := range e.Members.View() {
+				qi := ix.proc(q)
+				// 7.2: a safe delivery in a regular configuration
+				// requires every member to have installed it.
+				if e.Config.IsRegular() && !ix.isInstalled(qi, cfg) {
+					out = append(out, Violation{
+						Spec: "7.2",
+						Msg: fmt.Sprintf("%s delivered safe message %s in %s but member %s never installed it",
+							e.Proc, mid, e.Config, q),
+						Events: []int{int(d)},
+					})
 				}
-			}
 
-			// 7.1: every member delivers m in its own com zone or
-			// fails there.
-			for _, q := range members.Members() {
+				// 7.1: every member delivers m in its own com zone
+				// or fails there.
 				if q == e.Proc {
 					continue
 				}
-				zone := ix.comZoneOf(q, e.Config)
-				if ix.deliveredIn(q, m, zone) || ix.failedIn(q, zone) {
+				z := ix.comZoneOf(qi, cfg)
+				if ix.deliveredIn(qi, int32(m), z) || ix.failedIn(qi, z) {
 					continue
 				}
-				if !c.opts.Settled && ix.inFinalZone(q, zone) {
+				if !c.opts.Settled && ix.inFinalZone(qi, z) {
 					continue
 				}
 				out = append(out, Violation{
 					Spec: "7.1",
 					Msg: fmt.Sprintf("%s delivered safe message %s in %s but member %s neither delivered nor failed",
-						e.Proc, m, e.Config, q),
-					Events: []int{d},
+						e.Proc, mid, e.Config, q),
+					Events: []int{int(d)},
 				})
 			}
 		}
@@ -370,35 +333,29 @@ func (c *Checker) CheckPrimary() []Violation {
 	var out []Violation
 	ix := c.ix
 
-	// Collect primary configurations with their deliver_conf indices.
-	prim := make(map[model.ConfigID][]int)
-	for cfg, idxs := range ix.confs {
-		for _, i := range idxs {
-			if ix.events[i].Primary {
-				//lint:allow determinism each prim[cfg] list fills from the slice-ordered idxs of one key; map order only permutes independent keys
-				prim[cfg] = append(prim[cfg], i)
-			}
+	// The primary configurations, in canonical enumeration order: the
+	// uniqueness pass below names the pair inside the violation message.
+	var ids []int32
+	for cfg := int32(0); int(cfg) < len(ix.cfgIDs); cfg++ {
+		if slices.ContainsFunc(ix.confs.of(cfg), func(i int32) bool { return ix.events[i].Primary }) {
+			ids = append(ids, cfg)
 		}
 	}
-	ids := make([]model.ConfigID, 0, len(prim))
-	for cfg := range prim {
-		ids = append(ids, cfg)
-	}
-	// Canonical enumeration order: the uniqueness pass below names the
-	// pair inside the violation message, so ids must not carry map order.
-	sort.Slice(ids, func(a, b int) bool {
-		if ids[a].Seq != ids[b].Seq {
-			return ids[a].Seq < ids[b].Seq
+	sort.SliceStable(ids, func(a, b int) bool {
+		x, y := ix.cfgIDs[ids[a]], ix.cfgIDs[ids[b]]
+		if x.Seq != y.Seq {
+			return x.Seq < y.Seq
 		}
-		return ids[a].Rep < ids[b].Rep
+		return x.Rep < y.Rep
 	})
-	// Order primaries: C before C' when some deliver_conf of C precedes
-	// some deliver_conf of C' in the closure (continuity's shared
-	// member supplies the path in conforming histories).
-	before := func(a, b model.ConfigID) bool {
-		for _, i := range prim[a] {
-			for _, j := range prim[b] {
-				if ix.precedes(i, j) {
+	// Order primaries: C before C' when some primary deliver_conf of C
+	// precedes some primary deliver_conf of C' in the closure
+	// (continuity's shared member supplies the path in conforming
+	// histories).
+	before := func(a, b int32) bool {
+		for _, i := range ix.confs.of(a) {
+			for _, j := range ix.confs.of(b) {
+				if ix.events[i].Primary && ix.events[j].Primary && ix.precedes(int(i), int(j)) {
 					return true
 				}
 			}
@@ -413,14 +370,13 @@ func (c *Checker) CheckPrimary() []Violation {
 				out = append(out, Violation{
 					Spec: "primary-unique",
 					Msg: fmt.Sprintf("primary components %s and %s are not totally ordered (both=%v)",
-						ids[a], ids[b], ab),
+						ix.cfgIDs[ids[a]], ix.cfgIDs[ids[b]], ab),
 				})
 			}
 		}
 	}
 	// Continuity: sort by the order and require adjacent intersection.
-	ordered := make([]model.ConfigID, len(ids))
-	copy(ordered, ids)
+	ordered := slices.Clone(ids)
 	for i := 0; i < len(ordered); i++ {
 		for j := i + 1; j < len(ordered); j++ {
 			if before(ordered[j], ordered[i]) {
@@ -434,7 +390,7 @@ func (c *Checker) CheckPrimary() []Violation {
 			out = append(out, Violation{
 				Spec: "primary-continuity",
 				Msg: fmt.Sprintf("consecutive primary components %s%s and %s%s share no member",
-					a, ix.members[a], b, ix.members[b]),
+					ix.cfgIDs[a], ix.members[a], ix.cfgIDs[b], ix.members[b]),
 			})
 		}
 	}

@@ -239,7 +239,7 @@ func (s *Stream) closed(c model.ConfigID, f *family) bool {
 	if f.members.Size() == 0 {
 		return false
 	}
-	for _, q := range f.members.Members() {
+	for _, q := range f.members.View() {
 		if !s.departed(q, c) {
 			return false
 		}
@@ -258,7 +258,7 @@ func (s *Stream) msgPrunable(c model.ConfigID, f *family, m model.MessageID) boo
 	if fm.refs != s.msgRefs[m] {
 		return false
 	}
-	for _, q := range f.members.Members() {
+	for _, q := range f.members.View() {
 		if !fm.delivered[q] && !s.departed(q, c) {
 			return false
 		}

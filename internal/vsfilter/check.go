@@ -166,7 +166,7 @@ func Check(events []TraceEvent, settled bool) []Violation {
 		if !ok {
 			continue
 		}
-		for _, q := range members.Members() {
+		for _, q := range members.View() {
 			if _, has := per[q]; has || stopped[q] {
 				continue
 			}

@@ -172,7 +172,7 @@ func (f *Filter) OnPrimaryDecision(cfg model.Configuration, isPrimary bool, prev
 		}
 	}
 	emit(base)
-	for _, q := range cfg.Members.Subtract(base).Members() {
+	for _, q := range cfg.Members.Subtract(base).View() {
 		base = base.Add(q)
 		emit(base)
 	}
