@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/spine"
+	"repro/internal/stable"
 )
 
 // collectPayloads renders a process's delivery sequence for comparison.
@@ -110,6 +111,29 @@ func TestClusterParity(t *testing.T) {
 			}
 			if after := stats.Stats(); after != before {
 				t.Errorf("refusal at an unknown process was counted: %+v, then %+v", before, after)
+			}
+			// Every other per-process call at an unknown process is a
+			// no-op or reads a zero value: Mode names no protocol mode,
+			// Crash and Recover do nothing (on the simulator, nothing is
+			// scheduled to fire later), and the simulator's StableRecord
+			// and PendingDepth read zero.
+			if m := c.(interface{ Mode(ProcessID) string }).Mode("nope"); m != "unknown" {
+				t.Errorf("mode at an unknown process = %q, want unknown", m)
+			}
+			switch g := c.(type) {
+			case *Group:
+				g.Crash(g.Now(), "nope")
+				g.Recover(g.Now(), "nope")
+				g.Run(g.Now())
+				if rec := g.StableRecord("nope"); !reflect.DeepEqual(rec, stable.Record{}) {
+					t.Errorf("stable record at an unknown process = %+v, want the zero record", rec)
+				}
+				if d := g.PendingDepth("nope"); d != 0 {
+					t.Errorf("pending depth at an unknown process = %d, want 0", d)
+				}
+			case *LiveGroup:
+				g.Crash("nope")
+				g.Recover("nope")
 			}
 			delivered := func() bool {
 				for _, id := range ids {

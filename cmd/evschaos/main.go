@@ -150,7 +150,7 @@ func runSeed(s int64, cfg config, gen chaos.GenConfig) seedOutcome {
 	res := chaos.Run(p)
 	if len(res.Violations) == 0 {
 		fmt.Fprintf(&b, "seed %-4d ok    (%d events, %d packets, %d submissions)\n",
-			s, res.Events, res.Net.Delivered, res.Harness.Submitted)
+			s, res.Events, res.Net.Delivered, res.Group.Submitted)
 		return seedOutcome{text: b.String()}
 	}
 	fmt.Fprintf(&b, "seed %-4d FAIL  %d specification violation(s)\n", s, len(res.Violations))

@@ -125,9 +125,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	devnull, _ := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	defer devnull.Close()
 	cases := [][]string{
-		{"-peers", "p01=1.2.3.4:1"},                       // no -id
-		{"-id", "p01", "-peers", "p02=1.2.3.4:1"},         // self missing
-		{"-id", "p01"},                                    // no peers
+		{"-peers", "p01=1.2.3.4:1"},                        // no -id
+		{"-id", "p01", "-peers", "p02=1.2.3.4:1"},          // self missing
+		{"-id", "p01"},                                     // no peers
 		{"-id", "p01", "-peers", "p01=x", "-service", "?"}, // bad service
 	}
 	for _, args := range cases {

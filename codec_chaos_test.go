@@ -55,7 +55,7 @@ func TestCodecModeIsTransparent(t *testing.T) {
 				}
 			}
 		}
-		st := coded.NetStats()
+		st := coded.Network().Stats()
 		if st.DecodeErrors != 0 || st.Corrupted != 0 || st.Truncated != 0 {
 			t.Fatalf("seed %d: faults with zero rates: %+v", seed, st)
 		}
@@ -76,7 +76,7 @@ func TestCodecChaosCorruptionSurvives(t *testing.T) {
 			TruncateRate: 0.02,
 			DropRate:     0.01,
 		}, 8*time.Second) // longer horizon: retransmission needs time to win
-		st := g.NetStats()
+		st := g.Network().Stats()
 		if st.Corrupted == 0 && st.Truncated == 0 {
 			t.Fatalf("seed %d: chaos rates produced no transit faults (%+v)", seed, st)
 		}
@@ -115,7 +115,7 @@ func TestCodecChaosHeavyNeverPanics(t *testing.T) {
 		g.Send(time.Duration(150+i*100)*time.Millisecond, ids[i%3], []byte{byte(i)}, Agreed)
 	}
 	g.Run(4 * time.Second)
-	if st := g.NetStats(); st.DecodeErrors == 0 {
+	if st := g.Network().Stats(); st.DecodeErrors == 0 {
 		t.Fatalf("no decode errors at extreme fault rates: %+v", st)
 	}
 	if vs := g.Check(false); len(vs) > 0 {

@@ -3,10 +3,11 @@ package evs
 import (
 	"time"
 
-	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/netsim"
 	"repro/internal/node"
+	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/spine"
 	"repro/internal/stable"
 	"repro/internal/wire"
@@ -54,18 +55,37 @@ type Options struct {
 	DiscardHistory bool
 }
 
-// Group is a deterministic in-memory EVS cluster with optional primary
-// component and virtual synchrony layers: the virtual-time scheduling
-// façade over the simulator harness. What the processes deliver is held
-// once, by the harness's recorder, which Group embeds: it is the
-// runtime-independent surface (IDs, Deliveries, DeliveryCount,
-// ConfigChanges, PrimaryEvents, VSEvents, History, Metrics, ObsEvents,
-// AddObserver — register before the simulation runs — Mode, Stats, Check,
-// CheckVS), shared with LiveGroup.
+// Group is the simulated cluster: the spine's processes on the
+// discrete-event scheduler's virtual clock, over the simulated medium, with
+// optional primary component and virtual synchrony layers. Every action —
+// a send, a partition, a crash — is scheduled at a virtual time, so an
+// execution is a function of its seed. What the processes deliver is held
+// once, by the embedded recorder: it is the runtime-independent surface
+// (IDs, Deliveries, DeliveryCount, ConfigChanges, PrimaryEvents, VSEvents,
+// History, Metrics, ObsEvents, AddObserver — register before the
+// simulation runs — Mode, Stats, Check, CheckVS), shared with LiveGroup.
 type Group struct {
 	*spine.Recorder
-	cluster *harness.Cluster
+	sched *sim.Scheduler
+	net   *netsim.Network
+	// onWire, when set, observes every transmitted message; see OnWire.
+	onWire func(from model.ProcessID, msg wire.Message)
 }
+
+// link is one process's port on the simulated medium.
+type link struct {
+	g  *Group
+	id model.ProcessID
+}
+
+func (l *link) Broadcast(msg wire.Message) {
+	if l.g.onWire != nil {
+		l.g.onWire(l.id, msg)
+	}
+	l.g.net.Broadcast(l.id, msg)
+}
+
+func (l *link) Close() error { return nil }
 
 // NewGroup creates a group; processes boot at virtual time zero.
 func NewGroup(opts Options) *Group {
@@ -80,14 +100,33 @@ func NewGroup(opts Options) *Group {
 	netCfg.DropRate, netCfg.DupRate = opts.DropRate, opts.DupRate
 	netCfg.Codec = opts.Codec
 	netCfg.CorruptRate, netCfg.TruncateRate = opts.CorruptRate, opts.TruncateRate
-	c := harness.New(harness.Options{
-		IDs:    ids,
-		Seed:   opts.Seed,
-		Net:    &netCfg,
-		Node:   opts.Node,
-		Record: opts.record(),
+	nodeCfg := node.DefaultConfig()
+	if opts.Node != nil {
+		nodeCfg = *opts.Node
+	}
+
+	g := &Group{sched: &sim.Scheduler{}}
+	clock := spine.Virtual(g.sched)
+	g.Recorder = spine.NewRecorder(clock, ids, opts.record())
+	g.net = netsim.New(g.sched, netCfg)
+	g.MediumScope = obs.New("net", clock.Now)
+	g.net.SetMetrics(g.MediumScope)
+	for _, id := range ids {
+		// The simulated medium cannot fail to attach, so Start cannot fail.
+		_, _ = spine.Start(g.Recorder, id, nodeCfg, g.attach)
+	}
+	return g
+}
+
+// attach is the group's spine.Dial: it registers the process's handler
+// with the simulated medium and returns its port.
+func (g *Group) attach(id model.ProcessID, h spine.Handler, _ *obs.Metrics) (spine.Medium, error) {
+	g.net.Register(id, func(from model.ProcessID, payload any, _ time.Duration) {
+		if msg, ok := payload.(wire.Message); ok {
+			h(from, msg)
+		}
 	})
-	return &Group{Recorder: c.Recorder, cluster: c}
+	return &link{g: g, id: id}, nil
 }
 
 // record maps the options every runtime shares onto the recorder's.
@@ -105,7 +144,7 @@ func (o Options) record() spine.Options {
 // unwrapped: the observer sees one "data" call per carried message, so
 // accounting is independent of how the transport packs packets.
 func (g *Group) OnWire(fn func(from ProcessID, kind string)) {
-	g.cluster.OnWire = func(from model.ProcessID, msg wire.Message) {
+	g.onWire = func(from model.ProcessID, msg wire.Message) {
 		if b, ok := msg.(wire.DataBatch); ok {
 			for range b.Msgs {
 				fn(from, "data")
@@ -118,17 +157,19 @@ func (g *Group) OnWire(fn func(from ProcessID, kind string)) {
 
 // started reports whether the simulation has begun executing events.
 func (g *Group) started() bool {
-	return g.cluster.Sched.Fired() > 0 || g.cluster.Sched.Now() > 0
+	return g.sched.Fired() > 0 || g.sched.Now() > 0
 }
 
 // Now returns the current virtual time.
-func (g *Group) Now() time.Duration { return g.cluster.Sched.Now() }
+func (g *Group) Now() time.Duration { return g.sched.Now() }
 
 // Run advances the simulation to the given absolute virtual time.
-func (g *Group) Run(until time.Duration) { g.cluster.Run(until) }
+func (g *Group) Run(until time.Duration) { g.sched.RunUntil(until) }
 
 // At schedules fn at an absolute virtual time.
-func (g *Group) At(t time.Duration, fn func()) { g.cluster.At(t, fn) }
+func (g *Group) At(t time.Duration, fn func()) {
+	g.sched.At(t, func(time.Duration) { fn() })
+}
 
 // Send schedules a message submission at process id at virtual time t.
 func (g *Group) Send(t time.Duration, id ProcessID, payload []byte, svc Service) {
@@ -144,27 +185,52 @@ func (g *Group) Submit(id ProcessID, payload []byte, svc Service) error {
 	return g.SubmitLocked(id, payload, svc)
 }
 
+// Network returns the simulated medium, for its counters (Stats) and for
+// fault injection beyond the paper's model: link rules and message
+// filters. Partitions and merges go through Partition and Merge.
+func (g *Group) Network() *netsim.Network { return g.net }
+
 // Partition schedules a network partition at virtual time t; processes not
 // listed in any group are isolated.
 func (g *Group) Partition(t time.Duration, groups ...[]ProcessID) {
-	g.cluster.Partition(t, groups...)
+	g.At(t, func() { g.net.Partition(groups...) })
 }
 
 // Merge schedules a full network merge at virtual time t.
-func (g *Group) Merge(t time.Duration) { g.cluster.Merge(t) }
+func (g *Group) Merge(t time.Duration) {
+	g.At(t, func() { g.net.Merge() })
+}
 
 // Crash schedules a process failure at virtual time t; volatile state is
-// lost, stable storage survives.
-func (g *Group) Crash(t time.Duration, id ProcessID) { g.cluster.Crash(t, id) }
+// lost, stable storage survives. A crash at an unknown process is a
+// no-op.
+func (g *Group) Crash(t time.Duration, id ProcessID) {
+	if g.Proc(id) == nil {
+		return
+	}
+	g.At(t, func() {
+		g.Recorder.Crash(id)
+		g.net.SetDown(id, true)
+	})
+}
 
 // Recover schedules a process recovery at virtual time t: the process
-// restarts with its stable storage intact and the same identifier.
-func (g *Group) Recover(t time.Duration, id ProcessID) { g.cluster.Recover(t, id) }
+// restarts with its stable storage intact and the same identifier. A
+// recovery at an unknown process is a no-op.
+func (g *Group) Recover(t time.Duration, id ProcessID) {
+	if g.Proc(id) == nil {
+		return
+	}
+	g.At(t, func() {
+		g.net.SetDown(id, false)
+		g.Recorder.Recover(id)
+	})
+}
 
 // PeakPending returns the high-water mark of the scheduler's event queue
 // over the whole run — the simulator-side memory footprint a benchmark row
 // reports alongside its throughput.
-func (g *Group) PeakPending() int { return g.cluster.Sched.PeakPending() }
+func (g *Group) PeakPending() int { return g.sched.PeakPending() }
 
 // ConfigEvents returns the configuration changes delivered at a process
 // (the original name of ConfigChanges).
@@ -173,23 +239,36 @@ func (g *Group) ConfigEvents(id ProcessID) []ConfigEvent { return g.ConfigChange
 // Operational returns the regular configurations currently installed by
 // live, operational processes.
 func (g *Group) Operational() map[ConfigID]ProcessSet {
-	return g.cluster.OperationalConfigIDs()
+	out := make(map[ConfigID]ProcessSet)
+	for _, id := range g.IDs() {
+		n := g.Proc(id).Node()
+		if n.Mode() == node.Operational {
+			cfg := n.CurrentConfig()
+			out[cfg.ID] = out[cfg.ID].Add(id)
+		}
+	}
+	return out
 }
 
 // StableRecord returns a copy of a process's stable storage (for
-// diagnostics and tests).
+// diagnostics and tests); the zero Record at an unknown process.
 func (g *Group) StableRecord(id ProcessID) stable.Record {
-	return g.cluster.Store(id).Load()
+	p := g.Proc(id)
+	if p == nil {
+		return stable.Record{}
+	}
+	return p.Store().Load()
 }
 
-// NetStats returns network activity counters.
-func (g *Group) NetStats() netsim.Stats { return g.cluster.Net.Stats() }
-
 // PendingDepth returns the send backlog at a process: messages submitted
-// but not yet sequenced. Submissions beyond the node's MaxPending bound
-// are shed (counted in GroupStats.Backlogged).
+// but not yet sequenced (zero at an unknown process). Submissions beyond
+// the node's MaxPending bound are shed (counted in GroupStats.Backlogged).
 func (g *Group) PendingDepth(id ProcessID) int {
-	return g.cluster.Node(id).PendingDepth()
+	p := g.Proc(id)
+	if p == nil {
+		return 0
+	}
+	return p.Node().PendingDepth()
 }
 
 // GroupStats counts group-level activity that would otherwise vanish

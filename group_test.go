@@ -229,7 +229,7 @@ func TestGroupOperationalAndMode(t *testing.T) {
 			t.Fatalf("%s mode %s", id, g.Mode(id))
 		}
 	}
-	if g.NetStats().Broadcasts == 0 {
+	if g.Network().Stats().Broadcasts == 0 {
 		t.Fatal("expected network traffic")
 	}
 	if rec := g.StableRecord(g.IDs()[0]); rec.LastRegular.ID.IsZero() {

@@ -29,7 +29,7 @@ func TestInZone(t *testing.T) {
 		}
 	}
 	for _, p := range []string{
-		"repro", "repro/internal/obs", "repro/internal/harness",
+		"repro", "repro/internal/obs",
 		"repro/cmd/evschaos", "repro/internal/simulator",
 	} {
 		if determinism.InZone(p) {

@@ -5,10 +5,13 @@
 // generates seeded adversarial schedules — crash/recover storms, flapping
 // and asymmetric (one-way) partitions, targeted loss of specific wire
 // message classes, latency/reorder bursts, and stable-storage faults at
-// crash time — executes them against a deterministic harness.Cluster, and
-// judges every execution with the specification checker. When an execution
-// violates the specifications, the failing schedule is minimized by delta
-// debugging (Minimize) into a small deterministic reproducer.
+// crash time — executes them against the deterministic simulated cluster
+// (evs.Group), and judges every execution with the specification checker.
+// When an execution violates the specifications, the failing schedule is
+// minimized by delta debugging (Minimize) into a small deterministic
+// reproducer. The group schedules the paper's own faults (partitions,
+// merges, crashes and recoveries with stable storage intact); this package
+// owns the ones beyond that model (see faults.go).
 //
 // A Program is pure data (JSON-serialisable), so any failure found by the
 // generator can be saved, replayed bit-for-bit, shrunk, and committed as a
@@ -22,7 +25,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/harness"
+	evs "repro"
 	"repro/internal/model"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -72,7 +75,7 @@ type Event struct {
 	From    []model.ProcessID   `json:"from,omitempty"`
 	To      []model.ProcessID   `json:"to,omitempty"`
 	Kinds   []string            `json:"kinds,omitempty"`
-	Mode    harness.Corruption  `json:"mode,omitempty"`
+	Mode    Corruption          `json:"mode,omitempty"`
 	N       int                 `json:"n,omitempty"`
 	Payload string              `json:"payload,omitempty"`
 	Service model.Service       `json:"service,omitempty"`
@@ -87,7 +90,7 @@ func (e Event) String() string {
 	case OpSend:
 		return fmt.Sprintf("%s send    %s %q %s", at, e.Proc, e.Payload, e.Service)
 	case OpCrash:
-		if e.Mode != harness.CorruptNone {
+		if e.Mode != CorruptNone {
 			return fmt.Sprintf("%s crash   %s corrupt=%s n=%d", at, e.Proc, e.Mode, e.N)
 		}
 		return fmt.Sprintf("%s crash   %s", at, e.Proc)
@@ -190,9 +193,11 @@ type Result struct {
 	Violations []spec.Violation
 	// Events is the history length (a cheap execution fingerprint).
 	Events int
-	// Net and Harness are the activity counters of the run.
-	Net     netsim.Stats
-	Harness harness.Stats
+	// Net, Group and Faults are the activity counters of the run: the
+	// medium's, the group's submissions, and the faults that materialized.
+	Net    netsim.Stats
+	Group  evs.GroupStats
+	Faults FaultStats
 	// Metrics is the cluster-wide observability snapshot (the cross-scope
 	// total), letting reports quantify what protocol work a schedule
 	// caused. It is informational and deliberately excluded from
@@ -201,11 +206,11 @@ type Result struct {
 	Metrics obs.Snapshot
 }
 
-// BugHook, when non-nil, is invoked with every newly built cluster before
+// BugHook, when non-nil, is invoked with every newly built group before
 // its schedule runs. It exists so tests can plant a deliberate protocol
 // bug and verify that the engine detects and minimizes it; it must never
 // be set outside tests.
-var BugHook func(c *harness.Cluster)
+var BugHook func(g *evs.Group)
 
 // Run executes the program and judges the resulting history.
 func Run(p Program) Result {
@@ -218,34 +223,39 @@ func Run(p Program) Result {
 // consumed; differential tests feed it to alternative checker
 // implementations.
 func RunHistory(p Program) ([]model.Event, Result) {
-	c, ids := build(p)
-	apply(c, ids, p)
-	c.Run(p.Horizon + p.Settle)
-	return c.History.Events(), Result{
-		Violations: c.Check(true),
-		Events:     c.History.Len(),
-		Net:        c.Net.Stats(),
-		Harness:    c.Stats(),
-		Metrics:    c.Metrics().Total,
+	f := build(p, false)
+	g := f.g
+	if BugHook != nil {
+		BugHook(g)
+	}
+	apply(f, p)
+	g.Run(p.Horizon + p.Settle)
+	events := g.History()
+	return events, Result{
+		Violations: g.Check(true),
+		Events:     len(events),
+		Net:        g.Network().Stats(),
+		Group:      g.Stats(),
+		Faults:     f.stats,
+		Metrics:    g.Metrics().Total,
 	}
 }
 
-// build constructs the cluster for a program.
-func build(p Program) (*harness.Cluster, []model.ProcessID) {
+// build constructs the group for a program, with its history retained or
+// discarded.
+func build(p Program, discard bool) *injector {
 	procs := p.Procs
 	if procs <= 0 {
 		procs = 4
 	}
-	c := harness.New(harness.Options{Procs: procs, Seed: p.Seed})
-	if BugHook != nil {
-		BugHook(c)
-	}
-	return c, c.IDs()
+	return &injector{g: evs.NewGroup(evs.Options{NumProcesses: procs, Seed: p.Seed, DiscardHistory: discard})}
 }
 
 // apply schedules every event plus the heal tail. Event times are clamped
 // into [0, Horizon] so a subset produced by the minimizer always settles.
-func apply(c *harness.Cluster, ids []model.ProcessID, p Program) {
+func apply(f *injector, p Program) {
+	g := f.g
+	ids := g.IDs()
 	valid := make(map[model.ProcessID]bool, len(ids))
 	for _, id := range ids {
 		valid[id] = true
@@ -262,43 +272,43 @@ func apply(c *harness.Cluster, ids []model.ProcessID, p Program) {
 		switch e.Op {
 		case OpSend:
 			if valid[e.Proc] {
-				c.Send(at, e.Proc, e.Payload, e.Service)
+				g.Send(at, e.Proc, []byte(e.Payload), e.Service)
 			}
 		case OpCrash:
 			if valid[e.Proc] {
-				c.CrashCorrupt(at, e.Proc, e.Mode, e.N)
+				f.crashCorrupt(at, e.Proc, e.Mode, e.N)
 			}
 		case OpRecover:
 			if valid[e.Proc] {
-				c.Recover(at, e.Proc)
+				g.Recover(at, e.Proc)
 			}
 		case OpPartition:
-			c.Partition(at, e.Groups...)
+			g.Partition(at, e.Groups...)
 		case OpMerge:
-			c.Merge(at)
+			g.Merge(at)
 		case OpOneWay:
-			c.OneWay(at, e.From, e.To)
+			f.oneWay(at, e.From, e.To)
 		case OpHealLinks:
-			c.HealLinks(at)
+			f.healLinks(at)
 		case OpDropKinds:
-			c.DropKinds(at, e.Proc, netsim.Wildcard, e.Kinds...)
+			f.dropKinds(at, e.Proc, netsim.Wildcard, e.Kinds...)
 		case OpClearDrops:
-			c.ClearKindDrops(at)
+			f.clearKindDrops(at)
 		case OpDelaySpike:
-			c.DelaySpike(at, e.Delay, e.Jitter)
+			f.delaySpike(at, e.Delay, e.Jitter)
 		case OpPerturb:
 			if valid[e.Proc] {
-				c.Perturb(at, e.Proc, e.Mode, e.N)
+				f.perturb(at, e.Proc, e.Mode, e.N)
 			}
 		}
 	}
 	// Heal tail: whatever subset of events ran, the execution ends with
 	// every fault lifted and every process up, so Settled checks apply.
-	c.HealLinks(p.Horizon)
-	c.ClearKindDrops(p.Horizon)
-	c.Merge(p.Horizon)
+	f.healLinks(p.Horizon)
+	f.clearKindDrops(p.Horizon)
+	g.Merge(p.Horizon)
 	for _, id := range ids {
-		c.Recover(p.Horizon, id)
+		g.Recover(p.Horizon, id)
 	}
 }
 
@@ -314,7 +324,7 @@ func Replay(p Program) (Result, bool) {
 
 // sameResult compares two results for deterministic equality.
 func sameResult(a, b Result) bool {
-	if a.Events != b.Events || a.Net != b.Net || a.Harness != b.Harness {
+	if a.Events != b.Events || a.Net != b.Net || a.Group != b.Group || a.Faults != b.Faults {
 		return false
 	}
 	if len(a.Violations) != len(b.Violations) {

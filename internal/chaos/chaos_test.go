@@ -8,14 +8,14 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/harness"
+	evs "repro"
 	"repro/internal/model"
 	"repro/internal/node"
 )
 
 // soakSeeds returns the soak seed count from CHAOS_SOAK — the single
 // environment gate for every long battery in the repo (this package and
-// internal/harness share it; see internal/harness/soak_test.go). Unset
+// the root package share it; see soak_test.go there). Unset
 // means def; def <= 0 marks the soak opt-in and skips the test. A
 // malformed value fails loudly instead of silently running nothing, which
 // is what the old fmt.Sscanf parsing did on typos like CHAOS_SOAK=2OO.
@@ -130,15 +130,15 @@ func TestProgramJSONRoundTrip(t *testing.T) {
 // a crash, so minimization must retain a crash and a send.
 func plantOrderingBug() (restore func()) {
 	prev := BugHook
-	BugHook = func(c *harness.Cluster) {
-		victim := c.IDs()[0]
+	BugHook = func(g *evs.Group) {
+		victim := g.IDs()[0]
 		injected := false
-		c.OnDeliver = func(p model.ProcessID, d node.Delivery) {
+		g.OnDeliver = func(p model.ProcessID, d node.Delivery) {
 			if injected || p != victim {
 				return
 			}
 			crashed := false
-			for _, e := range c.History.Events() {
+			for _, e := range g.History() {
 				if e.Type == model.EventFail {
 					crashed = true
 					break
@@ -148,7 +148,7 @@ func plantOrderingBug() (restore func()) {
 				return
 			}
 			injected = true
-			c.History.Append(model.Event{
+			g.Log().Append(model.Event{
 				Type:    model.EventDeliver,
 				Proc:    p,
 				Config:  d.Config.ID,
@@ -281,7 +281,7 @@ func TestStableFaultsActuallyInjected(t *testing.T) {
 	var filtered, blocked uint64
 	for seed := int64(1); seed <= 30; seed++ {
 		res := Run(Generate(seed, GenConfig{}))
-		corruptions += res.Harness.Corruptions
+		corruptions += res.Faults.Corruptions
 		filtered += res.Net.Filtered
 		blocked += res.Net.Blocked
 	}
@@ -299,13 +299,13 @@ func TestStableFaultsActuallyInjected(t *testing.T) {
 // TestSelfStabilizationFaultsMaterialize: across the default seed
 // battery, every transient-corruption mode of the self-stabilization
 // fault model must not only be scheduled by the generator but actually
-// materialize (change state), per the harness's per-mode counters —
+// materialize (change state), per the injector's per-mode counters —
 // otherwise a mode is dead code and the convergence verdicts prove
 // nothing about it.
 func TestSelfStabilizationFaultsMaterialize(t *testing.T) {
-	var sum harness.Stats
+	var sum FaultStats
 	for seed := int64(1); seed <= 40; seed++ {
-		s := Run(Generate(seed, GenConfig{})).Harness
+		s := Run(Generate(seed, GenConfig{})).Faults
 		sum.SeqWraps += s.SeqWraps
 		sum.RingRegressions += s.RingRegressions
 		sum.ObligationPoisons += s.ObligationPoisons
@@ -348,7 +348,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 			if stream.Events != uint64(batch.Events) {
 				t.Errorf("event counts diverged: stream %d, batch %d", stream.Events, batch.Events)
 			}
-			if stream.Net != batch.Net || stream.Harness != batch.Harness {
+			if stream.Net != batch.Net || stream.Group != batch.Group || stream.Faults != batch.Faults {
 				t.Error("activity counters diverged between stream and batch execution")
 			}
 			if len(batch.Violations) != 0 {

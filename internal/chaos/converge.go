@@ -3,7 +3,7 @@
 // Run executes a program, retains the full history, and judges it post
 // hoc — fine for bounded runs, impossible for soaks whose histories
 // outgrow memory. RunStream is the inline alternative: the cluster drops
-// its history (spine.Options.DiscardHistory) and every traced event feeds
+// its history (evs.Options.DiscardHistory) and every traced event feeds
 // a spec.Stream that certifies the run incrementally over a pruned
 // window, so memory stays bounded by protocol concurrency rather than
 // run length. On sampled certification windows the stream invokes the
@@ -35,14 +35,13 @@ package chaos
 import (
 	"fmt"
 
-	"repro/internal/harness"
+	evs "repro"
 	"repro/internal/model"
 	"repro/internal/netsim"
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/spec"
 	"repro/internal/spec/refcheck"
-	"repro/internal/spine"
 )
 
 // StreamConfig tunes the inline checker and the convergence judgment.
@@ -101,9 +100,11 @@ type StreamResult struct {
 	// Converged reports the overall self-stabilization verdict.
 	Converged bool
 
-	// Net and Harness are the activity counters of the run.
-	Net     netsim.Stats
-	Harness harness.Stats
+	// Net, Group and Faults are the activity counters of the run, as in
+	// Result.
+	Net    netsim.Stats
+	Group  evs.GroupStats
+	Faults FaultStats
 	// Metrics is the cluster-wide observability snapshot.
 	Metrics obs.Snapshot
 }
@@ -125,15 +126,8 @@ func RunStream(p Program, sc StreamConfig) StreamResult {
 		}
 	}
 
-	procs := p.Procs
-	if procs <= 0 {
-		procs = 4
-	}
-	c := harness.New(harness.Options{
-		Procs:  procs,
-		Seed:   p.Seed,
-		Record: spine.Options{DiscardHistory: true},
-	})
+	f := build(p, true)
+	g := f.g
 	// The inline checker consumes the trace as it happens; events is the
 	// global event index streaming violations anchor to.
 	stream := spec.NewStream(spec.StreamOptions{
@@ -142,14 +136,14 @@ func RunStream(p Program, sc StreamConfig) StreamResult {
 		Oracle:      oracle,
 	})
 	var events uint64
-	c.OnTrace = func(e model.Event) {
+	g.OnTrace = func(e model.Event) {
 		events++
 		stream.Add(e)
 	}
 	if BugHook != nil {
-		BugHook(c)
+		BugHook(g)
 	}
-	ids := c.IDs()
+	ids := g.IDs()
 
 	// Install tracking for the convergence judgment: every regular
 	// install is recorded with the event index it happened at, and the
@@ -159,13 +153,13 @@ func RunStream(p Program, sc StreamConfig) StreamResult {
 		id model.ConfigID
 	}
 	var installs []install
-	c.OnConfig = func(q model.ProcessID, cc node.ConfigChange) {
+	g.OnConfig = func(q model.ProcessID, cc node.ConfigChange) {
 		if cc.Config.ID.IsRegular() {
 			installs = append(installs, install{at: events, id: cc.Config.ID})
 		}
 	}
 
-	apply(c, ids, p)
+	apply(f, p)
 
 	// Fault markers: one callback per corrupting event, scheduled after
 	// apply so the scheduler's same-time FIFO order fires it right after
@@ -179,7 +173,7 @@ func RunStream(p Program, sc StreamConfig) StreamResult {
 	}
 	var lastFault uint64
 	for _, e := range p.Events {
-		corrupting := (e.Op == OpCrash && e.Mode != harness.CorruptNone) || e.Op == OpPerturb
+		corrupting := (e.Op == OpCrash && e.Mode != CorruptNone) || e.Op == OpPerturb
 		if !corrupting || !valid[e.Proc] {
 			continue
 		}
@@ -190,17 +184,18 @@ func RunStream(p Program, sc StreamConfig) StreamResult {
 		if at > p.Horizon {
 			at = p.Horizon
 		}
-		c.At(at, func() { lastFault = events })
+		g.At(at, func() { lastFault = events })
 	}
 
-	c.Run(p.Horizon + p.Settle)
+	g.Run(p.Horizon + p.Settle)
 
 	res.Violations = stream.Finish(spec.Options{Settled: true})
 	res.Events = events
 	res.Stream = stream.Stats()
-	res.Net = c.Net.Stats()
-	res.Harness = c.Stats()
-	res.Metrics = c.Metrics().Total
+	res.Net = g.Network().Stats()
+	res.Group = g.Stats()
+	res.Faults = f.stats
+	res.Metrics = g.Metrics().Total
 	res.LastFault = lastFault
 
 	// Distinct post-fault regular installs, in install order.
@@ -221,7 +216,7 @@ func RunStream(p Program, sc StreamConfig) StreamResult {
 		res.Boundary = distinct[len(distinct)-1]
 	}
 
-	ops := c.OperationalConfigIDs()
+	ops := g.Operational()
 	res.FinalConfigs = len(ops)
 	covered := false
 	if len(ops) == 1 {

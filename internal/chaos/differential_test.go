@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/harness"
+	evs "repro"
 	"repro/internal/model"
 	"repro/internal/spec"
 	"repro/internal/spec/refcheck"
@@ -154,21 +154,21 @@ func TestLargeHarnessHistoryMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos differential comparison is slow")
 	}
-	c := harness.New(harness.Options{Procs: 5, Seed: 9})
-	ids := c.IDs()
+	g := evs.NewGroup(evs.Options{NumProcesses: 5, Seed: 9})
+	ids := g.IDs()
 	for i := 0; i < 400; i++ {
 		svc := model.Agreed
 		if i%3 == 0 {
 			svc = model.Safe
 		}
-		c.Send(time.Duration(100+3*i)*time.Millisecond, ids[i%len(ids)], fmt.Sprintf("m%d", i), svc)
+		g.Send(time.Duration(100+3*i)*time.Millisecond, ids[i%len(ids)], []byte(fmt.Sprintf("m%d", i)), svc)
 	}
-	c.Partition(400*time.Millisecond, ids[:2], ids[2:])
-	c.Merge(700 * time.Millisecond)
-	c.Crash(900*time.Millisecond, ids[3])
-	c.Recover(1100*time.Millisecond, ids[3])
-	c.Run(3 * time.Second)
-	events := c.History.Events()
+	g.Partition(400*time.Millisecond, ids[:2], ids[2:])
+	g.Merge(700 * time.Millisecond)
+	g.Crash(900*time.Millisecond, ids[3])
+	g.Recover(1100*time.Millisecond, ids[3])
+	g.Run(3 * time.Second)
+	events := g.History()
 	if len(events) < 1800 {
 		t.Fatalf("execution has only %d events", len(events))
 	}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/harness"
 	"repro/internal/model"
 )
 
@@ -105,19 +104,19 @@ func Generate(seed int64, cfg GenConfig) Program {
 			e := Event{At: at(), Op: OpCrash, Proc: id}
 			switch rng.Intn(8) {
 			case 0:
-				e.Mode = harness.CorruptTornWrite
+				e.Mode = CorruptTornWrite
 			case 1:
-				e.Mode = harness.CorruptLostSuffix
+				e.Mode = CorruptLostSuffix
 				e.N = 1 + rng.Intn(4)
 			case 2:
-				e.Mode = harness.CorruptSeqWrap
+				e.Mode = CorruptSeqWrap
 			case 3:
-				e.Mode = harness.CorruptRingSeqRegress
+				e.Mode = CorruptRingSeqRegress
 			case 4:
-				e.Mode = harness.CorruptObligations
+				e.Mode = CorruptObligations
 				e.N = 1 + rng.Intn(3)
 			case 5:
-				e.Mode = harness.CorruptLogFlip
+				e.Mode = CorruptLogFlip
 				e.N = 1 + rng.Intn(3)
 			}
 			down = append(down, id)
@@ -159,11 +158,11 @@ func Generate(seed int64, cfg GenConfig) Program {
 			e := Event{At: at(), Op: OpPerturb, Proc: pick()}
 			switch rng.Intn(3) {
 			case 0:
-				e.Mode = harness.CorruptSeqWrap
+				e.Mode = CorruptSeqWrap
 			case 1:
-				e.Mode = harness.CorruptRingSeqRegress
+				e.Mode = CorruptRingSeqRegress
 			case 2:
-				e.Mode = harness.CorruptObligations
+				e.Mode = CorruptObligations
 				e.N = 1 + rng.Intn(3)
 			}
 			p.Events = append(p.Events, e)

@@ -5,15 +5,13 @@ import (
 	"testing"
 	"time"
 
+	evs "repro"
 	"repro/internal/model"
-	"repro/internal/netsim"
 	"repro/internal/node"
-	"repro/internal/spec"
-	"repro/internal/spine"
 )
 
 // payloads extracts delivered payloads.
-func payloads(ds []spine.Delivery) []string {
+func payloads(ds []evs.Delivery) []string {
 	out := make([]string, len(ds))
 	for i, d := range ds {
 		out[i] = string(d.Payload)
@@ -21,9 +19,11 @@ func payloads(ds []spine.Delivery) []string {
 	return out
 }
 
-func requireClean(t *testing.T, c *Cluster, opts spec.Options) {
+// requireClean fails the test on any specification violation in g's
+// history; settled also checks the properties that need a quiet end.
+func requireClean(t *testing.T, g *evs.Group, settled bool) {
 	t.Helper()
-	if vs := c.Check(opts.Settled); len(vs) != 0 {
+	if vs := g.Check(settled); len(vs) != 0 {
 		for _, v := range vs {
 			t.Errorf("violation: %v", v)
 		}
@@ -32,9 +32,9 @@ func requireClean(t *testing.T, c *Cluster, opts spec.Options) {
 }
 
 func TestClusterFormsSingleConfiguration(t *testing.T) {
-	c := New(Options{Procs: 4, Seed: 1})
+	c := evs.NewGroup(evs.Options{NumProcesses: 4, Seed: 1})
 	c.Run(500 * time.Millisecond)
-	ops := c.OperationalConfigIDs()
+	ops := c.Operational()
 	if len(ops) != 1 {
 		t.Fatalf("operational configurations %v, want exactly one", ops)
 	}
@@ -43,13 +43,13 @@ func TestClusterFormsSingleConfiguration(t *testing.T) {
 			t.Fatalf("configuration %v has %d operational members, want 4", cfg, members.Size())
 		}
 	}
-	requireClean(t, c, spec.Options{Settled: true})
+	requireClean(t, c, true)
 }
 
 func TestSteadyStateAgreedDelivery(t *testing.T) {
-	c := New(Options{Procs: 3, Seed: 2})
+	c := evs.NewGroup(evs.Options{NumProcesses: 3, Seed: 2})
 	for i := 0; i < 10; i++ {
-		c.Send(time.Duration(100+i*5)*time.Millisecond, c.IDs()[i%3], fmt.Sprintf("m%d", i), model.Agreed)
+		c.Send(time.Duration(100+i*5)*time.Millisecond, c.IDs()[i%3], []byte(fmt.Sprintf("m%d", i)), model.Agreed)
 	}
 	c.Run(time.Second)
 	ref := payloads(c.Deliveries(c.IDs()[0]))
@@ -61,13 +61,13 @@ func TestSteadyStateAgreedDelivery(t *testing.T) {
 			t.Fatalf("%s delivered %v, want %v", id, payloads(c.Deliveries(id)), ref)
 		}
 	}
-	requireClean(t, c, spec.Options{Settled: true})
+	requireClean(t, c, true)
 }
 
 func TestSteadyStateSafeDelivery(t *testing.T) {
-	c := New(Options{Procs: 5, Seed: 3})
+	c := evs.NewGroup(evs.Options{NumProcesses: 5, Seed: 3})
 	for i := 0; i < 10; i++ {
-		c.Send(time.Duration(100+i*7)*time.Millisecond, c.IDs()[i%5], fmt.Sprintf("s%d", i), model.Safe)
+		c.Send(time.Duration(100+i*7)*time.Millisecond, c.IDs()[i%5], []byte(fmt.Sprintf("s%d", i)), model.Safe)
 	}
 	c.Run(time.Second)
 	for _, id := range c.IDs() {
@@ -75,14 +75,13 @@ func TestSteadyStateSafeDelivery(t *testing.T) {
 			t.Fatalf("%s delivered %d safe messages, want 10", id, got)
 		}
 	}
-	requireClean(t, c, spec.Options{Settled: true})
+	requireClean(t, c, true)
 }
 
 func TestLossyNetworkStillDeliversConsistently(t *testing.T) {
-	netCfg := netsimDefaultWithLoss(0.05, 0.02)
-	c := New(Options{Procs: 3, Seed: 4, Net: &netCfg})
+	c := evs.NewGroup(evs.Options{NumProcesses: 3, Seed: 4, DropRate: 0.05, DupRate: 0.02})
 	for i := 0; i < 20; i++ {
-		c.Send(time.Duration(150+i*4)*time.Millisecond, c.IDs()[i%3], fmt.Sprintf("m%d", i), model.Safe)
+		c.Send(time.Duration(150+i*4)*time.Millisecond, c.IDs()[i%3], []byte(fmt.Sprintf("m%d", i)), model.Safe)
 	}
 	c.Run(2 * time.Second)
 	ref := payloads(c.Deliveries(c.IDs()[0]))
@@ -94,20 +93,20 @@ func TestLossyNetworkStillDeliversConsistently(t *testing.T) {
 			t.Fatalf("%s diverged under loss", id)
 		}
 	}
-	requireClean(t, c, spec.Options{Settled: true})
+	requireClean(t, c, true)
 }
 
 func TestDeterministicReplay(t *testing.T) {
 	run := func() []string {
-		c := New(Options{Procs: 3, Seed: 42})
+		c := evs.NewGroup(evs.Options{NumProcesses: 3, Seed: 42})
 		for i := 0; i < 6; i++ {
-			c.Send(time.Duration(100+i*10)*time.Millisecond, c.IDs()[i%3], fmt.Sprintf("m%d", i), model.Safe)
+			c.Send(time.Duration(100+i*10)*time.Millisecond, c.IDs()[i%3], []byte(fmt.Sprintf("m%d", i)), model.Safe)
 		}
 		c.Partition(200*time.Millisecond, []model.ProcessID{c.IDs()[0]}, []model.ProcessID{c.IDs()[1], c.IDs()[2]})
 		c.Merge(400 * time.Millisecond)
 		c.Run(time.Second)
 		var out []string
-		for _, e := range c.History.Events() {
+		for _, e := range c.History() {
 			out = append(out, e.String())
 		}
 		return out
@@ -123,14 +122,6 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-// netsimDefaultWithLoss builds a lossy network profile.
-func netsimDefaultWithLoss(drop, dup float64) netsim.Config {
-	cfg := netsim.Default(0)
-	cfg.DropRate = drop
-	cfg.DupRate = dup
-	return cfg
-}
-
 // TestBackpressureShedsIntoBackloggedStat bounds a node's send backlog and
 // floods one process in a single instant: the excess is rejected with
 // ErrBacklog, counted separately from down-process rejections, and the
@@ -138,10 +129,10 @@ func netsimDefaultWithLoss(drop, dup float64) netsim.Config {
 func TestBackpressureShedsIntoBackloggedStat(t *testing.T) {
 	cfg := node.DefaultConfig()
 	cfg.MaxPending = 8
-	c := New(Options{Procs: 3, Seed: 1, Node: &cfg})
+	c := evs.NewGroup(evs.Options{NumProcesses: 3, Seed: 1, Node: &cfg})
 	ids := c.IDs()
 	for i := 0; i < 40; i++ {
-		c.Send(500*time.Millisecond, ids[0], fmt.Sprintf("m%d", i), model.Safe)
+		c.Send(500*time.Millisecond, ids[0], []byte(fmt.Sprintf("m%d", i)), model.Safe)
 	}
 	c.Run(2 * time.Second)
 	st := c.Stats()
@@ -163,5 +154,5 @@ func TestBackpressureShedsIntoBackloggedStat(t *testing.T) {
 			t.Fatalf("%s delivered %v, want %v", id, payloads(c.Deliveries(id)), want)
 		}
 	}
-	requireClean(t, c, spec.Options{})
+	requireClean(t, c, false)
 }

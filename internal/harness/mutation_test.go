@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	evs "repro"
 	"repro/internal/model"
 	"repro/internal/spec"
 )
@@ -19,15 +20,15 @@ import (
 // enough structure (partition + merge, safe traffic) to mutate.
 func conformingHistory(t *testing.T, seed int64) []model.Event {
 	t.Helper()
-	c := New(Options{Procs: 4, Seed: seed})
+	c := evs.NewGroup(evs.Options{NumProcesses: 4, Seed: seed})
 	ids := c.IDs()
 	for i := 0; i < 10; i++ {
-		c.Send(time.Duration(150+i*15)*time.Millisecond, ids[i%4], fmt.Sprintf("m%d", i), model.Safe)
+		c.Send(time.Duration(150+i*15)*time.Millisecond, ids[i%4], []byte(fmt.Sprintf("m%d", i)), model.Safe)
 	}
 	c.Partition(280*time.Millisecond, ids[:2], ids[2:])
 	c.Merge(500 * time.Millisecond)
 	c.Run(1200 * time.Millisecond)
-	events := c.History.Events()
+	events := c.History()
 	if vs := spec.NewChecker(events, spec.Options{Settled: true}).CheckAll(); len(vs) != 0 {
 		t.Fatalf("base execution not conforming: %v", vs)
 	}

@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
+	evs "repro"
 	"repro/internal/model"
-	"repro/internal/spec"
 )
 
 // TestFigure6PartitionAndMerge reproduces the paper's Figure 6: a regular
@@ -17,12 +17,12 @@ import (
 // new regular configuration {q,r,s,t}.
 func TestFigure6PartitionAndMerge(t *testing.T) {
 	ids := []model.ProcessID{"p", "q", "r", "s", "t"}
-	c := New(Options{IDs: ids, Seed: 6})
+	c := evs.NewGroup(evs.Options{Processes: ids, Seed: 6})
 	// Two initial components: {p,q,r} and {s,t}.
 	c.Partition(0, []model.ProcessID{"p", "q", "r"}, []model.ProcessID{"s", "t"})
 	// Traffic inside {p,q,r}.
 	for i := 0; i < 6; i++ {
-		c.Send(time.Duration(150+i*8)*time.Millisecond, ids[i%3], fmt.Sprintf("m%d", i), model.Safe)
+		c.Send(time.Duration(150+i*8)*time.Millisecond, ids[i%3], []byte(fmt.Sprintf("m%d", i)), model.Safe)
 	}
 	// The Figure 6 reconfiguration: p isolated; q,r join s,t.
 	c.Partition(300*time.Millisecond, []model.ProcessID{"p"}, []model.ProcessID{"q", "r", "s", "t"})
@@ -80,18 +80,18 @@ func TestFigure6PartitionAndMerge(t *testing.T) {
 			}
 		}
 	}
-	requireClean(t, c, spec.Options{Settled: true})
+	requireClean(t, c, true)
 }
 
 // TestSelfDeliveryAcrossPartition: a process isolated right after sending
 // still delivers its own messages, in a transitional configuration
 // containing only itself if need be (Specification 3, Figure 3).
 func TestSelfDeliveryAcrossPartition(t *testing.T) {
-	c := New(Options{Procs: 3, Seed: 7})
+	c := evs.NewGroup(evs.Options{NumProcesses: 3, Seed: 7})
 	ids := c.IDs()
 	// Send just before partitioning; the message may not be sequenced
 	// or acknowledged before the network splits.
-	c.Send(199*time.Millisecond, ids[0], "mine", model.Safe)
+	c.Send(199*time.Millisecond, ids[0], []byte("mine"), model.Safe)
 	c.Partition(200*time.Millisecond, []model.ProcessID{ids[0]}, ids[1:])
 	c.Run(time.Second)
 
@@ -104,19 +104,19 @@ func TestSelfDeliveryAcrossPartition(t *testing.T) {
 	if !found {
 		t.Fatalf("%s never delivered its own message; deliveries %v", ids[0], payloads(c.Deliveries(ids[0])))
 	}
-	requireClean(t, c, spec.Options{Settled: true})
+	requireClean(t, c, true)
 }
 
 // TestPartitionedComponentsBothMakeProgress: unlike virtual synchrony's
 // primary-component model, every component continues to order and deliver
 // new messages.
 func TestPartitionedComponentsBothMakeProgress(t *testing.T) {
-	c := New(Options{Procs: 4, Seed: 8})
+	c := evs.NewGroup(evs.Options{NumProcesses: 4, Seed: 8})
 	ids := c.IDs()
 	c.Partition(200*time.Millisecond, ids[:2], ids[2:])
 	// Traffic in both components after the split.
-	c.Send(500*time.Millisecond, ids[0], "left", model.Safe)
-	c.Send(500*time.Millisecond, ids[2], "right", model.Safe)
+	c.Send(500*time.Millisecond, ids[0], []byte("left"), model.Safe)
+	c.Send(500*time.Millisecond, ids[2], []byte("right"), model.Safe)
 	c.Run(time.Second)
 
 	if got := payloads(c.Deliveries(ids[1])); fmt.Sprint(got) != "[left]" {
@@ -125,22 +125,22 @@ func TestPartitionedComponentsBothMakeProgress(t *testing.T) {
 	if got := payloads(c.Deliveries(ids[3])); fmt.Sprint(got) != "[right]" {
 		t.Fatalf("right component delivered %v, want [right]", got)
 	}
-	requireClean(t, c, spec.Options{Settled: true})
+	requireClean(t, c, true)
 }
 
 // TestMergeAfterPartition: components remerge into one configuration and
 // continue with a consistent total order.
 func TestMergeAfterPartition(t *testing.T) {
-	c := New(Options{Procs: 4, Seed: 9})
+	c := evs.NewGroup(evs.Options{NumProcesses: 4, Seed: 9})
 	ids := c.IDs()
 	c.Partition(200*time.Millisecond, ids[:2], ids[2:])
-	c.Send(400*time.Millisecond, ids[0], "during-left", model.Agreed)
-	c.Send(400*time.Millisecond, ids[3], "during-right", model.Agreed)
+	c.Send(400*time.Millisecond, ids[0], []byte("during-left"), model.Agreed)
+	c.Send(400*time.Millisecond, ids[3], []byte("during-right"), model.Agreed)
 	c.Merge(600 * time.Millisecond)
-	c.Send(900*time.Millisecond, ids[1], "after", model.Safe)
+	c.Send(900*time.Millisecond, ids[1], []byte("after"), model.Safe)
 	c.Run(1500 * time.Millisecond)
 
-	ops := c.OperationalConfigIDs()
+	ops := c.Operational()
 	if len(ops) != 1 {
 		t.Fatalf("after merge: operational configurations %v, want one", ops)
 	}
@@ -157,22 +157,22 @@ func TestMergeAfterPartition(t *testing.T) {
 			t.Fatal("message from the other component leaked across the merge")
 		}
 	}
-	requireClean(t, c, spec.Options{Settled: true})
+	requireClean(t, c, true)
 }
 
 // TestCrashAndRecoverSameIdentifier: a crashed process recovers with
 // stable storage intact and rejoins under the same identifier.
 func TestCrashAndRecoverSameIdentifier(t *testing.T) {
-	c := New(Options{Procs: 3, Seed: 10})
+	c := evs.NewGroup(evs.Options{NumProcesses: 3, Seed: 10})
 	ids := c.IDs()
-	c.Send(150*time.Millisecond, ids[0], "before", model.Safe)
+	c.Send(150*time.Millisecond, ids[0], []byte("before"), model.Safe)
 	c.Crash(250*time.Millisecond, ids[2])
-	c.Send(400*time.Millisecond, ids[0], "while-down", model.Safe)
+	c.Send(400*time.Millisecond, ids[0], []byte("while-down"), model.Safe)
 	c.Recover(500*time.Millisecond, ids[2])
-	c.Send(900*time.Millisecond, ids[2], "after-recovery", model.Safe)
+	c.Send(900*time.Millisecond, ids[2], []byte("after-recovery"), model.Safe)
 	c.Run(1500 * time.Millisecond)
 
-	ops := c.OperationalConfigIDs()
+	ops := c.Operational()
 	if len(ops) != 1 {
 		t.Fatalf("operational configurations %v, want one (all merged)", ops)
 	}
@@ -192,16 +192,16 @@ func TestCrashAndRecoverSameIdentifier(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("recovered process delivered 'before' %d times, want exactly once", count)
 	}
-	requireClean(t, c, spec.Options{Settled: true})
+	requireClean(t, c, true)
 }
 
 // TestCascadedPartitions: repeated reconfiguration under churn stays
 // consistent.
 func TestCascadedPartitions(t *testing.T) {
-	c := New(Options{Procs: 5, Seed: 11})
+	c := evs.NewGroup(evs.Options{NumProcesses: 5, Seed: 11})
 	ids := c.IDs()
 	for i := 0; i < 30; i++ {
-		c.Send(time.Duration(100+i*20)*time.Millisecond, ids[i%5], fmt.Sprintf("m%d", i), model.Safe)
+		c.Send(time.Duration(100+i*20)*time.Millisecond, ids[i%5], []byte(fmt.Sprintf("m%d", i)), model.Safe)
 	}
 	c.Partition(250*time.Millisecond, ids[:2], ids[2:])
 	c.Partition(450*time.Millisecond, ids[:2], ids[2:4], ids[4:])
@@ -210,11 +210,11 @@ func TestCascadedPartitions(t *testing.T) {
 	c.Merge(1050 * time.Millisecond)
 	c.Run(2 * time.Second)
 
-	ops := c.OperationalConfigIDs()
+	ops := c.Operational()
 	if len(ops) != 1 {
 		t.Fatalf("final operational configurations %v, want one", ops)
 	}
-	requireClean(t, c, spec.Options{Settled: true})
+	requireClean(t, c, true)
 }
 
 // TestRandomAdversarialSchedules is the workhorse conformance test: random
@@ -236,8 +236,7 @@ func runAdversarial(t *testing.T, seed int64, procs int, horizon time.Duration) 
 // runAdversarialLossy is the adversarial schedule over a lossy medium.
 func runAdversarialLossy(t *testing.T, seed int64, procs int, horizon time.Duration, drop, dup float64) {
 	rng := rand.New(rand.NewSource(seed))
-	netCfg := netsimDefaultWithLoss(drop, dup)
-	c := New(Options{Procs: procs, Seed: seed, Net: &netCfg})
+	c := evs.NewGroup(evs.Options{NumProcesses: procs, Seed: seed, DropRate: drop, DupRate: dup})
 	ids := c.IDs()
 	down := make(map[model.ProcessID]bool)
 
@@ -286,7 +285,7 @@ func runAdversarialLossy(t *testing.T, seed int64, procs int, horizon time.Durat
 			if rng.Intn(2) == 0 {
 				svc = model.Agreed
 			}
-			c.Send(at, id, fmt.Sprintf("m-%d-%d", seed, at/time.Millisecond), svc)
+			c.Send(at, id, []byte(fmt.Sprintf("m-%d-%d", seed, at/time.Millisecond)), svc)
 		}
 		at += time.Duration(20+rng.Intn(60)) * time.Millisecond
 	}
@@ -294,17 +293,17 @@ func runAdversarialLossy(t *testing.T, seed int64, procs int, horizon time.Durat
 	c.At(horizon, func() {
 		for _, id := range ids {
 			if down[id] {
-				c.Net.SetDown(id, false)
-				c.Node(id).Recover()
+				c.Network().SetDown(id, false)
+				c.Proc(id).Node().Recover()
 			}
 		}
-		c.Net.Merge()
+		c.Network().Merge()
 	})
 	c.Run(horizon + time.Second)
 
-	ops := c.OperationalConfigIDs()
+	ops := c.Operational()
 	if len(ops) != 1 {
 		t.Fatalf("after settling: operational configurations %v, want one", ops)
 	}
-	requireClean(t, c, spec.Options{Settled: true})
+	requireClean(t, c, true)
 }

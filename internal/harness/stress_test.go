@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
+	evs "repro"
 	"repro/internal/model"
-	"repro/internal/spec"
 )
 
 // These tests aim timing at the protocol's most delicate windows: the
@@ -24,11 +24,11 @@ func TestCrashDuringRecoveryWindow(t *testing.T) {
 	for _, offsetMs := range []int{1, 5, 15, 30, 41, 45, 55, 70, 90} {
 		offsetMs := offsetMs
 		t.Run(fmt.Sprintf("offset=%dms", offsetMs), func(t *testing.T) {
-			c := New(Options{Procs: 5, Seed: int64(1000 + offsetMs)})
+			c := evs.NewGroup(evs.Options{NumProcesses: 5, Seed: int64(1000 + offsetMs)})
 			ids := c.IDs()
 			// Safe traffic so there is a backlog to recover.
 			for i := 0; i < 8; i++ {
-				c.Send(time.Duration(150+i*10)*time.Millisecond, ids[i%5], fmt.Sprintf("m%d", i), model.Safe)
+				c.Send(time.Duration(150+i*10)*time.Millisecond, ids[i%5], []byte(fmt.Sprintf("m%d", i)), model.Safe)
 			}
 			cut := 300 * time.Millisecond
 			c.Partition(cut, ids[:4], ids[4:])
@@ -38,7 +38,7 @@ func TestCrashDuringRecoveryWindow(t *testing.T) {
 			c.Run(1500 * time.Millisecond)
 
 			// The three remaining majority members converge.
-			ops := c.OperationalConfigIDs()
+			ops := c.Operational()
 			found := false
 			for _, members := range ops {
 				if members.Contains(ids[0]) && members.Contains(ids[2]) && members.Contains(ids[3]) {
@@ -48,7 +48,7 @@ func TestCrashDuringRecoveryWindow(t *testing.T) {
 			if !found {
 				t.Fatalf("survivors did not converge: %v", ops)
 			}
-			requireClean(t, c, spec.Options{Settled: true})
+			requireClean(t, c, true)
 		})
 	}
 }
@@ -60,16 +60,16 @@ func TestRepresentativeCrashAtInstall(t *testing.T) {
 	for _, offsetMs := range []int{40, 44, 48, 52, 60} {
 		offsetMs := offsetMs
 		t.Run(fmt.Sprintf("offset=%dms", offsetMs), func(t *testing.T) {
-			c := New(Options{Procs: 4, Seed: int64(2000 + offsetMs)})
+			c := evs.NewGroup(evs.Options{NumProcesses: 4, Seed: int64(2000 + offsetMs)})
 			ids := c.IDs()
 			cut := 300 * time.Millisecond
 			c.Partition(cut, ids[:3], ids[3:])
 			// ids[0] is the representative of the surviving majority.
 			c.Crash(cut+time.Duration(offsetMs)*time.Millisecond, ids[0])
-			c.Send(600*time.Millisecond, ids[1], "after", model.Safe)
+			c.Send(600*time.Millisecond, ids[1], []byte("after"), model.Safe)
 			c.Run(1500 * time.Millisecond)
 
-			ops := c.OperationalConfigIDs()
+			ops := c.Operational()
 			converged := false
 			for cfg, members := range ops {
 				if members.Contains(ids[1]) && members.Contains(ids[2]) {
@@ -94,7 +94,7 @@ func TestRepresentativeCrashAtInstall(t *testing.T) {
 					t.Fatalf("%s missed post-crash traffic", id)
 				}
 			}
-			requireClean(t, c, spec.Options{Settled: true})
+			requireClean(t, c, true)
 		})
 	}
 }
@@ -106,10 +106,10 @@ func TestFlappingPartitions(t *testing.T) {
 	for _, periodMs := range []int{20, 35, 60} {
 		periodMs := periodMs
 		t.Run(fmt.Sprintf("period=%dms", periodMs), func(t *testing.T) {
-			c := New(Options{Procs: 4, Seed: int64(3000 + periodMs)})
+			c := evs.NewGroup(evs.Options{NumProcesses: 4, Seed: int64(3000 + periodMs)})
 			ids := c.IDs()
 			for i := 0; i < 10; i++ {
-				c.Send(time.Duration(150+i*30)*time.Millisecond, ids[i%4], fmt.Sprintf("m%d", i), model.Safe)
+				c.Send(time.Duration(150+i*30)*time.Millisecond, ids[i%4], []byte(fmt.Sprintf("m%d", i)), model.Safe)
 			}
 			at := 250 * time.Millisecond
 			for i := 0; i < 12; i++ {
@@ -123,7 +123,7 @@ func TestFlappingPartitions(t *testing.T) {
 			c.Merge(at)
 			c.Run(at + 1200*time.Millisecond)
 
-			ops := c.OperationalConfigIDs()
+			ops := c.Operational()
 			if len(ops) != 1 {
 				t.Fatalf("flapping did not settle into one configuration: %v", ops)
 			}
@@ -132,7 +132,7 @@ func TestFlappingPartitions(t *testing.T) {
 					t.Fatalf("settled configuration incomplete: %v", members)
 				}
 			}
-			requireClean(t, c, spec.Options{Settled: true})
+			requireClean(t, c, true)
 		})
 	}
 }
@@ -143,10 +143,10 @@ func TestPartitionDuringRecovery(t *testing.T) {
 	for _, offsetMs := range []int{42, 46, 50, 58} {
 		offsetMs := offsetMs
 		t.Run(fmt.Sprintf("offset=%dms", offsetMs), func(t *testing.T) {
-			c := New(Options{Procs: 5, Seed: int64(4000 + offsetMs)})
+			c := evs.NewGroup(evs.Options{NumProcesses: 5, Seed: int64(4000 + offsetMs)})
 			ids := c.IDs()
 			for i := 0; i < 6; i++ {
-				c.Send(time.Duration(150+i*12)*time.Millisecond, ids[i%5], fmt.Sprintf("m%d", i), model.Safe)
+				c.Send(time.Duration(150+i*12)*time.Millisecond, ids[i%5], []byte(fmt.Sprintf("m%d", i)), model.Safe)
 			}
 			cut := 300 * time.Millisecond
 			c.Partition(cut, ids[:4], ids[4:])
@@ -155,11 +155,11 @@ func TestPartitionDuringRecovery(t *testing.T) {
 			c.Merge(700 * time.Millisecond)
 			c.Run(2 * time.Second)
 
-			ops := c.OperationalConfigIDs()
+			ops := c.Operational()
 			if len(ops) != 1 {
 				t.Fatalf("did not reconverge: %v", ops)
 			}
-			requireClean(t, c, spec.Options{Settled: true})
+			requireClean(t, c, true)
 		})
 	}
 }
@@ -174,19 +174,19 @@ func TestCrashWhileRecoveringProcessHoldsObligations(t *testing.T) {
 	for offset := 40; offset <= 50; offset += 2 {
 		offset := offset
 		t.Run(fmt.Sprintf("offset=%dms", offset), func(t *testing.T) {
-			c := New(Options{Procs: 4, Seed: int64(5000 + offset)})
+			c := evs.NewGroup(evs.Options{NumProcesses: 4, Seed: int64(5000 + offset)})
 			ids := c.IDs()
 			// Safe burst right before the cut: unacknowledged safe
 			// messages are exactly what recovery must place.
 			at := 295 * time.Millisecond
 			for i := 0; i < 12; i++ {
-				c.Send(at, ids[i%4], fmt.Sprintf("m%d", i), model.Safe)
+				c.Send(at, ids[i%4], []byte(fmt.Sprintf("m%d", i)), model.Safe)
 			}
 			cut := 300 * time.Millisecond
 			c.Partition(cut, ids[:3], ids[3:])
 			c.Crash(cut+time.Duration(offset)*time.Millisecond, ids[2])
 			c.Run(1800 * time.Millisecond)
-			requireClean(t, c, spec.Options{Settled: true})
+			requireClean(t, c, true)
 		})
 	}
 }

@@ -71,10 +71,6 @@ func (c ConfigID) Prev() ConfigID {
 	return ConfigID{Kind: Regular, Seq: c.PrevSeq, Rep: c.PrevRep}
 }
 
-// SameRegular reports whether two identifiers denote the same regular
-// configuration after resolving transitional identifiers through Prev.
-func (c ConfigID) SameRegular(d ConfigID) bool { return c.Prev() == d.Prev() }
-
 // String renders the identifier, e.g. "reg(7@a)" or "trans(9@a<-7@c)".
 func (c ConfigID) String() string {
 	switch c.Kind {

@@ -30,18 +30,6 @@ func TestConfigIDPrev(t *testing.T) {
 	}
 }
 
-func TestConfigIDSameRegular(t *testing.T) {
-	reg := RegularID(7, "a")
-	next := RegularID(9, "a")
-	tr := TransitionalID(next, reg)
-	if !tr.SameRegular(reg) {
-		t.Error("transitional should share regular with its predecessor")
-	}
-	if tr.SameRegular(next) {
-		t.Error("transitional should not share regular with its successor")
-	}
-}
-
 func TestTransitionalIDsDistinctPerOrigin(t *testing.T) {
 	// Two components with different prior regular configurations merging
 	// into the same next regular configuration must produce distinct

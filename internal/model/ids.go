@@ -22,9 +22,6 @@ import (
 // position and the membership representative (lowest ID).
 type ProcessID string
 
-// Less reports whether p orders before q in the canonical process order.
-func (p ProcessID) Less(q ProcessID) bool { return p < q }
-
 // ProcessSet is an immutable-by-convention, sorted, duplicate-free set of
 // process identifiers. The zero value is the empty set.
 type ProcessSet struct {

@@ -453,11 +453,11 @@ func (n *Node) noteSeen(id model.MessageID) {
 // ---------------------------------------------------------------------------
 // Live perturbation surface (self-stabilization fault model).
 //
-// The chaos harness calls these between token visits to corrupt the
-// volatile state of a running node — the transient faults of the
-// Practically-Self-Stabilizing Virtual Synchrony model, as opposed to
+// The chaos engine (internal/chaos) calls these between token visits to
+// corrupt the volatile state of a running node — the transient faults of
+// the Practically-Self-Stabilizing Virtual Synchrony model, as opposed to
 // the crash-time stable-storage faults. Each reports whether state
-// actually changed, so the harness can count materialized faults.
+// actually changed, so the engine can count materialized faults.
 
 // PerturbSenderSeq wraps the live sender sequence counter to half its
 // value. The Submit-time heal must restore it from the store's SeenSeqs

@@ -64,7 +64,6 @@ func TestNilMetricsIsDisabledLayer(t *testing.T) {
 	m.Observe(HBatchFill, 1)
 	m.ObserveSince(HRecoveryTotalUs, 0)
 	m.Event(KBudget, 1, 2)
-	m.AddSink(SinkFunc(func(Event) {}))
 	if m.Counter(CSubmits) != 0 || m.Gauge(GBudget) != 0 {
 		t.Fatal("nil scope must read zero")
 	}
@@ -138,17 +137,6 @@ func TestTraceRingRetainsAndDrops(t *testing.T) {
 	// Oldest retained event is number 10; order is chronological.
 	if evs[0].A != 10 || evs[len(evs)-1].A != uint64(total-1) {
 		t.Fatalf("ring window wrong: first=%d last=%d", evs[0].A, evs[len(evs)-1].A)
-	}
-}
-
-func TestSinksObserveEvents(t *testing.T) {
-	m := New("p1", nil)
-	var got []Event
-	m.AddSink(SinkFunc(func(e Event) { got = append(got, e) }))
-	m.Event(KCrash, 0, 0)
-	m.Event(KRecover, 0, 0)
-	if len(got) != 2 || got[0].Kind != KCrash || got[1].Kind != KRecover {
-		t.Fatalf("sink saw %v", got)
 	}
 }
 

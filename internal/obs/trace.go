@@ -134,30 +134,16 @@ func (e Event) String() string {
 	return fmt.Sprintf("%12s %-4s %-20s a=%d b=%d", e.At, e.Proc, e.Kind, e.A, e.B)
 }
 
-// Sink observes trace events as they are recorded. Implementations must
-// be fast and must not call back into the Metrics scope; they run on the
-// protocol path under the trace lock.
-type Sink interface {
-	ObserveEvent(e Event)
-}
-
-// SinkFunc adapts a function to Sink.
-type SinkFunc func(e Event)
-
-// ObserveEvent implements Sink.
-func (f SinkFunc) ObserveEvent(e Event) { f(e) }
-
 // DefaultTraceDepth is the trace ring capacity per scope. At one budget
 // change or configuration event every few token rotations this covers
 // minutes of protocol history; older events are overwritten.
 const DefaultTraceDepth = 4096
 
-// traceRing is a fixed-capacity circular event buffer plus the sink list.
+// traceRing is a fixed-capacity circular event buffer.
 type traceRing struct {
-	mu    sync.Mutex
-	buf   []Event
-	next  uint64 // total events ever recorded
-	sinks []Sink
+	mu   sync.Mutex
+	buf  []Event
+	next uint64 // total events ever recorded
 }
 
 func (r *traceRing) init(depth int) {
@@ -167,8 +153,7 @@ func (r *traceRing) init(depth int) {
 	r.buf = make([]Event, depth)
 }
 
-// Event records a protocol trace event and fans it out to the sinks.
-// Nil-safe; allocation-free (the ring slot is reused).
+// Event records a protocol trace event. Nil-safe; allocation-free (the ring slot is reused).
 //
 //evs:noalloc
 func (m *Metrics) Event(k Kind, a, b uint64) {
@@ -180,21 +165,7 @@ func (m *Metrics) Event(k Kind, a, b uint64) {
 	r.mu.Lock()
 	r.buf[r.next%uint64(len(r.buf))] = e
 	r.next++
-	sinks := r.sinks
-	for _, s := range sinks {
-		s.ObserveEvent(e)
-	}
 	r.mu.Unlock()
-}
-
-// AddSink registers an additional trace sink. Nil-safe.
-func (m *Metrics) AddSink(s Sink) {
-	if m == nil || s == nil {
-		return
-	}
-	m.trace.mu.Lock()
-	m.trace.sinks = append(m.trace.sinks, s)
-	m.trace.mu.Unlock()
 }
 
 // Events returns the retained trace events in chronological order.

@@ -143,9 +143,6 @@ func New(self model.ProcessID, universe model.ProcessSet, last, attempt model.Co
 	}
 }
 
-// Last returns the last installed primary known to this process.
-func (p *Protocol) Last() model.Configuration { return p.last }
-
 // best returns the most recent primary this process knows of: the later of
 // last and attempt.
 func (p *Protocol) best() model.Configuration {

@@ -6,10 +6,11 @@
 //
 // The clock is virtual (the simulator's scheduler) or the wall clock; the
 // transport is whatever the dial function returns — the simulated medium,
-// the in-process hub, or a UDP or TCP socket. The deterministic harness,
-// the wall-clock cluster of the root package and the evsd daemon differ
+// the in-process hub, or a UDP or TCP socket. The simulated and the
+// wall-clock clusters of the root package and the evsd daemon differ
 // only in the pair they hand to Start, and in what they add beside the
-// spine (fault injection, partition control, HTTP and trace files).
+// spine (virtual-time scheduling, partition control, HTTP and trace
+// files).
 package spine
 
 import (

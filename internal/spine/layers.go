@@ -84,9 +84,13 @@ func (p *Proc) wrapApp(payload []byte) []byte {
 }
 
 // Crash fails a process: volatile state is lost, stable storage survives.
-// The medium needs no help; a down node ignores what still arrives.
+// The medium needs no help; a down node ignores what still arrives. A
+// crash at an unknown process is a no-op.
 func (r *Recorder) Crash(id model.ProcessID) {
 	p := r.procs[id]
+	if p == nil {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.node.Mode() == node.Down {
@@ -101,9 +105,13 @@ func (r *Recorder) Crash(id model.ProcessID) {
 // Recover restarts a failed process under the same identifier with its
 // stable storage intact. The primary layer reloads its persisted
 // knowledge; the VS filter restarts blocked (a recovered process rejoins
-// the primary component through Rule 4).
+// the primary component through Rule 4). A recovery at an unknown process
+// is a no-op.
 func (r *Recorder) Recover(id model.ProcessID) {
 	p := r.procs[id]
+	if p == nil {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.node.Mode() != node.Down {

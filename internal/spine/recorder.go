@@ -60,8 +60,8 @@ type Options struct {
 	// Envelope makes the recorder own each payload's first byte: Submit
 	// prefixes the application tag, and deliveries are demultiplexed
 	// between the application and the primary-component layer. The root
-	// package's clusters set it; the bare harness and the daemon carry raw
-	// payloads.
+	// package's clusters set it, so the chaos engine's runs are enveloped
+	// too; only the daemon carries raw payloads.
 	Envelope bool
 	// Primary runs the primary component algorithm of Section 5 on every
 	// process; VS additionally runs the virtual synchrony filter. Both
@@ -428,9 +428,14 @@ func (r *Recorder) Metrics() obs.ClusterSnapshot { return obs.Cluster(r.scopes()
 func (r *Recorder) ObsEvents() []obs.Event { return obs.MergeEvents(r.scopes()...) }
 
 // Mode returns the protocol mode of a process ("operational",
-// "gathering", "recovering", "down").
+// "gathering", "recovering", "down"), or "unknown" for an identifier
+// that names no process.
 func (r *Recorder) Mode(id model.ProcessID) string {
-	mode, _, _ := r.procs[id].State()
+	p := r.procs[id]
+	if p == nil {
+		return "unknown"
+	}
+	mode, _, _ := p.State()
 	return mode.String()
 }
 

@@ -44,7 +44,7 @@ func fuzzRecord(seed uint64, entries int) (Record, []wire.Data) {
 }
 
 // corrupt applies one corruption mode to the store, mirroring the
-// harness's crash-time fault switch.
+// chaos engine's crash-time fault switch.
 func corrupt(s *Store, mode uint8, n int) {
 	switch mode % 7 {
 	case 1:

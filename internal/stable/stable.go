@@ -341,7 +341,7 @@ func (s *Store) ClearLog() {
 //
 // The EVS failure model promises recovery "with stable storage intact"
 // (Section 2); real disks keep that promise only approximately. The chaos
-// harness injects the two classic crash-consistency faults at the moment a
+// engine injects the two classic crash-consistency faults at the moment a
 // process fails, and the recovery algorithm's behaviour under them is then
 // judged by the specification checker:
 //

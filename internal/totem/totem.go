@@ -177,15 +177,6 @@ func (r *Ring) SetMetrics(m *obs.Metrics) { r.met = m }
 // Config returns the ring's configuration.
 func (r *Ring) Config() model.Configuration { return r.cfg }
 
-// Successor returns the next process after self in ring order.
-func (r *Ring) Successor() model.ProcessID {
-	if next, ok := r.cfg.Members.Next(r.self); ok {
-		return next
-	}
-	// Self not a member: degenerate, return self.
-	return r.self
-}
-
 // IsRepresentative reports whether self is the lowest-ordered member, the
 // process that originates the first token.
 func (r *Ring) IsRepresentative() bool {

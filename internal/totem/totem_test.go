@@ -274,16 +274,6 @@ func TestMaxPerTokenLimit(t *testing.T) {
 	}
 }
 
-func TestSuccessorWrapsAround(t *testing.T) {
-	cfg := model.Configuration{ID: model.RegularID(1, "a"), Members: model.NewProcessSet("a", "b", "c")}
-	if s := New("c", cfg, DefaultOptions()).Successor(); s != "a" {
-		t.Fatalf("successor of c = %s, want a", s)
-	}
-	if s := New("a", cfg, DefaultOptions()).Successor(); s != "b" {
-		t.Fatalf("successor of a = %s, want b", s)
-	}
-}
-
 func TestSnapshotReportsHaveBeyondAru(t *testing.T) {
 	cfg := model.Configuration{ID: model.RegularID(1, "p"), Members: model.NewProcessSet("p", "q")}
 	r := New("p", cfg, DefaultOptions())

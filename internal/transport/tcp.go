@@ -46,16 +46,16 @@ type TCP struct {
 	maxFr   int
 	ln      net.Listener
 
-	mu     sync.Mutex // guards senders, conns, sendBuf, closed
+	mu      sync.Mutex // guards senders, conns, sendBuf, closed
 	senders map[model.ProcessID]*tcpSender
 	addrs   map[model.ProcessID]string
 	// conns is every live connection, inbound readers and outbound
 	// sender dials alike. Close severs them all, which is what unblocks
 	// a reader parked in Read or a drain goroutine parked in Write.
-	conns map[net.Conn]struct{}
+	conns   map[net.Conn]struct{}
 	sendBuf []byte
-	closed bool
-	wg     sync.WaitGroup
+	closed  bool
+	wg      sync.WaitGroup
 }
 
 // tcpSender owns one peer's outbound side: a bounded frame queue drained

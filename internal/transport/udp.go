@@ -44,10 +44,10 @@ type UDP struct {
 	met     *obs.Metrics
 	maxDG   int
 
-	mu     sync.Mutex // guards sendBuf and closed
+	mu      sync.Mutex // guards sendBuf and closed
 	sendBuf []byte
-	closed bool
-	wg     sync.WaitGroup
+	closed  bool
+	wg      sync.WaitGroup
 }
 
 var _ Transport = (*UDP)(nil)

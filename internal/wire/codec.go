@@ -82,8 +82,6 @@ const (
 	FrameExchange FrameKind = 8
 	// FrameRecoveryDone is a RecoveryDone.
 	FrameRecoveryDone FrameKind = 9
-
-	frameMax = FrameRecoveryDone
 )
 
 // Codec limits. Honest encoders never approach them; they bound what a
@@ -801,20 +799,4 @@ func (d *Decoder) Decode(b []byte) (Message, error) {
 func Decode(b []byte) (Message, error) {
 	//lint:allow arenaesc the result aliases only b, which the caller owns, and the throwaway decoder is never reused
 	return NewDecoder().Decode(b)
-}
-
-// PeekKind returns the frame kind of an encoded message, or 0 for empty
-// or unknown input: the class tag fault filters and metrics key on
-// without decoding.
-//
-//evs:noalloc
-func PeekKind(b []byte) FrameKind {
-	if len(b) == 0 {
-		return 0
-	}
-	k := FrameKind(b[0])
-	if k == 0 || k > frameMax {
-		return 0
-	}
-	return k
 }

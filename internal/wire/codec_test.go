@@ -331,21 +331,6 @@ func TestPayloadAliasesInput(t *testing.T) {
 	}
 }
 
-func TestPeekKind(t *testing.T) {
-	for _, m := range sampleMessages() {
-		b, err := Encode(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k := PeekKind(b); k != FrameKind(b[0]) {
-			t.Fatalf("PeekKind = %d, want %d", k, b[0])
-		}
-	}
-	if PeekKind(nil) != 0 || PeekKind([]byte{99}) != 0 {
-		t.Fatalf("PeekKind on junk should be 0")
-	}
-}
-
 // TestWireDataCodecZeroAlloc is the noalloc gate for the Data hot path:
 // steady-state encode and decode of a Data message must not allocate
 // (the decoder's process-identifier interning amortises to zero).
