@@ -16,7 +16,8 @@
 // The message log is the old ring's own seqlog.Log, handed over when the
 // ring stops: the recovery reads its receipt claims from the window in
 // sequence order, merges rebroadcasts into it, and hands the same log on
-// to the next attempt or back to the node. Nothing is copied.
+// to the next attempt or back to the node. Nothing is copied: the Step 6
+// deliveries are the log's own slots.
 //
 // Failure atomicity (Specification 4) rests on every transitional member
 // computing Step 6 from identical inputs. To that end each process freezes
@@ -56,7 +57,9 @@ func (Finished) isAction() {}
 // OldRegular in the old regular configuration, deliver the configuration
 // change initiating Transitional, deliver Trans in it, then deliver the
 // configuration change installing the new regular configuration (with empty
-// obligations, per Step 1).
+// obligations, per Step 1). OldRegular and Trans are slots of the recovery's
+// log, whose ring is the old regular configuration: they stay valid until
+// the node installs the new configuration and drops the log.
 type Result struct {
 	// Transitional is the transitional configuration: the members of
 	// the new regular configuration whose previous regular
@@ -67,10 +70,10 @@ type Result struct {
 	Transitional model.Configuration
 	// OldRegular are messages delivered in the old regular
 	// configuration (Step 6.b), in total order.
-	OldRegular []wire.Data
+	OldRegular []*seqlog.Entry
 	// Trans are messages delivered in the transitional configuration
 	// (Step 6.d), in total order.
-	Trans []wire.Data
+	Trans []*seqlog.Entry
 	// Discarded are sequence numbers discarded by Step 6.a: messages
 	// following the first unavailable message whose senders are outside
 	// the obligation set.
@@ -311,8 +314,7 @@ func (r *Recovery) admit(d wire.Data) {
 		return
 	}
 	if e, fresh := r.log.Put(d.Seq); fresh {
-		d.Retrans = false
-		e.Data = d
+		e.Set(&d)
 	}
 }
 
@@ -459,7 +461,6 @@ func (r *Recovery) rebroadcasts(force bool) []Action {
 		if e == nil || !r.needed(seq) {
 			continue
 		}
-		d := e.Data
 		neededBy := false
 		for _, q := range r.trans.View() {
 			if q == r.self {
@@ -490,6 +491,7 @@ func (r *Recovery) rebroadcasts(force bool) []Action {
 				continue
 			}
 		}
+		d := e.Data(r.oldRing.ID)
 		d.Retrans = true
 		out = append(out, Send{Msg: d})
 	}
@@ -568,11 +570,11 @@ func (r *Recovery) computeResult() Result {
 		if e == nil || !r.needed(seq+1) {
 			break
 		}
-		if e.Data.Service == model.Safe && e.Data.Seq > r.safeBound {
+		if e.Service() == model.Safe && e.Seq > r.safeBound {
 			break
 		}
 		seq++
-		res.OldRegular = append(res.OldRegular, e.Data)
+		res.OldRegular = append(res.OldRegular, e)
 	}
 
 	// 6.a + 6.d: transitional deliveries up to the highest sequence
@@ -584,11 +586,11 @@ func (r *Recovery) computeResult() Result {
 			holeSeen = true
 			continue
 		}
-		if holeSeen && !r.obligations.Contains(e.Data.ID.Sender) {
+		if holeSeen && !r.obligations.Contains(e.ID.Sender) {
 			res.Discarded = append(res.Discarded, s)
 			continue
 		}
-		res.Trans = append(res.Trans, e.Data)
+		res.Trans = append(res.Trans, e)
 	}
 	return res
 }

@@ -96,10 +96,10 @@ func mkData(sender model.ProcessID, sseq, seq uint64, ring model.ConfigID, svc m
 	}
 }
 
-func seqsOf(ds []wire.Data) []uint64 {
-	out := make([]uint64, len(ds))
-	for i, d := range ds {
-		out[i] = d.Seq
+func seqsOf(es []*seqlog.Entry) []uint64 {
+	out := make([]uint64, len(es))
+	for i, e := range es {
+		out[i] = e.Seq
 	}
 	return out
 }
@@ -473,7 +473,7 @@ func logOf(ds ...wire.Data) *seqlog.Log {
 	l := &seqlog.Log{}
 	for _, d := range ds {
 		e, _ := l.Put(d.Seq)
-		e.Data = d
+		e.Set(&d)
 	}
 	return l
 }

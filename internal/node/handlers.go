@@ -5,6 +5,7 @@ import (
 	"repro/internal/membership"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/seqlog"
 	"repro/internal/totem"
 	"repro/internal/wire"
 )
@@ -169,8 +170,7 @@ func (n *Node) onData(from model.ProcessID, d wire.Data) {
 		// numbers inside the trimmed prefix were already delivered and
 		// certified safe; the log refuses them, like duplicates.
 		if e, fresh := n.oldLog.Put(d.Seq); fresh {
-			d.Retrans = false
-			e.Data = d
+			e.Set(&d)
 			if d.Seq > n.oldState.HighestSeen {
 				n.oldState.HighestSeen = d.Seq
 			}
@@ -279,24 +279,17 @@ func (n *Node) broadcastData(ds []wire.Data) {
 	}
 }
 
-// deliverAll delivers ordered messages to the application and the trace.
+// deliverAll hands ordered messages, slots of the ring's or the recovery's
+// log, to the host: one Deliver per message, from which the host derives
+// the formal model's deliver event.
 //
 //evs:noalloc
-func (n *Node) deliverAll(ds []wire.Data, cfg model.Configuration) {
-	for i := range ds {
-		d := &ds[i]
-		n.host.Trace(model.Event{
-			Type:    model.EventDeliver,
-			Proc:    n.id,
-			Config:  cfg.ID,
-			Members: cfg.Members,
-			Msg:     d.ID,
-			Service: d.Service,
-		})
+func (n *Node) deliverAll(es []*seqlog.Entry, cfg model.Configuration) {
+	for _, e := range es {
 		n.host.Deliver(Delivery{
-			Msg:     d.ID,
-			Payload: d.Payload,
-			Service: d.Service,
+			Msg:     e.ID,
+			Payload: e.Payload,
+			Service: e.Service(),
 			Config:  cfg,
 		})
 	}

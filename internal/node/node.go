@@ -124,11 +124,16 @@ type Host interface {
 	// Deliver hands a message to the application. The Delivery's
 	// payload is immutable: it may alias a received wire message (and
 	// therefore a transport buffer) under the Transport ownership
-	// contract.
+	// contract. It is also the formal model's deliver event: the node
+	// traces no deliver event of its own, so a host that records the
+	// trace derives the event from the Delivery (process, Config.ID,
+	// Config.Members, Msg, Service).
 	Deliver(d Delivery)
 	// DeliverConfig hands a configuration change to the application.
 	DeliverConfig(c ConfigChange)
-	// Trace records a formal-model event for the specification checker.
+	// Trace records a formal-model event for the specification checker:
+	// the send, deliver_conf and fail events (deliveries arrive through
+	// Deliver).
 	Trace(e model.Event)
 }
 

@@ -275,15 +275,13 @@ func TestPairStateMachineTraceConforms(t *testing.T) {
 	// The merged trace ordering above is heuristic; assert only
 	// per-process invariants via the per-env traces instead.
 	for _, id := range w.ids {
-		var sends, delivers int
+		var sends int
 		for _, e := range w.envs[id].trace {
-			switch e.Type {
-			case model.EventSend:
+			if e.Type == model.EventSend {
 				sends++
-			case model.EventDeliver:
-				delivers++
 			}
 		}
+		delivers := len(w.envs[id].deliver) // the deliver events, derived by the host
 		if sends != 1 {
 			t.Fatalf("%s traced %d sends, want 1", id, sends)
 		}
@@ -354,4 +352,75 @@ func TestRecoveryAllocBoundedByWindow(t *testing.T) {
 		t.Fatalf("reconfiguration at MyAru %d allocated %d B over a retained window of %d entries (bound %d B)", aru, bytes, window, bound)
 	}
 	t.Logf("reconfiguration at MyAru %d: %d B allocated over a retained window of %d entries", aru, bytes, window)
+}
+
+// TestOneHostCallPerDelivery counts the node's host calls. Every delivered
+// message reaches the host through exactly one Deliver and no deliver
+// Trace: on the ring, and through the Step 6 deliveries of a partition's
+// recovery. Sends and configuration changes are still traced.
+func TestOneHostCallPerDelivery(t *testing.T) {
+	w := newPairWorld(t, "a", "b")
+	w.startAll()
+	submitted := map[model.ProcessID]int{}
+	submit := func(id model.ProcessID, k int, svc model.Service) {
+		for i := 0; i < k; i++ {
+			if err := w.nodes[id].Submit([]byte{byte(i)}, svc); err != nil {
+				t.Fatalf("%s: Submit: %v", id, err)
+			}
+			submitted[id]++
+		}
+	}
+	submit("a", 4, model.Agreed)
+	submit("b", 4, model.Safe)
+	w.spin(4)
+	// Safe messages that reach b but cannot become safe before the
+	// partition: the recovery delivers them in the transitional
+	// configuration.
+	submit("a", 3, model.Safe)
+	w.pumpUntil(func(from, to model.ProcessID, msg wire.Message) bool {
+		_, batch := msg.(wire.DataBatch)
+		return from == "a" && to == "b" && batch
+	})
+	w.cut = func(from, to model.ProcessID) bool { return from != to }
+	w.nodes["a"].OnTimer(TimerTokenLoss)
+	w.nodes["b"].OnTimer(TimerTokenLoss)
+	w.pump()
+	for i := 0; i < 4; i++ {
+		w.fireJoinTimeouts()
+		w.spin(2)
+	}
+	transitional := 0
+	for _, id := range w.ids {
+		env := w.envs[id]
+		seen := map[model.MessageID]bool{}
+		for _, d := range env.deliver {
+			if seen[d.Msg] {
+				t.Fatalf("%s: %v handed to the host twice", id, d.Msg)
+			}
+			seen[d.Msg] = true
+			if d.Config.ID.IsTransitional() {
+				transitional++
+			}
+		}
+		var sends, confs int
+		for _, e := range env.trace {
+			switch e.Type {
+			case model.EventDeliver:
+				t.Fatalf("%s: the node traced a deliver event (%v); Deliver is the one host call", id, e.Msg)
+			case model.EventSend:
+				sends++
+			case model.EventDeliverConf:
+				confs++
+			}
+		}
+		if sends != submitted[id] || confs != len(env.confs) || confs == 0 {
+			t.Fatalf("%s: traced %d sends and %d configuration changes, want %d and %d", id, sends, confs, submitted[id], len(env.confs))
+		}
+		if !seen[model.MessageID{Sender: id, SenderSeq: uint64(submitted[id])}] {
+			t.Fatalf("%s never delivered its own last message: %v", id, env.deliver)
+		}
+	}
+	if transitional == 0 {
+		t.Fatal("no delivery in a transitional configuration: the Step 6 path went untested")
+	}
 }

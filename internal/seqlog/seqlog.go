@@ -11,12 +11,25 @@
 // never move. Presence is a bit in the slot, never inferred from the
 // stored message.
 //
+// A slot holds only what the log does not already know: the message's
+// identity, sequence number, service and payload, plus the user's
+// integrity word and the presence bit — 72 bytes on a 64-bit machine.
+// Every entry of a log was sequenced in one ring, so the ring identity
+// belongs to the log's owner (the ring's configuration, the recovery's
+// old ring, the store's last regular configuration), not to the slot;
+// Entry.Data puts it back where a message goes back on the wire.
+//
 // The window is bounded: a put more than the limit above Base is refused
 // rather than sized for, so one far-off sequence number (a damaged record,
 // a corrupt packet) cannot become an allocation.
 package seqlog
 
-import "repro/internal/wire"
+import (
+	"math"
+
+	"repro/internal/model"
+	"repro/internal/wire"
+)
 
 // MaxSpan is the window bound of a Log whose Limit is unset. The widest
 // window the protocol produces is the ring's: in steady state the
@@ -31,13 +44,50 @@ const MaxSpan = 1 << 16
 // minSlots is the first allocation of a growing log.
 const minSlots = 64
 
-// Entry is one slot of a Log.
+// Entry is one slot of a Log: a sequenced message without its ring.
 type Entry struct {
-	Data wire.Data
+	ID      model.MessageID
+	Seq     uint64
+	Payload []byte
 	// Sum is an integrity word owned by the user of the log (the stable
 	// store's write-time checksum; unused by the ring).
 	Sum     uint64
+	service uint8 // model.Service: Agreed or Safe
 	Present bool
+}
+
+// Service returns the message's delivery service level.
+func (e *Entry) Service() model.Service { return model.Service(e.service) }
+
+// Set stores d's message in the slot. The payload is shared, not copied:
+// a message is immutable once sequenced, under the Transport ownership
+// contract (node.Transport). A service level outside a byte (only a
+// corrupt frame decodes to one) is kept as 255, which is neither Agreed
+// nor Safe, as the level itself was.
+//
+//evs:noalloc
+func (e *Entry) Set(d *wire.Data) {
+	svc := d.Service
+	if svc < 0 || svc > math.MaxUint8 {
+		svc = math.MaxUint8
+	}
+	e.ID, e.Seq, e.service = d.ID, d.Seq, uint8(svc)
+	e.Payload = d.Payload //lint:allow wireown a sequenced message is immutable under the Transport ownership contract; the slot shares its payload as the whole-message copy into the log did
+}
+
+// Data rebuilds the message as it was sequenced in ring, for a path that
+// puts it back on the wire (a retransmission or a recovery rebroadcast).
+// The payload is the slot's own.
+//
+//evs:noalloc
+func (e *Entry) Data(ring model.ConfigID) wire.Data {
+	return wire.Data{
+		ID:      e.ID,
+		Ring:    ring,
+		Seq:     e.Seq,
+		Service: e.Service(),
+		Payload: e.Payload, //lint:allow wireown the slot's payload is an immutable sequenced message; retransmitting it shares it as the whole-message copy out of the log did
+	}
 }
 
 // Log is a window of entries indexed by sequence number. The zero value is
@@ -144,7 +194,7 @@ func (l *Log) Delete(seq uint64) bool {
 
 // DropPrefix discards every entry at or below upTo and advances Base to it
 // (a lower upTo is a no-op). Only the dropped slots are visited; zeroing
-// them releases the payload and clock memory they referenced.
+// them releases the payload memory they referenced.
 //
 //evs:noalloc
 func (l *Log) DropPrefix(upTo uint64) {

@@ -1,8 +1,14 @@
 package seqlog
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
+	"unsafe"
+
+	"repro/internal/model"
+	"repro/internal/wire"
 )
 
 // TestLogMatchesMapModel drives a Log and a plain map through the same
@@ -23,7 +29,7 @@ func TestLogMatchesMapModel(t *testing.T) {
 			for seq := base; seq <= next+3; seq++ {
 				e := l.Get(seq)
 				sum, ok := ref[seq]
-				if (e != nil) != ok || (ok && (e.Sum != sum || e.Data.Seq != seq)) {
+				if (e != nil) != ok || (ok && (e.Sum != sum || e.Seq != seq)) {
 					t.Fatalf("seed %d step %d: Get(%d) = %+v, model %d,%v", seed, step, seq, e, sum, ok)
 				}
 				if ok && seq > l.High() {
@@ -48,7 +54,7 @@ func TestLogMatchesMapModel(t *testing.T) {
 					t.Fatalf("seed %d step %d: Put(%d) = %v,%v with base %d, dup %v", seed, step, seq, e != nil, fresh, base, dup)
 				}
 				if e != nil {
-					e.Data.Seq, e.Sum = seq, uint64(step)
+					e.Seq, e.Sum = seq, uint64(step)
 					ref[seq] = uint64(step)
 					if seq >= next {
 						next = seq + 1
@@ -112,5 +118,66 @@ func TestPutAtAndPastTheLimit(t *testing.T) {
 	}
 	if l.Len() != 1 || l.High() != 7+MaxSpan {
 		t.Fatalf("Len=%d High=%d after refused puts", l.Len(), l.High())
+	}
+}
+
+// TestEntryFitsSeventyTwoBytes pins the slot layout: the message
+// without its ring, the user's integrity word and the presence bit fit
+// 72 bytes on a 64-bit machine (a whole wire.Data alone is 160).
+func TestEntryFitsSeventyTwoBytes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is pinned for 64-bit machines")
+	}
+	if got := unsafe.Sizeof(Entry{}); got > 72 {
+		t.Fatalf("seqlog.Entry is %d bytes, want at most 72", got)
+	}
+}
+
+// TestSetDataRoundTrip stores random messages in a slot and rebuilds them
+// with their ring: every field the log keeps comes back, payloads nil,
+// empty and long alike, at every service level. What the slot drops is
+// what no log reads: the retransmission mark and the clock.
+func TestSetDataRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		d := wire.Data{
+			ID:      model.MessageID{Sender: model.ProcessID(fmt.Sprintf("p%d", rng.Intn(100))), SenderSeq: rng.Uint64()},
+			Ring:    model.RegularID(rng.Uint64(), model.ProcessID(fmt.Sprintf("r%d", rng.Intn(9)))),
+			Seq:     rng.Uint64(),
+			Service: []model.Service{0, model.Agreed, model.Safe}[i%3],
+			Retrans: rng.Intn(2) == 0,
+		}
+		switch rng.Intn(3) {
+		case 0: // nil
+		case 1:
+			d.Payload = []byte{}
+		default:
+			d.Payload = make([]byte, 1+rng.Intn(100))
+			rng.Read(d.Payload)
+		}
+		e := Entry{Sum: 99, Present: true}
+		e.Set(&d)
+		got := e.Data(d.Ring)
+		want := d
+		want.Retrans = false
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip of %+v gave %+v", want, got)
+		}
+		if e.Sum != 99 || !e.Present {
+			t.Fatalf("Set touched the slot's own fields: Sum=%d Present=%v", e.Sum, e.Present)
+		}
+	}
+}
+
+// TestSetKeepsOutOfRangeServicesDistinct feeds Set the service levels only
+// a corrupt frame decodes to: none may come back as Agreed or Safe, which
+// would change how the ring delivers the message.
+func TestSetKeepsOutOfRangeServicesDistinct(t *testing.T) {
+	for _, svc := range []model.Service{-255, -254, -1, 255, 256, 257, 258, 1 << 40} {
+		var e Entry
+		e.Set(&wire.Data{Service: svc})
+		if got := e.Service(); got == model.Agreed || got == model.Safe {
+			t.Fatalf("service %d stored as %v", svc, got)
+		}
 	}
 }

@@ -181,8 +181,21 @@ func (p *Proc) CancelTimer(kind node.TimerKind) {
 	p.timers[kind] = Timer{}
 }
 
-// Deliver implements node.Host.
-func (p *Proc) Deliver(d node.Delivery) { p.rec.deliver(p, d) }
+// Deliver implements node.Host: the delivery is also the formal model's
+// deliver event, traced first, and only when something reads the trace.
+func (p *Proc) Deliver(d node.Delivery) {
+	if r := p.rec; r.OnTrace != nil || !r.opts.DiscardHistory {
+		r.trace(model.Event{
+			Type:    model.EventDeliver,
+			Proc:    p.id,
+			Config:  d.Config.ID,
+			Members: d.Config.Members,
+			Msg:     d.Msg,
+			Service: d.Service,
+		})
+	}
+	p.rec.deliver(p, &d)
+}
 
 // DeliverConfig implements node.Host.
 func (p *Proc) DeliverConfig(c node.ConfigChange) { p.rec.deliverConfig(p, c) }

@@ -256,9 +256,9 @@ func (r *Recorder) Stats() Stats {
 // deliver records one delivery at p: tap, demultiplex, count, retain,
 // observe, then feed the VS filter. It is the only place a delivery is
 // appended to a retained slice.
-func (r *Recorder) deliver(p *Proc, d node.Delivery) {
+func (r *Recorder) deliver(p *Proc, d *node.Delivery) {
 	if r.OnDeliver != nil {
-		r.OnDeliver(p.id, d)
+		r.OnDeliver(p.id, *d)
 	}
 	payload := d.Payload
 	if r.opts.Envelope {

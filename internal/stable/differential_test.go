@@ -261,9 +261,10 @@ func normalize(r Record) Record {
 	return r
 }
 
-// entries renders a loaded window in the oracle's map form, checking that
-// it is based at the record's watermark.
-func entries(t *testing.T, rec Record, l *seqlog.Log) map[uint64]wire.Data {
+// entries renders a loaded window, whose entries were sequenced in ring, in
+// the oracle's map form, checking that it is based at the record's
+// watermark.
+func entries(t *testing.T, rec Record, l *seqlog.Log, ring model.ConfigID) map[uint64]wire.Data {
 	t.Helper()
 	if l.Base() != rec.TrimmedUpTo {
 		t.Fatalf("loaded window based at %d, record's watermark %d", l.Base(), rec.TrimmedUpTo)
@@ -271,7 +272,7 @@ func entries(t *testing.T, rec Record, l *seqlog.Log) map[uint64]wire.Data {
 	out := make(map[uint64]wire.Data, l.Len())
 	for seq := l.Base() + 1; seq <= l.High(); seq++ {
 		if e := l.Get(seq); e != nil {
-			out[seq] = e.Data
+			out[seq] = e.Data(ring)
 		}
 	}
 	return out
@@ -427,7 +428,7 @@ func TestStoreMatchesMapModel(t *testing.T) {
 			if !reflect.DeepEqual(normalize(gotRec), normalize(wantRec)) {
 				t.Fatalf("%s: LoadChecked record diverged\nstore: %+v\nmodel: %+v", what, gotRec, wantRec)
 			}
-			if got := entries(t, gotRec, gotLog); !reflect.DeepEqual(got, wantLog) {
+			if got := entries(t, gotRec, gotLog, s.ring); !reflect.DeepEqual(got, wantLog) {
 				t.Fatalf("%s: LoadChecked window diverged\nstore: %v\nmodel: %v", what, got, wantLog)
 			}
 			if fmt.Sprint(gotErrs) != fmt.Sprint(wantErrs) {

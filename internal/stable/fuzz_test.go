@@ -68,14 +68,14 @@ func corrupt(s *Store, mode uint8, n int) {
 func mutateDeep(r *Record, log *seqlog.Log) {
 	for seq := log.Base() + 1; seq <= log.High(); seq++ {
 		if e := log.Get(seq); e != nil {
-			if len(e.Data.Payload) > 0 {
-				e.Data.Payload[0] ^= 0xff
+			if len(e.Payload) > 0 {
+				e.Payload[0] ^= 0xff
 			}
-			e.Data.ID.SenderSeq += 1000
+			e.ID.SenderSeq += 1000
 		}
 	}
 	if e, _ := log.Put(log.Base() + 99); e != nil {
-		e.Data = wire.Data{Seq: log.Base() + 99}
+		e.Set(&wire.Data{Seq: log.Base() + 99})
 	}
 	for p := range r.SeenSeqs {
 		r.SeenSeqs[p] += 1000
@@ -137,7 +137,7 @@ func FuzzStoreRoundTrip(f *testing.F) {
 		s2.Save(recB)
 		for seq := logB.Base() + 1; seq <= logB.High(); seq++ {
 			if e := logB.Get(seq); e != nil {
-				s2.PutLog(e.Data)
+				s2.PutLog(e.Data(recB.LastRegular.ID))
 			}
 		}
 		if rec2, _, errs2 := s2.LoadChecked(); len(errs2) != 0 {

@@ -16,11 +16,12 @@
 // The message log is not part of the Record. It is a dense window over the
 // ring's contiguous sequence numbers, (TrimmedUpTo, TrimmedUpTo+seqlog.MaxSpan],
 // held in the same seqlog.Log the ring's receive log uses and written only
-// entry by entry (PutLog, PutLogBatch): a put is one slot index, a deep
-// copy of the payload into the store's chunk arena and a word-wise
-// checksum kept in the slot; a trim zeroes exactly the dropped slots. It
-// is read back once, by LoadChecked at restart, as a fresh
-// window holding the entries whose checksums still match. An entry beyond
+// entry by entry (PutLog, PutLogBatch): a put fills one slot, deep-copies
+// the payload into the store's chunk arena and keeps a word-wise checksum
+// in the slot; a trim zeroes exactly the dropped slots. The ring the
+// entries were sequenced in is kept once, beside the log, and folded into
+// every checksum. The log is read back once, by LoadChecked at restart, as
+// a fresh window holding the entries whose checksums still match. An entry beyond
 // the window is rejected, never sized for, and the rejection is reported
 // by LoadChecked like a failed checksum, so the recovery machinery
 // re-requests the entry. The ring persists only what its own, narrower
@@ -118,6 +119,10 @@ type Store struct {
 	// keeps per block — so in-place bit rot of an entry (FlipLogBits) is
 	// detectable at the next LoadChecked.
 	log seqlog.Log
+	// ring is the configuration the logged entries were sequenced in:
+	// one per log, since the log is cleared at every installation. The
+	// first put into an empty log sets it.
+	ring model.ConfigID
 	// payArena amortises the deep copy a put makes at the simulated disk
 	// boundary: payload bytes are carved from a chunked arena (one
 	// allocation per chunk) instead of one allocation per message. A
@@ -144,35 +149,35 @@ func carve(arena *[]byte, src []byte) []byte {
 	return out
 }
 
-// checksum hashes the fields of a log entry the delivery and recovery
-// paths interpret: the message identity, ring position, service level and
-// payload. It is FNV-1a's xor-then-multiply step applied to eight bytes at
-// a time: each step is a bijection of the running hash for a fixed input
-// word, so any change confined to one word — every single-bit flip in
-// particular — changes the result.
+// checksum hashes what the delivery and recovery paths interpret of a log
+// entry sequenced in ring: the message identity, the ring position, the
+// service level and the payload. It is FNV-1a's xor-then-multiply step
+// applied to eight bytes at a time: each step is a bijection of the running
+// hash for a fixed input word, so any change confined to one word — every
+// single-bit flip in particular — changes the result.
 //
 //evs:noalloc
-func checksum(d *wire.Data) uint64 {
+func checksum(e *seqlog.Entry, ring *model.ConfigID) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
 	var w uint64
-	for i := 0; i < len(d.ID.Sender); i++ {
-		w = w<<8 | uint64(d.ID.Sender[i])
+	for i := 0; i < len(e.ID.Sender); i++ {
+		w = w<<8 | uint64(e.ID.Sender[i])
 		if i&7 == 7 {
 			h = (h ^ w) * prime
 			w = 0
 		}
 	}
 	h = (h ^ w) * prime
-	h = (h ^ d.ID.SenderSeq) * prime
-	h = (h ^ d.Seq) * prime
-	h = (h ^ d.Ring.Seq) * prime
-	h = (h ^ uint64(d.Service)) * prime
-	p := d.Payload
+	h = (h ^ e.ID.SenderSeq) * prime
+	h = (h ^ e.Seq) * prime
+	h = (h ^ ring.Seq) * prime
+	h = (h ^ uint64(e.Service())) * prime
+	p := e.Payload
 	for ; len(p) >= 8; p = p[8:] {
 		h = (h ^ binary.LittleEndian.Uint64(p)) * prime
 	}
-	w = uint64(len(d.Payload)) << 56
+	w = uint64(len(e.Payload)) << 56
 	for i, b := range p {
 		w |= uint64(b) << (8 * i)
 	}
@@ -290,6 +295,9 @@ func (s *Store) SetScalars(r Record) {
 //
 //evs:noalloc
 func (s *Store) putOne(d *wire.Data) {
+	if s.log.Len() == 0 {
+		s.ring = d.Ring
+	}
 	e, _ := s.log.Put(d.Seq)
 	if e == nil {
 		if d.Seq > s.rec.TrimmedUpTo {
@@ -297,11 +305,11 @@ func (s *Store) putOne(d *wire.Data) {
 		}
 		return
 	}
-	e.Data = *d
+	e.Set(d)
 	if d.Payload != nil {
-		e.Data.Payload = carve(&s.payArena, d.Payload)
+		e.Payload = carve(&s.payArena, d.Payload)
 	}
-	e.Sum = checksum(&e.Data)
+	e.Sum = checksum(e, &s.ring)
 	s.lastPut = d.Seq
 	s.lastPutValid = true
 }
@@ -330,6 +338,7 @@ func (s *Store) PutLogBatch(ds []wire.Data) {
 // empty log and an untrimmed prefix).
 func (s *Store) ClearLog() {
 	s.log = seqlog.Log{}
+	s.ring = model.ConfigID{}
 	s.lastPutValid = false
 	s.rejected = 0
 	s.rec.TrimmedUpTo = 0
@@ -470,10 +479,10 @@ func (s *Store) FlipLogBits(n int) int {
 		if e == nil {
 			continue
 		}
-		if len(e.Data.Payload) > 0 {
-			e.Data.Payload[0] ^= 0x80
+		if len(e.Payload) > 0 {
+			e.Payload[0] ^= 0x80
 		} else {
-			e.Data.ID.SenderSeq ^= 1
+			e.ID.SenderSeq ^= 1
 		}
 		flipped++
 	}
@@ -504,13 +513,13 @@ func (s *Store) LoadChecked() (Record, *seqlog.Log, []error) {
 		if e == nil {
 			continue
 		}
-		if checksum(&e.Data) != e.Sum {
+		if checksum(e, &s.ring) != e.Sum {
 			errs = append(errs, fmt.Errorf("stable: log entry seq=%d failed checksum; dropped", seq))
 			continue
 		}
 		c, _ := log.Put(seq)
-		c.Data = e.Data
-		c.Data.Payload = append([]byte(nil), e.Data.Payload...)
+		*c = *e
+		c.Payload = append([]byte(nil), e.Payload...)
 	}
 	if s.rejected > 0 {
 		errs = append(errs, fmt.Errorf("stable: %d log entries beyond the %d-entry window above TrimmedUpTo=%d; rejected", s.rejected, uint64(seqlog.MaxSpan), s.rec.TrimmedUpTo))

@@ -41,7 +41,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if !got.Obligations.Contains("q") {
 		t.Fatal("obligations lost")
 	}
-	if e := log.Get(10); e == nil || e.Data.ID.SenderSeq != 2 || string(e.Data.Payload) != "x" || log.Len() != 1 {
+	if e := log.Get(10); e == nil || e.ID.SenderSeq != 2 || string(e.Payload) != "x" || log.Len() != 1 {
 		t.Fatalf("Save must leave the log alone: Len=%d", log.Len())
 	}
 }
@@ -65,11 +65,11 @@ func TestLoadIsDeepCopyOut(t *testing.T) {
 	rec.SeenSeqs["p"] = 9
 	s.SeenSeqs()["p"] = 9
 	e := log.Get(1)
-	e.Data.Payload[0] = 'z'
+	e.Payload[0] = 'z'
 	log.Put(2)
 	again, log2, _ := s.LoadChecked()
 	e2 := log2.Get(1)
-	if again.SeenSeqs["p"] != 1 || log2.Len() != 1 || string(e2.Data.Payload) != "a" {
+	if again.SeenSeqs["p"] != 1 || log2.Len() != 1 || string(e2.Payload) != "a" {
 		t.Fatal("Load and LoadChecked must deep-copy so callers cannot mutate the store")
 	}
 }
@@ -139,7 +139,7 @@ func TestPutLogDeepCopiesAndAccumulates(t *testing.T) {
 	if log.Len() != 2 {
 		t.Fatalf("log size %d, want 2", log.Len())
 	}
-	if string(log.Get(5).Data.Payload) != "abc" {
+	if string(log.Get(5).Payload) != "abc" {
 		t.Fatal("PutLog must deep-copy the payload")
 	}
 }
@@ -308,9 +308,15 @@ func TestFarOffKeyDoesNotSizeTheLog(t *testing.T) {
 }
 
 // TestChecksumDetectsEverySingleBitFlip flips each bit of every field the
-// checksum covers, at payload lengths on both sides of the eight-byte
-// word boundary, and requires the hash to move.
+// checksum covers — the slot's fields and the log's ring — at payload
+// lengths on both sides of the eight-byte word boundary, and requires the
+// hash to move.
 func TestChecksumDetectsEverySingleBitFlip(t *testing.T) {
+	sumOf := func(d *wire.Data) uint64 {
+		var e seqlog.Entry
+		e.Set(d)
+		return checksum(&e, &d.Ring)
+	}
 	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 64, 1024} {
 		d := wire.Data{
 			ID:      model.MessageID{Sender: "a-long-process-name", SenderSeq: 77},
@@ -322,10 +328,10 @@ func TestChecksumDetectsEverySingleBitFlip(t *testing.T) {
 		for i := range d.Payload {
 			d.Payload[i] = byte(31 * i)
 		}
-		want := checksum(&d)
+		want := sumOf(&d)
 		differs := func(what string) {
 			t.Helper()
-			if checksum(&d) == want {
+			if sumOf(&d) == want {
 				t.Fatalf("payload %d B: flipping %s left the checksum unchanged", n, what)
 			}
 		}

@@ -50,6 +50,9 @@ func propRing() *Ring {
 	return New(ids[0], cfg, DefaultOptions())
 }
 
+// put stores d in r's log as a receipt does, reporting whether it was new.
+func put(r *Ring, d wire.Data) bool { return r.put(&d) }
+
 func propData(seq uint64) wire.Data {
 	return wire.Data{
 		ID:      model.MessageID{Sender: "p1", SenderSeq: seq},
@@ -137,9 +140,9 @@ func TestGapListPropertyRandomOps(t *testing.T) {
 				if w := ref.high + 6; w > 1 {
 					seq = 1 + uint64(rng.Intn(int(w)))
 				}
-				fresh := r.store(propData(seq))
+				fresh := put(r, propData(seq))
 				if want := !ref.present[seq]; fresh != want {
-					t.Fatalf("seed %d step %d: store(%d) fresh=%v want %v", seed, step, seq, fresh, want)
+					t.Fatalf("seed %d step %d: put(%d) fresh=%v want %v", seed, step, seq, fresh, want)
 				}
 				ref.present[seq] = true
 				if seq > ref.high {

@@ -73,8 +73,10 @@ type Pending struct {
 // The Broadcasts, Sent and Deliveries slices are per-ring scratch buffers,
 // valid only until the next call into the Ring: a caller that hands them to
 // anything outliving the visit (an asynchronous transport, a retained
-// trace) must copy them first. The wire.Data elements themselves are
-// immutable and may be aliased freely.
+// trace) must copy them first. Deliveries are the receive log's own slots,
+// handed over by reference; the ring next stores into or trims its log at
+// the next OnData, OnDataBatch or OnToken. The wire.Data elements and the
+// payloads are immutable and may be aliased freely.
 type TokenResult struct {
 	// Accepted is false when the token was stale or for another ring;
 	// nothing else is set in that case.
@@ -88,8 +90,9 @@ type TokenResult struct {
 	Sent []wire.Data
 	// Forward is the updated token to unicast to the ring successor.
 	Forward wire.Token
-	// Deliveries are messages that became deliverable, in total order.
-	Deliveries []wire.Data
+	// Deliveries are messages that became deliverable, in total order:
+	// slots of the ring's log, whose ring is Config().ID.
+	Deliveries []*seqlog.Entry
 }
 
 // seqRange is a closed range [Lo, Hi] of sequence numbers.
@@ -140,7 +143,7 @@ type Ring struct {
 	// Contents are valid until the next call into the Ring.
 	bcastScratch   []wire.Data
 	sentScratch    []wire.Data
-	deliverScratch []wire.Data
+	deliverScratch []*seqlog.Entry
 	freshScratch   []wire.Data
 
 	// met is the process's observability scope (nil disables: every obs
@@ -326,11 +329,8 @@ func (r *Ring) advanceAru() {
 	}
 }
 
-// store inserts a received message into the log, maintaining the gap list
+// put inserts a received message into the log, maintaining the gap list
 // and watermarks. It reports whether the message was new.
-func (r *Ring) store(d wire.Data) bool { return r.put(&d) }
-
-// put is store without the 160-byte argument copy.
 //
 //evs:noalloc
 func (r *Ring) put(d *wire.Data) bool {
@@ -339,7 +339,7 @@ func (r *Ring) put(d *wire.Data) bool {
 	if !fresh {
 		return false // trimmed, beyond the log window, or a duplicate
 	}
-	e.Data = *d
+	e.Set(d)
 	switch {
 	case seq == r.highestSeen+1:
 		r.highestSeen = seq
@@ -354,31 +354,32 @@ func (r *Ring) put(d *wire.Data) bool {
 }
 
 // OnData ingests a received data message for this ring and returns any
-// messages that become deliverable, in total order. The returned slice is
-// per-ring scratch, valid until the next call into the Ring.
+// messages that become deliverable, in total order, as slots of the log.
+// The returned slice is per-ring scratch, valid until the next call into
+// the Ring.
 //
 //evs:arena
 //evs:noalloc
-func (r *Ring) OnData(d wire.Data) []wire.Data {
+func (r *Ring) OnData(d wire.Data) []*seqlog.Entry {
 	if d.Ring != r.cfg.ID || d.Seq == 0 {
 		return nil
 	}
-	if !r.store(d) {
+	if !r.put(&d) {
 		return nil
 	}
 	return r.collectDeliverable()
 }
 
 // OnDataBatch ingests every element of a received batch in one pass and
-// returns the messages that became deliverable, in total order, plus the
-// elements that were new to the log (the caller persists exactly those):
-// one delivery scan and one persistence write per packet instead of one per
-// message. Both returned slices are per-ring scratch, valid until the next
-// call into the Ring.
+// returns the messages that became deliverable, in total order and as
+// slots of the log, plus the elements that were new to the log (the caller
+// persists exactly those): one delivery scan and one persistence write per
+// packet instead of one per message. Both returned slices are per-ring
+// scratch, valid until the next call into the Ring.
 //
 //evs:arena
 //evs:noalloc
-func (r *Ring) OnDataBatch(ds []wire.Data) (deliveries, fresh []wire.Data) {
+func (r *Ring) OnDataBatch(ds []wire.Data) (deliveries []*seqlog.Entry, fresh []wire.Data) {
 	fresh = r.freshScratch[:0]
 	for i := range ds {
 		d := &ds[i]
@@ -480,7 +481,7 @@ func (r *Ring) OnToken(t wire.Token) TokenResult {
 	for _, g := range t.Rtr {
 		for seq := g.Lo; seq <= g.Hi; seq++ {
 			if e := r.log.Get(seq); e != nil {
-				res.Broadcasts = append(res.Broadcasts, e.Data)
+				res.Broadcasts = append(res.Broadcasts, e.Data(r.cfg.ID))
 				res.Broadcasts[len(res.Broadcasts)-1].Retrans = true
 				r.met.Inc(obs.CRetransServed)
 			}
@@ -569,6 +570,9 @@ func (r *Ring) OnToken(t wire.Token) TokenResult {
 	res.Forward = t
 	r.bcastScratch = res.Broadcasts
 	r.sentScratch = res.Sent
+	// The trim stays a retention cushion (two flow windows) below the
+	// delivery watermark, more than one visit ever delivers, so it zeroes
+	// none of the slots in res.Deliveries.
 	r.maybeTrim()
 	return res
 }
@@ -576,20 +580,20 @@ func (r *Ring) OnToken(t wire.Token) TokenResult {
 // collectDeliverable returns, in order, received messages past the delivery
 // watermark, stopping at a gap or at a safe-service message that is not yet
 // safe. A blocked safe message blocks everything behind it: delivery is in
-// total order. The returned slice is per-ring scratch, valid until the next
-// call into the Ring.
+// total order. The returned slice is per-ring scratch holding the log's
+// own slots, valid until the next call into the Ring.
 //
 //evs:arena
 //evs:noalloc
-func (r *Ring) collectDeliverable() []wire.Data {
+func (r *Ring) collectDeliverable() []*seqlog.Entry {
 	out := r.deliverScratch[:0]
 	for {
 		e := r.log.Get(r.deliveredUpTo + 1)
-		if e == nil || (e.Data.Service == model.Safe && e.Data.Seq > r.safeBound) {
+		if e == nil || (e.Service() == model.Safe && e.Seq > r.safeBound) {
 			break
 		}
 		r.deliveredUpTo++
-		out = append(out, e.Data)
+		out = append(out, e)
 	}
 	r.met.Add(obs.CMsgsDelivered, uint64(len(out)))
 	r.deliverScratch = out

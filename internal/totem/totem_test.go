@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/seqlog"
 	"repro/internal/wire"
 )
 
@@ -69,8 +70,11 @@ func (h *harness) rotate() {
 	}
 }
 
-func (h *harness) record(id model.ProcessID, ds []wire.Data) {
-	h.delivered[id] = append(h.delivered[id], ds...)
+// record copies deliveries out of the ring's log, which trims them later.
+func (h *harness) record(id model.ProcessID, es []*seqlog.Entry) {
+	for _, e := range es {
+		h.delivered[id] = append(h.delivered[id], e.Data(h.rings[id].Config().ID))
+	}
 }
 
 func (h *harness) submit(id model.ProcessID, n int, svc model.Service) {
@@ -227,7 +231,7 @@ func TestDuplicateDataIgnored(t *testing.T) {
 	h := newHarness(t, "p", "q")
 	h.submit("p", 1, model.Agreed)
 	h.rotate()
-	d := h.rings["q"].log.Get(1).Data
+	d := h.rings["q"].log.Get(1).Data(h.rings["q"].Config().ID)
 	if got := h.rings["q"].OnData(d); got != nil {
 		t.Fatalf("duplicate data redelivered: %v", got)
 	}
@@ -501,11 +505,11 @@ func TestRandomLossConvergesToSameOrder(t *testing.T) {
 	}
 }
 
-// seqsOf projects data messages onto their ring sequence numbers.
-func seqsOf(ds []wire.Data) []uint64 {
-	out := make([]uint64, len(ds))
-	for i, d := range ds {
-		out[i] = d.Seq
+// seqsOf projects log slots onto their ring sequence numbers.
+func seqsOf(es []*seqlog.Entry) []uint64 {
+	out := make([]uint64, len(es))
+	for i, e := range es {
+		out[i] = e.Seq
 	}
 	return out
 }
@@ -545,7 +549,7 @@ func TestTrimSlidesTheWindowWithoutLosingRetainedEntries(t *testing.T) {
 		held := 0
 		for seq := uint64(1); seq <= r.highestSeen; seq++ {
 			e := r.log.Get(seq)
-			if ok := e != nil; ok != (seq > r.Trimmed()) || (ok && e.Data.Seq != seq) {
+			if ok := e != nil; ok != (seq > r.Trimmed()) || (ok && e.Seq != seq) {
 				t.Fatalf("seq %d (trimmed=%d): present=%v", seq, r.Trimmed(), ok)
 			}
 			if e != nil {
@@ -582,11 +586,11 @@ func TestTrimSlidesTheWindowWithoutLosingRetainedEntries(t *testing.T) {
 func TestLogWindowAtAndPastTheBound(t *testing.T) {
 	r := propRing()
 	w := r.logWindow()
-	if !r.store(propData(w)) {
+	if !put(r, propData(w)) {
 		t.Fatal("a message at the bound must be stored")
 	}
 	high, gaps := r.highestSeen, fmt.Sprint(r.gaps)
-	if r.store(propData(w+1)) || r.OnData(propData(1<<50)) != nil {
+	if put(r, propData(w+1)) || r.OnData(propData(1<<50)) != nil {
 		t.Fatal("a message past the bound must be refused")
 	}
 	if r.highestSeen != high || fmt.Sprint(r.gaps) != gaps || r.Len() != 1 {
@@ -597,7 +601,66 @@ func TestLogWindowAtAndPastTheBound(t *testing.T) {
 	// and still refuses one past the moved bound.
 	r2 := propRing()
 	trimmed := fillAndTrim(r2, 3000)
-	if trimmed == 0 || r2.store(propData(trimmed+w+1)) || !r2.store(propData(trimmed+w)) {
+	if trimmed == 0 || put(r2, propData(trimmed+w+1)) || !put(r2, propData(trimmed+w)) {
 		t.Fatalf("trimmed=%d: the bound must move with the trimmed prefix", trimmed)
+	}
+}
+
+// TestDeliveriesAreTheLogsOwnSlots drives three rings, each receiving
+// the visits' broadcasts as batches and, for one ring, one message at a
+// time: every delivery handed out by OnToken, OnDataBatch and OnData must
+// be the log's own slot for its sequence number — a reference, never a
+// copy — and the deliveries must run contiguously in total order.
+func TestDeliveriesAreTheLogsOwnSlots(t *testing.T) {
+	h := newHarness(t, "p", "q", "r")
+	next := map[model.ProcessID]uint64{}
+	check := func(id model.ProcessID, es []*seqlog.Entry) {
+		t.Helper()
+		r := h.rings[id]
+		for _, e := range es {
+			if got := r.log.Get(e.Seq); got != e {
+				t.Fatalf("%s: delivery of seq %d is %p, the log's slot is %p", id, e.Seq, e, got)
+			}
+			if next[id]++; e.Seq != next[id] {
+				t.Fatalf("%s: delivered seq %d, want %d", id, e.Seq, next[id])
+			}
+		}
+	}
+	batches := 0
+	for rot := 0; rot < 40; rot++ {
+		h.submit("p", 5, model.Agreed)
+		h.submit("q", 3, model.Safe)
+		h.submit("r", 2, model.Agreed)
+		for range h.order {
+			id := h.order[h.holder]
+			res := h.rings[id].OnToken(h.token)
+			if !res.Accepted {
+				t.Fatalf("%s rejected token %v", id, h.token)
+			}
+			check(id, res.Deliveries)
+			for _, to := range h.order {
+				switch {
+				case to == id:
+				case to == "r":
+					for _, d := range res.Broadcasts {
+						check(to, h.rings[to].OnData(d))
+					}
+				default:
+					dels, _ := h.rings[to].OnDataBatch(res.Broadcasts)
+					check(to, dels)
+					batches += len(dels)
+				}
+			}
+			h.token = res.Forward
+			h.holder = (h.holder + 1) % len(h.order)
+		}
+	}
+	for _, id := range h.order {
+		if next[id] < 300 {
+			t.Fatalf("%s delivered %d messages; the run must deliver most of its 400", id, next[id])
+		}
+	}
+	if batches == 0 {
+		t.Fatal("no delivery came out of OnDataBatch")
 	}
 }

@@ -38,9 +38,9 @@ type Data struct {
 	Service model.Service
 	Payload []byte
 	// VC is unread: nothing in the program sets it, the codec does not
-	// carry it and the stable store does not deep-copy it. It is kept only
-	// because the frozen benchmark/rigs.go sets it; it goes with that
-	// file's next change.
+	// carry it and no log stores it (a seqlog slot keeps the message
+	// without it). It is kept only because the frozen benchmark/rigs.go
+	// sets it; it goes with that file's next change.
 	VC vclock.Stamp
 	// Retrans marks operational retransmissions and recovery
 	// rebroadcasts (Step 5.a).
