@@ -2,43 +2,49 @@
 // adversarial fault schedules (crash/recover storms, flapping and one-way
 // partitions, targeted message-class loss, latency bursts, stable-storage
 // corruption), executes each against a simulated EVS cluster, and judges
-// the execution with the specification checker. On a violation it
-// delta-debugs the failing schedule down to a small deterministic
-// reproducer and prints it, optionally saving it as JSON for -replay.
+// the execution with chaos.Run: the specification checker certifies it
+// inline, with the reference checker as a sampled oracle, and the run must
+// converge after its last transient fault. A seed fails on any violation,
+// any oracle disagreement, or no convergence. A failing schedule is
+// printed, optionally delta-debugged down to a small deterministic
+// reproducer, and optionally saved as JSON for -replay.
 //
 // Usage:
 //
-//	evschaos [-seeds N] [-seed S] [-procs P] [-duration D] [-settle D]
-//	         [-parallel W] [-minimize] [-save FILE] [-replay FILE]
-//	         [-stream] [-soak-seconds S] [-sends N] [-check-every N]
-//	         [-oracle-every K] [-bound B] [-report FILE]
-//	         [-cpuprofile FILE] [-memprofile FILE] [-v]
+//	evschaos [-seeds N] [-seed S] [-soak-seconds S] [-procs P]
+//	         [-duration D] [-settle D] [-sends N] [-heal-every D]
+//	         [-parallel W] [-minimize] [-minimize-budget N] [-save FILE]
+//	         [-replay FILE] [-report FILE] [-cpuprofile FILE]
+//	         [-memprofile FILE] [-v]
 //
 // Examples:
 //
-//	evschaos -seeds 50                 # seeds 1..50, report violations
-//	evschaos -seeds 200 -parallel 8    # soak on 8 workers
+//	evschaos -seeds 50                 # seeds 1..50
+//	evschaos -seeds 200 -parallel 8    # the same on 8 workers
 //	evschaos -seed 86 -minimize        # one seed, shrink any failure
 //	evschaos -replay repro.json        # re-execute a saved reproducer
-//	evschaos -stream -soak-seconds 90  # inline-certified convergence soak
+//	evschaos -soak-seconds 90 -report CONVERGENCE_report.txt
+//	                                   # seeds from 1 until 90 s are spent
 //
-// Executions are deterministic per seed, so -parallel changes only the
-// wall-clock time: per-seed results (and their printed order) are
-// identical to a serial run.
+// Each seed prints one line: its verdict, the run's events, packets and
+// submissions, its violation and disagreement counts, the convergence
+// fields (last_fault, installs, boundary, final_configs) and the inline
+// checker's peak retained window. Violation and disagreement lines
+// follow it. Executions are deterministic per seed, so -parallel changes
+// only the wall-clock time: per-seed results (and their printed order)
+// are identical to a serial run. -soak-seconds runs seeds serially, from
+// 1 (or -seed) until the wall-clock budget is spent, and at least one
+// always runs. -report writes everything printed to a file, even when
+// seeds fail.
 //
-// -stream switches to the streaming soak (see stream.go): histories are
-// certified inline by the windowed checker instead of retained, each
-// seed's verdict includes the self-stabilization convergence judgment,
-// and the per-seed line reports the checker's peak retained window.
-//
-// The exit status is non-zero if any execution violated the
-// specifications (or a replayed reproducer still does, or a streaming
-// seed failed to converge).
+// The exit status is non-zero if any seed failed (or a replayed
+// reproducer still fails).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -51,53 +57,33 @@ import (
 
 func main() {
 	var (
-		seeds    = flag.Int("seeds", 20, "number of seeds to run (1..N); ignored with -seed or -replay")
-		seed     = flag.Int64("seed", 0, "run exactly this seed instead of a range")
-		procs    = flag.Int("procs", 0, "cluster size (0 = seed-dependent default)")
-		duration = flag.Duration("duration", 0, "fault-injection window (0 = default 1s)")
-		settle   = flag.Duration("settle", 0, "post-heal quiet period (0 = default 2.5s)")
-		parallel = flag.Int("parallel", 1, "worker pool size; results stay in seed order")
-		minimize = flag.Bool("minimize", false, "delta-debug failing schedules to a minimal reproducer")
-		maxRuns  = flag.Int("minimize-budget", 400, "maximum executions the minimizer may spend per failure")
-		save     = flag.String("save", "", "write the (minimized) failing program as JSON to this file")
-		replay   = flag.String("replay", "", "replay a saved program JSON instead of generating")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		verbose  = flag.Bool("v", false, "print every program before running it")
-
-		stream      = flag.Bool("stream", false, "certify inline with the streaming checker and judge convergence")
-		soakSeconds = flag.Int("soak-seconds", 0, "with -stream: run seeds serially until this wall-clock budget is spent")
+		seeds       = flag.Int("seeds", 20, "number of seeds to run (1..N); ignored with -seed, -soak-seconds or -replay")
+		seed        = flag.Int64("seed", 0, "run exactly this seed instead of a range (with -soak-seconds: start here)")
+		soakSeconds = flag.Int("soak-seconds", 0, "run seeds serially until this wall-clock budget is spent")
+		procs       = flag.Int("procs", 0, "cluster size (0 = seed-dependent default)")
+		duration    = flag.Duration("duration", 0, "fault-injection window (0 = default 1s)")
+		settle      = flag.Duration("settle", 0, "post-heal quiet period (0 = default 2.5s)")
 		sends       = flag.Int("sends", 0, "client submissions per seed (0 = default 16)")
 		healEvery   = flag.Duration("heal-every", 0, "insert a full heal boundary this often (bounds fault episodes, and with them checker memory, on long runs)")
-		checkEvery  = flag.Int("check-every", 4096, "with -stream: incremental certification cadence in events")
-		oracleEvery = flag.Int("oracle-every", 16, "with -stream: run the reference oracle on every k-th window")
-		bound       = flag.Int("bound", 8, "with -stream: post-fault configuration changes allowed before the run must be legal")
-		reportFile  = flag.String("report", "", "with -stream: write the convergence report to this file (written even on failure)")
+		parallel    = flag.Int("parallel", 1, "worker pool size; results stay in seed order")
+		minimize    = flag.Bool("minimize", false, "delta-debug failing schedules to a minimal reproducer")
+		maxRuns     = flag.Int("minimize-budget", 400, "maximum executions the minimizer may spend per failure")
+		save        = flag.String("save", "", "write the (minimized) failing program as JSON to this file")
+		replay      = flag.String("replay", "", "replay a saved program JSON instead of generating")
+		reportFile  = flag.String("report", "", "also write the report to this file (written even on failure)")
+		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf     = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		verbose     = flag.Bool("v", false, "print every program before running it")
 	)
 	flag.Parse()
 
-	if *stream {
-		if err := runStream(streamConfig{
-			seeds: *seeds, seed: *seed, procs: *procs,
-			duration: *duration, settle: *settle, sends: *sends,
-			healEvery:   *healEvery,
-			soakSeconds: *soakSeconds,
-			checkEvery:  *checkEvery, oracleEvery: *oracleEvery, bound: *bound,
-			report:  *reportFile,
-			verbose: *verbose,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if err := run(config{
-		seeds: *seeds, seed: *seed, procs: *procs,
-		duration: *duration, settle: *settle,
+		seeds: *seeds, seed: *seed, soakSeconds: *soakSeconds,
+		procs: *procs, duration: *duration, settle: *settle,
+		sends: *sends, healEvery: *healEvery,
 		parallel: *parallel,
 		minimize: *minimize, maxRuns: *maxRuns,
-		save: *save, replay: *replay,
+		save: *save, replay: *replay, report: *reportFile,
 		cpuProfile: *cpuProf, memProfile: *memProf,
 		verbose: *verbose,
 	}); err != nil {
@@ -107,40 +93,43 @@ func main() {
 }
 
 type config struct {
-	seeds      int
-	seed       int64
-	procs      int
-	duration   time.Duration
-	settle     time.Duration
-	parallel   int
-	minimize   bool
-	maxRuns    int
-	save       string
-	replay     string
-	cpuProfile string
-	memProfile string
-	verbose    bool
-	// clock supplies elapsed time for the trailing summary line, in the
-	// obs style (a monotonic duration since some epoch). main leaves it
-	// nil, which anchors a wall clock at the start of the run; tests
-	// inject a fixed clock so serial and parallel output compare byte
-	// for byte, timing line included.
+	seeds       int
+	seed        int64
+	soakSeconds int
+	procs       int
+	duration    time.Duration
+	settle      time.Duration
+	sends       int
+	healEvery   time.Duration
+	parallel    int
+	minimize    bool
+	maxRuns     int
+	save        string
+	replay      string
+	report      string
+	cpuProfile  string
+	memProfile  string
+	verbose     bool
+	// clock supplies elapsed time for the trailing summary line and the
+	// -soak-seconds budget, in the obs style (a monotonic duration since
+	// some epoch). main leaves it nil, which anchors a wall clock at the
+	// start of the run; tests inject a fixed clock so serial and parallel
+	// output compare byte for byte, timing line included.
 	clock func() time.Duration
 }
 
 // seedOutcome is one seed's complete result: the text a serial run would
-// have printed, whether it failed, and the (possibly minimized) failing
-// program for -save.
+// have printed, its verdict, and the (possibly minimized) failing program
+// for -save.
 type seedOutcome struct {
 	text   string
-	failed bool
+	res    chaos.Result
 	report chaos.Program
 }
 
-// runSeed executes one seed and renders its report exactly as the
-// original serial loop printed it. Generation, execution and minimization
-// are all deterministic in the seed, so outcomes are independent of the
-// worker that computes them.
+// runSeed executes one seed and renders its report. Generation, execution
+// and minimization are all deterministic in the seed, so outcomes are
+// independent of the worker that computes them.
 func runSeed(s int64, cfg config, gen chaos.GenConfig) seedOutcome {
 	var b strings.Builder
 	p := chaos.Generate(s, gen)
@@ -148,14 +137,14 @@ func runSeed(s int64, cfg config, gen chaos.GenConfig) seedOutcome {
 		fmt.Fprintln(&b, p)
 	}
 	res := chaos.Run(p)
-	if len(res.Violations) == 0 {
-		fmt.Fprintf(&b, "seed %-4d ok    (%d events, %d packets, %d submissions)\n",
-			s, res.Events, res.Net.Delivered, res.Group.Submitted)
-		return seedOutcome{text: b.String()}
+	verdict := "ok  "
+	if res.Failed() {
+		verdict = "FAIL"
 	}
-	fmt.Fprintf(&b, "seed %-4d FAIL  %d specification violation(s)\n", s, len(res.Violations))
-	for _, v := range res.Violations {
-		fmt.Fprintf(&b, "    %s\n", v)
+	fmt.Fprintf(&b, "seed %-4d %s  %s\n", s, verdict, res)
+	printFindings(&b, res)
+	if !res.Failed() {
+		return seedOutcome{text: b.String(), res: res}
 	}
 	report := p
 	if cfg.minimize {
@@ -165,7 +154,18 @@ func runSeed(s int64, cfg config, gen chaos.GenConfig) seedOutcome {
 		printMetricDeltas(&b, res.Metrics, chaos.Run(report).Metrics)
 	}
 	fmt.Fprintln(&b, report)
-	return seedOutcome{text: b.String(), failed: true, report: report}
+	return seedOutcome{text: b.String(), res: res, report: report}
+}
+
+// printFindings renders a result's violations and oracle disagreements,
+// one per line.
+func printFindings(w io.Writer, res chaos.Result) {
+	for _, v := range res.Violations {
+		fmt.Fprintf(w, "    violation: %s\n", v)
+	}
+	for _, d := range res.Disagreements {
+		fmt.Fprintf(w, "    disagreement: %s\n", d)
+	}
 }
 
 // deltaCounters are the protocol counters worth comparing between a full
@@ -237,24 +237,97 @@ func run(cfg config) error {
 	if cfg.seed != 0 {
 		first, last = cfg.seed, cfg.seed
 	}
-	if last < first {
+	budget := time.Duration(cfg.soakSeconds) * time.Second
+	if budget == 0 && last < first {
 		return fmt.Errorf("evschaos: no seeds to run (-seeds %d)", cfg.seeds)
 	}
-	ran := last - first + 1
-
-	gen := chaos.GenConfig{Procs: cfg.procs, Duration: cfg.duration, Settle: cfg.settle}
-	workers := cfg.parallel
-	if workers < 1 {
-		workers = 1
-	}
-	if int64(workers) > ran {
-		workers = int(ran)
+	gen := chaos.GenConfig{
+		Procs: cfg.procs, Duration: cfg.duration, Settle: cfg.settle,
+		Sends: cfg.sends, HealEvery: cfg.healEvery,
 	}
 
-	// A worker pool over seeds; each seed's outcome arrives on its own
-	// buffered channel so the main loop prints (and saves) strictly in
-	// seed order, matching a serial run byte for byte.
-	outcomes := make([]chan seedOutcome, ran)
+	var (
+		report                strings.Builder
+		ran, failures         int
+		notConverged, faulted int
+		events                int
+		certified             uint64
+		peakEvents            int
+		peakBytes             uint64
+		epoch                 = clock()
+	)
+	emit := func(text string) {
+		fmt.Print(text)
+		report.WriteString(text)
+	}
+	take := func(out seedOutcome) error {
+		emit(out.text)
+		res := out.res
+		ran++
+		events += res.Events
+		certified += res.Stream.Certified
+		peakEvents = max(peakEvents, res.Stream.PeakRetained)
+		peakBytes = max(peakBytes, res.Stream.PeakBytes)
+		if res.LastFault > 0 {
+			faulted++
+		}
+		if !res.Converged {
+			notConverged++
+		}
+		if !res.Failed() {
+			return nil
+		}
+		failures++
+		if cfg.save == "" {
+			return nil
+		}
+		if err := saveProgram(out.report, cfg.save); err != nil {
+			return err
+		}
+		emit(fmt.Sprintf("saved reproducer to %s\n", cfg.save))
+		return nil
+	}
+
+	var err error
+	if budget > 0 {
+		// Open-ended and serial, so the seeds a budget covers do not
+		// depend on scheduling; at least one seed runs.
+		for s := first; err == nil; s++ {
+			err = take(runSeed(s, cfg, gen))
+			if clock()-epoch >= budget {
+				break
+			}
+		}
+	} else {
+		err = runPool(first, last, cfg, gen, take)
+	}
+	if err != nil {
+		return err
+	}
+	emit(fmt.Sprintf("%d seed(s), %d failure(s), %d not converged, %d with faults, %d events (%d certified inline), peak window %d events / %d bytes, %s\n",
+		ran, failures, notConverged, faulted, events, certified, peakEvents, peakBytes,
+		(clock() - epoch).Round(time.Millisecond)))
+	if cfg.report != "" {
+		if err := os.WriteFile(cfg.report, []byte(report.String()), 0o644); err != nil {
+			return fmt.Errorf("evschaos: write report: %w", err)
+		}
+		fmt.Printf("wrote report to %s\n", cfg.report)
+	}
+	if failures > 0 {
+		return fmt.Errorf("evschaos: %d of %d seeds failed (violation, oracle disagreement or no convergence)", failures, ran)
+	}
+	return nil
+}
+
+// runPool runs seeds first..last on a worker pool and hands each outcome
+// to take strictly in seed order, so the output matches a serial run byte
+// for byte.
+func runPool(first, last int64, cfg config, gen chaos.GenConfig, take func(seedOutcome) error) error {
+	n := last - first + 1
+	workers := int(min(max(int64(cfg.parallel), 1), n))
+	// Each seed's outcome arrives on its own buffered channel, so no
+	// worker ever waits for the printer.
+	outcomes := make([]chan seedOutcome, n)
 	for i := range outcomes {
 		outcomes[i] = make(chan seedOutcome, 1)
 	}
@@ -272,32 +345,16 @@ func run(cfg config) error {
 		}
 		close(jobs)
 	}()
-
-	failures := 0
-	epoch := clock()
 	for s := first; s <= last; s++ {
-		out := <-outcomes[s-first]
-		fmt.Print(out.text)
-		if !out.failed {
-			continue
+		if err := take(<-outcomes[s-first]); err != nil {
+			return err
 		}
-		failures++
-		if cfg.save != "" {
-			if err := saveProgram(out.report, cfg.save); err != nil {
-				return err
-			}
-			fmt.Printf("saved reproducer to %s\n", cfg.save)
-		}
-	}
-	fmt.Printf("%d seed(s), %d failure(s), %s\n", ran, failures, (clock() - epoch).Round(time.Millisecond))
-	if failures > 0 {
-		return fmt.Errorf("evschaos: %d of %d schedules violated the EVS specifications", failures, ran)
 	}
 	return nil
 }
 
-// replayFile re-executes a saved program twice, checking both the
-// specifications and the determinism of the reproducer.
+// replayFile re-executes a saved program twice, checking both its verdict
+// and the determinism of the reproducer.
 func replayFile(cfg config) error {
 	b, err := os.ReadFile(cfg.replay)
 	if err != nil {
@@ -312,12 +369,10 @@ func replayFile(cfg config) error {
 	if !same {
 		return fmt.Errorf("evschaos: program is not deterministic across replays")
 	}
-	fmt.Printf("replayed twice, deterministic, %d violation(s)\n", len(res.Violations))
-	for _, v := range res.Violations {
-		fmt.Printf("    %s\n", v)
-	}
-	if len(res.Violations) > 0 {
-		return fmt.Errorf("evschaos: replayed program violates the EVS specifications")
+	fmt.Printf("replayed twice, deterministic: %s\n", res)
+	printFindings(os.Stdout, res)
+	if res.Failed() {
+		return fmt.Errorf("evschaos: replayed program fails (violation, oracle disagreement or no convergence)")
 	}
 	return nil
 }

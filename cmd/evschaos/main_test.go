@@ -126,3 +126,37 @@ func TestSaveAndReplayRoundTrip(t *testing.T) {
 		t.Fatalf("replaying a missing file should fail with context, got %v", err)
 	}
 }
+
+// TestSoakRunsSeedsUntilBudget: -soak-seconds runs seeds serially from
+// -seed until the budget is spent, and -report holds everything printed.
+// The injected clock advances one second per reading, so a two-second
+// budget covers exactly two seeds.
+func TestSoakRunsSeedsUntilBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos executions are slow")
+	}
+	var now time.Duration
+	path := filepath.Join(t.TempDir(), "report.txt")
+	out, err := captureRun(t, config{
+		seed: 2, soakSeconds: 2, duration: 300 * time.Millisecond, report: path,
+		clock: func() time.Duration { now += time.Second; return now - time.Second },
+	})
+	if err != nil {
+		t.Fatalf("seeds 2..3 should pass: %v\n%s", err, out)
+	}
+	for _, want := range []string{"seed 2 ", "seed 3 ", "2 seed(s), 0 failure(s)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "seed 4 ") {
+		t.Errorf("the soak ran past its budget:\n%s", out)
+	}
+	report, rerr := os.ReadFile(path)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if !strings.HasPrefix(out, string(report)) {
+		t.Errorf("report is not what was printed:\n--- report ---\n%s\n--- printed ---\n%s", report, out)
+	}
+}

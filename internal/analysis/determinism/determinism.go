@@ -49,7 +49,7 @@ var Analyzer = &analysis.Analyzer{
 // into protocol state the simulator would replay differently.
 var zone = []string{
 	"sim", "netsim", "totem", "node", "membership", "spec",
-	"chaos", "vclock", "wire", "stable", "seqlog", "causal", "experiments",
+	"chaos", "vclock", "wire", "stable", "seqlog", "experiments",
 	"spine", "transport", "daemon",
 }
 

@@ -6,8 +6,9 @@
 // and asymmetric (one-way) partitions, targeted loss of specific wire
 // message classes, latency/reorder bursts, and stable-storage faults at
 // crash time — executes them against the deterministic simulated cluster
-// (evs.Group), and judges every execution with the specification checker.
-// When an execution violates the specifications, the failing schedule is
+// (evs.Group), and judges every execution with the specification checker,
+// inline as the events happen, and for convergence after the last
+// transient fault (Run). When an execution fails, the failing schedule is
 // minimized by delta debugging (Minimize) into a small deterministic
 // reproducer. The group schedules the paper's own faults (partitions,
 // merges, crashes and recoveries with stable storage intact); this package
@@ -21,6 +22,7 @@ package chaos
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -28,8 +30,10 @@ import (
 	evs "repro"
 	"repro/internal/model"
 	"repro/internal/netsim"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/spec"
+	"repro/internal/spec/refcheck"
 )
 
 // Op enumerates schedule event operations.
@@ -186,13 +190,35 @@ func DecodeJSON(b []byte) (Program, error) {
 	return p, nil
 }
 
-// Result is the outcome of executing one program.
+// Result is the outcome of executing one program: the specification
+// verdict certified inline, the convergence verdict (converge.go) and the
+// activity counters of the run.
 type Result struct {
-	// Violations are the specification breaches found, empty when the
-	// execution conforms.
+	// Violations are the specification breaches found, deduplicated
+	// across certification windows and anchored to global event indices;
+	// empty when the execution conforms.
 	Violations []spec.Violation
-	// Events is the history length (a cheap execution fingerprint).
+	// Disagreements lists the mismatches between the inline checker and
+	// the reference oracle on the windows it sampled; empty on a healthy
+	// run.
+	Disagreements []string
+	// Events is the history length, counted rather than retained (a cheap
+	// execution fingerprint).
 	Events int
+	// Stream is the inline checker's window accounting, including the
+	// peak retained window: the memory-boundedness evidence of a soak.
+	Stream spec.StreamStats
+	// LastFault is the event index at which the last corrupting fault
+	// (a crash with corruption or a live perturbation) executed; zero when
+	// the program schedules none. Installs is the number of distinct
+	// regular configurations installed after it, and Boundary the event
+	// index by which the execution must be legal again.
+	LastFault, Installs, Boundary int
+	// FinalConfigs is the number of distinct operational regular
+	// configurations at the end of the run (1 on a converged run).
+	FinalConfigs int
+	// Converged reports the self-stabilization verdict.
+	Converged bool
 	// Net, Group and Faults are the activity counters of the run: the
 	// medium's, the group's submissions, and the faults that materialized.
 	Net    netsim.Stats
@@ -201,58 +227,144 @@ type Result struct {
 	// Metrics is the cluster-wide observability snapshot (the cross-scope
 	// total), letting reports quantify what protocol work a schedule
 	// caused. It is informational and deliberately excluded from
-	// determinism comparison (sameResult), which stays pinned to the
-	// original fingerprint fields.
+	// determinism comparison (sameResult).
 	Metrics obs.Snapshot
 }
 
-// BugHook, when non-nil, is invoked with every newly built group before
-// its schedule runs. It exists so tests can plant a deliberate protocol
-// bug and verify that the engine detects and minimizes it; it must never
-// be set outside tests.
-var BugHook func(g *evs.Group)
-
-// Run executes the program and judges the resulting history.
-func Run(p Program) Result {
-	_, r := RunHistory(p)
-	return r
+// Failed reports whether the execution fails: it violated a
+// specification, the inline checker and the reference oracle disagreed,
+// or the run did not converge.
+func (r Result) Failed() bool {
+	return len(r.Violations) > 0 || len(r.Disagreements) > 0 || !r.Converged
 }
 
-// RunHistory executes the program and returns both the raw event history
-// and the judged result. The history is what the specification checker
-// consumed; differential tests feed it to alternative checker
-// implementations.
-func RunHistory(p Program) ([]model.Event, Result) {
-	f := build(p, false)
+// String renders the verdict as one report line.
+func (r Result) String() string {
+	verdict := "CONVERGED"
+	if !r.Converged {
+		verdict = "NOT CONVERGED"
+	}
+	return fmt.Sprintf(
+		"%s events=%d packets=%d submissions=%d violations=%d disagreements=%d last_fault=%d installs=%d boundary=%d final_configs=%d peak_window=%d events (%d bytes)",
+		verdict, r.Events, r.Net.Delivered, r.Group.Submitted, len(r.Violations), len(r.Disagreements),
+		r.LastFault, r.Installs, r.Boundary, r.FinalConfigs,
+		r.Stream.PeakRetained, r.Stream.PeakBytes)
+}
+
+// BugHook, when non-nil, is invoked with every newly built group before
+// its schedule runs, after the inline checker is attached to OnTrace. It
+// exists so tests can plant a deliberate protocol bug and verify that the
+// engine detects and minimizes it; it must never be set outside tests.
+var BugHook func(g *evs.Group)
+
+// The inline checker's schedule: it certifies its window every checkEvery
+// events (spec.Stream's default) and runs the reference oracle on every
+// oracleEvery-th certification and on the final settled one.
+const (
+	checkEvery  = 4096
+	oracleEvery = 16
+)
+
+// cadence is a certification schedule: checkEvery and oracleEvery by
+// default, smaller in tests that need many windows.
+type cadence struct{ checkEvery, oracleEvery int }
+
+// Run executes the program and judges it. The cluster retains no history:
+// every traced event feeds a spec.Stream, which certifies the run inline
+// over a pruned window with the reference checker (package refcheck) as a
+// sampled differential oracle, so memory is bounded by protocol
+// concurrency rather than run length. The run is also judged for
+// convergence (converge.go).
+func Run(p Program) Result {
+	return run(p, cadence{checkEvery, oracleEvery}, nil)
+}
+
+// run is Run on the certification schedule c. tap, when non-nil, sees
+// every traced event the checker sees, in order: tests take the history
+// from it.
+func run(p Program, c cadence, tap func(model.Event)) Result {
+	var res Result
+	var stream *spec.Stream
+	oracle := func(window []model.Event, opts spec.Options, fast []spec.Violation) {
+		ref := refcheck.CheckAll(window, opts)
+		a, b := renderViolations(fast), renderViolations(ref)
+		if d := firstDiff(a, b); d != "" {
+			res.Disagreements = append(res.Disagreements, fmt.Sprintf(
+				"oracle window %d (%d events, settled=%v): streaming found %d, reference %d: %s",
+				stream.Stats().OracleWindows, len(window), opts.Settled, len(a), len(b), d))
+		}
+	}
+	stream = spec.NewStream(spec.StreamOptions{
+		CheckEvery:  c.checkEvery,
+		OracleEvery: c.oracleEvery,
+		Oracle:      oracle,
+	})
+
+	f := build(p)
 	g := f.g
+	// events is the global event index violations, installs and fault
+	// markers are anchored to.
+	var events int
+	g.OnTrace = func(e model.Event) {
+		events++
+		stream.Add(e)
+		if tap != nil {
+			tap(e)
+		}
+	}
 	if BugHook != nil {
 		BugHook(g)
 	}
-	apply(f, p)
-	g.Run(p.Horizon + p.Settle)
-	events := g.History()
-	return events, Result{
-		Violations: g.Check(true),
-		Events:     len(events),
-		Net:        g.Network().Stats(),
-		Group:      g.Stats(),
-		Faults:     f.stats,
-		Metrics:    g.Metrics().Total,
+	var installs []install
+	g.OnConfig = func(_ model.ProcessID, cc node.ConfigChange) {
+		if cc.Config.ID.IsRegular() {
+			installs = append(installs, install{at: events, id: cc.Config.ID})
+		}
 	}
+	apply(f, p)
+
+	// Fault markers: one callback per corrupting event, scheduled after
+	// apply so the scheduler's same-time FIFO order fires it right after
+	// the fault itself — it reads the event count the fault landed at.
+	// A fault that no-ops (perturbing a down process, wrapping a zero
+	// counter) still marks: the boundary only moves later, which keeps
+	// the judgment conservative.
+	for _, e := range p.Events {
+		corrupting := (e.Op == OpCrash && e.Mode != CorruptNone) || e.Op == OpPerturb
+		if corrupting && g.Proc(e.Proc) != nil {
+			g.At(clampAt(e.At, p.Horizon), func() { res.LastFault = events })
+		}
+	}
+
+	g.Run(p.Horizon + p.Settle)
+
+	res.Violations = stream.Finish(spec.Options{Settled: true})
+	res.Events = events
+	res.Stream = stream.Stats()
+	res.Net = g.Network().Stats()
+	res.Group = g.Stats()
+	res.Faults = f.stats
+	res.Metrics = g.Metrics().Total
+	converge(&res, installs, g.Operational(), len(g.IDs()))
+	return res
 }
 
-// build constructs the group for a program, with its history retained or
-// discarded.
-func build(p Program, discard bool) *injector {
+// build constructs the group for a program; it retains no history.
+func build(p Program) *injector {
 	procs := p.Procs
 	if procs <= 0 {
 		procs = 4
 	}
-	return &injector{g: evs.NewGroup(evs.Options{NumProcesses: procs, Seed: p.Seed, DiscardHistory: discard})}
+	return &injector{g: evs.NewGroup(evs.Options{NumProcesses: procs, Seed: p.Seed, DiscardHistory: true})}
 }
 
-// apply schedules every event plus the heal tail. Event times are clamped
-// into [0, Horizon] so a subset produced by the minimizer always settles.
+// clampAt clamps an event time into [0, horizon], so a subset produced by
+// the minimizer always settles.
+func clampAt(at, horizon time.Duration) time.Duration {
+	return min(max(at, 0), horizon)
+}
+
+// apply schedules every event, at its clamped time, plus the heal tail.
 func apply(f *injector, p Program) {
 	g := f.g
 	ids := g.IDs()
@@ -262,13 +374,7 @@ func apply(f *injector, p Program) {
 	}
 	for _, e := range p.Events {
 		e := e
-		at := e.At
-		if at < 0 {
-			at = 0
-		}
-		if at > p.Horizon {
-			at = p.Horizon
-		}
+		at := clampAt(e.At, p.Horizon)
 		switch e.Op {
 		case OpSend:
 			if valid[e.Proc] {
@@ -313,9 +419,9 @@ func apply(f *injector, p Program) {
 }
 
 // Replay returns an independent second execution of the program together
-// with whether it matched the first bit-for-bit (violations, history
-// length and network counters), which guards reproducers against hidden
-// nondeterminism.
+// with whether it matched the first bit-for-bit (verdicts, history length,
+// checker accounting and activity counters), which guards reproducers
+// against hidden nondeterminism.
 func Replay(p Program) (Result, bool) {
 	a := Run(p)
 	b := Run(p)
@@ -324,19 +430,15 @@ func Replay(p Program) (Result, bool) {
 
 // sameResult compares two results for deterministic equality.
 func sameResult(a, b Result) bool {
-	if a.Events != b.Events || a.Net != b.Net || a.Group != b.Group || a.Faults != b.Faults {
+	if a.Events != b.Events || a.Stream != b.Stream || a.Net != b.Net || a.Group != b.Group || a.Faults != b.Faults {
 		return false
 	}
-	if len(a.Violations) != len(b.Violations) {
+	if a.LastFault != b.LastFault || a.Installs != b.Installs || a.Boundary != b.Boundary ||
+		a.FinalConfigs != b.FinalConfigs || a.Converged != b.Converged {
 		return false
 	}
-	av, bv := renderViolations(a.Violations), renderViolations(b.Violations)
-	for i := range av {
-		if av[i] != bv[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(renderViolations(a.Violations), renderViolations(b.Violations)) &&
+		slices.Equal(a.Disagreements, b.Disagreements)
 }
 
 // renderViolations renders and sorts violations for stable comparison.

@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
 
 	evs "repro"
 	"repro/internal/model"
-	"repro/internal/node"
+	"repro/internal/spec"
 )
 
 // soakSeeds returns the soak seed count from CHAOS_SOAK — the single
@@ -50,9 +51,9 @@ func TestChaosSmoke(t *testing.T) {
 			t.Parallel()
 			p := Generate(seed, GenConfig{})
 			res := Run(p)
-			if len(res.Violations) != 0 {
-				t.Fatalf("seed %d violates the specifications:\n%s\nprogram:\n%s",
-					seed, renderViolations(res.Violations), p)
+			if res.Failed() {
+				t.Fatalf("seed %d fails: %s\n%s\nprogram:\n%s",
+					seed, res, renderViolations(res.Violations), p)
 			}
 			if res.Events == 0 {
 				t.Fatalf("seed %d produced an empty history; the schedule exercised nothing", seed)
@@ -70,9 +71,9 @@ func TestChaosSoak(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			p := Generate(seed, GenConfig{})
-			if res := Run(p); len(res.Violations) != 0 {
-				t.Fatalf("seed %d violates the specifications:\n%s\nprogram:\n%s",
-					seed, renderViolations(res.Violations), p)
+			if res := Run(p); res.Failed() {
+				t.Fatalf("seed %d fails: %s\n%s\nprogram:\n%s",
+					seed, res, renderViolations(res.Violations), p)
 			}
 		})
 	}
@@ -132,30 +133,17 @@ func plantOrderingBug() (restore func()) {
 	prev := BugHook
 	BugHook = func(g *evs.Group) {
 		victim := g.IDs()[0]
-		injected := false
-		g.OnDeliver = func(p model.ProcessID, d node.Delivery) {
-			if injected || p != victim {
-				return
+		crashed, injected := false, false
+		trace := g.OnTrace
+		g.OnTrace = func(e model.Event) {
+			trace(e)
+			switch {
+			case e.Type == model.EventFail:
+				crashed = true
+			case crashed && !injected && e.Type == model.EventDeliver && e.Proc == victim:
+				injected = true
+				trace(e)
 			}
-			crashed := false
-			for _, e := range g.History() {
-				if e.Type == model.EventFail {
-					crashed = true
-					break
-				}
-			}
-			if !crashed {
-				return
-			}
-			injected = true
-			g.Log().Append(model.Event{
-				Type:    model.EventDeliver,
-				Proc:    p,
-				Config:  d.Config.ID,
-				Members: d.Config.Members,
-				Msg:     d.Msg,
-				Service: d.Service,
-			})
 		}
 	}
 	return func() { BugHook = prev }
@@ -219,8 +207,8 @@ func TestChaosCatchesAndMinimizesInjectedBug(t *testing.T) {
 // unchanged.
 func TestMinimizeLeavesConformingProgramAlone(t *testing.T) {
 	p := Generate(3, GenConfig{})
-	if res := Run(p); len(res.Violations) != 0 {
-		t.Fatalf("seed 3 stopped conforming:\n%s", renderViolations(res.Violations))
+	if res := Run(p); res.Failed() {
+		t.Fatalf("seed 3 stopped conforming: %s\n%s", res, renderViolations(res.Violations))
 	}
 	q := Minimize(p, MinimizeOptions{MaxRuns: 10})
 	if !reflect.DeepEqual(p, q) {
@@ -247,11 +235,62 @@ func TestMinimizeRespectsRunBudget(t *testing.T) {
 		MaxRuns: 5,
 		Failing: func(q Program) bool {
 			runs++
-			return len(Run(q).Violations) > 0
+			return Run(q).Failed()
 		},
 	})
 	if runs > 5 {
 		t.Fatalf("minimizer executed %d runs, budget was 5", runs)
+	}
+}
+
+// TestMinimizeSimplifiesEvents: after the 1-minimality pass the minimizer
+// simplifies what is left, keeping a change only while the program still
+// fails. A failure that needs only a crash of p02 keeps a plain crash, and
+// one that needs only p01 apart from p03 keeps a two-group partition.
+func TestMinimizeSimplifiesEvents(t *testing.T) {
+	p := Program{Seed: 1, Procs: 4, Horizon: time.Second, Settle: time.Second, Events: []Event{
+		{At: 100 * time.Millisecond, Op: OpSend, Proc: "p01", Payload: "m", Service: model.Agreed},
+		{At: 200 * time.Millisecond, Op: OpCrash, Proc: "p02", Mode: CorruptTornWrite, N: 3},
+		{At: 300 * time.Millisecond, Op: OpPartition, Groups: [][]model.ProcessID{{"p01"}, {"p02"}, {"p03"}, {"p04"}}},
+		{At: 400 * time.Millisecond, Op: OpRecover, Proc: "p02"},
+	}}
+
+	crashOfP02 := func(q Program) bool {
+		for _, e := range q.Events {
+			if e.Op == OpCrash && e.Proc == "p02" {
+				return true
+			}
+		}
+		return false
+	}
+	got := Minimize(p, MinimizeOptions{Failing: crashOfP02})
+	if len(got.Events) != 1 || got.Events[0].Op != OpCrash || got.Events[0].Mode != CorruptNone || got.Events[0].N != 0 {
+		t.Errorf("want one plain crash of p02, got:\n%s", got)
+	}
+
+	apart := func(q Program) bool {
+		for _, e := range q.Events {
+			if e.Op != OpPartition {
+				continue
+			}
+			i := slices.IndexFunc(e.Groups, func(g []model.ProcessID) bool { return slices.Contains(g, "p01") })
+			j := slices.IndexFunc(e.Groups, func(g []model.ProcessID) bool { return slices.Contains(g, "p03") })
+			if i >= 0 && j >= 0 && i != j {
+				return true
+			}
+		}
+		return false
+	}
+	got = Minimize(p, MinimizeOptions{Failing: apart})
+	if len(got.Events) != 1 || got.Events[0].Op != OpPartition || len(got.Events[0].Groups) != 2 {
+		t.Fatalf("want one two-group partition, got:\n%s", got)
+	}
+	placed := 0
+	for _, g := range got.Events[0].Groups {
+		placed += len(g)
+	}
+	if placed != 4 {
+		t.Errorf("merging groups lost or duplicated processes:\n%s", got)
 	}
 }
 
@@ -263,10 +302,9 @@ func TestHealTailSettlesEveryPrefix(t *testing.T) {
 	for _, cut := range []int{0, 1, len(p.Events) / 2} {
 		q := p
 		q.Events = p.Events[:cut]
-		res := Run(q)
-		if len(res.Violations) != 0 {
-			t.Fatalf("prefix of %d events violates the specifications:\n%s",
-				cut, renderViolations(res.Violations))
+		if res := Run(q); res.Failed() {
+			t.Fatalf("prefix of %d events fails: %s\n%s",
+				cut, res, renderViolations(res.Violations))
 		}
 	}
 }
@@ -329,43 +367,62 @@ func TestSelfStabilizationFaultsMaterialize(t *testing.T) {
 	}
 }
 
-// TestRunStreamMatchesRun: the streaming execution is the same execution —
-// attaching the inline checker and dropping the history must not perturb
-// the schedule. Event counts and activity counters must match the batch
-// runner exactly, and a conforming run must be certified violation-free
-// with zero streaming-vs-reference disagreements.
-func TestRunStreamMatchesRun(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+// runHistory executes the program on the default certification schedule
+// and also returns the history the checker consumed, tapped from the run.
+func runHistory(p Program) ([]model.Event, Result) {
+	var history []model.Event
+	res := run(p, cadence{checkEvery, oracleEvery}, func(e model.Event) { history = append(history, e) })
+	return history, res
+}
+
+// TestInlineVerdictMatchesBatch: the verdict certified inline equals the
+// batch checker's over the whole history tapped from the same run. Seeds
+// 1-3 carry heavy traffic on small windows, so the run spans many
+// certifications, oracle samples and prunes. Seeds 103 and 144 run at the
+// default schedule and violate Specification 2.2 (ROADMAP G1), so the
+// comparison covers violating runs too; it stays valid once both sides
+// are empty.
+func TestInlineVerdictMatchesBatch(t *testing.T) {
+	heavy := GenConfig{Sends: 600}
+	cases := []struct {
+		seed int64
+		gen  GenConfig
+		c    cadence
+	}{
+		{1, heavy, cadence{64, 2}},
+		{2, heavy, cadence{64, 2}},
+		{3, heavy, cadence{64, 2}},
+		{103, GenConfig{}, cadence{checkEvery, oracleEvery}},
+		{144, GenConfig{}, cadence{checkEvery, oracleEvery}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(fmt.Sprintf("seed=%d", tc.seed), func(t *testing.T) {
 			t.Parallel()
-			// Heavy traffic so the run spans many certification windows
-			// (the default smoke programs emit only ~100 events, which a
-			// single final certification would cover).
-			p := Generate(seed, GenConfig{Sends: 600})
-			batch := Run(p)
-			stream := RunStream(p, StreamConfig{CheckEvery: 64, OracleEvery: 2})
-			if stream.Events != uint64(batch.Events) {
-				t.Errorf("event counts diverged: stream %d, batch %d", stream.Events, batch.Events)
+			var history []model.Event
+			res := run(Generate(tc.seed, tc.gen), tc.c, func(e model.Event) { history = append(history, e) })
+			if res.Events != len(history) || res.Stream.Ingested != uint64(len(history)) {
+				t.Errorf("event counts diverged: result %d, stream %d, tapped %d",
+					res.Events, res.Stream.Ingested, len(history))
 			}
-			if stream.Net != batch.Net || stream.Group != batch.Group || stream.Faults != batch.Faults {
-				t.Error("activity counters diverged between stream and batch execution")
+			batch := spec.NewChecker(history, spec.Options{Settled: true}).CheckAll()
+			if got, want := renderViolations(res.Violations), renderViolations(batch); !slices.Equal(got, want) {
+				t.Errorf("inline verdict differs from the batch checker's:\ninline: %q\nbatch:  %q", got, want)
 			}
-			if len(batch.Violations) != 0 {
-				t.Fatalf("seed %d stopped conforming under batch checking:\n%s", seed, renderViolations(batch.Violations))
+			if len(res.Disagreements) != 0 {
+				t.Errorf("inline and reference checkers disagreed:\n%v", res.Disagreements)
 			}
-			if len(stream.Violations) != 0 {
-				t.Errorf("streaming checker reported violations on a conforming run:\n%s",
-					renderViolations(stream.Violations))
-			}
-			if len(stream.Disagreements) != 0 {
-				t.Errorf("streaming and reference checkers disagreed:\n%v", stream.Disagreements)
-			}
-			if stream.Stream.OracleWindows == 0 {
+			if res.Stream.OracleWindows == 0 {
 				t.Error("no oracle window was sampled; the differential oracle is dead code")
 			}
-			if stream.Stream.PeakRetained == 0 || stream.Stream.Pruned == 0 {
-				t.Errorf("stream accounting implausible: %+v", stream.Stream)
+			if tc.c.checkEvery == checkEvery {
+				return
+			}
+			if len(batch) != 0 {
+				t.Fatalf("seed %d stopped conforming:\n%s", tc.seed, renderViolations(batch))
+			}
+			if res.Stream.PeakRetained == 0 || res.Stream.Pruned == 0 {
+				t.Errorf("stream accounting implausible: %+v", res.Stream)
 			}
 		})
 	}
@@ -380,7 +437,7 @@ func TestRunStreamConverges(t *testing.T) {
 	sawFault, sawInstalls := false, false
 	for seed := int64(1); seed <= 8; seed++ {
 		p := Generate(seed, GenConfig{})
-		res := RunStream(p, StreamConfig{})
+		res := Run(p)
 		if !res.Converged {
 			t.Errorf("seed %d did not converge: %s\nprogram:\n%s", seed, res, p)
 		}
@@ -409,8 +466,7 @@ func TestRunStreamConverges(t *testing.T) {
 // gating — one program is the claim). The same run is reproducible from
 // the command line:
 //
-//	evschaos -stream -seed 1 -sends 160000 -duration 80s -heal-every 2s \
-//	         -check-every 4096 -oracle-every 32
+//	evschaos -seed 1 -sends 160000 -duration 80s -heal-every 2s
 //
 // The heal boundaries are what make the memory claim testable at this
 // scale: without them a single unlucky crash holds configuration
@@ -422,7 +478,7 @@ func TestStreamMillionEvents(t *testing.T) {
 	p := Generate(1, GenConfig{
 		Sends: 160000, Duration: 80 * time.Second, HealEvery: 2 * time.Second,
 	})
-	res := RunStream(p, StreamConfig{CheckEvery: 4096, OracleEvery: 32})
+	res := Run(p)
 	t.Logf("million-event soak: %s", res)
 	if res.Events < 1_000_000 {
 		t.Fatalf("run produced %d events, want >= 1M (generator drift?)", res.Events)
@@ -432,7 +488,7 @@ func TestStreamMillionEvents(t *testing.T) {
 	}
 	// ~Flat memory: the window must hold a few certification intervals
 	// at most, regardless of the million-event total.
-	if res.Stream.PeakRetained > 8*4096 {
+	if res.Stream.PeakRetained > 8*checkEvery {
 		t.Fatalf("peak retained window %d events on a %d-event run; pruning is not bounding memory",
 			res.Stream.PeakRetained, res.Events)
 	}

@@ -130,9 +130,9 @@ func TestChaosHistoriesMatchReference(t *testing.T) {
 			Duration: 400 * time.Millisecond,
 			Settle:   1500 * time.Millisecond,
 		})
-		events, res := RunHistory(p)
+		events, res := runHistory(p)
 		if res.Events != len(events) {
-			t.Fatalf("seed %d: RunHistory returned %d events but result counted %d", seed, len(events), res.Events)
+			t.Fatalf("seed %d: runHistory returned %d events but result counted %d", seed, len(events), res.Events)
 		}
 		for _, opts := range []spec.Options{{Settled: true}, {}} {
 			compareCheckers(t, "clean", events, opts)

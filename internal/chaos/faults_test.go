@@ -45,7 +45,7 @@ func TestStatsCountsRejectedSubmissions(t *testing.T) {
 // algorithm — precisely the failure mode symmetric partitions never
 // exercise — and the resulting history must be conformant.
 func TestOneWayCutForcesReconfiguration(t *testing.T) {
-	f := build(Program{Procs: 3, Seed: 42}, false)
+	f := &injector{g: evs.NewGroup(evs.Options{NumProcesses: 3, Seed: 42})}
 	c := f.g
 	ids := c.IDs()
 	for i := 0; i < 4; i++ {
@@ -73,7 +73,7 @@ func TestOneWayCutForcesReconfiguration(t *testing.T) {
 // suspicion and reconfiguration churn; once the class loss clears, the
 // stack must settle into the full membership with a conformant history.
 func TestDropTokensStallsThenHeals(t *testing.T) {
-	f := build(Program{Procs: 3, Seed: 43}, false)
+	f := &injector{g: evs.NewGroup(evs.Options{NumProcesses: 3, Seed: 43})}
 	c := f.g
 	ids := c.IDs()
 	c.Send(150*time.Millisecond, ids[0], []byte("before"), model.Safe)
@@ -96,7 +96,7 @@ func TestDropTokensStallsThenHeals(t *testing.T) {
 // log record and later recovers; the recovery exchange must patch the
 // missing state and the history must satisfy every specification.
 func TestCrashCorruptTornWriteRecovery(t *testing.T) {
-	f := build(Program{Procs: 3, Seed: 44}, false)
+	f := &injector{g: evs.NewGroup(evs.Options{NumProcesses: 3, Seed: 44})}
 	c := f.g
 	ids := c.IDs()
 	for i := 0; i < 6; i++ {
@@ -121,7 +121,7 @@ func TestCrashCorruptTornWriteRecovery(t *testing.T) {
 
 // TestCrashCorruptLostSuffixRecovery: same, with a lost log suffix.
 func TestCrashCorruptLostSuffixRecovery(t *testing.T) {
-	f := build(Program{Procs: 4, Seed: 45}, false)
+	f := &injector{g: evs.NewGroup(evs.Options{NumProcesses: 4, Seed: 45})}
 	c := f.g
 	ids := c.IDs()
 	for i := 0; i < 8; i++ {

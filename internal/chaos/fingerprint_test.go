@@ -39,7 +39,7 @@ var scheduleFingerprints = map[int64]struct {
 
 // fingerprint hashes one execution of p.
 func fingerprint(p Program) (int, uint64, string) {
-	events, res := RunHistory(p)
+	events, res := runHistory(p)
 	h := fnv.New64a()
 	for _, e := range events {
 		fmt.Fprintln(h, e.String())

@@ -4,10 +4,11 @@
 // nested-loop forms of every check. It exists solely as a differential
 // testing oracle for the scalable checker in package spec — the two must
 // agree violation-for-violation on every history — and is imported only
-// from test files and the inline-soak oracle (chaos.RunStream samples
-// certification windows through it; the windows are pruned and hence
-// bounded). Do not use it in other production paths: checking a history
-// of n events allocates n²/8 bytes here versus O(n·P) in package spec.
+// from test files and the inline oracle of every chaos run (chaos.Run
+// samples certification windows through it; the windows are pruned and
+// hence bounded). Do not use it in other production paths: checking a
+// history of n events allocates n²/8 bytes here versus O(n·P) in package
+// spec.
 package refcheck
 
 import (

@@ -1,117 +1,16 @@
-// Package vclock implements vector clocks.
-//
-// The ring total-ordering protocol preserves causality by construction, so
-// no ordered message carries a clock. Two consumers need one: the causal
-// multicast buffer of the Figure 5 experiments (internal/causal), which
-// orders by the sparse VC, and the specification checker (internal/spec),
-// which stamps every event of a recorded history with a Dense timestamp
-// over a Universe to answer precedes queries: an event e precedes e'
-// exactly when stamp(e) < stamp(e').
+// Package vclock implements the dense vector timestamps of the
+// specification checker (internal/spec), which stamps every event of a
+// recorded history with a Dense timestamp over a Universe to answer
+// precedes queries: an event e precedes e' exactly when stamp(e) <
+// stamp(e'). The ring total-ordering protocol preserves causality by
+// construction, so no ordered message carries a clock.
 package vclock
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/model"
 )
-
-// VC is a vector clock: a map from process identifier to event count. A nil
-// VC is the zero clock.
-type VC map[model.ProcessID]uint64
-
-// New returns an empty vector clock.
-func New() VC { return make(VC) }
-
-// Clone returns a deep copy of the clock.
-func (v VC) Clone() VC {
-	out := make(VC, len(v))
-	for k, t := range v {
-		out[k] = t
-	}
-	return out
-}
-
-// Tick increments the component of process p and returns the clock.
-func (v VC) Tick(p model.ProcessID) VC {
-	v[p]++
-	return v
-}
-
-// Get returns the component of process p (zero if absent).
-func (v VC) Get(p model.ProcessID) uint64 { return v[p] }
-
-// Merge sets each component of v to the maximum of v and w.
-func (v VC) Merge(w VC) VC {
-	for k, t := range w {
-		if t > v[k] {
-			v[k] = t
-		}
-	}
-	return v
-}
-
-// Compare classifies the relationship between two vector clocks.
-type Ordering int
-
-const (
-	// Equal means the clocks are identical.
-	Equal Ordering = iota + 1
-	// Before means v happened-before w (v < w).
-	Before
-	// After means w happened-before v (v > w).
-	After
-	// Concurrent means neither happened before the other.
-	Concurrent
-)
-
-// String names the ordering.
-func (o Ordering) String() string {
-	switch o {
-	case Equal:
-		return "equal"
-	case Before:
-		return "before"
-	case After:
-		return "after"
-	case Concurrent:
-		return "concurrent"
-	default:
-		return fmt.Sprintf("ordering(%d)", int(o))
-	}
-}
-
-// Compare returns the causal relationship of v to w.
-func (v VC) Compare(w VC) Ordering {
-	vLess, wLess := false, false
-	for k, t := range v {
-		switch wt := w[k]; {
-		case t < wt:
-			vLess = true
-		case t > wt:
-			wLess = true
-		}
-	}
-	for k, wt := range w {
-		if _, ok := v[k]; !ok && wt > 0 {
-			vLess = true
-		}
-	}
-	switch {
-	case vLess && wLess:
-		return Concurrent
-	case vLess:
-		return Before
-	case wLess:
-		return After
-	default:
-		return Equal
-	}
-}
-
-// HappenedBefore reports whether v strictly precedes w causally.
-func (v VC) HappenedBefore(w VC) bool { return v.Compare(w) == Before }
 
 // Universe is a fixed, dense enumeration of a process set, assigning each
 // process a small integer index. It is the coordinate system for Dense
@@ -162,21 +61,9 @@ func (u *Universe) ID(i int) model.ProcessID { return u.ids[i] }
 // NewDense returns a zero Dense timestamp sized for the universe.
 func (u *Universe) NewDense() Dense { return make(Dense, len(u.ids)) }
 
-// ToVC converts a Dense timestamp back to a sparse VC (for display and
-// interop); zero components are omitted.
-func (u *Universe) ToVC(d Dense) VC {
-	v := New()
-	for i, t := range d {
-		if t > 0 {
-			v[u.ids[i]] = uint64(t)
-		}
-	}
-	return v
-}
-
 // Dense is a fixed-width vector timestamp over a Universe: component i
-// counts events of the process with dense index i. Unlike VC it performs
-// no hashing and allocates nothing during Merge, which makes it suitable
+// counts events of the process with dense index i. It performs no hashing
+// and allocates nothing during Merge, which makes it suitable
 // for stamping every event of a large history. A Dense value is only
 // comparable with others from the same universe.
 type Dense []int32
@@ -222,23 +109,4 @@ func (d Dense) HappenedBefore(o Dense) bool {
 type Stamp struct {
 	U *Universe
 	D Dense
-}
-
-// String renders the clock deterministically, e.g. "[p:1 q:3]".
-func (v VC) String() string {
-	keys := make([]model.ProcessID, 0, len(v))
-	for k := range v {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	var b strings.Builder
-	b.WriteByte('[')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s:%d", k, v[k])
-	}
-	b.WriteByte(']')
-	return b.String()
 }
