@@ -44,7 +44,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		peers     = fs.String("peers", "", "comma-separated id=addr peer list, including this process")
 		peersFile = fs.String("peers-file", "", "file with one id=addr per line (alternative to -peers)")
 		network   = fs.String("net", "udp", "transport: udp or tcp")
-		httpAddr  = fs.String("http", "", "metrics/status HTTP address (empty disables)")
+		httpAddr  = fs.String("http", "", "metrics/status/pprof HTTP address (empty disables)")
 		tracePath = fs.String("trace", "", "formal-model event trace output (JSONL; empty disables)")
 		runFor    = fs.Duration("run", 0, "exit after this long (0: run until SIGINT/SIGTERM)")
 		load      = fs.Int("load", 0, "submit this many messages once the ring is operational")
@@ -103,7 +103,7 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintf(stderr, "evsd: http: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "evsd %s: metrics on http://%s/metrics, status on /status\n", *id, addr)
+		fmt.Fprintf(stdout, "evsd %s: metrics on http://%s/metrics, status on /status, profiles on /debug/pprof/\n", *id, addr)
 	}
 
 	stop := make(chan os.Signal, 1)

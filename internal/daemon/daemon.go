@@ -15,6 +15,7 @@ package daemon
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/pprof"
 	"time"
 
 	"repro/internal/model"
@@ -181,7 +182,8 @@ func (d *Daemon) Deliveries() uint64 { return d.rec.DeliveryCount(d.ID()) }
 func (d *Daemon) Configs() []model.Configuration { return d.rec.Configs(d.ID()) }
 
 // Handler returns the daemon's HTTP handler: Prometheus metrics on
-// /metrics (JSON with ?format=json or /metrics.json), status on /status.
+// /metrics (JSON with ?format=json or /metrics.json), status on /status,
+// and the Go runtime's profiles on /debug/pprof/.
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
 	metrics := spine.MetricsHandler(d.rec.Metrics)
@@ -191,6 +193,11 @@ func (d *Daemon) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(d.Status())
 	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

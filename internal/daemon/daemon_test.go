@@ -234,8 +234,8 @@ func TestTCPRingFormsAndDelivers(t *testing.T) {
 	}
 }
 
-// TestStatusEndpoint checks the HTTP surface: /status and /metrics both
-// answer while the daemon runs.
+// TestStatusEndpoint checks the HTTP surface: /status, /metrics and
+// /debug/pprof/ all answer while the daemon runs.
 func TestStatusEndpoint(t *testing.T) {
 	ids, daemons, _ := startCluster(t, "udp", 1, "")
 	defer daemons[ids[0]].Close()
@@ -255,13 +255,15 @@ func TestStatusEndpoint(t *testing.T) {
 	if st.ID != string(ids[0]) {
 		t.Fatalf("status ID = %q, want %q", st.ID, ids[0])
 	}
-	resp2, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics status = %d", resp2.StatusCode)
+	for _, path := range []string{"/metrics", "/debug/pprof/"} {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s status = %d", path, resp.StatusCode)
+		}
 	}
 }
 

@@ -182,14 +182,14 @@ func (n *Node) onData(from model.ProcessID, d wire.Data) {
 	}
 }
 
-// onToken routes a token. Tokens travel on the broadcast medium; the
-// successor of the sender processes it, everyone else observes it only for
-// foreign-traffic detection.
+// onToken routes a token. The successor of the sender processes it;
+// anyone else receives it only when it was broadcast (a representative's
+// beacon, or any token on a broadcast-only medium; see forwardToken) and
+// observes it only for foreign-traffic detection.
 func (n *Node) onToken(from model.ProcessID, t wire.Token) {
 	switch {
 	case n.mode == Operational && n.ring != nil && t.Ring == n.ringCfg.ID:
-		// The token is broadcast on the medium; only the sender's ring
-		// successor processes it.
+		// Only the sender's ring successor processes the token.
 		if next, _ := n.ringCfg.Members.Next(from); next == n.id {
 			n.processToken(t)
 		}
@@ -231,12 +231,28 @@ func (n *Node) processToken(t wire.Token) {
 	n.deliverAll(res.Deliveries, n.ringCfg)
 	n.met.Set(obs.GPendingDepth, int64(n.PendingDepth()))
 	fwd := res.Forward
-	n.tr.Broadcast(fwd) //lint:allow noalloc the medium API takes wire.Message; one boxed token per visit is the audited cost
+	n.forwardToken(fwd)
 	n.lastToken = &fwd
 	n.retransLeft = n.cfg.TokenRetransMax
 	n.host.SetTimer(TimerTokenRetrans, n.cfg.TokenRetrans)
 	n.host.SetTimer(TimerTokenLoss, n.cfg.TokenLoss)
 	n.persist()
+}
+
+// forwardToken sends a token this process emits: to its ring successor
+// alone when the medium can address one process, except at the
+// representative, whose forward is broadcast as the ring's beacon, once
+// per rotation, for processes outside the ring to detect it by. On a
+// broadcast-only medium every token is broadcast.
+//
+//evs:noalloc
+func (n *Node) forwardToken(t wire.Token) {
+	if n.uni == nil || n.ring.IsRepresentative() {
+		n.tr.Broadcast(t) //lint:allow noalloc the medium API takes wire.Message; one boxed token per visit is the audited cost
+		return
+	}
+	next, _ := n.ringCfg.Members.Next(n.id)
+	n.uni.Unicast(next, t) //lint:allow noalloc the medium API takes wire.Message; one boxed token per visit is the audited cost
 }
 
 // broadcastData transmits one token visit's data messages, packing them
@@ -330,7 +346,7 @@ func (n *Node) OnTimer(kind TimerKind) {
 	case TimerTokenRetrans:
 		if n.mode == Operational && n.lastToken != nil && n.retransLeft > 0 {
 			n.retransLeft--
-			n.tr.Broadcast(*n.lastToken)
+			n.forwardToken(*n.lastToken)
 			n.host.SetTimer(TimerTokenRetrans, n.cfg.TokenRetrans)
 		}
 	case TimerJoin:
@@ -619,7 +635,7 @@ func (n *Node) finishRecovery(res evs.Result) {
 	// until the token-loss timeout forces another reconfiguration.
 	if n.ring.IsRepresentative() {
 		tok := n.ring.InitialToken()
-		n.tr.Broadcast(tok)
+		n.forwardToken(tok)
 		n.lastToken = &tok
 		n.retransLeft = n.cfg.TokenRetransMax
 		n.host.SetTimer(TimerTokenRetrans, n.cfg.TokenRetrans)

@@ -96,6 +96,16 @@ type ConfigChange struct {
 // leave the process. It is implemented by the deterministic simulator,
 // the in-process live hub, and the real network transports
 // (internal/transport), all interchangeably.
+//
+// A medium that can also address one process implements
+// Unicast(to model.ProcessID, msg wire.Message), under the same
+// ownership contract; New detects it once. On such a medium every token
+// a non-representative emits goes to its ring successor alone, and the
+// representative's forward stays a Broadcast: one beacon per rotation,
+// which is what a process outside the ring hears of an idle ring and
+// detects it by (foreign-ring detection, and so merge). On a
+// broadcast-only medium, such as the simulator's, every token is
+// broadcast, as on the paper's LAN.
 type Transport interface {
 	// Broadcast transmits a message on the medium, to be received by
 	// every process in the sender's component, including the sender
@@ -185,6 +195,7 @@ type Node struct {
 	id    model.ProcessID
 	cfg   Config
 	tr    Transport
+	uni   unicaster // tr's Unicast; nil on a broadcast-only medium
 	host  Host
 	store *stable.Store
 
@@ -238,13 +249,20 @@ var ErrBacklog = errors.New("send backlog full")
 // delivery, tracing). The store may contain a prior incarnation's state
 // (recovery with stable storage intact); Start consults it.
 func New(id model.ProcessID, cfg Config, tr Transport, host Host, store *stable.Store) *Node {
+	uni, _ := tr.(unicaster)
 	return &Node{
 		id:    id,
 		cfg:   cfg,
 		tr:    tr,
+		uni:   uni,
 		host:  host,
 		store: store,
 	}
+}
+
+// unicaster is the optional addressing half of a Transport.
+type unicaster interface {
+	Unicast(to model.ProcessID, msg wire.Message)
 }
 
 // SetMetrics attaches the process's observability scope (nil disables).

@@ -13,6 +13,7 @@ import (
 // mockEnv records the node's outputs and lets tests fire timers manually.
 type mockEnv struct {
 	sent    []wire.Message
+	to      []model.ProcessID // per sent message: its addressee, "" for a broadcast
 	timers  map[TimerKind]time.Duration
 	deliver []Delivery
 	confs   []ConfigChange
@@ -28,18 +29,34 @@ func newMockEnv() *mockEnv {
 	return &mockEnv{timers: make(map[TimerKind]time.Duration)}
 }
 
-func (m *mockEnv) Broadcast(msg wire.Message)            { m.sent = append(m.sent, msg) }
+func (m *mockEnv) Broadcast(msg wire.Message)            { m.send("", msg) }
 func (m *mockEnv) SetTimer(k TimerKind, d time.Duration) { m.timers[k] = d }
 func (m *mockEnv) CancelTimer(k TimerKind)               { delete(m.timers, k) }
 func (m *mockEnv) Deliver(d Delivery)                    { m.deliver = append(m.deliver, d) }
 func (m *mockEnv) DeliverConfig(c ConfigChange)          { m.confs = append(m.confs, c) }
 func (m *mockEnv) Trace(e model.Event)                   { m.trace = append(m.trace, e) }
 
+func (m *mockEnv) send(to model.ProcessID, msg wire.Message) {
+	m.sent = append(m.sent, msg)
+	m.to = append(m.to, to)
+}
+
 func (m *mockEnv) take() []wire.Message {
-	out := m.sent
-	m.sent = nil
+	out, _ := m.takeRouted()
 	return out
 }
+
+// takeRouted is take with each message's addressee ("" for a broadcast).
+func (m *mockEnv) takeRouted() ([]wire.Message, []model.ProcessID) {
+	out, to := m.sent, m.to
+	m.sent, m.to = nil, nil
+	return out, to
+}
+
+// unicastEnv is a mockEnv whose medium can also address one process.
+type unicastEnv struct{ *mockEnv }
+
+func (u unicastEnv) Unicast(to model.ProcessID, msg wire.Message) { u.send(to, msg) }
 
 func newNode(id model.ProcessID) (*Node, *mockEnv, *stable.Store) {
 	env := newMockEnv()

@@ -20,9 +20,19 @@ type pairWorld struct {
 	envs  map[model.ProcessID]*mockEnv
 	// cut(from,to) drops the message when true.
 	cut func(from, to model.ProcessID) bool
+	// onSend, when set, observes each transmission as it is pumped; to
+	// is "" for a broadcast.
+	onSend func(from, to model.ProcessID, msg wire.Message)
 }
 
+// newPairWorld connects nodes over a broadcast-only medium.
 func newPairWorld(t *testing.T, ids ...model.ProcessID) *pairWorld {
+	return newWorld(t, false, ids...)
+}
+
+// newWorld connects nodes over a medium that can also address one
+// process when unicast is set.
+func newWorld(t *testing.T, unicast bool, ids ...model.ProcessID) *pairWorld {
 	w := &pairWorld{
 		t:     t,
 		ids:   ids,
@@ -32,7 +42,11 @@ func newPairWorld(t *testing.T, ids ...model.ProcessID) *pairWorld {
 	for _, id := range ids {
 		env := newMockEnv()
 		w.envs[id] = env
-		w.nodes[id] = New(id, DefaultConfig(), env, env, &stable.Store{})
+		var tr Transport = env
+		if unicast {
+			tr = unicastEnv{env}
+		}
+		w.nodes[id] = New(id, DefaultConfig(), tr, env, &stable.Store{})
 	}
 	return w
 }
@@ -49,10 +63,14 @@ func (w *pairWorld) pumpUntil(stop func(from, to model.ProcessID, msg wire.Messa
 	for round := 0; round < 50; round++ {
 		moved := false
 		for _, from := range w.ids {
-			for _, msg := range w.envs[from].take() {
+			msgs, dests := w.envs[from].takeRouted()
+			for i, msg := range msgs {
 				moved = true
+				if w.onSend != nil {
+					w.onSend(from, dests[i], msg)
+				}
 				for _, to := range w.ids {
-					if w.cut != nil && w.cut(from, to) {
+					if w.cut != nil && w.cut(from, to) || dests[i] != "" && dests[i] != to {
 						continue
 					}
 					w.nodes[to].OnMessage(from, msg)
@@ -422,5 +440,76 @@ func TestOneHostCallPerDelivery(t *testing.T) {
 	}
 	if transitional == 0 {
 		t.Fatal("no delivery in a transitional configuration: the Step 6 path went untested")
+	}
+}
+
+// TestTokenRouting pins where each token goes. On a medium that can
+// address one process, a non-representative sends its forwards and
+// re-sends to its ring successor alone, and the representative
+// broadcasts its first token and every forward: one beacon per
+// rotation. On a broadcast-only medium every token is broadcast.
+func TestTokenRouting(t *testing.T) {
+	ids := []model.ProcessID{"p1", "p2", "p3", "p4"}
+	const rep = "p1"
+	for _, unicast := range []bool{true, false} {
+		w := newWorld(t, unicast, ids...)
+		routes := make(map[model.ProcessID][]model.ProcessID) // token addressees per sender
+		var first []model.ProcessID                           // addressees of TokenID 1
+		w.onSend = func(from, to model.ProcessID, msg wire.Message) {
+			if tok, ok := msg.(wire.Token); ok {
+				routes[from] = append(routes[from], to)
+				if tok.TokenID == 1 {
+					first = append(first, to)
+				}
+			}
+		}
+		w.startAll()
+		w.spin(3)
+		want := model.NewProcessSet(ids...)
+		for _, id := range ids {
+			if n := w.nodes[id]; n.Mode() != Operational || !n.CurrentConfig().Members.Equal(want) {
+				t.Fatalf("unicast=%v: %s mode %v config %v", unicast, id, n.Mode(), n.CurrentConfig())
+			}
+		}
+		// A re-send at a non-representative and at the representative.
+		for _, id := range []model.ProcessID{"p3", rep} {
+			w.nodes[id].OnTimer(TimerTokenRetrans)
+			env := w.envs[id]
+			if k := len(env.sent); k == 0 {
+				t.Fatalf("unicast=%v: %s re-sent nothing", unicast, id)
+			} else if _, ok := env.sent[k-1].(wire.Token); !ok {
+				t.Fatalf("unicast=%v: %s re-sent %T, want a token", unicast, id, env.sent[k-1])
+			}
+		}
+		w.pump()
+
+		if len(first) != 1 || first[0] != "" {
+			t.Fatalf("unicast=%v: first token addressees %q, want one broadcast", unicast, first)
+		}
+		for _, id := range ids {
+			if n := len(routes[id]); n < 4 {
+				t.Fatalf("unicast=%v: %s sent %d tokens, want at least 3 rotations' worth", unicast, id, n)
+			}
+			next, _ := want.Next(id)
+			for i, to := range routes[id] {
+				wantTo := model.ProcessID("")
+				if unicast && id != rep {
+					wantTo = next
+				}
+				if to != wantTo {
+					t.Fatalf("unicast=%v: %s token %d addressed to %q, want %q", unicast, id, i, to, wantTo)
+				}
+			}
+		}
+		// The ring still orders over the routed tokens.
+		if err := w.nodes["p3"].Submit([]byte("x"), model.Safe); err != nil {
+			t.Fatal(err)
+		}
+		w.spin(4)
+		for _, id := range ids {
+			if ds := w.envs[id].deliver; len(ds) != 1 || string(ds[0].Payload) != "x" {
+				t.Fatalf("unicast=%v: %s deliveries %v", unicast, id, ds)
+			}
+		}
 	}
 }

@@ -88,7 +88,10 @@ type TokenResult struct {
 	// Sent are the newly sequenced messages (a subset of Broadcasts);
 	// each is a send event of the formal model.
 	Sent []wire.Data
-	// Forward is the updated token to unicast to the ring successor.
+	// Forward is the updated token for the ring successor. The node
+	// addresses it to the successor alone where the medium can, and
+	// broadcasts it at the representative (the ring's beacon) or on a
+	// broadcast-only medium.
 	Forward wire.Token
 	// Deliveries are messages that became deliverable, in total order:
 	// slots of the ring's log, whose ring is Config().ID.

@@ -8,10 +8,13 @@
 //
 // A Transport implements the medium half of the node's environment
 // (node.Transport) plus addressing: unicast, the configured peer set, and
-// shutdown. The ownership contract is the one documented on
-// node.Transport — messages are immutable after handoff — which is what
-// lets a transport encode a broadcast once and write the same buffer to
-// every peer, and lets decoded messages alias their receive buffers.
+// shutdown. Unicast is what carries the ring's token: the node sends each
+// token to its ring successor alone and broadcasts only the
+// representative's, once per rotation (see node.Transport). The ownership
+// contract is the one documented on node.Transport — messages are
+// immutable after handoff — which is what lets a transport encode a
+// broadcast once and write the same buffer to every peer, and lets
+// decoded messages alias their receive buffers.
 //
 // Every socket implementation is instrumented through internal/obs:
 // frames and bytes in/out, encode/decode errors, and transport-level drops
@@ -46,8 +49,8 @@ type Handler func(from model.ProcessID, msg wire.Message)
 // hold the node lock).
 type Transport interface {
 	node.Transport
-	// Unicast sends a message to one peer (retransmission traffic that
-	// would be wasted on the whole component).
+	// Unicast sends a message to one peer: the token hop to the ring
+	// successor, which would be wasted on the rest of the component.
 	Unicast(to model.ProcessID, msg wire.Message)
 	// Peers returns the configured membership of the local component,
 	// sorted, including the local process.

@@ -111,9 +111,22 @@ func TestLiveGroupPartitionAndMerge(t *testing.T) {
 	if hasPayload(g.Deliveries(ids[0]), "R") || hasPayload(g.Deliveries(ids[3]), "L") {
 		t.Fatal("messages leaked across the partition")
 	}
+	// No submit follows the merge, so the rings are idle: each side can
+	// learn of the other only from the representative's beacon, the one
+	// token per rotation the hub still broadcasts.
+	before := g.Metrics().Total.Counters
 	g.Merge()
 	if !g.WaitOperational(10 * time.Second) {
 		t.Fatal("merge did not converge")
+	}
+	after := g.Metrics().Total.Counters
+	if after["node_gather_foreign_total"] <= before["node_gather_foreign_total"] {
+		t.Fatalf("merge without foreign detection: node_gather_foreign_total %d -> %d",
+			before["node_gather_foreign_total"], after["node_gather_foreign_total"])
+	}
+	if after["node_gather_token_loss_total"] != before["node_gather_token_loss_total"] {
+		t.Fatalf("merge lost a token: node_gather_token_loss_total %d -> %d",
+			before["node_gather_token_loss_total"], after["node_gather_token_loss_total"])
 	}
 	if vs := g.Check(false); len(vs) != 0 {
 		t.Fatalf("violations: %v", vs)
