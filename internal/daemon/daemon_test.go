@@ -5,18 +5,20 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/model"
 	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/spine"
 	"repro/internal/transport"
 )
 
-// testNetConfig is the deployment timing profile scaled down for tests:
-// real sockets on loopback are fast, and CI shouldn't wait 400ms to
-// detect a kill — but the margins stay wide enough that scheduler
+// testNetConfig is the deployment timing profile with its membership and
+// recovery timers scaled down for tests, so a kill is recovered from
+// quickly, and its token-loss deadline widened to 150 ms, so scheduler
 // hiccups under -race don't read as token loss.
 func testNetConfig() *node.Config {
 	cfg := DefaultNetConfig()
@@ -355,6 +357,150 @@ func TestMergeOrdersByTimestamp(t *testing.T) {
 	for i := range want {
 		if seqs[i] != want[i] {
 			t.Fatalf("merged order %v, want %v", seqs, want)
+		}
+	}
+}
+
+// staller is an OnDeliver hook that, when armed, sleeps through one
+// delivery. The hook runs under the daemon's lock, so the sleep stalls
+// the daemon's whole event path, as a descheduled VM would.
+type staller struct {
+	mu   sync.Mutex
+	d    time.Duration
+	done chan struct{}
+}
+
+func (s *staller) arm(d time.Duration) <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.d, s.done = d, make(chan struct{})
+	return s.done
+}
+
+func (s *staller) onDeliver(node.Delivery) {
+	s.mu.Lock()
+	d, done := s.d, s.done
+	s.d = 0
+	s.mu.Unlock()
+	if d > 0 {
+		time.Sleep(d)
+		close(done)
+	}
+}
+
+// TestTokenLossDeadlineAgainstStalls holds the deployment profile's
+// token-loss deadline (DefaultNetConfig) against stalls of one daemon's
+// event path in a 4-daemon UDP ring. A 40 ms stall is a token gap the
+// ring rides out: no token-loss gather, no configuration change, and the
+// gap shows in node_token_gap_us. A 300 ms stall outlasts the deadline:
+// the ring reconfigures, and once the stalled daemon resumes all four
+// are back in one regular configuration.
+func TestTokenLossDeadlineAgainstStalls(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second ring timing test")
+	}
+	ids := spine.ProcNames(4)
+	addrs := reserveAddrs(t, ids, "udp")
+	daemons := make(map[model.ProcessID]*Daemon, len(ids))
+	defer func() {
+		for _, d := range daemons {
+			d.Close()
+		}
+	}()
+	var st staller
+	victim := ids[1]
+	for _, id := range ids {
+		cfg := Config{Self: id, Peers: addrs, Network: "udp"}
+		if id == victim {
+			cfg.OnDeliver = st.onDeliver
+		}
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatalf("start %s: %v", id, err)
+		}
+		daemons[id] = d
+	}
+	waitAllOperational(t, daemons, ids, 20*time.Second)
+
+	tokenLoss := func() (n uint64) {
+		for _, d := range daemons {
+			n += d.Metrics().Counter(obs.CGatherTokenLoss)
+		}
+		return n
+	}
+	longGaps := func() (n uint64) {
+		for _, d := range daemons {
+			h := d.Metrics().Snapshot().Histograms[obs.HistName(obs.HTokenGapUs)]
+			for i := 16; i < len(h.Buckets); i++ { // bucket 16 holds [32.8, 65.5) ms
+				n += h.Buckets[i]
+			}
+		}
+		return n
+	}
+	stall := func(d time.Duration) {
+		t.Helper()
+		done := st.arm(d)
+		if err := daemons[ids[0]].Submit([]byte(d.String()), model.Agreed); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never delivered the stalling message", victim)
+		}
+	}
+
+	_, before, _ := daemons[victim].State()
+	losses, configs := tokenLoss(), len(daemons[victim].Configs())
+	stall(40 * time.Millisecond)
+	time.Sleep(300 * time.Millisecond) // three deadlines: time for a spurious gather to show
+	if n := tokenLoss(); n != losses {
+		t.Fatalf("a 40 ms stall caused %d token-loss gathers", n-losses)
+	}
+	for id, d := range daemons {
+		if _, cfg, _ := d.State(); cfg.ID != before.ID || !d.Operational(ids) {
+			t.Fatalf("%s left configuration %v for %v after a 40 ms stall", id, before.ID, cfg.ID)
+		}
+	}
+	if n := len(daemons[victim].Configs()); n != configs {
+		t.Fatalf("%s delivered %d configuration changes during a 40 ms stall", victim, n-configs)
+	}
+	if longGaps() == 0 {
+		t.Fatal("node_token_gap_us recorded no gap of 32 ms or more across a 40 ms stall")
+	}
+
+	stall(300 * time.Millisecond)
+	if tokenLoss() == losses {
+		t.Fatal("a 300 ms stall caused no token-loss gather")
+	}
+	var after model.Configuration
+	rejoined := spine.Poll(20*time.Second, func() bool {
+		_, after, _ = daemons[victim].State()
+		for _, d := range daemons {
+			if _, cfg, _ := d.State(); !d.Operational(ids) || cfg.ID != after.ID || cfg.ID == before.ID {
+				return false
+			}
+		}
+		return true
+	})
+	if !rejoined {
+		for id, d := range daemons {
+			t.Logf("%s: %+v", id, d.Status())
+		}
+		t.Fatalf("the four daemons are not back in one new configuration after a 300 ms stall of %s", victim)
+	}
+}
+
+// TestTokenRetransFitsTheDeadline: on both timing profiles every token
+// re-send fits inside the token-loss deadline, so a lost token is
+// re-sent TokenRetransMax times before its loss is declared.
+func TestTokenRetransFitsTheDeadline(t *testing.T) {
+	for name, cfg := range map[string]node.Config{
+		"simulator": node.DefaultConfig(),
+		"net":       DefaultNetConfig(),
+	} {
+		if budget := time.Duration(cfg.TokenRetransMax) * cfg.TokenRetrans; budget >= cfg.TokenLoss {
+			t.Errorf("%s: %d re-sends × %v = %v, not inside TokenLoss %v", name, cfg.TokenRetransMax, cfg.TokenRetrans, budget, cfg.TokenLoss)
 		}
 	}
 }

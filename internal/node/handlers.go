@@ -1,6 +1,8 @@
 package node
 
 import (
+	"time"
+
 	"repro/internal/evs"
 	"repro/internal/membership"
 	"repro/internal/model"
@@ -212,6 +214,11 @@ func (n *Node) processToken(t wire.Token) {
 	if !res.Accepted {
 		return
 	}
+	now := n.met.Now()
+	if n.lastVisit >= 0 {
+		n.met.Observe(obs.HTokenGapUs, uint64((now-n.lastVisit)/time.Microsecond))
+	}
+	n.lastVisit = now
 	// Trace sends before their broadcast so history order respects the
 	// formal model (send precedes every receipt).
 	for _, d := range res.Sent {
@@ -623,6 +630,7 @@ func (n *Node) finishRecovery(res evs.Result) {
 
 	n.ring = totem.New(n.id, newCfg, n.cfg.Totem)
 	n.ring.SetMetrics(n.met)
+	n.lastVisit = -1
 	for _, p := range n.pending {
 		n.ring.Submit(p)
 	}

@@ -234,6 +234,9 @@ type Node struct {
 	recPlanAt time.Duration
 	recPlan   bool
 	recDone   bool
+	// lastVisit is the scope-clock time of the last accepted token visit
+	// in the current ring, or -1 before the ring's first.
+	lastVisit time.Duration
 }
 
 // ErrDown is returned by Submit when the process has failed.

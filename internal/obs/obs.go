@@ -255,6 +255,11 @@ const (
 	// HRecoveryFlushUs records Step 5-6 duration: plan computed until
 	// the new regular configuration is installed.
 	HRecoveryFlushUs
+	// HTokenGapUs records the time between this process's consecutive
+	// accepted token visits in one ring, in clock microseconds. Each
+	// installed ring starts a fresh series, so a reconfiguration's outage
+	// is not a gap. Its tail is what the token-loss deadline must clear.
+	HTokenGapUs
 	numHists
 )
 
@@ -264,6 +269,7 @@ var histNames = [numHists]string{
 	HRecoveryTotalUs:    "node_recovery_total_us",
 	HRecoveryExchangeUs: "node_recovery_exchange_us",
 	HRecoveryFlushUs:    "node_recovery_flush_us",
+	HTokenGapUs:         "node_token_gap_us",
 }
 
 // HistName returns the catalog name of a histogram.

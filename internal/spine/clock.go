@@ -28,25 +28,37 @@ type Clock interface {
 	Now() time.Duration
 	// boot starts p's node. The caller holds p.mu.
 	boot(p *Proc)
-	// arm starts a one-shot timer that fires p's kind timer after d.
-	arm(p *Proc, kind node.TimerKind, d time.Duration) Timer
+	// arm (re-)arms t, p's kind timer, to fire after d. The caller holds
+	// p.mu and has set t.due.
+	arm(p *Proc, kind node.TimerKind, t *timer, d time.Duration)
 }
 
-// Timer is a cancellable handle to an armed timer of either clock. The
-// zero Timer cancels nothing. It is a value, so the per-process timer
-// table never allocates.
-type Timer struct {
-	sim  sim.Timer
-	wall *time.Timer
+// timer is one slot of a process's timer table: the due time of its
+// current arming, and the clock's handle to it. It is a value in the
+// table, so arming never allocates; on the wall clock the one
+// *time.Timer per slot is made at the first arming and Reset after.
+//
+// A wall-clock expiry can race the arming it belongs to: it may be
+// blocked on p.mu while a token visit re-arms the timer or a
+// reconfiguration cancels it, and Stop cannot take it back. So an expiry
+// counts only if its slot is still armed and due (Proc.fire); a stale
+// one is dropped.
+type timer struct {
+	due   time.Duration // clock time the current arming expires at
+	armed bool
+	sim   sim.Timer
+	wall  *time.Timer
 }
 
-// Cancel disarms the timer; cancelling a fired or zero Timer is a no-op.
-func (t Timer) Cancel() {
+// cancel disarms the slot; cancelling an idle slot is a no-op.
+func (t *timer) cancel() {
+	t.armed = false
 	if t.wall != nil {
 		t.wall.Stop()
 		return
 	}
 	t.sim.Cancel()
+	t.sim = sim.Timer{}
 }
 
 // virtualClock runs processes on the simulator's scheduler: boot is the
@@ -59,8 +71,9 @@ func Virtual(s *sim.Scheduler) Clock { return virtualClock{s} }
 
 func (c virtualClock) boot(p *Proc) { c.AtOp(0, sim.Op{Target: p, Kind: opBoot}) }
 
-func (c virtualClock) arm(p *Proc, kind node.TimerKind, d time.Duration) Timer {
-	return Timer{sim: c.AfterOp(d, sim.Op{Target: p, Kind: uint8(kind)})}
+func (c virtualClock) arm(p *Proc, kind node.TimerKind, t *timer, d time.Duration) {
+	t.sim.Cancel()
+	t.sim = c.AfterOp(d, sim.Op{Target: p, Kind: uint8(kind)})
 }
 
 // wallClock runs processes in real time.
@@ -77,9 +90,13 @@ func (c *wallClock) Now() time.Duration {
 
 func (c *wallClock) boot(p *Proc) { p.node.Start() }
 
-func (c *wallClock) arm(p *Proc, kind node.TimerKind, d time.Duration) Timer {
-	//lint:allow determinism the wall clock IS the real-time runtime; the simulator provides the deterministic one
-	return Timer{wall: time.AfterFunc(d, func() { p.fire(kind) })}
+func (c *wallClock) arm(p *Proc, kind node.TimerKind, t *timer, d time.Duration) {
+	if t.wall == nil {
+		//lint:allow determinism the wall clock IS the real-time runtime; the simulator provides the deterministic one
+		t.wall = time.AfterFunc(d, func() { p.fire(kind) })
+		return
+	}
+	t.wall.Reset(d)
 }
 
 // Poll is the one wall-clock polling loop: it blocks until cond holds or

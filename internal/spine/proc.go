@@ -46,7 +46,7 @@ type Proc struct {
 
 	mu     sync.Mutex // guards the node's entry points, timers and dead
 	node   *node.Node
-	timers [node.TimerRecoveryTimeout + 1]Timer
+	timers [node.TimerRecoveryTimeout + 1]timer
 	dead   bool
 
 	layers layers // §5 state machines; touched on the event path only
@@ -113,10 +113,14 @@ func (p *Proc) OnMessage(from model.ProcessID, msg wire.Message) {
 	p.mu.Unlock()
 }
 
-// fire runs an expired timer.
+// fire runs an expired timer, unless the expiry is stale: the timer was
+// cancelled, or re-armed to a later deadline, after it expired and before
+// fire took the lock. Virtual timers fire exactly at their due time and
+// never go stale.
 func (p *Proc) fire(kind node.TimerKind) {
 	p.mu.Lock()
-	if !p.dead {
+	if t := &p.timers[kind]; !p.dead && t.armed && p.rec.clock.Now() >= t.due {
+		t.armed = false
 		p.node.OnTimer(kind)
 	}
 	p.mu.Unlock()
@@ -171,15 +175,14 @@ func (p *Proc) Close() error {
 // SetTimer implements node.Host. Called with p.mu held, as every node
 // entry point runs under it.
 func (p *Proc) SetTimer(kind node.TimerKind, d time.Duration) {
-	p.timers[kind].Cancel()
-	p.timers[kind] = p.rec.clock.arm(p, kind, d)
+	t := &p.timers[kind]
+	t.due = p.rec.clock.Now() + d
+	t.armed = true
+	p.rec.clock.arm(p, kind, t, d)
 }
 
 // CancelTimer implements node.Host.
-func (p *Proc) CancelTimer(kind node.TimerKind) {
-	p.timers[kind].Cancel()
-	p.timers[kind] = Timer{}
-}
+func (p *Proc) CancelTimer(kind node.TimerKind) { p.timers[kind].cancel() }
 
 // Deliver implements node.Host: the delivery is also the formal model's
 // deliver event, traced first, and only when something reads the trace.

@@ -306,3 +306,45 @@ func TestPrimaryPersistenceLeavesTheLogAlone(t *testing.T) {
 		t.Fatalf("the torn write must destroy seq 5 alone, left Len %d", torn.Len())
 	}
 }
+
+// TestWallTimerStaleFireDropped: a wall-clock timer that expires while
+// the process lock is held, and is re-armed or cancelled before the
+// expiry gets the lock, must not run. Here the token-loss timer of an
+// operational singleton expires under the test's hold of p.mu; had the
+// stale expiry run, the process would have left its ring and counted a
+// token-loss gather.
+func TestWallTimerStaleFireDropped(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		after func(p *Proc)
+	}{
+		{"rearmed", func(p *Proc) { p.SetTimer(node.TimerTokenLoss, time.Hour) }},
+		{"cancelled", func(p *Proc) { p.CancelTimer(node.TimerTokenLoss) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := NewRecorder(Wall(), []model.ProcessID{"p01"}, Options{})
+			p, err := Start(rec, "p01", fastConfig(), func(_ model.ProcessID, h Handler, _ *obs.Metrics) (Medium, error) {
+				return newLoop("p01", h), nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			if !rec.WaitOperational(5 * time.Second) {
+				t.Fatalf("singleton ring never formed (mode %s)", rec.Mode("p01"))
+			}
+			p.mu.Lock()
+			p.SetTimer(node.TimerTokenLoss, time.Millisecond)
+			time.Sleep(30 * time.Millisecond) // the expiry is now waiting for p.mu
+			tc.after(p)
+			p.mu.Unlock()
+			time.Sleep(30 * time.Millisecond) // let the stale expiry take the lock
+			if n := p.Metrics().Counter(obs.CGatherTokenLoss); n != 0 {
+				t.Fatalf("the stale expiry ran: %d token-loss gathers", n)
+			}
+			if mode, _, _ := p.State(); mode != node.Operational {
+				t.Fatalf("mode %s after the stale expiry, want operational", mode)
+			}
+		})
+	}
+}
