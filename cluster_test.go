@@ -67,14 +67,15 @@ func TestClusterParity(t *testing.T) {
 	for _, rt := range []Runtime{RuntimeSim, RuntimeLive, RuntimeUDP, RuntimeTCP} {
 		rt := rt
 		t.Run(rt.String(), func(t *testing.T) {
-			opts := []Option{WithRuntime(rt), WithNumProcesses(3)}
+			opts := Options{NumProcesses: 3}
 			switch rt {
 			case RuntimeSim:
-				opts = append(opts, WithSeed(7))
+				opts.Seed = 7
 			case RuntimeUDP, RuntimeTCP:
-				opts = append(opts, WithNodeConfig(fastNetConfig()))
+				cfg := fastNetConfig()
+				opts.Node = &cfg
 			}
-			c, err := New(opts...)
+			c, err := New(rt, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,11 +260,11 @@ func TestMultiObserverRegistrationOrder(t *testing.T) {
 // must fail loudly instead of silently missing the prefix.
 func TestNewTopicsAfterStartFails(t *testing.T) {
 	g := NewGroup(Options{NumProcesses: 2, Seed: 1})
-	if _, err := NewTopics(g); err != nil {
+	if _, err := NewTopics(g, TopicsOptions{}); err != nil {
 		t.Fatalf("before start: %v", err)
 	}
 	g.Run(time.Second)
-	if _, err := NewTopics(g); !errors.Is(err, ErrStarted) {
+	if _, err := NewTopics(g, TopicsOptions{}); !errors.Is(err, ErrStarted) {
 		t.Fatalf("after start: err = %v, want ErrStarted", err)
 	}
 }
@@ -272,7 +273,7 @@ func TestNewTopicsAfterStartFails(t *testing.T) {
 // registered observer while concurrently snapshotting metrics and serving
 // the HTTP endpoint — the -race CI step leans on this test.
 func TestLiveGroupObserversAndMetricsUnderRace(t *testing.T) {
-	g := NewLiveGroup(3, nil)
+	g := newHubGroup(t, 3)
 	defer g.Close()
 	if !g.WaitOperational(10 * time.Second) {
 		t.Fatal("live group did not form")

@@ -70,7 +70,7 @@ func Example_virtualSynchrony() {
 // Named process groups over one transport.
 func ExampleTopics() {
 	g := evs.NewGroup(evs.Options{NumProcesses: 3, Seed: 10})
-	rooms, _ := evs.NewTopics(g)
+	rooms, _ := evs.NewTopics(g, evs.TopicsOptions{})
 	ids := g.IDs()
 	rooms.Join(200*time.Millisecond, ids[0], "chat")
 	rooms.Join(210*time.Millisecond, ids[1], "chat")

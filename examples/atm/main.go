@@ -35,7 +35,7 @@ type branch struct {
 // sync replays the process's app stream into the replica, broadcasting
 // posting batches the replica emits on reconnection.
 func (b *branch) sync(g *evs.Group) {
-	confs := g.ConfigEvents(b.id)
+	confs := g.ConfigChanges(b.id)
 	dels := g.Deliveries(b.id)
 	type ev struct {
 		conf    *evs.Configuration

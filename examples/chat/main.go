@@ -26,7 +26,7 @@ func main() {
 func run() error {
 	ids := []evs.ProcessID{"alice", "bob", "carol", "dave"}
 	g := evs.NewGroup(evs.Options{Processes: ids, Seed: 99})
-	rooms, err := evs.NewTopics(g)
+	rooms, err := evs.NewTopics(g, evs.TopicsOptions{})
 	if err != nil {
 		return err
 	}

@@ -23,17 +23,15 @@ func main() {
 }
 
 func run() error {
-	// The uniform constructor with the live runtime (RuntimeUDP/RuntimeTCP
+	// The wall-clock cluster on the in-process hub (RuntimeUDP/RuntimeTCP
 	// run the same group over loopback sockets); partition and merge
-	// control stays on the concrete *evs.LiveGroup. Options reach every
+	// control is on *evs.LiveGroup. The layer options reach every
 	// runtime, so the Section 5 primary layer runs here too.
-	c, err := evs.New(evs.WithRuntime(evs.RuntimeLive),
-		evs.WithSimOptions(evs.Options{NumProcesses: 4, EnablePrimary: true}))
+	g, err := evs.NewLiveGroup(evs.RuntimeLive, evs.Options{NumProcesses: 4, EnablePrimary: true})
 	if err != nil {
 		return err
 	}
-	defer c.Close()
-	g := c.(*evs.LiveGroup)
+	defer g.Close()
 
 	start := time.Now()
 	if !g.WaitOperational(5 * time.Second) {

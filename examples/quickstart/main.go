@@ -22,12 +22,13 @@ func main() {
 
 func run() error {
 	// Five processes on a simulated broadcast LAN, deterministic from
-	// the seed. evs.New picks the runtime — the simulator by default;
-	// evs.WithRuntime(evs.RuntimeLive) or evs.RuntimeUDP would run the
-	// identical application over goroutines or real sockets. Scenario
-	// control (virtual-time sends, partitions) lives on the concrete
-	// simulator type, so assert to *evs.Group.
-	c, err := evs.New(evs.WithNumProcesses(5), evs.WithSeed(42))
+	// the seed. evs.New's first argument picks the runtime: here the
+	// simulator; evs.RuntimeLive or evs.RuntimeUDP would run the
+	// identical application over goroutines or real sockets (without the
+	// Seed, which only the simulator takes). Scenario control
+	// (virtual-time sends, partitions) lives on the concrete simulator
+	// type, so assert to *evs.Group.
+	c, err := evs.New(evs.RuntimeSim, evs.Options{NumProcesses: 5, Seed: 42})
 	if err != nil {
 		return err
 	}
@@ -68,7 +69,7 @@ func run() error {
 	}
 
 	fmt.Println("\nconfiguration history of", ids[0], "(note transitional configurations):")
-	for _, ce := range g.ConfigEvents(ids[0]) {
+	for _, ce := range g.ConfigChanges(ids[0]) {
 		fmt.Printf("  %8.1fms  %s\n", float64(ce.Time.Microseconds())/1000, ce.Config)
 	}
 

@@ -36,7 +36,7 @@ func run() error {
 
 	fed := 0
 	syncDisplay := func() {
-		confs := g.ConfigEvents("display")
+		confs := g.ConfigChanges("display")
 		dels := g.Deliveries("display")
 		type ev struct {
 			conf    *evs.Configuration

@@ -13,10 +13,11 @@ import (
 	"repro/internal/wire"
 )
 
-// Options configure a cluster. The simulator (NewGroup) takes all of it.
-// The wall-clock runtimes (New with WithRuntime) take the part that is
-// not about the simulated network — NumProcesses, EnablePrimary, EnableVS,
-// Node, DiscardHistory — and reject the rest.
+// Options configure a cluster on any runtime; New takes the runtime
+// beside them. The simulator (NewGroup) takes all of it. The wall-clock
+// runtimes (NewLiveGroup) take the part that is not about the simulated
+// network — NumProcesses, EnablePrimary, EnableVS, Node, DiscardHistory —
+// and reject the rest.
 type Options struct {
 	// Processes lists the process identifiers. If empty, NumProcesses
 	// processes named p01..pNN are created.
@@ -44,7 +45,9 @@ type Options struct {
 	// EnableVS runs the virtual synchrony filter on every process
 	// (implies EnablePrimary).
 	EnableVS bool
-	// Node overrides protocol timing.
+	// Node overrides protocol timing. Nil selects the runtime's own
+	// profile: node.DefaultConfig on the simulator and the hub,
+	// daemon.DefaultNetConfig on sockets.
 	Node *node.Config
 	// DiscardHistory turns the cluster into a pure measurement rig for
 	// saturating benchmarks: neither the formal-model event history nor
@@ -232,8 +235,9 @@ func (g *Group) Recover(t time.Duration, id ProcessID) {
 // reports alongside its throughput.
 func (g *Group) PeakPending() int { return g.sched.PeakPending() }
 
-// ConfigEvents returns the configuration changes delivered at a process
-// (the original name of ConfigChanges).
+// ConfigEvents is ConfigChanges under its original name. It exists only
+// because the benchmark module's adapter (benchmark/adapter.go) still
+// calls it, and goes when that module is next changed (ROADMAP G3).
 func (g *Group) ConfigEvents(id ProcessID) []ConfigEvent { return g.ConfigChanges(id) }
 
 // Operational returns the regular configurations currently installed by

@@ -251,11 +251,11 @@ func (r Result) String() string {
 		r.Stream.PeakRetained, r.Stream.PeakBytes)
 }
 
-// BugHook, when non-nil, is invoked with every newly built group before
-// its schedule runs, after the inline checker is attached to OnTrace. It
-// exists so tests can plant a deliberate protocol bug and verify that the
-// engine detects and minimizes it; it must never be set outside tests.
-var BugHook func(g *evs.Group)
+// bugHook, when non-nil, is invoked with every newly built group before
+// its schedule runs, after the inline checker is attached to OnTrace. The
+// package's tests set it to plant a deliberate protocol bug and verify
+// that the engine detects and minimizes it.
+var bugHook func(g *evs.Group)
 
 // The inline checker's schedule: it certifies its window every checkEvery
 // events (spec.Stream's default) and runs the reference oracle on every
@@ -312,8 +312,8 @@ func run(p Program, c cadence, tap func(model.Event)) Result {
 			tap(e)
 		}
 	}
-	if BugHook != nil {
-		BugHook(g)
+	if bugHook != nil {
+		bugHook(g)
 	}
 	var installs []install
 	g.OnConfig = func(_ model.ProcessID, cc node.ConfigChange) {

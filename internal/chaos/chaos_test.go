@@ -130,8 +130,8 @@ func TestProgramJSONRoundTrip(t *testing.T) {
 // violating Specification 1.4. The bug fires only in schedules containing
 // a crash, so minimization must retain a crash and a send.
 func plantOrderingBug() (restore func()) {
-	prev := BugHook
-	BugHook = func(g *evs.Group) {
+	prev := bugHook
+	bugHook = func(g *evs.Group) {
 		victim := g.IDs()[0]
 		crashed, injected := false, false
 		trace := g.OnTrace
@@ -146,7 +146,7 @@ func plantOrderingBug() (restore func()) {
 			}
 		}
 	}
-	return func() { BugHook = prev }
+	return func() { bugHook = prev }
 }
 
 // TestChaosCatchesAndMinimizesInjectedBug is the end-to-end acceptance

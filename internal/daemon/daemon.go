@@ -59,7 +59,7 @@ type Config struct {
 // workload was 5 ms on an idle-ish ring, 6.5 ms under TCP Safe traffic
 // and 19.4 ms at UDP saturation. 100 ms is five times the worst of
 // them. TokenRetrans keeps the simulator profile's ratio to TokenLoss,
-// so all TokenRetransMax re-sends fit inside the deadline. The
+// so all node.TokenRetransMax re-sends fit inside the deadline. The
 // membership and recovery timers stay wide: they bound retries under
 // message loss.
 func DefaultNetConfig() node.Config {

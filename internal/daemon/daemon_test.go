@@ -499,8 +499,8 @@ func TestTokenRetransFitsTheDeadline(t *testing.T) {
 		"simulator": node.DefaultConfig(),
 		"net":       DefaultNetConfig(),
 	} {
-		if budget := time.Duration(cfg.TokenRetransMax) * cfg.TokenRetrans; budget >= cfg.TokenLoss {
-			t.Errorf("%s: %d re-sends × %v = %v, not inside TokenLoss %v", name, cfg.TokenRetransMax, cfg.TokenRetrans, budget, cfg.TokenLoss)
+		if budget := time.Duration(node.TokenRetransMax) * cfg.TokenRetrans; budget >= cfg.TokenLoss {
+			t.Errorf("%s: %d re-sends × %v = %v, not inside TokenLoss %v", name, node.TokenRetransMax, cfg.TokenRetrans, budget, cfg.TokenLoss)
 		}
 	}
 }

@@ -100,7 +100,7 @@ func groupsCluster(cfg groupsConfig) (groupsRow, error) {
 		Node:           benchNodeConfig(),
 		DiscardHistory: true,
 	})
-	top, err := evs.NewTopicsWith(g, evs.TopicsOptions{DiscardHistory: true})
+	top, err := evs.NewTopics(g, evs.TopicsOptions{DiscardHistory: true})
 	if err != nil {
 		return groupsRow{}, err
 	}

@@ -73,7 +73,7 @@ func Recovery(backlog int, seed int64) RecoveryRow {
 	// Find the surviving majority's new regular configuration install
 	// time.
 	var installed time.Duration
-	for _, ce := range g.ConfigEvents(ids[0]) {
+	for _, ce := range g.ConfigChanges(ids[0]) {
 		if ce.Time > cut && ce.Config.ID.IsRegular() &&
 			ce.Config.Members.Equal(evs.NewProcessSet(ids[0], ids[1], ids[2])) {
 			installed = ce.Time
@@ -167,7 +167,7 @@ func PrimaryHistory(seed int64) PrimaryRow {
 	row := PrimaryRow{Seed: seed}
 	seen := map[string]bool{}
 	for _, id := range ids {
-		row.Reconfigs += len(g.ConfigEvents(id))
+		row.Reconfigs += len(g.ConfigChanges(id))
 		for _, pe := range g.PrimaryEvents(id) {
 			if pe.Primary && !seen[pe.Config.ID.String()] {
 				seen[pe.Config.ID.String()] = true

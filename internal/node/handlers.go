@@ -240,7 +240,7 @@ func (n *Node) processToken(t wire.Token) {
 	fwd := res.Forward
 	n.forwardToken(fwd)
 	n.lastToken = &fwd
-	n.retransLeft = n.cfg.TokenRetransMax
+	n.retransLeft = TokenRetransMax
 	n.host.SetTimer(TimerTokenRetrans, n.cfg.TokenRetrans)
 	n.host.SetTimer(TimerTokenLoss, n.cfg.TokenLoss)
 	n.persist()
@@ -263,31 +263,22 @@ func (n *Node) forwardToken(t wire.Token) {
 }
 
 // broadcastData transmits one token visit's data messages, packing them
-// into wire.DataBatch packets of at most MaxBatch messages so the medium
+// into wire.DataBatch packets of at most maxBatch messages so the medium
 // carries one packet per visit instead of one per message. A lone message
 // travels unbatched.
 //
 // The input slice is the ring's per-visit scratch buffer, reused on the
 // next token visit, while the medium retains each packet until its
 // (delayed) delivery: every batch therefore carries a fresh copy of its
-// window — one allocation per packet, amortised over up to MaxBatch
+// window — one allocation per packet, amortised over up to maxBatch
 // messages, and the only way the handoff is sound.
 //
 //evs:noalloc
 func (n *Node) broadcastData(ds []wire.Data) {
-	max := n.cfg.MaxBatch
-	if max <= 1 {
-		for _, d := range ds {
-			n.tr.Broadcast(d) //lint:allow noalloc the medium API takes wire.Message; one boxed packet header per visit is the audited cost
-			n.met.Inc(obs.CBatchesSent)
-			n.met.Observe(obs.HBatchFill, 1)
-		}
-		return
-	}
 	for len(ds) > 0 {
 		k := len(ds)
-		if k > max {
-			k = max
+		if k > maxBatch {
+			k = maxBatch
 		}
 		if k == 1 && len(ds) == 1 {
 			n.tr.Broadcast(ds[0]) //lint:allow noalloc the medium API takes wire.Message; one boxed packet header per visit is the audited cost
@@ -645,7 +636,7 @@ func (n *Node) finishRecovery(res evs.Result) {
 		tok := n.ring.InitialToken()
 		n.forwardToken(tok)
 		n.lastToken = &tok
-		n.retransLeft = n.cfg.TokenRetransMax
+		n.retransLeft = TokenRetransMax
 		n.host.SetTimer(TimerTokenRetrans, n.cfg.TokenRetrans)
 	}
 	// Allow extra slack before declaring token loss: peers may still be

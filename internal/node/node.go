@@ -147,19 +147,23 @@ type Host interface {
 	Trace(e model.Event)
 }
 
+// TokenRetransMax is how many times a process re-sends the token it
+// forwarded, TokenRetrans apart, while it hears nothing of the ring.
+const TokenRetransMax = 4
+
+// maxBatch bounds how many data messages one broadcast packet
+// (wire.DataBatch) carries.
+const maxBatch = 64
+
 // Config tunes the node's protocol timing.
 type Config struct {
 	TokenLoss       time.Duration
 	TokenRetrans    time.Duration
-	TokenRetransMax int
 	JoinRetry       time.Duration
 	CommitTimeout   time.Duration
 	RecoveryRetry   time.Duration
 	RecoveryTimeout time.Duration
 	Totem           totem.Options
-	// MaxBatch bounds how many data messages one broadcast packet
-	// (wire.DataBatch) may carry; values ≤ 1 disable batching.
-	MaxBatch int
 	// MaxPending bounds the send backlog (messages submitted but not yet
 	// sequenced); Submit returns ErrBacklog beyond it. Zero means
 	// unbounded.
@@ -172,13 +176,11 @@ func DefaultConfig() Config {
 	return Config{
 		TokenLoss:       40 * time.Millisecond,
 		TokenRetrans:    6 * time.Millisecond,
-		TokenRetransMax: 4,
 		JoinRetry:       10 * time.Millisecond,
 		CommitTimeout:   25 * time.Millisecond,
 		RecoveryRetry:   8 * time.Millisecond,
 		RecoveryTimeout: 120 * time.Millisecond,
 		Totem:           totem.DefaultOptions(),
-		MaxBatch:        64,
 		MaxPending:      2048,
 	}
 }

@@ -318,35 +318,33 @@ func TestMembershipPhaseVisibleThroughMode(t *testing.T) {
 
 func TestBroadcastDataChunksIntoBatches(t *testing.T) {
 	env := newMockEnv()
-	cfg := DefaultConfig()
-	cfg.MaxBatch = 2
-	n := New("p", cfg, env, env, &stable.Store{})
-	ds := make([]wire.Data, 5)
+	n := New("p", DefaultConfig(), env, env, &stable.Store{})
+	ds := make([]wire.Data, 2*maxBatch+1)
 	for i := range ds {
 		ds[i] = wire.Data{Seq: uint64(i + 1)}
 	}
 	n.broadcastData(ds)
 	msgs := env.take()
 	if len(msgs) != 3 {
-		t.Fatalf("sent %d packets, want 3 (2+2+1)", len(msgs))
+		t.Fatalf("sent %d packets, want 3 (%d+%d+1)", len(msgs), maxBatch, maxBatch)
 	}
-	for i, want := range []int{2, 2} {
+	for i := 0; i < 2; i++ {
 		b, ok := msgs[i].(wire.DataBatch)
-		if !ok || len(b.Msgs) != want {
-			t.Fatalf("packet %d = %v, want batch of %d", i, msgs[i], want)
+		if !ok || len(b.Msgs) != maxBatch {
+			t.Fatalf("packet %d = %T, want batch of %d", i, msgs[i], maxBatch)
 		}
 	}
-	if d, ok := msgs[2].(wire.Data); !ok || d.Seq != 5 {
-		t.Fatalf("trailing packet = %v, want single data seq 5", msgs[2])
+	if d, ok := msgs[2].(wire.Data); !ok || d.Seq != uint64(len(ds)) {
+		t.Fatalf("trailing packet = %v, want single data seq %d", msgs[2], len(ds))
 	}
 
 	// A full chunk at the end stays one batch; a lone message is sent bare.
-	n.broadcastData(ds[:2])
+	n.broadcastData(ds[:maxBatch])
 	if msgs = env.take(); len(msgs) != 1 {
 		t.Fatalf("sent %d packets for exact chunk, want 1", len(msgs))
 	}
-	if b, ok := msgs[0].(wire.DataBatch); !ok || len(b.Msgs) != 2 {
-		t.Fatalf("packet = %v, want batch of 2", msgs[0])
+	if b, ok := msgs[0].(wire.DataBatch); !ok || len(b.Msgs) != maxBatch {
+		t.Fatalf("packet = %T, want batch of %d", msgs[0], maxBatch)
 	}
 	n.broadcastData(ds[:1])
 	if msgs = env.take(); len(msgs) != 1 {
@@ -354,23 +352,6 @@ func TestBroadcastDataChunksIntoBatches(t *testing.T) {
 	}
 	if _, ok := msgs[0].(wire.Data); !ok {
 		t.Fatalf("packet = %T, want bare data", msgs[0])
-	}
-}
-
-func TestBroadcastDataDisabledBatchingSendsSingles(t *testing.T) {
-	env := newMockEnv()
-	cfg := DefaultConfig()
-	cfg.MaxBatch = 1
-	n := New("p", cfg, env, env, &stable.Store{})
-	n.broadcastData([]wire.Data{{Seq: 1}, {Seq: 2}, {Seq: 3}})
-	msgs := env.take()
-	if len(msgs) != 3 {
-		t.Fatalf("sent %d packets, want 3 singles", len(msgs))
-	}
-	for i, m := range msgs {
-		if _, ok := m.(wire.Data); !ok {
-			t.Fatalf("packet %d = %T, want bare data", i, m)
-		}
 	}
 }
 

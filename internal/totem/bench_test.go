@@ -12,8 +12,7 @@ import (
 // benchRing drives a ring of n members synchronously (no network) with
 // saturated senders and returns messages delivered per token rotation —
 // the flow-control ablation DESIGN.md calls out: delivery rate is bounded
-// by MaxPerToken × members per rotation, and the window caps outstanding
-// unacknowledged messages.
+// by the per-visit budget × members per rotation.
 func benchRing(b *testing.B, n int, opts Options) {
 	ids := make([]model.ProcessID, n)
 	for i := range ids {
@@ -65,21 +64,15 @@ func BenchmarkRingSaturated(b *testing.B) {
 }
 
 // BenchmarkRingAblationMaxPerToken shows the batching knob: msgs/rotation
-// scales with MaxPerToken until the window binds.
+// scales with the per-visit budget, pinned here by AdaptiveMax =
+// MaxPerToken. The window is not ablated: the effective window is at
+// least 2·members·budget, so on this loss-free ring no configured window
+// binds (TestWindowExhaustionBlocksSequencingAcrossVisits covers the
+// window under loss).
 func BenchmarkRingAblationMaxPerToken(b *testing.B) {
 	for _, mpt := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("maxPerToken=%d", mpt), func(b *testing.B) {
-			benchRing(b, 4, Options{MaxPerToken: mpt, Window: 1024})
-		})
-	}
-}
-
-// BenchmarkRingAblationWindow shows the flow-control window: a small
-// window throttles sequencing regardless of batching.
-func BenchmarkRingAblationWindow(b *testing.B) {
-	for _, w := range []uint64{8, 64, 512} {
-		b.Run(fmt.Sprintf("window=%d", w), func(b *testing.B) {
-			benchRing(b, 4, Options{MaxPerToken: 64, Window: w})
+			benchRing(b, 4, Options{MaxPerToken: mpt, Window: 1024, AdaptiveMax: mpt})
 		})
 	}
 }

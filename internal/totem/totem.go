@@ -36,21 +36,19 @@ import (
 	"repro/internal/wire"
 )
 
-// Options tune the ordering protocol.
+// Options tune the ordering protocol. The per-visit budget self-tunes,
+// Totem-style: it grows multiplicatively while the ring is loss-free and
+// the backlog is budget-limited, and collapses back toward MaxPerToken
+// under retransmission pressure.
 type Options struct {
-	// MaxPerToken bounds the number of new messages sequenced per token
-	// visit. With Adaptive set it is the floor of the self-tuned budget.
+	// MaxPerToken is the floor of the self-tuned budget of new messages
+	// sequenced per token visit.
 	MaxPerToken int
 	// Window bounds token.Seq - token.Aru: no new messages are
 	// sequenced while more than Window messages are unacknowledged.
-	// With Adaptive set the effective window also scales with the
-	// current budget so a full rotation of sends always fits.
+	// The effective window also scales with the current budget so a
+	// full rotation of sends always fits.
 	Window uint64
-	// Adaptive enables Totem-style self-tuning of the per-visit budget:
-	// it grows multiplicatively while the ring is loss-free and the
-	// backlog is budget-limited, and collapses back toward MaxPerToken
-	// under retransmission pressure.
-	Adaptive bool
 	// AdaptiveMax caps the self-tuned budget (default 8×MaxPerToken).
 	AdaptiveMax int
 }
@@ -58,7 +56,7 @@ type Options struct {
 // DefaultOptions returns the tuning used by the test and benchmark
 // harnesses.
 func DefaultOptions() Options {
-	return Options{MaxPerToken: 16, Window: 256, Adaptive: true, AdaptiveMax: 128}
+	return Options{MaxPerToken: 16, Window: 256, AdaptiveMax: 128}
 }
 
 // Pending is an application message awaiting sequencing.
@@ -164,7 +162,7 @@ func New(self model.ProcessID, cfg model.Configuration, opts Options) *Ring {
 	if opts.Window == 0 {
 		opts.Window = DefaultOptions().Window
 	}
-	if opts.Adaptive && opts.AdaptiveMax < opts.MaxPerToken {
+	if opts.AdaptiveMax < opts.MaxPerToken {
 		opts.AdaptiveMax = 8 * opts.MaxPerToken
 	}
 	r := &Ring{
@@ -243,10 +241,8 @@ const trimChunk = 1024
 // to detected storage rot) survives at its peers.
 func (r *Ring) retainCushion() uint64 {
 	win := r.opts.Window
-	if r.opts.Adaptive {
-		if grown := 2 * uint64(r.cfg.Members.Size()) * uint64(r.opts.AdaptiveMax); grown > win {
-			win = grown
-		}
+	if grown := 2 * uint64(r.cfg.Members.Size()) * uint64(r.opts.AdaptiveMax); grown > win {
+		win = grown
 	}
 	return 2 * win
 }
@@ -405,9 +401,6 @@ func (r *Ring) OnDataBatch(ds []wire.Data) (deliveries []*seqlog.Entry, fresh []
 //
 //evs:noalloc
 func (r *Ring) budget(pressure bool) (int, uint64) {
-	if !r.opts.Adaptive {
-		return r.opts.MaxPerToken, r.opts.Window
-	}
 	if pressure {
 		half := r.curMax / 2
 		if half < r.opts.MaxPerToken {
@@ -511,7 +504,7 @@ func (r *Ring) OnToken(t wire.Token) TokenResult {
 	if r.pendHead == len(r.pending) {
 		r.pending, r.pendHead = r.pending[:0], 0
 	}
-	if r.opts.Adaptive && !pressure && r.PendingCount() > 0 &&
+	if !pressure && r.PendingCount() > 0 &&
 		len(res.Sent) == maxPer && t.Seq-t.Aru < win {
 		// Loss-free and budget-limited with window headroom: grow.
 		r.growBudget()

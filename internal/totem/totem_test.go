@@ -251,21 +251,6 @@ func TestSingletonRingDeliversOwnSafeMessages(t *testing.T) {
 	}
 }
 
-func TestFlowControlWindow(t *testing.T) {
-	cfg := model.Configuration{ID: model.RegularID(1, "p"), Members: model.NewProcessSet("p")}
-	r := New("p", cfg, Options{MaxPerToken: 100, Window: 4})
-	for i := 0; i < 50; i++ {
-		r.Submit(Pending{ID: model.MessageID{Sender: "p", SenderSeq: uint64(i + 1)}, Service: model.Agreed})
-	}
-	res := r.OnToken(r.InitialToken())
-	if len(res.Sent) != 4 {
-		t.Fatalf("sequenced %d, want window of 4", len(res.Sent))
-	}
-	if r.PendingCount() != 46 {
-		t.Fatalf("pending %d, want 46", r.PendingCount())
-	}
-}
-
 func TestMaxPerTokenLimit(t *testing.T) {
 	cfg := model.Configuration{ID: model.RegularID(1, "p"), Members: model.NewProcessSet("p")}
 	r := New("p", cfg, Options{MaxPerToken: 3, Window: 1000})
@@ -300,23 +285,27 @@ func TestSnapshotReportsHaveBeyondAru(t *testing.T) {
 }
 
 // TestWindowExhaustionBlocksSequencingAcrossVisits pins the flow-control
-// invariant token.Seq - token.Aru < Window over multiple visits: while a
+// invariant token.Seq - token.Aru < window over multiple visits: while a
 // member's receipts stall the aru, the sender keeps retransmitting but
-// sequences nothing new, and resumes only once the aru advances.
+// sequences nothing new once the window is full, and resumes only once
+// the aru advances. AdaptiveMax = MaxPerToken pins the budget at 2, so the
+// effective window is max(Window, 2·members·budget) = 8 and the sender
+// fills it over four visits: only unacknowledged messages inherited from
+// earlier visits can exhaust it.
 func TestWindowExhaustionBlocksSequencingAcrossVisits(t *testing.T) {
-	h := newHarnessOpts(t, Options{MaxPerToken: 100, Window: 4}, "p", "q")
+	h := newHarnessOpts(t, Options{MaxPerToken: 2, Window: 8, AdaptiveMax: 2}, "p", "q")
 	h.dropData = func(to model.ProcessID, _ wire.Data) bool { return to == "q" }
 	h.submit("p", 50, model.Agreed)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 8; i++ {
 		h.rotate()
 	}
-	// Window filled on the first visit, then exhausted: Seq stays at 4
-	// because q's aru is pinned at 0.
-	if h.token.Seq != 4 {
-		t.Fatalf("token.Seq = %d, want 4 (window exhausted)", h.token.Seq)
+	// Two messages per visit until the window is full, then nothing:
+	// Seq stays at 8 because q's aru is pinned at 0.
+	if h.token.Seq != 8 {
+		t.Fatalf("token.Seq = %d, want 8 (window exhausted)", h.token.Seq)
 	}
-	if got := h.rings["p"].PendingCount(); got != 46 {
-		t.Fatalf("pending = %d, want 46", got)
+	if got := h.rings["p"].PendingCount(); got != 42 {
+		t.Fatalf("pending = %d, want 42", got)
 	}
 	if len(h.delivered["q"]) != 0 {
 		t.Fatalf("q delivered %d messages with all data dropped", len(h.delivered["q"]))
@@ -327,10 +316,10 @@ func TestWindowExhaustionBlocksSequencingAcrossVisits(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		h.rotate()
 	}
-	if h.token.Seq <= 4 {
+	if h.token.Seq <= 8 {
 		t.Fatalf("token.Seq = %d, want progress after heal", h.token.Seq)
 	}
-	if got := h.rings["p"].PendingCount(); got >= 46 {
+	if got := h.rings["p"].PendingCount(); got >= 42 {
 		t.Fatalf("pending = %d, want sequencing resumed", got)
 	}
 	if len(h.delivered["q"]) == 0 {
@@ -342,7 +331,7 @@ func TestWindowExhaustionBlocksSequencingAcrossVisits(t *testing.T) {
 // checks the per-visit budget climbs from MaxPerToken to AdaptiveMax.
 func TestAdaptiveBudgetGrowsWhenLossFree(t *testing.T) {
 	cfg := model.Configuration{ID: model.RegularID(1, "p"), Members: model.NewProcessSet("p")}
-	r := New("p", cfg, Options{MaxPerToken: 4, Window: 8, Adaptive: true, AdaptiveMax: 32})
+	r := New("p", cfg, Options{MaxPerToken: 4, Window: 8, AdaptiveMax: 32})
 	for i := 0; i < 400; i++ {
 		r.Submit(Pending{ID: model.MessageID{Sender: "p", SenderSeq: uint64(i + 1)}, Service: model.Agreed})
 	}
@@ -375,7 +364,7 @@ func TestAdaptiveBudgetGrowsWhenLossFree(t *testing.T) {
 // one member's data reception: once the missing messages are two rotations
 // old the requests count as loss and the budget collapses to the floor.
 func TestAdaptiveBudgetShrinksUnderPersistentLoss(t *testing.T) {
-	opts := Options{MaxPerToken: 2, Window: 256, Adaptive: true, AdaptiveMax: 64}
+	opts := Options{MaxPerToken: 2, Window: 256, AdaptiveMax: 64}
 	h := newHarnessOpts(t, opts, "p", "q")
 	h.submit("p", 500, model.Agreed)
 	for i := 0; i < 4; i++ {

@@ -35,22 +35,21 @@ type LiveGroup struct {
 // cannot cut itself (the socket runtimes).
 var ErrNoPartition = errors.New("evs: this runtime's medium cannot be partitioned")
 
-// NewLiveGroup starts n processes named p01..pNN over the in-process hub.
-// Call Close when done.
-func NewLiveGroup(n int, cfg *node.Config) *LiveGroup {
-	// The hub cannot fail to attach a process, so there is no error.
-	g, _ := newLiveGroup(RuntimeLive, Options{NumProcesses: n, Node: cfg})
-	return g
-}
-
-// newLiveGroup starts a wall-clock cluster on the medium rt selects.
-func newLiveGroup(rt Runtime, opts Options) (*LiveGroup, error) {
+// NewLiveGroup starts a wall-clock cluster of opts.NumProcesses processes
+// named p01..pNN on the medium rt selects: RuntimeLive, RuntimeUDP or
+// RuntimeTCP. It takes the Options every runtime shares and rejects the
+// ones that configure the simulated network (Processes, Seed, the fault
+// rates, Codec, the delay bounds). Call Close when done.
+func NewLiveGroup(rt Runtime, opts Options) (*LiveGroup, error) {
+	if rt != RuntimeLive && rt != RuntimeUDP && rt != RuntimeTCP {
+		return nil, fmt.Errorf("evs: %v is not a wall-clock runtime", rt)
+	}
 	if len(opts.Processes) > 0 {
-		return nil, fmt.Errorf("evs.New: the %s runtime names processes p01..pNN; use WithNumProcesses", rt)
+		return nil, fmt.Errorf("evs: the %s runtime names processes p01..pNN; use NumProcesses", rt)
 	}
 	if opts.Seed != 0 || opts.DropRate != 0 || opts.DupRate != 0 || opts.Codec ||
 		opts.CorruptRate != 0 || opts.TruncateRate != 0 || opts.MinDelay != 0 || opts.MaxDelay != 0 {
-		return nil, fmt.Errorf("evs.New: Seed, the fault rates, Codec and the delay bounds configure the simulated network; the %s runtime has none", rt)
+		return nil, fmt.Errorf("evs: Seed, the fault rates, Codec and the delay bounds configure the simulated network; the %s runtime has none", rt)
 	}
 	ids := spine.ProcNames(opts.NumProcesses)
 	clock := spine.Wall()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/node"
 	"repro/internal/spine"
 )
 
@@ -12,8 +13,18 @@ import (
 // are timing-dependent by nature, so they use generous timeouts and assert
 // semantic properties (ordering, conformance), not schedules.
 
+// newHubGroup starts n processes over the in-process hub.
+func newHubGroup(t *testing.T, n int) *LiveGroup {
+	t.Helper()
+	g, err := NewLiveGroup(RuntimeLive, Options{NumProcesses: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestLiveGroupFormsAndDelivers(t *testing.T) {
-	g := NewLiveGroup(3, nil)
+	g := newHubGroup(t, 3)
 	defer g.Close()
 	if !g.WaitOperational(5 * time.Second) {
 		t.Fatal("live group did not become operational")
@@ -39,7 +50,7 @@ func TestLiveGroupFormsAndDelivers(t *testing.T) {
 }
 
 func TestLiveGroupTotalOrderUnderConcurrentSenders(t *testing.T) {
-	g := NewLiveGroup(4, nil)
+	g := newHubGroup(t, 4)
 	defer g.Close()
 	if !g.WaitOperational(5 * time.Second) {
 		t.Fatal("live group did not become operational")
@@ -86,7 +97,7 @@ func TestLiveGroupTotalOrderUnderConcurrentSenders(t *testing.T) {
 }
 
 func TestLiveGroupPartitionAndMerge(t *testing.T) {
-	g := NewLiveGroup(4, nil)
+	g := newHubGroup(t, 4)
 	defer g.Close()
 	if !g.WaitOperational(5 * time.Second) {
 		t.Fatal("initial formation failed")
@@ -110,6 +121,24 @@ func TestLiveGroupPartitionAndMerge(t *testing.T) {
 	// No cross-component leakage.
 	if hasPayload(g.Deliveries(ids[0]), "R") || hasPayload(g.Deliveries(ids[3]), "L") {
 		t.Fatal("messages leaked across the partition")
+	}
+	// Merge only once each side is operational in its own 2-member
+	// regular configuration: a side still gathering after the cut would
+	// merge through that open gather, not by detecting the other ring.
+	settled := func() bool {
+		for _, side := range [][]ProcessID{ids[:2], ids[2:]} {
+			_, first, _ := g.Proc(side[0]).State()
+			for _, id := range side {
+				mode, cfg, _ := g.Proc(id).State()
+				if mode != node.Operational || cfg.ID != first.ID || !cfg.ID.IsRegular() || cfg.Members.Size() != len(side) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if !spine.Poll(10*time.Second, settled) {
+		t.Fatal("a side never settled into its own 2-member configuration")
 	}
 	// No submit follows the merge, so the rings are idle: each side can
 	// learn of the other only from the representative's beacon, the one
@@ -140,16 +169,16 @@ func TestLiveGroupCrashRecover(t *testing.T) {
 	for _, rt := range []Runtime{RuntimeLive, RuntimeUDP, RuntimeTCP} {
 		rt := rt
 		t.Run(rt.String(), func(t *testing.T) {
-			opts := []Option{WithRuntime(rt)}
+			var opts Options
 			if rt != RuntimeLive {
-				opts = append(opts, WithNodeConfig(fastNetConfig()))
+				cfg := fastNetConfig()
+				opts.Node = &cfg
 			}
-			c, err := New(opts...)
+			g, err := NewLiveGroup(rt, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer c.Close()
-			g := c.(*LiveGroup)
+			defer g.Close()
 			if !g.WaitOperational(10 * time.Second) {
 				t.Fatal("initial formation failed")
 			}
@@ -185,12 +214,11 @@ func TestLiveGroupCrashRecover(t *testing.T) {
 // 3|2. The majority side is announced primary, the minority non-primary,
 // and the trace passes the EVS and primary-component checks.
 func TestLiveGroupPrimaryUnderPartition(t *testing.T) {
-	c, err := New(WithRuntime(RuntimeLive), WithSimOptions(Options{NumProcesses: 5, EnablePrimary: true}))
+	g, err := NewLiveGroup(RuntimeLive, Options{NumProcesses: 5, EnablePrimary: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	g := c.(*LiveGroup)
+	defer g.Close()
 	if !g.WaitOperational(10 * time.Second) {
 		t.Fatal("initial formation failed")
 	}
@@ -233,7 +261,7 @@ func TestLiveGroupPrimaryUnderPartition(t *testing.T) {
 }
 
 func TestLiveGroupCloseIdempotent(t *testing.T) {
-	g := NewLiveGroup(2, nil)
+	g := newHubGroup(t, 2)
 	if !g.WaitOperational(5 * time.Second) {
 		t.Fatal("formation failed")
 	}

@@ -23,15 +23,15 @@ func fastNetConfig() node.Config {
 	return cfg
 }
 
-func TestNewDefaultsToSim(t *testing.T) {
-	c, err := New(WithNumProcesses(4), WithSeed(7))
+func TestNewSim(t *testing.T) {
+	c, err := New(RuntimeSim, Options{NumProcesses: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	g, ok := c.(*Group)
 	if !ok {
-		t.Fatalf("New() = %T, want *Group", c)
+		t.Fatalf("New(RuntimeSim) = %T, want *Group", c)
 	}
 	if len(g.IDs()) != 4 {
 		t.Fatalf("IDs = %v", g.IDs())
@@ -45,21 +45,27 @@ func TestNewDefaultsToSim(t *testing.T) {
 }
 
 func TestNewSimOptionsPassThrough(t *testing.T) {
-	c, err := New(WithSimOptions(Options{NumProcesses: 2, Seed: 9, EnableVS: true}))
+	c, err := New(RuntimeSim, Options{NumProcesses: 2, Seed: 9, EnableVS: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, ok := c.(*Group); !ok {
-		t.Fatalf("New() = %T, want *Group", c)
+	g, ok := c.(*Group)
+	if !ok {
+		t.Fatalf("New(RuntimeSim) = %T, want *Group", c)
 	}
-	if n := len(c.IDs()); n != 2 {
+	if n := len(g.IDs()); n != 2 {
 		t.Fatalf("got %d processes, want 2", n)
+	}
+	// EnableVS reached the processes: the filter installs a view.
+	g.Run(time.Second)
+	if len(g.VSEvents(g.IDs()[0])) == 0 {
+		t.Fatal("no virtual synchrony events: EnableVS did not pass through")
 	}
 }
 
 func TestNewExplicitProcesses(t *testing.T) {
-	c, err := New(WithProcesses("alpha", "beta"))
+	c, err := New(RuntimeSim, Options{Processes: []ProcessID{"alpha", "beta"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,24 +74,23 @@ func TestNewExplicitProcesses(t *testing.T) {
 	if len(ids) != 2 || ids[0] != "alpha" || ids[1] != "beta" {
 		t.Fatalf("IDs = %v", ids)
 	}
-	// Named processes are sim-only; the socket runtimes reject them.
-	if _, err := New(WithProcesses("alpha"), WithRuntime(RuntimeUDP)); err == nil {
-		t.Fatal("UDP runtime accepted explicit process names")
-	}
-	if _, err := New(WithProcesses("alpha"), WithRuntime(RuntimeLive)); err == nil {
-		t.Fatal("live runtime accepted explicit process names")
+	// Named processes are sim-only; the wall-clock runtimes reject them.
+	for _, rt := range []Runtime{RuntimeLive, RuntimeUDP, RuntimeTCP} {
+		if _, err := New(rt, Options{Processes: []ProcessID{"alpha"}}); err == nil {
+			t.Errorf("%v runtime accepted explicit process names", rt)
+		}
 	}
 }
 
 func TestNewLiveRuntime(t *testing.T) {
-	c, err := New(WithRuntime(RuntimeLive), WithNumProcesses(3))
+	c, err := New(RuntimeLive, Options{NumProcesses: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	g, ok := c.(*LiveGroup)
 	if !ok {
-		t.Fatalf("New() = %T, want *LiveGroup", c)
+		t.Fatalf("New(RuntimeLive) = %T, want *LiveGroup", c)
 	}
 	if !g.WaitOperational(10 * time.Second) {
 		t.Fatal("live group never formed")
@@ -107,8 +112,8 @@ func TestNewUDPRuntime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second socket ring test")
 	}
-	c, err := New(WithRuntime(RuntimeUDP), WithNumProcesses(4),
-		WithNodeConfig(fastNetConfig()))
+	cfg := fastNetConfig()
+	c, err := New(RuntimeUDP, Options{NumProcesses: 4, Node: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +176,14 @@ func TestNewRejectsSimOnlyOptions(t *testing.T) {
 		"MaxDelay":     {MaxDelay: time.Millisecond},
 	} {
 		for _, rt := range []Runtime{RuntimeLive, RuntimeUDP, RuntimeTCP} {
-			if c, err := New(WithRuntime(rt), WithSimOptions(o)); err == nil {
+			if c, err := New(rt, o); err == nil {
 				c.Close()
 				t.Errorf("%v runtime accepted Options.%s", rt, name)
 			}
 		}
 	}
 	// The shared part passes through.
-	c, err := New(WithRuntime(RuntimeLive), WithSimOptions(Options{NumProcesses: 2, DiscardHistory: true}))
+	c, err := New(RuntimeLive, Options{NumProcesses: 2, DiscardHistory: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +204,18 @@ func TestNewRejectsSimOnlyOptions(t *testing.T) {
 }
 
 func TestNewRejectsUnknownRuntime(t *testing.T) {
-	if _, err := New(WithRuntime(Runtime(99))); err == nil {
+	if _, err := New(Runtime(99), Options{}); err == nil {
 		t.Fatal("unknown runtime accepted")
+	}
+}
+
+// TestNewLiveGroupRejectsSim: NewLiveGroup builds only the wall-clock
+// runtimes; the simulator is NewGroup.
+func TestNewLiveGroupRejectsSim(t *testing.T) {
+	for _, rt := range []Runtime{RuntimeSim, Runtime(99)} {
+		if g, err := NewLiveGroup(rt, Options{}); err == nil {
+			g.Close()
+			t.Errorf("NewLiveGroup accepted the %v runtime", rt)
+		}
 	}
 }

@@ -46,12 +46,12 @@ func benchThroughput(b *testing.B, c *LiveGroup) {
 func BenchmarkRuntimeThroughput(b *testing.B) {
 	for _, rt := range []Runtime{RuntimeLive, RuntimeUDP, RuntimeTCP} {
 		b.Run(fmt.Sprintf("%v", rt), func(b *testing.B) {
-			c, err := New(WithRuntime(rt), WithSimOptions(Options{NumProcesses: 4, DiscardHistory: true}))
+			g, err := NewLiveGroup(rt, Options{NumProcesses: 4, DiscardHistory: true})
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer c.Close()
-			benchThroughput(b, c.(*LiveGroup))
+			defer g.Close()
+			benchThroughput(b, g)
 		})
 	}
 }

@@ -110,17 +110,11 @@ func (p *topicProc) record(evs []GroupEvent) {
 // already begun executing events.
 var ErrStarted = errors.New("simulation has already started")
 
-// NewTopics attaches a group layer to g with default options. It must be
-// called before the simulation runs: the layer derives group membership
-// from the complete safe total order, so attaching it to a simulation
-// that has already executed events would silently miss the prefix — that
-// is an error.
-func NewTopics(g *Group) (*Topics, error) {
-	return NewTopicsWith(g, TopicsOptions{})
-}
-
-// NewTopicsWith is NewTopics with explicit options.
-func NewTopicsWith(g *Group, opts TopicsOptions) (*Topics, error) {
+// NewTopics attaches a group layer to g. It must be called before the
+// simulation runs: the layer derives group membership from the complete
+// safe total order, so attaching it to a simulation that has already
+// executed events would silently miss the prefix — that is an error.
+func NewTopics(g *Group, opts TopicsOptions) (*Topics, error) {
 	if g.started() {
 		return nil, ErrStarted
 	}

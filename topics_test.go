@@ -7,7 +7,7 @@ import (
 
 func TestTopicsJoinSendDeliver(t *testing.T) {
 	g := NewGroup(Options{NumProcesses: 4, Seed: 41})
-	top, _ := NewTopics(g)
+	top, _ := NewTopics(g, TopicsOptions{})
 	ids := g.IDs()
 
 	top.Join(200*time.Millisecond, ids[0], "chat")
@@ -41,7 +41,7 @@ func TestTopicsJoinSendDeliver(t *testing.T) {
 
 func TestTopicsPartitionShrinksViews(t *testing.T) {
 	g := NewGroup(Options{NumProcesses: 4, Seed: 42})
-	top, _ := NewTopics(g)
+	top, _ := NewTopics(g, TopicsOptions{})
 	ids := g.IDs()
 	for i, id := range ids {
 		top.Join(time.Duration(200+10*i)*time.Millisecond, id, "g")
@@ -69,7 +69,7 @@ func TestTopicsPartitionShrinksViews(t *testing.T) {
 
 func TestTopicsLeave(t *testing.T) {
 	g := NewGroup(Options{NumProcesses: 3, Seed: 43})
-	top, _ := NewTopics(g)
+	top, _ := NewTopics(g, TopicsOptions{})
 	ids := g.IDs()
 	top.Join(200*time.Millisecond, ids[0], "g")
 	top.Join(210*time.Millisecond, ids[1], "g")
@@ -91,7 +91,7 @@ func TestTopicsLeave(t *testing.T) {
 
 func TestTopicsViewsOrderedIdentically(t *testing.T) {
 	g := NewGroup(Options{NumProcesses: 3, Seed: 44})
-	top, _ := NewTopics(g)
+	top, _ := NewTopics(g, TopicsOptions{})
 	ids := g.IDs()
 	// Everyone joins and leaves in a scramble; views derive from the
 	// safe total order, so each member's view sequence for the group
@@ -119,7 +119,7 @@ func TestTopicsViewsOrderedIdentically(t *testing.T) {
 
 func TestTopicsClientMultiplexing(t *testing.T) {
 	g := NewGroup(Options{NumProcesses: 3, Seed: 45})
-	top, _ := NewTopicsWith(g, TopicsOptions{RetainClientQueues: true})
+	top, _ := NewTopics(g, TopicsOptions{RetainClientQueues: true})
 	ids := g.IDs()
 
 	// Clients 1,2 live on p01; client 3 on p02. All subscribe to "m";
@@ -163,7 +163,7 @@ func TestTopicsClientMultiplexing(t *testing.T) {
 
 func TestTopicsDiscardHistoryCountsOnly(t *testing.T) {
 	g := NewGroup(Options{NumProcesses: 3, Seed: 46})
-	top, _ := NewTopicsWith(g, TopicsOptions{DiscardHistory: true})
+	top, _ := NewTopics(g, TopicsOptions{DiscardHistory: true})
 	ids := g.IDs()
 	top.Join(200*time.Millisecond, ids[0], "g")
 	top.Join(210*time.Millisecond, ids[1], "g")
@@ -189,7 +189,7 @@ func TestTopicsDiscardHistoryCountsOnly(t *testing.T) {
 
 func TestTopicsSymbolTablesConvergeAcrossPartition(t *testing.T) {
 	g := NewGroup(Options{NumProcesses: 4, Seed: 47})
-	top, _ := NewTopics(g)
+	top, _ := NewTopics(g, TopicsOptions{})
 	ids := g.IDs()
 	for i, id := range ids {
 		top.Join(time.Duration(200+5*i)*time.Millisecond, id, "shared")
@@ -225,7 +225,7 @@ func TestTopicsSymbolTablesConvergeAcrossPartition(t *testing.T) {
 
 func TestTopicsTransitionalViewShrinks(t *testing.T) {
 	g := NewGroup(Options{NumProcesses: 4, Seed: 48})
-	top, _ := NewTopics(g)
+	top, _ := NewTopics(g, TopicsOptions{})
 	ids := g.IDs()
 	for i, id := range ids {
 		top.Join(time.Duration(200+5*i)*time.Millisecond, id, "g")
