@@ -488,7 +488,8 @@ func rangeSeqs(from, to uint64) []uint64 {
 
 // TestBitRottedEntryRebroadcastAndDeliveredInOrder follows a storage-rotted
 // log entry through the path production takes after a crash: the store's
-// checksums drop it at LoadChecked, leaving a hole below the received
+// checksums drop it at LoadChecked, the restarted process merges later
+// messages above it and fails again, leaving a hole below the received
 // watermark; the recovering process's exchange does not claim it; a peer
 // that holds it rebroadcasts it; and Step 6 delivers the whole window in
 // order, the repaired entry in its place.
@@ -500,20 +501,24 @@ func TestBitRottedEntryRebroadcastAndDeliveredInOrder(t *testing.T) {
 		msgs[seq] = mkData("p", seq, seq, oldRing.ID, model.Agreed)
 	}
 	st := &stable.Store{}
-	for seq := uint64(1); seq <= 4; seq++ {
-		st.PutLog(msgs[seq])
-	}
-	// Rot the highest entry written so far (seq 4), then keep appending:
-	// the damage ends up mid-log, below the eventual watermark.
+	// The first crash stores 1..4 and rots the highest of them (seq 4).
+	st.SaveLog(oldRing.ID, logOf(msgs[1:5]...), 4)
 	if n := st.FlipLogBits(1); n != 1 {
 		t.Fatalf("FlipLogBits corrupted %d entries, want 1", n)
 	}
-	for seq := uint64(5); seq <= 8; seq++ {
-		st.PutLog(msgs[seq])
-	}
 	_, qlog, errs := st.LoadChecked()
-	if len(errs) != 1 || qlog.Get(4) != nil || qlog.Len() != 7 {
+	if len(errs) != 1 || qlog.Get(4) != nil || qlog.Len() != 3 {
 		t.Fatalf("LoadChecked: errors %v, seq 4 present=%v, Len=%d; want the rotted entry alone dropped", errs, qlog.Get(4) != nil, qlog.Len())
+	}
+	// The restarted process merges stragglers 5..8 above the hole and
+	// fails again: the damage ends up mid-log, below the watermark.
+	for seq := uint64(5); seq <= 8; seq++ {
+		e, _ := qlog.Put(seq)
+		e.Set(&msgs[seq])
+	}
+	st.SaveLog(oldRing.ID, qlog, 8)
+	if _, qlog, errs = st.LoadChecked(); len(errs) != 0 || qlog.Get(4) != nil || qlog.Len() != 7 {
+		t.Fatalf("second LoadChecked: errors %v, seq 4 present=%v, Len=%d; want 1..8 without 4", errs, qlog.Get(4) != nil, qlog.Len())
 	}
 
 	// Both had delivered up to 1 before the configuration changed.

@@ -27,8 +27,8 @@ func (n *Node) OnMessage(from model.ProcessID, msg wire.Message) {
 		// A batch is pure transport packing: each element is processed
 		// exactly as if it had arrived in its own packet. The
 		// operational same-ring case — the hot path — ingests the whole
-		// batch in one pass: one delivery scan, one log write and one
-		// scalar persist per packet instead of one per message.
+		// batch in one pass: one delivery scan and one scalar persist
+		// per packet instead of one per message.
 		if n.mode == Operational && n.ring != nil && m.Ring == n.ringCfg.ID {
 			n.onDataBatch(m)
 			return
@@ -112,9 +112,9 @@ func (n *Node) maybeForeign(from model.ProcessID, ring model.ConfigID) {
 
 // onDataBatch ingests an operational same-ring data batch in one pass.
 // Semantically identical to routing each element through onData — the same
-// messages are stored, persisted and delivered in the same total order —
-// but the per-packet cost is flat: receipt bookkeeping per element, then
-// one delivery collection, one batched log write and one scalar persist.
+// messages are stored and delivered in the same total order — but the
+// per-packet cost is flat: receipt bookkeeping per element, then one
+// delivery collection and one scalar persist.
 // Sender evidence is noted once per run of same-sender elements (a
 // visit's fresh messages are all the token holder's own), with the run's
 // highest counter: the max-merge makes that equal to noting each element.
@@ -129,11 +129,11 @@ func (n *Node) onDataBatch(m wire.DataBatch) {
 		}
 		n.noteSeen(id)
 	}
-	deliveries, fresh := n.ring.OnDataBatch(m.Msgs)
-	if len(fresh) == 0 {
+	deliveries, top := n.ring.OnDataBatch(m.Msgs)
+	if top == 0 {
 		return
 	}
-	n.persistLogBatch(fresh)
+	n.lastPut = top
 	n.deliverAll(deliveries, n.ringCfg)
 	n.persist()
 }
@@ -146,7 +146,7 @@ func (n *Node) onData(from model.ProcessID, d wire.Data) {
 		before := n.ring.Len()
 		deliveries := n.ring.OnData(d)
 		if n.ring.Len() > before {
-			n.persistLog(d)
+			n.lastPut = d.Seq
 		}
 		n.deliverAll(deliveries, n.ringCfg)
 		n.persist()
@@ -160,7 +160,7 @@ func (n *Node) onData(from model.ProcessID, d wire.Data) {
 		before := n.rec.Log().Len()
 		acts := n.rec.OnData(d)
 		if n.rec.Log().Len() > before {
-			n.persistLog(d)
+			n.lastPut = d.Seq
 		}
 		n.applyRecActions(acts)
 		if n.mode == Recovering {
@@ -176,7 +176,7 @@ func (n *Node) onData(from model.ProcessID, d wire.Data) {
 			if d.Seq > n.oldState.HighestSeen {
 				n.oldState.HighestSeen = d.Seq
 			}
-			n.persistLog(d)
+			n.lastPut = d.Seq
 			n.persist()
 		}
 	default:
@@ -232,7 +232,7 @@ func (n *Node) processToken(t wire.Token) {
 		})
 	}
 	if len(res.Sent) > 0 {
-		n.persistLogBatch(res.Sent)
+		n.lastPut = res.Sent[len(res.Sent)-1].Seq
 	}
 	n.broadcastData(res.Broadcasts)
 	n.deliverAll(res.Deliveries, n.ringCfg)
@@ -383,7 +383,7 @@ func (n *Node) enterGather(cause obs.GatherCause) {
 	n.met.Event(obs.KGatherEnter, uint64(cause), 0)
 	if n.mode == Operational && n.ring != nil {
 		n.oldState = n.ring.Watermarks()
-		n.oldLog = n.ring.TakeLog()
+		n.oldLog = n.ring.Log()
 		n.pending = append(n.ring.TakePending(), n.pending...)
 		n.ring = nil
 	}

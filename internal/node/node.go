@@ -227,6 +227,9 @@ type Node struct {
 	lastToken    *wire.Token
 	retransLeft  int
 	everInstalld bool
+	// lastPut is the sequence number of the entry the last log-extending
+	// event stored: what Crash tells the store a torn write destroys.
+	lastPut uint64
 
 	// met is this process's observability scope (nil disables). Recovery
 	// step timings are taken against the scope's clock: recStart marks
@@ -382,10 +385,14 @@ func (n *Node) PendingDepth() int {
 }
 
 // Crash fails the process: volatile state is lost, stable storage remains.
+// The held message log is written here, once; its trims were persisted by
+// the events that made them, so the store holds what a write at every
+// receipt would have left.
 func (n *Node) Crash() {
 	if n.mode == Down {
 		return
 	}
+	n.store.SaveLog(n.ringCfg.ID, n.heldLog(), n.lastPut)
 	n.host.Trace(model.Event{
 		Type:    model.EventFail,
 		Proc:    n.id,
@@ -402,6 +409,18 @@ func (n *Node) Crash() {
 	n.buffered = nil
 	n.lastToken = nil
 	n.cancelAllTimers()
+}
+
+// heldLog is the message log of the last regular configuration: the
+// ring's, the recovery attempt's, or the one carried between them.
+func (n *Node) heldLog() *seqlog.Log {
+	switch {
+	case n.ring != nil:
+		return n.ring.Log()
+	case n.rec != nil:
+		return n.rec.Log()
+	}
+	return n.oldLog
 }
 
 // Recover restarts a failed process with its stable storage intact and the
@@ -426,11 +445,11 @@ func (n *Node) cancelAllTimers() {
 }
 
 // persist saves the hot-path protocol scalars: watermarks, counters and
-// the obligation set. Message-log persistence is incremental (persistLog),
-// a configuration boundary only clears the log, and the observation record
-// (SeenSeqs) lives in the store and is raised there in place (noteSeen), so
-// the per-event cost is independent of log size and of how many
-// originators were observed.
+// the obligation set. The message log is written once, at Crash, and a
+// configuration boundary only clears it; the observation record (SeenSeqs)
+// lives in the store and is raised there in place (noteSeen), so the
+// per-event cost is independent of log size and of how many originators
+// were observed.
 //
 //evs:noalloc
 func (n *Node) persist() {
@@ -518,22 +537,6 @@ func (n *Node) PerturbRingSeq() bool {
 		return false
 	}
 	return n.mem.CorruptMaxRingSeq()
-}
-
-// persistLog persists one received message before it is acknowledged, so a
-// recovered process can still rebroadcast and deliver what it acknowledged.
-//
-//evs:noalloc
-func (n *Node) persistLog(d wire.Data) {
-	n.store.PutLog(d)
-}
-
-// persistLogBatch persists every message of one packet or token visit as a
-// single stable-storage write.
-//
-//evs:noalloc
-func (n *Node) persistLogBatch(ds []wire.Data) {
-	n.store.PutLogBatch(ds)
 }
 
 // memMaxRingSeq returns the membership protocol's ring-sequence watermark.

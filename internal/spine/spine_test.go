@@ -11,7 +11,9 @@ import (
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/primary"
+	"repro/internal/seqlog"
 	"repro/internal/sim"
+	"repro/internal/stable"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -270,10 +272,12 @@ func (nowhere) Broadcast(wire.Message) {}
 func (nowhere) Close() error           { return nil }
 
 // TestPrimaryPersistenceLeavesTheLogAlone runs the primary layer's two
-// record writes — an attempt, then an installed primary — over a store
-// holding a message log, then crashes the process. The writes replace the
-// primary records and nothing else: the checked load returns the window as
-// it was, and a torn write still destroys the same last-put entry.
+// record writes — an attempt, then an installed primary — at a process
+// that restarted from a stored log and then merged an old-ring straggler
+// into it, and crashes the process. The writes replace the primary
+// records and nothing else: the log the crash stores is the restart's
+// window plus the straggler, and a torn write destroys the straggler, the
+// last entry the process put, alone.
 func TestPrimaryPersistenceLeavesTheLogAlone(t *testing.T) {
 	rec := NewRecorder(Virtual(&sim.Scheduler{}), []model.ProcessID{"p01"}, Options{Envelope: true, Primary: true})
 	p, err := Start(rec, "p01", fastConfig(), func(model.ProcessID, Handler, *obs.Metrics) (Medium, error) {
@@ -284,17 +288,34 @@ func TestPrimaryPersistenceLeavesTheLogAlone(t *testing.T) {
 	}
 	st := p.Store()
 	ring := model.RegularID(1, "p01")
-	for seq := uint64(1); seq <= 5; seq++ {
-		st.PutLog(wire.Data{ID: model.MessageID{Sender: "p01", SenderSeq: seq}, Ring: ring, Seq: seq, Payload: []byte{byte(seq)}})
-	}
-	_, before, _ := st.LoadChecked()
 	cfg := model.Configuration{ID: ring, Members: model.NewProcessSet("p01")}
+	data := func(seq uint64) wire.Data {
+		return wire.Data{ID: model.MessageID{Sender: "p01", SenderSeq: seq}, Ring: ring, Seq: seq, Service: model.Agreed, Payload: []byte{byte(seq)}}
+	}
+	// What an earlier failure of a member of cfg left: five entries.
+	rec.Crash("p01")
+	var earlier seqlog.Log
+	for seq := uint64(1); seq <= 5; seq++ {
+		d := data(seq)
+		e, _ := earlier.Put(seq)
+		e.Set(&d)
+	}
+	st.Save(stable.Record{LastRegular: cfg, MaxRingSeq: 1, HighestSeen: 5})
+	st.SaveLog(ring, &earlier, 5)
+	rec.Recover("p01")
+	p.OnMessage("p02", data(6))
+
 	rec.applyPrimary(p, []primary.Action{primary.PersistAttempt{Cfg: cfg}, primary.PersistPrimary{Cfg: cfg}})
 	rec.Crash("p01")
 
 	got, after, errs := st.LoadChecked()
-	if len(errs) != 0 || !reflect.DeepEqual(after, before) {
-		t.Fatalf("the primary writes changed the log: errors %v, Len %d → %d", errs, before.Len(), after.Len())
+	if len(errs) != 0 || after.Base() != 0 || after.Len() != 6 {
+		t.Fatalf("the crash stored base %d, %d entries, errors %v; want the six the process held", after.Base(), after.Len(), errs)
+	}
+	for seq := uint64(1); seq <= 6; seq++ {
+		if e := after.Get(seq); e == nil || !reflect.DeepEqual(e.Data(ring), data(seq)) {
+			t.Fatalf("entry %d stored as %+v, want %+v", seq, e, data(seq))
+		}
 	}
 	if got.LastPrimary.ID != ring || !got.PrimaryAttempt.ID.IsZero() {
 		t.Fatalf("primary records = %v / %v, want the installed primary and no attempt", got.LastPrimary.ID, got.PrimaryAttempt.ID)
@@ -302,8 +323,8 @@ func TestPrimaryPersistenceLeavesTheLogAlone(t *testing.T) {
 	if !st.TearLastWrite() {
 		t.Fatal("the torn write found no last-put entry")
 	}
-	if _, torn, _ := st.LoadChecked(); torn.Get(5) != nil || torn.Len() != 4 {
-		t.Fatalf("the torn write must destroy seq 5 alone, left Len %d", torn.Len())
+	if _, torn, _ := st.LoadChecked(); torn.Get(6) != nil || torn.Len() != 5 {
+		t.Fatalf("the torn write must destroy seq 6 alone, left Len %d", torn.Len())
 	}
 }
 

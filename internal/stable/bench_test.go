@@ -11,7 +11,8 @@ import (
 
 // putBatch is how many messages one PutLogBatch carries, and putRetain how
 // many batches the trimming SetScalars keeps behind the write head: the
-// shape node.persist produces and benchmark/rigs.go measures.
+// shape benchmark/rigs.go measures. The node takes the same put path once
+// per entry of its in-memory log, at a crash (SaveLog).
 const (
 	putBatch  = 64
 	putRetain = 8
@@ -96,8 +97,8 @@ func BenchmarkStorePutLogBatch(b *testing.B) {
 
 // TestStorePutAllocGate is the dynamic half of the store's zero-alloc
 // contract (CI step "Stable store alloc gate"; the static half is
-// //evs:noalloc on PutLog/PutLogBatch/SetScalars/put and on the shared
-// log's Put/Get/DropPrefix). In steady state a put allocates nothing of
+// //evs:noalloc on PutLogBatch/SetScalars/putOne and on the shared log's
+// Put/Get/DropPrefix). In steady state a put allocates nothing of
 // its own: the log's slots are reused as the window slides, and the only
 // allocations left are arena chunk refills — one per arenaChunk bytes of
 // payload — so the count per put is
@@ -128,7 +129,7 @@ func TestStorePutAllocGate(t *testing.T) {
 		if perPut := testing.AllocsPerRun(1000, func() {
 			l.msgs[0].Seq = l.next
 			l.next++
-			s.PutLog(l.msgs[0])
+			s.PutLogBatch(l.msgs[:1])
 		}); perPut != 0 {
 			t.Errorf("%d B: %v allocations per put, want 0", size, perPut)
 		}

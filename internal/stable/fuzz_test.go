@@ -99,15 +99,22 @@ func FuzzStoreRoundTrip(f *testing.F) {
 		entries := int(2 + seed%9)
 		var s Store
 		rec, log := fuzzRecord(seed, entries)
-		s.PutLogBatch(log)
 		s.Save(rec)
-		// Half the corpus also exercises the incremental write path so
-		// tear/flip have a last-put record to hit.
-		if seed%2 == 1 {
-			s.PutLog(wire.Data{
+		if seed%2 == 0 {
+			s.PutLogBatch(log)
+		} else {
+			// The other half takes the crash-time write path: the
+			// window a process held, one entry past the batch, whose
+			// last put tear/flip can hit.
+			var mem seqlog.Log
+			for _, d := range append(log, wire.Data{
 				ID:  model.MessageID{Sender: "q", SenderSeq: seed},
 				Seq: uint64(entries + 1), Payload: []byte{byte(seed)},
-			})
+			}) {
+				e, _ := mem.Put(d.Seq)
+				e.Set(&d)
+			}
+			s.SaveLog(rec.LastRegular.ID, &mem, uint64(entries+1))
 		}
 		corrupt(&s, mode, int(n%8))
 
@@ -132,14 +139,11 @@ func FuzzStoreRoundTrip(f *testing.F) {
 		}
 
 		// Self-healing: a record and window cleaned by LoadChecked
-		// re-persist and re-load with zero rejections.
+		// re-persist, as a restarted process saves the window it loaded
+		// when it fails again, and re-load with zero rejections.
 		var s2 Store
 		s2.Save(recB)
-		for seq := logB.Base() + 1; seq <= logB.High(); seq++ {
-			if e := logB.Get(seq); e != nil {
-				s2.PutLog(e.Data(recB.LastRegular.ID))
-			}
-		}
+		s2.SaveLog(recB.LastRegular.ID, logB, 0)
 		if rec2, _, errs2 := s2.LoadChecked(); len(errs2) != 0 {
 			t.Fatalf("cleaned record rejected again: %v (record %+v)", errs2, rec2)
 		}

@@ -14,19 +14,22 @@
 // is possible.
 //
 // The message log is not part of the Record. It is a dense window over the
-// ring's contiguous sequence numbers, (TrimmedUpTo, TrimmedUpTo+seqlog.MaxSpan],
-// held in the same seqlog.Log the ring's receive log uses and written only
-// entry by entry (PutLog, PutLogBatch): a put fills one slot, deep-copies
-// the payload into the store's chunk arena and keeps a word-wise checksum
-// in the slot; a trim zeroes exactly the dropped slots. The ring the
-// entries were sequenced in is kept once, beside the log, and folded into
-// every checksum. The log is read back once, by LoadChecked at restart, as
-// a fresh window holding the entries whose checksums still match. An entry beyond
-// the window is rejected, never sized for, and the rejection is reported
-// by LoadChecked like a failed checksum, so the recovery machinery
-// re-requests the entry. The ring persists only what its own, narrower
-// receive window accepted (seqlog.MaxSpan has the arithmetic), so the
-// bound is reached only by a damaged record.
+// ring's contiguous sequence numbers, (Base, Base+seqlog.MaxSpan], held in
+// the same seqlog.Log the ring's receive log uses, and a process writes it
+// once, when it fails (SaveLog): a put fills one slot, deep-copies the
+// payload into the store's chunk arena and keeps a word-wise checksum in
+// the slot. The ring the entries were sequenced in is kept once, beside the
+// log, and folded into every checksum. The log is read back once, by
+// LoadChecked at restart, as a fresh window holding the entries whose
+// checksums still match. An entry beyond the window is rejected, never
+// sized for, and reported by LoadChecked like a failed checksum, so the
+// recovery machinery re-requests it; the ring's own window is narrower
+// (seqlog.MaxSpan has the arithmetic), so only a damaged record gets there.
+//
+// Writing the log at the failure leaves what a write at every receipt
+// would: the in-memory log holds every message the process acknowledged,
+// its trims are persisted (as TrimmedUpTo) by the events that make them,
+// and a failure is the only way it ends.
 package stable
 
 import (
@@ -100,33 +103,30 @@ type Record struct {
 // empty store ready for use.
 type Store struct {
 	// rec holds every persisted field except the log.
-	rec    Record
-	writes uint64
-	// lastPut is the sequence number of the most recent PutLog, the
-	// record a torn write would destroy; lastPutValid marks whether it
-	// still names a live log entry.
-	lastPut      uint64
-	lastPutValid bool
-	corruptions  uint64
+	rec Record
+	// lastPut is the sequence number of the entry the last log-extending
+	// event stored, the record a torn write would destroy if the log
+	// still holds it.
+	lastPut     uint64
+	corruptions uint64
 	// rejected counts entries refused since the log was last replaced
-	// because they lay more than seqlog.MaxSpan above TrimmedUpTo.
+	// because they lay more than seqlog.MaxSpan above its base.
 	rejected uint64
-	// log is the persisted message log of LastRegular, based at
-	// rec.TrimmedUpTo: received messages, persisted before acknowledging
-	// receipt so that a recovered process can still rebroadcast and
-	// deliver what it acknowledged. Each slot carries a checksum computed
-	// at write time — the device-level integrity metadata real storage
-	// keeps per block — so in-place bit rot of an entry (FlipLogBits) is
-	// detectable at the next LoadChecked.
+	// log is the persisted message log of LastRegular: the messages the
+	// process had received when it failed, so that a recovered process can
+	// still rebroadcast and deliver what it acknowledged. Each slot
+	// carries a checksum computed at write time — the device-level
+	// integrity metadata real storage keeps per block — so in-place bit
+	// rot of an entry (FlipLogBits) is detectable at the next LoadChecked.
 	log seqlog.Log
 	// ring is the configuration the logged entries were sequenced in:
-	// one per log, since the log is cleared at every installation. The
-	// first put into an empty log sets it.
+	// one per log. SaveLog sets it; otherwise the first put into an empty
+	// log does.
 	ring model.ConfigID
 	// payArena amortises the deep copy a put makes at the simulated disk
 	// boundary: payload bytes are carved from a chunked arena (one
 	// allocation per chunk) instead of one allocation per message. A
-	// chunk is collected once every slot referencing it has been trimmed.
+	// chunk is collected once every slot referencing it has been dropped.
 	payArena []byte
 }
 
@@ -248,12 +248,7 @@ func (s *Store) NoteSeen(p model.ProcessID, seq uint64) {
 func (s *Store) NoteSent(self model.ProcessID, seq uint64) {
 	s.rec.SenderSeq = seq
 	s.NoteSeen(self, seq)
-	s.writes++
 }
-
-// Writes returns the number of persistence operations, a proxy for
-// stable-storage I/O cost in the benchmark harness.
-func (s *Store) Writes() uint64 { return s.writes }
 
 // SetScalars persists every field of r except the primary-component
 // records (LastPrimary, PrimaryAttempt) and SeenSeqs, which are left as
@@ -261,8 +256,9 @@ func (s *Store) Writes() uint64 { return s.writes }
 // persistence operation: cost independent of the log size and of the
 // observation record, and free of allocations.
 // A TrimmedUpTo that advanced past the stored watermark discards the
-// corresponding log prefix, mirroring the ring's in-memory trim, at a cost
-// proportional to the entries dropped.
+// corresponding prefix of the stored log, at a cost proportional to the
+// entries dropped (none while the log is empty, as it is between the
+// installation of a configuration and the next failure).
 //
 //evs:noalloc
 func (s *Store) SetScalars(r Record) {
@@ -281,11 +277,7 @@ func (s *Store) SetScalars(r Record) {
 		s.rec.TrimmedUpTo = trimmed
 	} else {
 		s.log.DropPrefix(r.TrimmedUpTo)
-		if s.lastPut <= r.TrimmedUpTo {
-			s.lastPutValid = false
-		}
 	}
-	s.writes++
 }
 
 // putOne writes one log entry at its sequence number, deep-copying it
@@ -311,27 +303,38 @@ func (s *Store) putOne(d *wire.Data) {
 	}
 	e.Sum = checksum(e, &s.ring)
 	s.lastPut = d.Seq
-	s.lastPutValid = true
 }
 
-// PutLog persists one received message (deep-copied once).
-//
-//evs:noalloc
-func (s *Store) PutLog(d wire.Data) {
-	s.putOne(&d)
-	s.writes++
-}
-
-// PutLogBatch persists every message of one received packet or token visit
-// as a single write: the per-message persistence cost of a batch is one
-// deep copy, not one I/O commit each.
+// PutLogBatch puts every message of ds into the stored log, each
+// deep-copied once: the put path SaveLog takes.
 //
 //evs:noalloc
 func (s *Store) PutLogBatch(ds []wire.Data) {
 	for i := range ds {
 		s.putOne(&ds[i])
 	}
-	s.writes++
+}
+
+// SaveLog replaces the stored message log with a deep copy of log, the
+// in-memory log of ring a failing process held: its window is based at
+// log.Base(), and every entry goes through the put path (payload carved
+// from the arena, checksum kept in the slot). lastPut is the sequence
+// number of the entry the process's last log-extending event stored, the
+// record TearLastWrite destroys.
+func (s *Store) SaveLog(ring model.ConfigID, log *seqlog.Log, lastPut uint64) {
+	s.log = seqlog.Log{}
+	s.ring = ring
+	s.rejected = 0
+	if log != nil {
+		s.log.DropPrefix(log.Base())
+		for seq := log.Base() + 1; seq <= log.High(); seq++ {
+			if e := log.Get(seq); e != nil {
+				d := e.Data(ring)
+				s.putOne(&d)
+			}
+		}
+	}
+	s.lastPut = lastPut
 }
 
 // ClearLog drops the persisted message log (a new configuration starts an
@@ -339,10 +342,8 @@ func (s *Store) PutLogBatch(ds []wire.Data) {
 func (s *Store) ClearLog() {
 	s.log = seqlog.Log{}
 	s.ring = model.ConfigID{}
-	s.lastPutValid = false
 	s.rejected = 0
 	s.rec.TrimmedUpTo = 0
-	s.writes++
 }
 
 // ---------------------------------------------------------------------------
@@ -366,15 +367,14 @@ func (s *Store) ClearLog() {
 // indistinguishable from Byzantine storage, which the protocol (and the
 // paper) explicitly does not claim to survive.
 
-// TearLastWrite removes the most recently PutLog-ed record, simulating a
-// torn write racing the crash, unless that record is already required to
-// be durable (at or below SafeBound) or no tearable record exists. It
-// reports whether a record was destroyed.
+// TearLastWrite removes the record the last log-extending write stored,
+// simulating a torn write racing the crash, unless that record is already
+// required to be durable (at or below SafeBound) or the log no longer
+// holds it. It reports whether a record was destroyed.
 func (s *Store) TearLastWrite() bool {
-	if !s.lastPutValid || s.lastPut <= s.rec.SafeBound || !s.log.Delete(s.lastPut) {
+	if s.lastPut <= s.rec.SafeBound || !s.log.Delete(s.lastPut) {
 		return false
 	}
-	s.lastPutValid = false
 	s.corruptions++
 	return true
 }
@@ -387,9 +387,6 @@ func (s *Store) LoseLogSuffix(n int) int {
 	for seq := s.log.High(); lost < n && seq > s.log.Base() && seq > s.rec.SafeBound; seq-- {
 		if s.log.Delete(seq) {
 			lost++
-			if s.lastPut == seq {
-				s.lastPutValid = false
-			}
 		}
 	}
 	if lost > 0 {
@@ -495,7 +492,8 @@ func (s *Store) FlipLogBits(n int) int {
 // LoadChecked returns a deep copy of the persisted record and of its
 // message log after integrity validation, together with one error per
 // rejected or healed element. The log comes back as a fresh window based
-// at TrimmedUpTo — the restarting process owns it — holding every entry
+// where the stored one is (TrimmedUpTo, when the node saved it) — the
+// restarting process owns it — holding every entry
 // whose checksum still matches. Entries that fail are dropped (the
 // resulting gaps are re-requested by the recovery retransmission
 // machinery), entries refused at write time for lying beyond the window

@@ -32,7 +32,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		HighestSeen:   12,
 		Obligations:   model.NewProcessSet("q"),
 	}
-	s.PutLog(wire.Data{ID: model.MessageID{Sender: "q", SenderSeq: 2}, Seq: 10, Payload: []byte("x")})
+	put(&s, wire.Data{ID: model.MessageID{Sender: "q", SenderSeq: 2}, Seq: 10, Payload: []byte("x")})
 	s.Save(rec)
 	got, log, _ := s.LoadChecked()
 	if got.SenderSeq != 5 || got.DeliveredUpTo != 9 || got.SafeBound != 7 || got.HighestSeen != 12 {
@@ -59,7 +59,7 @@ func TestSaveIsDeepCopyIn(t *testing.T) {
 
 func TestLoadIsDeepCopyOut(t *testing.T) {
 	var s Store
-	s.PutLog(wire.Data{Seq: 1, Payload: []byte("a")})
+	put(&s, wire.Data{Seq: 1, Payload: []byte("a")})
 	s.NoteSeen("p", 1)
 	rec, log, _ := s.LoadChecked()
 	rec.SeenSeqs["p"] = 9
@@ -71,18 +71,6 @@ func TestLoadIsDeepCopyOut(t *testing.T) {
 	e2 := log2.Get(1)
 	if again.SeenSeqs["p"] != 1 || log2.Len() != 1 || string(e2.Payload) != "a" {
 		t.Fatal("Load and LoadChecked must deep-copy so callers cannot mutate the store")
-	}
-}
-
-func TestWritesCounter(t *testing.T) {
-	var s Store
-	if s.Writes() != 0 {
-		t.Fatal("fresh store should report zero writes")
-	}
-	s.Save(Record{})
-	s.Save(Record{})
-	if s.Writes() != 2 {
-		t.Fatalf("Writes() = %d, want 2", s.Writes())
 	}
 }
 
@@ -98,7 +86,7 @@ func TestSaveReplacesWholeRecord(t *testing.T) {
 
 func TestSetScalarsPreservesLogAndPrimary(t *testing.T) {
 	var s Store
-	s.PutLog(wire.Data{Seq: 1, Payload: []byte("x")})
+	put(&s, wire.Data{Seq: 1, Payload: []byte("x")})
 	s.Save(Record{
 		LastPrimary:    model.Configuration{ID: model.RegularID(2, "p"), Members: model.NewProcessSet("p")},
 		PrimaryAttempt: model.Configuration{ID: model.RegularID(3, "p"), Members: model.NewProcessSet("p")},
@@ -132,21 +120,21 @@ func TestSetScalarsPreservesLogAndPrimary(t *testing.T) {
 func TestPutLogDeepCopiesAndAccumulates(t *testing.T) {
 	var s Store
 	payload := []byte("abc")
-	s.PutLog(wire.Data{Seq: 5, Payload: payload})
+	put(&s, wire.Data{Seq: 5, Payload: payload})
 	payload[0] = 'z'
-	s.PutLog(wire.Data{Seq: 6})
+	put(&s, wire.Data{Seq: 6})
 	_, log, _ := s.LoadChecked()
 	if log.Len() != 2 {
 		t.Fatalf("log size %d, want 2", log.Len())
 	}
 	if string(log.Get(5).Payload) != "abc" {
-		t.Fatal("PutLog must deep-copy the payload")
+		t.Fatal("PutLogBatch must deep-copy the payload")
 	}
 }
 
 func TestClearLog(t *testing.T) {
 	var s Store
-	s.PutLog(wire.Data{Seq: 1})
+	put(&s, wire.Data{Seq: 1})
 	s.SetScalars(Record{SenderSeq: 3})
 	s.ClearLog()
 	got := s.Load()
@@ -156,8 +144,95 @@ func TestClearLog(t *testing.T) {
 	if got.SenderSeq != 3 {
 		t.Fatal("ClearLog must not touch scalars")
 	}
-	if s.Writes() != 3 {
-		t.Fatalf("Writes() = %d, want 3", s.Writes())
+}
+
+// put persists each message as a write of its own.
+func put(s *Store, ds ...wire.Data) {
+	for i := range ds {
+		s.PutLogBatch(ds[i : i+1])
+	}
+}
+
+// window is an in-memory log based at base holding seqs, each entry's
+// payload its own fresh buffer: what a process holds when it fails.
+func window(ring model.ConfigID, base uint64, seqs ...uint64) *seqlog.Log {
+	l := &seqlog.Log{}
+	l.DropPrefix(base)
+	for _, q := range seqs {
+		d := wire.Data{ID: model.MessageID{Sender: "q", SenderSeq: q}, Ring: ring, Seq: q, Service: model.Safe, Payload: []byte{'m', byte(q)}}
+		e, _ := l.Put(q)
+		e.Set(&d)
+	}
+	return l
+}
+
+// TestSaveLogStoresADeepCopyOfTheWindow saves an in-memory window over a
+// log already holding other entries: the loaded window has the saved
+// base and exactly the saved entries, field for field, and writes
+// through the source's payloads after the save do not reach the store.
+func TestSaveLogStoresADeepCopyOfTheWindow(t *testing.T) {
+	var s Store
+	put(&s, wire.Data{Seq: 2, Payload: []byte("old")}, wire.Data{Seq: 9})
+	ring := model.RegularID(4, "p")
+	src := window(ring, 4, 5, 6, 8)
+	s.SaveLog(ring, src, 8)
+	for seq := src.Base() + 1; seq <= src.High(); seq++ {
+		if e := src.Get(seq); e != nil {
+			e.Payload[0] = 'z'
+		}
+	}
+	_, got, errs := s.LoadChecked()
+	if len(errs) != 0 || got.Base() != 4 || got.Len() != 3 {
+		t.Fatalf("LoadChecked: base %d, %d entries, errors %v; want base 4, 3 entries, no errors", got.Base(), got.Len(), errs)
+	}
+	for _, q := range []uint64{5, 6, 8} {
+		e := got.Get(q)
+		want := wire.Data{ID: model.MessageID{Sender: "q", SenderSeq: q}, Ring: ring, Seq: q, Service: model.Safe, Payload: []byte{'m', byte(q)}}
+		if e == nil || !reflect.DeepEqual(e.Data(ring), want) {
+			t.Fatalf("entry %d loaded as %+v, want %+v", q, e, want)
+		}
+	}
+}
+
+// TestSaveLogFlipIsCaught rots a saved entry in place: the checksum the
+// save computed catches it, and LoadChecked drops that entry alone.
+func TestSaveLogFlipIsCaught(t *testing.T) {
+	var s Store
+	ring := model.RegularID(4, "p")
+	s.SaveLog(ring, window(ring, 0, 1, 2, 3), 3)
+	if n := s.FlipLogBits(1); n != 1 {
+		t.Fatalf("FlipLogBits corrupted %d entries, want 1", n)
+	}
+	_, got, errs := s.LoadChecked()
+	if len(errs) != 1 || got.Get(3) != nil || got.Len() != 2 {
+		t.Fatalf("LoadChecked: %d entries, seq 3 present=%v, errors %v; want the rotted entry alone dropped", got.Len(), got.Get(3) != nil, errs)
+	}
+}
+
+// TestSaveLogTearsTheLastPut: the record a torn write destroys is the
+// last put the save names, and only while the saved window holds it
+// above SafeBound.
+func TestSaveLogTearsTheLastPut(t *testing.T) {
+	ring := model.RegularID(4, "p")
+	for _, c := range []struct {
+		lastPut, safe uint64
+		torn          bool
+	}{
+		{lastPut: 6, torn: true},
+		{lastPut: 7},          // not in the window: torn already, or trimmed
+		{lastPut: 0},          // nothing put since the store was empty
+		{lastPut: 6, safe: 6}, // durable by the fault model's bound
+	} {
+		var s Store
+		s.SetScalars(Record{SafeBound: c.safe})
+		s.SaveLog(ring, window(ring, 0, 5, 6, 8), c.lastPut)
+		want := []uint64{5, 6, 8}
+		if c.torn {
+			want = []uint64{5, 8}
+		}
+		if torn := s.TearLastWrite(); torn != c.torn || !reflect.DeepEqual(logSeqs(&s), want) {
+			t.Fatalf("lastPut %d SafeBound %d: tear %v, log %v; want %v, %v", c.lastPut, c.safe, torn, logSeqs(&s), c.torn, want)
+		}
 	}
 }
 
@@ -167,7 +242,7 @@ func TestClearLog(t *testing.T) {
 func logWith(seqs ...uint64) *Store {
 	s := &Store{}
 	for _, q := range seqs {
-		s.PutLog(wire.Data{Seq: q, Payload: []byte("x")})
+		put(s, wire.Data{Seq: q, Payload: []byte("x")})
 	}
 	return s
 }
@@ -258,8 +333,8 @@ func TestClearLogInvalidatesTear(t *testing.T) {
 func TestLogWindowAtAndPastTheBound(t *testing.T) {
 	var s Store
 	s.SetScalars(Record{TrimmedUpTo: 10}) // the window is relative to the watermark
-	s.PutLog(wire.Data{Seq: 10 + seqlog.MaxSpan, Payload: []byte("at")})
-	s.PutLog(wire.Data{Seq: 10 + seqlog.MaxSpan + 1, Payload: []byte("past")})
+	put(&s, wire.Data{Seq: 10 + seqlog.MaxSpan, Payload: []byte("at")})
+	put(&s, wire.Data{Seq: 10 + seqlog.MaxSpan + 1, Payload: []byte("past")})
 	if got := logSeqs(&s); !reflect.DeepEqual(got, []uint64{10 + seqlog.MaxSpan}) {
 		t.Fatalf("log = %v, want only the entry at the bound", got)
 	}
@@ -274,7 +349,7 @@ func TestLogWindowAtAndPastTheBound(t *testing.T) {
 	}
 	// Once the watermark advances the same entry is inside the window.
 	s.SetScalars(Record{TrimmedUpTo: 11})
-	s.PutLog(wire.Data{Seq: 10 + seqlog.MaxSpan + 1, Payload: []byte("past")})
+	put(&s, wire.Data{Seq: 10 + seqlog.MaxSpan + 1, Payload: []byte("past")})
 	if got := logSeqs(&s); !reflect.DeepEqual(got, []uint64{10 + seqlog.MaxSpan + 1}) {
 		t.Fatalf("log = %v, want the entry admitted after the trim", got)
 	}
@@ -291,10 +366,9 @@ func TestFarOffKeyDoesNotSizeTheLog(t *testing.T) {
 		// Sequence numbers no window could hold, and a storage-damaged
 		// HighestSeen ahead of normal puts.
 		s.Save(Record{HighestSeen: 1 << 60})
-		s.PutLog(wire.Data{Seq: 1, Payload: []byte("x")})
+		put(&s, wire.Data{Seq: 1, Payload: []byte("x")})
 		s.PutLogBatch([]wire.Data{{Seq: 99999}, {Seq: 1 << 50}})
-		s.PutLog(wire.Data{Seq: 2})
-		s.PutLog(wire.Data{Seq: 1 << 40})
+		put(&s, wire.Data{Seq: 2}, wire.Data{Seq: 1 << 40})
 	})
 	if got > 256<<10 {
 		t.Fatalf("far-off keys allocated %d bytes; the window must refuse them, not size for them", got)

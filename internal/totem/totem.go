@@ -145,7 +145,6 @@ type Ring struct {
 	bcastScratch   []wire.Data
 	sentScratch    []wire.Data
 	deliverScratch []*seqlog.Entry
-	freshScratch   []wire.Data
 
 	// met is the process's observability scope (nil disables: every obs
 	// call is a nil-safe no-op costing one branch and zero allocations).
@@ -371,29 +370,24 @@ func (r *Ring) OnData(d wire.Data) []*seqlog.Entry {
 
 // OnDataBatch ingests every element of a received batch in one pass and
 // returns the messages that became deliverable, in total order and as
-// slots of the log, plus the elements that were new to the log (the caller
-// persists exactly those): one delivery scan and one persistence write per
-// packet instead of one per message. Both returned slices are per-ring
-// scratch, valid until the next call into the Ring.
+// slots of the log, plus the highest sequence number that was new to the
+// log (0 when none was): one delivery scan per packet instead of one per
+// message. The returned slice is per-ring scratch, valid until the next
+// call into the Ring.
 //
 //evs:arena
 //evs:noalloc
-func (r *Ring) OnDataBatch(ds []wire.Data) (deliveries []*seqlog.Entry, fresh []wire.Data) {
-	fresh = r.freshScratch[:0]
+func (r *Ring) OnDataBatch(ds []wire.Data) (deliveries []*seqlog.Entry, highest uint64) {
 	for i := range ds {
 		d := &ds[i]
-		if d.Ring != r.cfg.ID || d.Seq == 0 {
-			continue
-		}
-		if r.put(d) {
-			fresh = append(fresh, *d)
+		if d.Ring == r.cfg.ID && d.Seq != 0 && r.put(d) {
+			highest = max(highest, d.Seq)
 		}
 	}
-	r.freshScratch = fresh
-	if len(fresh) == 0 {
-		return nil, nil
+	if highest == 0 {
+		return nil, 0
 	}
-	return r.collectDeliverable(), fresh
+	return r.collectDeliverable(), highest
 }
 
 // budget returns the effective per-visit sequencing budget and flow
@@ -652,15 +646,10 @@ func (r *Ring) Len() int { return r.log.Len() }
 // Trimmed returns the discarded log prefix watermark.
 func (r *Ring) Trimmed() uint64 { return r.trimmedUpTo }
 
-// TakeLog hands the receive log over to the caller — the recovery
-// algorithm, which reads and extends it through the reconfiguration —
-// and leaves the ring with an empty one. The ring is done once its log is
-// taken: the handoff moves the window, it copies no entry.
-func (r *Ring) TakeLog() *seqlog.Log {
-	l := r.log
-	r.log = seqlog.Log{}
-	return &l
-}
+// Log returns the receive log itself, not a copy. At a configuration
+// change the node hands it to the recovery algorithm, which reads and
+// extends it; the ring is done by then.
+func (r *Ring) Log() *seqlog.Log { return &r.log }
 
 // DeliveredUpTo returns the delivery watermark.
 func (r *Ring) DeliveredUpTo() uint64 { return r.deliveredUpTo }

@@ -548,13 +548,11 @@ func TestTrimSlidesTheWindowWithoutLosingRetainedEntries(t *testing.T) {
 		if held != r.Len() {
 			t.Fatalf("log holds %d entries, Len=%d", held, r.Len())
 		}
-		// The handoff to the recovery moves the window as it stands:
-		// based at the trimmed prefix, every retained entry, no copy left
-		// behind.
+		// The log handed to the recovery is the window as it stands:
+		// based at the trimmed prefix, every retained entry.
 		n, trimmed := r.Len(), r.Trimmed()
-		l := r.TakeLog()
-		if l.Len() != n || l.Base() != trimmed || l.Get(trimmed+1) == nil || r.Len() != 0 {
-			t.Fatalf("TakeLog: Len=%d Base=%d, want %d and %d; ring keeps %d", l.Len(), l.Base(), n, trimmed, r.Len())
+		if l := r.Log(); l.Len() != n || l.Base() != trimmed || l.Get(trimmed+1) == nil {
+			t.Fatalf("Log: Len=%d Base=%d, want %d and %d", l.Len(), l.Base(), n, trimmed)
 		}
 	}
 	if got := len(h.delivered["b"]); got != total || len(h.delivered["a"]) != total {
