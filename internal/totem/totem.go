@@ -372,15 +372,17 @@ func (r *Ring) OnData(d wire.Data) []*seqlog.Entry {
 // returns the messages that became deliverable, in total order and as
 // slots of the log, plus the highest sequence number that was new to the
 // log (0 when none was): one delivery scan per packet instead of one per
-// message. The returned slice is per-ring scratch, valid until the next
-// call into the Ring.
+// message. Every element must belong to this ring: the caller tests a
+// wire.DataBatch's Ring once, which vouches for all its elements. The
+// returned slice is per-ring scratch, valid until the next call into the
+// Ring.
 //
 //evs:arena
 //evs:noalloc
 func (r *Ring) OnDataBatch(ds []wire.Data) (deliveries []*seqlog.Entry, highest uint64) {
 	for i := range ds {
 		d := &ds[i]
-		if d.Ring == r.cfg.ID && d.Seq != 0 && r.put(d) {
+		if d.Seq != 0 && r.put(d) {
 			highest = max(highest, d.Seq)
 		}
 	}

@@ -1,7 +1,7 @@
 package transport
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/model"
@@ -10,21 +10,18 @@ import (
 )
 
 // Hub is the in-process medium: the processes of one OS process attached
-// to one broadcast domain, with a mutable partition map. Messages are
-// handed over as shared Go values (the ownership contract on
-// node.Transport is what makes that safe), one bounded inbox and one
-// receiver goroutine per attached process. It is the only wall-clock
-// medium that can cut itself: Partition and Merge rewrite the component
-// map every send consults.
+// to one broadcast domain. Messages are handed over as shared Go values
+// (the ownership contract on node.Transport is what makes that safe), one
+// bounded inbox and one receiver goroutine per attached process. Like the
+// sockets, the hub cannot cut itself: partitions are a Cut wrapped around
+// the receivers' handlers.
 type Hub struct {
-	mu        sync.Mutex
-	ids       []model.ProcessID // configured membership, sorted
-	component map[model.ProcessID]int
-	ports     map[model.ProcessID]*hubPort
-	nextComp  int
+	mu    sync.Mutex
+	ids   []model.ProcessID // configured membership, sorted
+	ports map[model.ProcessID]*hubPort
 	// met is the medium's observability scope, mirroring what netsim's
 	// "net" scope records in the simulator: sends, deliveries (enqueues),
-	// overflow drops and partition cuts.
+	// overflow drops and sends to a detached process.
 	met *obs.Metrics
 }
 
@@ -50,19 +47,11 @@ type hubPort struct {
 
 var _ Transport = (*hubPort)(nil)
 
-// NewHub creates a hub whose configured membership is ids, all in one
-// component. met is the medium's scope (nil disables).
+// NewHub creates a hub whose configured membership is ids. met is the
+// medium's scope (nil disables).
 func NewHub(ids []model.ProcessID, met *obs.Metrics) *Hub {
-	h := &Hub{
-		component: make(map[model.ProcessID]int, len(ids)),
-		ports:     make(map[model.ProcessID]*hubPort, len(ids)),
-		met:       met,
-	}
-	for _, id := range ids {
-		h.component[id] = 0
-	}
-	h.ids = append(h.ids, ids...)
-	sort.Slice(h.ids, func(i, j int) bool { return h.ids[i] < h.ids[j] })
+	h := &Hub{ids: slices.Clone(ids), ports: make(map[model.ProcessID]*hubPort, len(ids)), met: met}
+	slices.Sort(h.ids)
 	return h
 }
 
@@ -87,7 +76,7 @@ func (p *hubPort) receive() {
 	}
 }
 
-// Broadcast implements Transport: fan out to the sender's component,
+// Broadcast implements Transport: fan out to every attached process,
 // including the sender.
 func (p *hubPort) Broadcast(msg wire.Message) {
 	h := p.hub
@@ -102,8 +91,7 @@ func (p *hubPort) Broadcast(msg wire.Message) {
 	}
 }
 
-// Unicast implements Transport: deliver to one peer of the sender's
-// component, subject to the same partition cuts as a broadcast.
+// Unicast implements Transport: deliver to one attached peer.
 func (p *hubPort) Unicast(to model.ProcessID, msg wire.Message) {
 	h := p.hub
 	h.mu.Lock()
@@ -127,7 +115,7 @@ func (h *Hub) attached(p *hubPort) bool {
 // caller holds h.mu, which is also what makes closing an inbox safe.
 func (h *Hub) enqueue(from *hubPort, to model.ProcessID, msg wire.Message) {
 	port := h.ports[to]
-	if port == nil || h.component[to] != h.component[from.id] {
+	if port == nil {
 		h.met.Inc(obs.CNetCut)
 		return
 	}
@@ -139,21 +127,6 @@ func (h *Hub) enqueue(from *hubPort, to model.ProcessID, msg wire.Message) {
 		// retransmission machinery recovers.
 		h.met.Inc(obs.CNetDropped)
 	}
-}
-
-// Peers implements Transport: the sorted configured membership of the
-// sender's current component, including the sender.
-func (p *hubPort) Peers() []model.ProcessID {
-	h := p.hub
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]model.ProcessID, 0, len(h.ids))
-	for _, id := range h.ids {
-		if h.component[id] == h.component[p.id] {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // Close implements Transport: the port detaches, its receiver goroutine
@@ -168,35 +141,4 @@ func (p *hubPort) Close() error {
 	h.mu.Unlock()
 	p.wg.Wait()
 	return nil
-}
-
-// Partition splits the hub into the given components; unmentioned
-// processes are isolated.
-func (h *Hub) Partition(groups ...[]model.ProcessID) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	assigned := make(map[model.ProcessID]bool)
-	for _, grp := range groups {
-		h.nextComp++
-		for _, id := range grp {
-			h.component[id] = h.nextComp
-			assigned[id] = true
-		}
-	}
-	for _, id := range h.ids {
-		if !assigned[id] {
-			h.nextComp++
-			h.component[id] = h.nextComp
-		}
-	}
-}
-
-// Merge reunites all processes.
-func (h *Hub) Merge() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.nextComp++
-	for _, id := range h.ids {
-		h.component[id] = h.nextComp
-	}
 }

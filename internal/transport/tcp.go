@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 
@@ -117,13 +118,6 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 
 // Addr returns the bound local address.
 func (t *TCP) Addr() string { return t.ln.Addr().String() }
-
-// Peers implements Transport.
-func (t *TCP) Peers() []model.ProcessID {
-	out := make([]model.ProcessID, len(t.peers))
-	copy(out, t.peers)
-	return out
-}
 
 // Broadcast implements Transport: encode once, enqueue on every peer's
 // sender (including self, whose sender dials the local listener).
@@ -296,35 +290,11 @@ func (t *TCP) read(conn net.Conn) {
 			return
 		}
 		frame := make([]byte, n)
-		if _, err := readFull(br, frame); err != nil {
+		if _, err := io.ReadFull(br, frame); err != nil {
 			return
 		}
-		countIn(t.met, len(frame))
-		from, body, err := splitFrame(frame)
-		if err != nil {
-			t.met.Inc(obs.CWireDecodeErrors)
-			continue
-		}
-		msg, err := dec.Decode(body)
-		if err != nil {
-			t.met.Inc(obs.CWireDecodeErrors)
-			continue
-		}
-		t.handler(from, msg)
+		receiveFrame(frame, dec, t.handler, t.met)
 	}
-}
-
-// readFull fills buf from r (io.ReadFull without the import churn).
-func readFull(r *bufio.Reader, buf []byte) (int, error) {
-	got := 0
-	for got < len(buf) {
-		n, err := r.Read(buf[got:])
-		got += n
-		if err != nil {
-			return got, err
-		}
-	}
-	return got, nil
 }
 
 // Close implements Transport.

@@ -7,14 +7,16 @@
 // TCP mesh fallback (for networks that eat UDP).
 //
 // A Transport implements the medium half of the node's environment
-// (node.Transport) plus addressing: unicast, the configured peer set, and
-// shutdown. Unicast is what carries the ring's token: the node sends each
-// token to its ring successor alone and broadcasts only the
-// representative's, once per rotation (see node.Transport). The ownership
-// contract is the one documented on node.Transport — messages are
-// immutable after handoff — which is what lets a transport encode a
-// broadcast once and write the same buffer to every peer, and lets
-// decoded messages alias their receive buffers.
+// (node.Transport) plus unicast and shutdown. Unicast is what carries the
+// ring's token: the node sends each token to its ring successor alone and
+// broadcasts only the representative's, once per rotation (see
+// node.Transport). The ownership contract is the one documented on
+// node.Transport — messages are immutable after handoff — which is what
+// lets a transport encode a broadcast once and write the same buffer to
+// every peer, and lets decoded messages alias their receive buffers.
+//
+// No medium partitions itself. A Cut (cut.go), wrapped around each
+// receiver's Handler, splits any of them into components the same way.
 //
 // Every socket implementation is instrumented through internal/obs:
 // frames and bytes in/out, encode/decode errors, and transport-level drops
@@ -28,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/node"
@@ -43,7 +46,7 @@ import (
 type Handler func(from model.ProcessID, msg wire.Message)
 
 // Transport is a medium for one process of the cluster: the node's
-// Broadcast plus addressing and lifecycle. Implementations deliver the
+// Broadcast plus unicast and lifecycle. Implementations deliver the
 // sender's own broadcasts back to it through the medium (never by
 // calling the handler synchronously from Broadcast — the caller may
 // hold the node lock).
@@ -52,9 +55,6 @@ type Transport interface {
 	// Unicast sends a message to one peer: the token hop to the ring
 	// successor, which would be wasted on the rest of the component.
 	Unicast(to model.ProcessID, msg wire.Message)
-	// Peers returns the configured membership of the local component,
-	// sorted, including the local process.
-	Peers() []model.ProcessID
 	// Close stops the transport: sockets close, goroutines drain, and
 	// subsequent sends are dropped (counted).
 	Close() error
@@ -141,14 +141,9 @@ func splitFrame(b []byte) (model.ProcessID, []byte, error) {
 func sortedPeers(peers map[model.ProcessID]string) []model.ProcessID {
 	out := make([]model.ProcessID, 0, len(peers))
 	for id := range peers {
-		//lint:allow determinism the id set is sorted immediately below
 		out = append(out, id)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -158,8 +153,19 @@ func countOut(met *obs.Metrics, n int) {
 	met.Add(obs.CWireBytesOut, uint64(n))
 }
 
-// countIn records one received frame of the given size.
-func countIn(met *obs.Metrics, n int) {
+// receiveFrame counts one received frame, decodes it and hands the
+// message to h: the receive tail of both socket transports. A frame that
+// fails to split or decode is counted and dropped.
+func receiveFrame(frame []byte, dec *wire.Decoder, h Handler, met *obs.Metrics) {
 	met.Inc(obs.CWirePacketsIn)
-	met.Add(obs.CWireBytesIn, uint64(n))
+	met.Add(obs.CWireBytesIn, uint64(len(frame)))
+	from, body, err := splitFrame(frame)
+	if err == nil {
+		var msg wire.Message
+		if msg, err = dec.Decode(body); err == nil {
+			h(from, msg)
+			return
+		}
+	}
+	met.Inc(obs.CWireDecodeErrors)
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"encoding/binary"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -163,24 +164,6 @@ func testUnicastReachesOne(t *testing.T, network string, mk maker) {
 	}
 }
 
-func testPeersSorted(t *testing.T, network string, mk maker) {
-	ids := []model.ProcessID{"p3", "p1", "p2"}
-	addrs := reserveAddrs(t, ids, network)
-	s := &sink{}
-	tr, _ := mk(t, "p1", addrs, s.handle, nil)
-	defer tr.Close()
-	got := tr.Peers()
-	want := []model.ProcessID{"p1", "p2", "p3"}
-	if len(got) != len(want) {
-		t.Fatalf("Peers() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Peers() = %v, want %v", got, want)
-		}
-	}
-}
-
 func testCloseIdempotent(t *testing.T, network string, mk maker) {
 	ids := []model.ProcessID{"p1"}
 	addrs := reserveAddrs(t, ids, network)
@@ -206,46 +189,81 @@ func TestHubBroadcastReachesAll(t *testing.T) { testBroadcastReachesAll(t, "hub"
 func TestUDPUnicastReachesOne(t *testing.T)   { testUnicastReachesOne(t, "udp", makeUDP) }
 func TestTCPUnicastReachesOne(t *testing.T)   { testUnicastReachesOne(t, "tcp", makeTCP) }
 func TestHubUnicastReachesOne(t *testing.T)   { testUnicastReachesOne(t, "hub", makeHub()) }
-func TestUDPPeersSorted(t *testing.T)         { testPeersSorted(t, "udp", makeUDP) }
-func TestTCPPeersSorted(t *testing.T)         { testPeersSorted(t, "tcp", makeTCP) }
-func TestHubPeersSorted(t *testing.T)         { testPeersSorted(t, "hub", makeHub()) }
 func TestUDPCloseIdempotent(t *testing.T)     { testCloseIdempotent(t, "udp", makeUDP) }
 func TestTCPCloseIdempotent(t *testing.T)     { testCloseIdempotent(t, "tcp", makeTCP) }
 func TestHubCloseIdempotent(t *testing.T)     { testCloseIdempotent(t, "hub", makeHub()) }
 
-// TestHubPartitionCutsAndMergeHeals covers what only the hub can do: cut
-// itself. A broadcast stays inside the sender's component, Peers follows
-// the component map, and Merge reunites everyone.
-func TestHubPartitionCutsAndMergeHeals(t *testing.T) {
+// testCutPartitionsAndMergeHeals wraps every receiver in one Cut: a
+// broadcast and a unicast stay inside the sender's component, a process
+// always receives its own messages, every cut copy is counted on the
+// cut's scope, and Merge reunites everyone.
+func testCutPartitionsAndMergeHeals(t *testing.T, network string, mk maker) {
 	ids := []model.ProcessID{"p1", "p2", "p3"}
+	addrs := reserveAddrs(t, ids, network)
 	met := obs.New("net", nil)
-	h := NewHub(ids, met)
+	cut := NewCut(met)
 	sinks := make(map[model.ProcessID]*sink, len(ids))
 	trs := make(map[model.ProcessID]Transport, len(ids))
 	for _, id := range ids {
 		sinks[id] = &sink{}
-		trs[id] = h.Join(id, sinks[id].handle, nil)
+		trs[id], _ = mk(t, id, addrs, cut.Handler(id, sinks[id].handle), nil)
 		defer trs[id].Close()
 	}
-	h.Partition(ids[:2])
+	waitCut := func(n uint64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for met.Counter(obs.CNetCut) < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("net_cut = %d, want %d", met.Counter(obs.CNetCut), n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	cut.Partition(ids[:2]) // p3 is isolated
 	trs["p1"].Broadcast(testData("left"))
 	waitCount(t, sinks["p1"], 1)
 	waitCount(t, sinks["p2"], 1)
-	if got := trs["p1"].Peers(); len(got) != 2 || got[0] != "p1" || got[1] != "p2" {
-		t.Errorf("Peers() in the left component = %v, want [p1 p2]", got)
-	}
-	if got := trs["p3"].Peers(); len(got) != 1 || got[0] != "p3" {
-		t.Errorf("Peers() of the isolated process = %v, want [p3]", got)
-	}
-	if met.Counter(obs.CNetCut) != 1 {
-		t.Errorf("net_cut = %d, want 1 (the copy for p3)", met.Counter(obs.CNetCut))
-	}
-	h.Merge()
-	trs["p1"].Broadcast(testData("all"))
+	waitCut(1) // p3's copy
+	trs["p3"].Unicast("p1", testData("across"))
+	trs["p1"].Unicast("p2", testData("direct"))
+	waitCount(t, sinks["p2"], 2)
+	waitCut(2)
+	trs["p3"].Broadcast(testData("self"))
 	waitCount(t, sinks["p3"], 1)
-	if n := sinks["p3"].count(); n != 1 {
-		t.Errorf("p3 received %d messages, want only the post-merge one", n)
+	waitCut(4) // p1's and p2's copies
+	cut.Merge()
+	trs["p1"].Broadcast(testData("all"))
+	want := map[model.ProcessID][]string{"p1": {"all", "left"}, "p2": {"all", "direct", "left"}, "p3": {"all", "self"}}
+	for _, id := range ids {
+		waitCount(t, sinks[id], len(want[id]))
 	}
+	time.Sleep(20 * time.Millisecond) // let a stray copy (a bug) surface
+	for _, id := range ids {
+		s := sinks[id]
+		s.mu.Lock()
+		var got []string
+		for _, m := range s.msgs {
+			got = append(got, string(m.(wire.Data).Payload))
+		}
+		s.mu.Unlock()
+		slices.Sort(got)
+		if !slices.Equal(got, want[id]) {
+			t.Errorf("%s received %v, want %v", id, got, want[id])
+		}
+	}
+	if n := met.Counter(obs.CNetCut); n != 4 {
+		t.Errorf("net_cut = %d, want 4", n)
+	}
+}
+
+func TestHubCutPartitionsAndMergeHeals(t *testing.T) {
+	testCutPartitionsAndMergeHeals(t, "hub", makeHub())
+}
+func TestUDPCutPartitionsAndMergeHeals(t *testing.T) {
+	testCutPartitionsAndMergeHeals(t, "udp", makeUDP)
+}
+func TestTCPCutPartitionsAndMergeHeals(t *testing.T) {
+	testCutPartitionsAndMergeHeals(t, "tcp", makeTCP)
 }
 
 // TestUDPCorruptFrameCounted fires raw garbage and corrupted real frames

@@ -103,13 +103,6 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 // Addr returns the bound local address.
 func (t *UDP) Addr() string { return t.conn.LocalAddr().String() }
 
-// Peers implements Transport.
-func (t *UDP) Peers() []model.ProcessID {
-	out := make([]model.ProcessID, len(t.peers))
-	copy(out, t.peers)
-	return out
-}
-
 // Broadcast implements Transport: encode once, one datagram per peer
 // (including self, through the loopback socket).
 func (t *UDP) Broadcast(msg wire.Message) {
@@ -189,18 +182,7 @@ func (t *UDP) receive() {
 		}
 		frame := make([]byte, n)
 		copy(frame, readBuf[:n])
-		countIn(t.met, n)
-		from, body, err := splitFrame(frame)
-		if err != nil {
-			t.met.Inc(obs.CWireDecodeErrors)
-			continue
-		}
-		msg, err := dec.Decode(body)
-		if err != nil {
-			t.met.Inc(obs.CWireDecodeErrors)
-			continue
-		}
-		t.handler(from, msg)
+		receiveFrame(frame, dec, t.handler, t.met)
 	}
 }
 

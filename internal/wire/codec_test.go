@@ -248,6 +248,33 @@ func TestDataBatchFrameSize(t *testing.T) {
 	}
 }
 
+// TestDecodedBatchElementsCarryRing: the ring travels once per batch
+// frame, and the decoder hands it to every element, which is the
+// invariant a receiver relies on to test the ring once per batch.
+func TestDecodedBatchElementsCarryRing(t *testing.T) {
+	b := DataBatch{Ring: testRing, Msgs: make([]Data, 3)}
+	for i := range b.Msgs {
+		b.Msgs[i] = Data{ID: model.MessageID{Sender: "p01", SenderSeq: uint64(i + 1)}, Ring: testRing, Seq: uint64(i + 1)}
+	}
+	enc, err := Encode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewDecoder().Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := got.(DataBatch)
+	if batch.Ring != testRing || len(batch.Msgs) != len(b.Msgs) {
+		t.Fatalf("decoded %+v", batch)
+	}
+	for i, d := range batch.Msgs {
+		if d.Ring != batch.Ring {
+			t.Errorf("element %d on ring %v, batch on %v", i, d.Ring, batch.Ring)
+		}
+	}
+}
+
 // TestMixedRingBatchUnencodable: a batch frame carries one ring for all
 // its elements, so an element on another ring cannot be encoded in it.
 func TestMixedRingBatchUnencodable(t *testing.T) {

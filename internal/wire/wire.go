@@ -69,6 +69,11 @@ func (d Data) String() string {
 // receivers process each element exactly as if it had arrived alone, and
 // the fault-injection surface treats a batch as a packet of the "data"
 // class (dropping the class drops the batch).
+//
+// Every element belongs to Ring: the sender packs one ring's messages,
+// the encoder refuses an element on another ring, and the decoder copies
+// Ring into each element. Receivers rely on it to test the ring once per
+// batch.
 type DataBatch struct {
 	Ring model.ConfigID
 	Msgs []Data

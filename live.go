@@ -1,7 +1,6 @@
 package evs
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 
@@ -14,9 +13,10 @@ import (
 
 // LiveGroup is the wall-clock cluster: the same processes as Group — the
 // Section 5 layers included — on real goroutines and wall-clock timers,
-// over one of three media: the in-process hub (shared-memory handoff, a
-// mutable partition map) or loopback UDP or TCP sockets, where every
-// message crosses the wire codec and the kernel's network stack.
+// over one of three media: the in-process hub (shared-memory handoff) or
+// loopback UDP or TCP sockets, where every message crosses the wire codec
+// and the kernel's network stack. Every medium partitions the same way,
+// through one receive-side cut around each process's handler.
 //
 // The simulator remains the right tool for reproducible experiments and
 // adversarial schedules; LiveGroup exists to exercise the stack under real
@@ -27,13 +27,9 @@ import (
 // Crash, Recover — and is safe to use while the group runs.
 type LiveGroup struct {
 	*spine.Recorder
-	hub  *transport.Hub // nil over sockets
+	cut  *transport.Cut
 	http spine.Server
 }
-
-// ErrNoPartition is returned by Partition and Merge on a medium that
-// cannot cut itself (the socket runtimes).
-var ErrNoPartition = errors.New("evs: this runtime's medium cannot be partitioned")
 
 // NewLiveGroup starts a wall-clock cluster of opts.NumProcesses processes
 // named p01..pNN on the medium rt selects: RuntimeLive, RuntimeUDP or
@@ -58,22 +54,25 @@ func NewLiveGroup(rt Runtime, opts Options) (*LiveGroup, error) {
 	// Each runtime has its own default timing profile: simulated-network
 	// timings on the hub, the deployment profile on sockets.
 	cfg := node.DefaultConfig()
-	var dial spine.Dial
+	var hub *transport.Hub
+	var addrs map[ProcessID]string
 	if rt == RuntimeLive {
 		g.MediumScope = obs.New("net", clock.Now)
-		g.hub = transport.NewHub(ids, g.MediumScope)
-		dial = func(id ProcessID, h spine.Handler, met *obs.Metrics) (spine.Medium, error) {
-			return g.hub.Join(id, h, met), nil
-		}
+		hub = transport.NewHub(ids, g.MediumScope)
 	} else {
 		cfg = daemon.DefaultNetConfig()
-		addrs, err := transport.ReserveLoopback(ids, rt.String())
-		if err != nil {
+		var err error
+		if addrs, err = transport.ReserveLoopback(ids, rt.String()); err != nil {
 			return nil, err
 		}
-		dial = func(id ProcessID, h spine.Handler, met *obs.Metrics) (spine.Medium, error) {
-			return transport.Open(rt.String(), id, addrs, h, met)
+	}
+	g.cut = transport.NewCut(g.MediumScope)
+	dial := func(id ProcessID, h spine.Handler, met *obs.Metrics) (spine.Medium, error) {
+		h = g.cut.Handler(id, h)
+		if hub != nil {
+			return hub.Join(id, h, met), nil
 		}
+		return transport.Open(rt.String(), id, addrs, h, met)
 	}
 	if opts.Node != nil {
 		cfg = *opts.Node
@@ -88,24 +87,11 @@ func NewLiveGroup(rt Runtime, opts Options) (*LiveGroup, error) {
 }
 
 // Partition splits the medium into the given components; unmentioned
-// processes are isolated. Only the hub can cut itself: on sockets it
-// returns ErrNoPartition.
-func (g *LiveGroup) Partition(groups ...[]ProcessID) error {
-	if g.hub == nil {
-		return ErrNoPartition
-	}
-	g.hub.Partition(groups...)
-	return nil
-}
+// processes are isolated. It works the same on every medium.
+func (g *LiveGroup) Partition(groups ...[]ProcessID) { g.cut.Partition(groups...) }
 
-// Merge reunites all processes (ErrNoPartition on sockets).
-func (g *LiveGroup) Merge() error {
-	if g.hub == nil {
-		return ErrNoPartition
-	}
-	g.hub.Merge()
-	return nil
-}
+// Merge reunites all processes.
+func (g *LiveGroup) Merge() { g.cut.Merge() }
 
 // Kill abruptly stops one process: its transport closes and it goes
 // silent, with no protocol goodbye and no Fail event — the in-process

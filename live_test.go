@@ -96,12 +96,14 @@ func TestLiveGroupTotalOrderUnderConcurrentSenders(t *testing.T) {
 	}
 }
 
+// TestLiveGroupPartitionAndMerge runs on every wall-clock medium: each
+// side of a 2|2 cut forms its own ring and delivers only its own traffic,
+// and the merge finds the other ring through its beacon.
 func TestLiveGroupPartitionAndMerge(t *testing.T) {
-	g := newHubGroup(t, 4)
-	defer g.Close()
-	if !g.WaitOperational(5 * time.Second) {
-		t.Fatal("initial formation failed")
-	}
+	forEachLiveRuntime(t, Options{NumProcesses: 4}, testLiveGroupPartitionAndMerge)
+}
+
+func testLiveGroupPartitionAndMerge(t *testing.T, g *LiveGroup) {
 	ids := g.IDs()
 	g.Partition(ids[:2], ids[2:])
 	// Both components keep operating: sends succeed and deliver within
@@ -142,7 +144,7 @@ func TestLiveGroupPartitionAndMerge(t *testing.T) {
 	}
 	// No submit follows the merge, so the rings are idle: each side can
 	// learn of the other only from the representative's beacon, the one
-	// token per rotation the hub still broadcasts.
+	// token per rotation every medium still broadcasts.
 	before := g.Metrics().Total.Counters
 	g.Merge()
 	if !g.WaitOperational(10 * time.Second) {
@@ -166,62 +168,42 @@ func TestLiveGroupPartitionAndMerge(t *testing.T) {
 // node ignores what still arrives, so Crash and Recover need no help from
 // the transport.
 func TestLiveGroupCrashRecover(t *testing.T) {
-	for _, rt := range []Runtime{RuntimeLive, RuntimeUDP, RuntimeTCP} {
-		rt := rt
-		t.Run(rt.String(), func(t *testing.T) {
-			var opts Options
-			if rt != RuntimeLive {
-				cfg := fastNetConfig()
-				opts.Node = &cfg
-			}
-			g, err := NewLiveGroup(rt, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer g.Close()
-			if !g.WaitOperational(10 * time.Second) {
-				t.Fatal("initial formation failed")
-			}
-			ids := g.IDs()
-			g.Crash(ids[2])
-			if err := g.Submit(ids[2], nil, Safe); err == nil {
-				t.Fatal("send at crashed process should fail")
-			}
-			// Survivors reconfigure and keep delivering.
-			deadline := time.Now().Add(10 * time.Second)
-			ok := false
-			for time.Now().Before(deadline) && !ok {
-				_ = g.Submit(ids[0], []byte("while-down"), Safe)
-				time.Sleep(20 * time.Millisecond)
-				ok = hasPayload(g.Deliveries(ids[1]), "while-down")
-			}
-			if !ok {
-				t.Fatal("survivors made no progress after the crash")
-			}
-			g.Recover(ids[2])
-			if !g.WaitOperational(20 * time.Second) {
-				t.Fatalf("recovered process did not rejoin (mode %s)", g.Mode(ids[2]))
-			}
-			if vs := g.Check(false); len(vs) != 0 {
-				t.Fatalf("violations: %v", vs)
-			}
-		})
-	}
+	forEachLiveRuntime(t, Options{NumProcesses: 3}, func(t *testing.T, g *LiveGroup) {
+		ids := g.IDs()
+		g.Crash(ids[2])
+		if err := g.Submit(ids[2], nil, Safe); err == nil {
+			t.Fatal("send at crashed process should fail")
+		}
+		// Survivors reconfigure and keep delivering.
+		deadline := time.Now().Add(10 * time.Second)
+		ok := false
+		for time.Now().Before(deadline) && !ok {
+			_ = g.Submit(ids[0], []byte("while-down"), Safe)
+			time.Sleep(20 * time.Millisecond)
+			ok = hasPayload(g.Deliveries(ids[1]), "while-down")
+		}
+		if !ok {
+			t.Fatal("survivors made no progress after the crash")
+		}
+		g.Recover(ids[2])
+		if !g.WaitOperational(20 * time.Second) {
+			t.Fatalf("recovered process did not rejoin (mode %s)", g.Mode(ids[2]))
+		}
+		if vs := g.Check(false); len(vs) != 0 {
+			t.Fatalf("violations: %v", vs)
+		}
+	})
 }
 
-// TestLiveGroupPrimaryUnderPartition runs Section 5 on the wall clock: a
-// 5-process hub cluster with the primary component algorithm, partitioned
-// 3|2. The majority side is announced primary, the minority non-primary,
-// and the trace passes the EVS and primary-component checks.
+// TestLiveGroupPrimaryUnderPartition runs Section 5 on the wall clock, on
+// every medium: a 5-process cluster with the primary component algorithm,
+// partitioned 3|2. The majority side is announced primary, the minority
+// non-primary, and the trace passes the EVS and primary-component checks.
 func TestLiveGroupPrimaryUnderPartition(t *testing.T) {
-	g, err := NewLiveGroup(RuntimeLive, Options{NumProcesses: 5, EnablePrimary: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	if !g.WaitOperational(10 * time.Second) {
-		t.Fatal("initial formation failed")
-	}
+	forEachLiveRuntime(t, Options{NumProcesses: 5, EnablePrimary: true}, testLiveGroupPrimaryUnderPartition)
+}
+
+func testLiveGroupPrimaryUnderPartition(t *testing.T, g *LiveGroup) {
 	ids := g.IDs()
 	// verdict reports the primary verdict at id for a configuration of
 	// exactly n members, once one has been decided.
@@ -246,9 +228,7 @@ func TestLiveGroupPrimaryUnderPartition(t *testing.T) {
 	if !spine.Poll(10*time.Second, all(ids, true)) {
 		t.Fatal("the full configuration was never announced primary")
 	}
-	if err := g.Partition(ids[:3], ids[3:]); err != nil {
-		t.Fatal(err)
-	}
+	g.Partition(ids[:3], ids[3:])
 	if !spine.Poll(10*time.Second, all(ids[:3], true)) {
 		t.Errorf("majority side not announced primary")
 	}
@@ -267,6 +247,30 @@ func TestLiveGroupCloseIdempotent(t *testing.T) {
 	}
 	g.Close()
 	g.Close() // must not panic or deadlock
+}
+
+// forEachLiveRuntime runs test as one subtest per wall-clock medium, on
+// an operational group built from opts; the socket runtimes get the test
+// timing profile.
+func forEachLiveRuntime(t *testing.T, opts Options, test func(*testing.T, *LiveGroup)) {
+	for _, rt := range []Runtime{RuntimeLive, RuntimeUDP, RuntimeTCP} {
+		t.Run(rt.String(), func(t *testing.T) {
+			opts := opts
+			if rt != RuntimeLive {
+				cfg := fastNetConfig()
+				opts.Node = &cfg
+			}
+			g, err := NewLiveGroup(rt, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			if !g.WaitOperational(10 * time.Second) {
+				t.Fatal("initial formation failed")
+			}
+			test(t, g)
+		})
+	}
 }
 
 func hasPayload(ds []Delivery, want string) bool {

@@ -1,7 +1,6 @@
 package evs
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -106,8 +105,8 @@ func TestNewLiveRuntime(t *testing.T) {
 // TestNewUDPRuntime covers what the UDP runtime adds to the parity table
 // (TestClusterParity forms, orders and checks a ring on every runtime):
 // traffic really crosses the wire codec, a kill without a goodbye shrinks
-// the membership everywhere, the trace still passes the specification
-// checker, and the sockets cannot be partitioned.
+// the membership everywhere, the sockets partition and merge, and the
+// trace still passes the specification checker.
 func TestNewUDPRuntime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second socket ring test")
@@ -126,11 +125,31 @@ func TestNewUDPRuntime(t *testing.T) {
 	if !g.WaitOperational(20 * time.Second) {
 		t.Fatalf("ring never formed; p01 is %s", g.Mode(ids[0]))
 	}
-	if err := g.Partition(ids[:2], ids[2:]); !errors.Is(err, ErrNoPartition) {
-		t.Fatalf("Partition over sockets = %v, want ErrNoPartition", err)
+	// installed reports whether every process of each side has installed
+	// a regular configuration of exactly that side's size.
+	installed := func(sides ...[]ProcessID) func() bool {
+		return func() bool {
+			for _, side := range sides {
+				for _, id := range side {
+					ccs := g.ConfigChanges(id)
+					if last := ccs[len(ccs)-1].Config; !last.ID.IsRegular() || last.Members.Size() != len(side) {
+						return false
+					}
+				}
+			}
+			return true
+		}
 	}
-	if err := g.Merge(); !errors.Is(err, ErrNoPartition) {
-		t.Fatalf("Merge over sockets = %v, want ErrNoPartition", err)
+
+	// The sockets partition like the hub: each side installs its own
+	// ring, and the merge installs the 4-member ring again.
+	g.Partition(ids[:2], ids[2:])
+	if !spine.Poll(30*time.Second, installed(ids[:2], ids[2:])) {
+		t.Fatal("the sides never installed their own 2-member rings")
+	}
+	g.Merge()
+	if !spine.Poll(30*time.Second, installed(ids)) || !g.WaitOperational(10*time.Second) {
+		t.Fatal("the merge never installed the 4-member ring")
 	}
 
 	// Kill p04; the survivors deliver a 3-member configuration.
@@ -140,16 +159,7 @@ func TestNewUDPRuntime(t *testing.T) {
 	if err := g.Submit(ids[3], []byte("late"), Agreed); err == nil {
 		t.Fatal("submit at a killed process succeeded")
 	}
-	installed := func() bool {
-		for _, id := range ids[:3] {
-			ccs := g.ConfigChanges(id)
-			if last := ccs[len(ccs)-1].Config; !last.ID.IsRegular() || last.Members.Size() != 3 {
-				return false
-			}
-		}
-		return true
-	}
-	if !spine.Poll(30*time.Second, installed) || !g.WaitOperational(10*time.Second) {
+	if !spine.Poll(30*time.Second, installed(ids[:3])) || !g.WaitOperational(10*time.Second) {
 		t.Fatal("survivors never installed the 3-member ring")
 	}
 
