@@ -35,7 +35,7 @@ func BenchmarkFig6Scenario(b *testing.B) {
 	ok := 0
 	for i := 0; i < b.N; i++ {
 		res := experiments.Figure6(int64(i + 1))
-		if res.QRTransitional && res.PIsolated && len(res.Violations) == 0 {
+		if res.QRTransitional && res.PIsolated && res.STOutside && len(res.Violations) == 0 {
 			ok++
 		}
 	}

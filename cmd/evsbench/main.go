@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	evs "repro"
 	"repro/internal/experiments"
@@ -49,7 +50,12 @@ func run(w io.Writer, seed int64, quick bool) {
 	fmt.Fprintln(w, "F6     figure 6: partition and merge of {p,q,r} with {s,t}")
 	fmt.Fprintln(w, "-------------------------------------------------------------")
 	f6 := experiments.Figure6(seed)
-	for _, id := range []evs.ProcessID{"p", "q", "r", "s", "t"} {
+	ids := make([]evs.ProcessID, 0, len(f6.ConfigSeqs))
+	for id := range f6.ConfigSeqs {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
 		fmt.Fprintf(w, "  %s: ", id)
 		for i, c := range f6.ConfigSeqs[id] {
 			if i > 0 {

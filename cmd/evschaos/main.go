@@ -23,6 +23,8 @@
 //	evschaos -seeds 200 -parallel 8    # the same on 8 workers
 //	evschaos -seed 86 -minimize        # one seed, shrink any failure
 //	evschaos -replay repro.json        # re-execute a saved reproducer
+//	evschaos -replay internal/chaos/testdata/figure6.json -v
+//	                                   # replay a corpus scenario, traced
 //	evschaos -soak-seconds 90 -report CONVERGENCE_report.txt
 //	                                   # seeds from 1 until 90 s are spent
 //
@@ -36,6 +38,10 @@
 // 1 (or -seed) until the wall-clock budget is spent, and at least one
 // always runs. -report writes everything printed to a file, even when
 // seeds fail.
+//
+// -replay re-executes one saved program; with -v it also prints the
+// formal-model trace, one event per line. The scenario corpus
+// (internal/chaos/testdata) replays the same way.
 //
 // The exit status is non-zero if any seed failed (or a replayed
 // reproducer still fails).
@@ -73,7 +79,7 @@ func main() {
 		reportFile  = flag.String("report", "", "also write the report to this file (written even on failure)")
 		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf     = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		verbose     = flag.Bool("v", false, "print every program before running it")
+		verbose     = flag.Bool("v", false, "print every program before running it (with -replay, also its formal-model trace)")
 	)
 	flag.Parse()
 
@@ -354,7 +360,8 @@ func runPool(first, last int64, cfg config, gen chaos.GenConfig, take func(seedO
 }
 
 // replayFile re-executes a saved program twice, checking both its verdict
-// and the determinism of the reproducer.
+// and the determinism of the reproducer. With verbose set it first prints
+// the program's formal-model trace.
 func replayFile(cfg config) error {
 	b, err := os.ReadFile(cfg.replay)
 	if err != nil {
@@ -365,6 +372,13 @@ func replayFile(cfg config) error {
 		return fmt.Errorf("evschaos: %s: %w", cfg.replay, err)
 	}
 	fmt.Println(p)
+	if cfg.verbose {
+		events, _ := chaos.Trace(p)
+		fmt.Println("formal-model trace:")
+		for _, e := range events {
+			fmt.Printf("    %s\n", e)
+		}
+	}
 	res, same := chaos.Replay(p)
 	if !same {
 		return fmt.Errorf("evschaos: program is not deterministic across replays")

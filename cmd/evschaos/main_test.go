@@ -127,6 +127,24 @@ func TestSaveAndReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplayCorpusScenarioTraced: -replay runs a corpus scenario, and -v
+// prints its formal-model trace, one event per line.
+func TestReplayCorpusScenarioTraced(t *testing.T) {
+	out, err := captureRun(t, config{replay: "../../internal/chaos/testdata/figure6.json", verbose: true})
+	if err != nil {
+		t.Fatalf("figure6 should replay clean: %v\n%s", err, out)
+	}
+	for _, want := range []string{
+		"formal-model trace:\n    deliver_conf_",
+		"    deliver_conf_p02(trans(",
+		"replayed twice, deterministic: CONVERGED",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestSoakRunsSeedsUntilBudget: -soak-seconds runs seeds serially from
 // -seed until the budget is spent, and -report holds everything printed.
 // The injected clock advances one second per reading, so a two-second

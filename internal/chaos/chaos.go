@@ -16,12 +16,17 @@
 //
 // A Program is pure data (JSON-serialisable), so any failure found by the
 // generator can be saved, replayed bit-for-bit, shrunk, and committed as a
-// regression scenario.
+// regression scenario. The committed scenarios are the corpus in testdata/
+// (Scenario): the paper's Figure 6, the conforming run of Figures 1-5, and
+// the partition, crash and churn scenarios.
 package chaos
 
 import (
+	"bytes"
+	"embed"
 	"encoding/json"
 	"fmt"
+	"io"
 	"slices"
 	"sort"
 	"strings"
@@ -68,6 +73,19 @@ const (
 	// crash-time storage corruption of OpCrash.
 	OpPerturb Op = "perturb"
 )
+
+// UnmarshalText accepts only the operations the executor knows, so a
+// misspelt op in a hand-edited program fails to decode instead of being
+// skipped.
+func (o *Op) UnmarshalText(b []byte) error {
+	switch op := Op(b); op {
+	case OpSend, OpCrash, OpRecover, OpPartition, OpMerge, OpOneWay, OpHealLinks,
+		OpDropKinds, OpClearDrops, OpDelaySpike, OpPerturb:
+		*o = op
+		return nil
+	}
+	return fmt.Errorf("unknown op %q", b)
+}
 
 // Event is one scheduled fault or traffic action.
 type Event struct {
@@ -172,22 +190,44 @@ func (p Program) String() string {
 	return b.String()
 }
 
-// MarshalJSON/Unmarshal round-trip the program through encoding/json; the
-// default struct codecs are sufficient, these named helpers just keep the
-// CLI honest about the format.
-
-// EncodeJSON serialises the program.
+// EncodeJSON serialises the program in the corpus's format: indented,
+// one trailing newline.
 func (p Program) EncodeJSON() ([]byte, error) {
-	return json.MarshalIndent(p, "", "  ")
+	b, err := json.MarshalIndent(p, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
 }
 
-// DecodeJSON parses a program.
+// DecodeJSON parses a program. An unknown field or op, or anything after
+// the program, is an error, so a typo cannot replay a different schedule.
 func DecodeJSON(b []byte) (Program, error) {
 	var p Program
-	if err := json.Unmarshal(b, &p); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&p)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = fmt.Errorf("data after the program")
+		}
+	}
+	if err != nil {
 		return Program{}, fmt.Errorf("chaos: decode program: %w", err)
 	}
 	return p, nil
+}
+
+//go:embed testdata/*.json
+var corpus embed.FS
+
+// Scenario loads the corpus program testdata/<name>.json.
+func Scenario(name string) (Program, error) {
+	b, err := corpus.ReadFile("testdata/" + name + ".json")
+	if err != nil {
+		return Program{}, fmt.Errorf("chaos: scenario %q: %w", name, err)
+	}
+	return DecodeJSON(b)
 }
 
 // Result is the outcome of executing one program: the specification
@@ -279,9 +319,17 @@ func Run(p Program) Result {
 	return run(p, cadence{checkEvery, oracleEvery}, nil)
 }
 
+// Trace is Run that also returns the history the checker consumed, in
+// order. With Settle zero the history ends where the heal tail starts.
+func Trace(p Program) ([]model.Event, Result) {
+	var history []model.Event
+	res := run(p, cadence{checkEvery, oracleEvery}, func(e model.Event) { history = append(history, e) })
+	return history, res
+}
+
 // run is Run on the certification schedule c. tap, when non-nil, sees
-// every traced event the checker sees, in order: tests take the history
-// from it.
+// every traced event the checker sees, in order: Trace and tests take the
+// history from it.
 func run(p Program, c cadence, tap func(model.Event)) Result {
 	var res Result
 	var stream *spec.Stream

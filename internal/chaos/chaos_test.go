@@ -122,6 +122,9 @@ func TestProgramJSONRoundTrip(t *testing.T) {
 	if _, err := DecodeJSON([]byte("{broken")); err == nil {
 		t.Fatal("malformed JSON decoded without error")
 	}
+	if _, err := DecodeJSON(append(b, "{}"...)); err == nil {
+		t.Fatal("data after the program decoded without error")
+	}
 }
 
 // plantOrderingBug installs a deliberate protocol bug via the test-only
@@ -365,14 +368,6 @@ func TestSelfStabilizationFaultsMaterialize(t *testing.T) {
 	if sum.Perturbations == 0 {
 		t.Error("no live perturbation materialized across 40 seeds")
 	}
-}
-
-// runHistory executes the program on the default certification schedule
-// and also returns the history the checker consumed, tapped from the run.
-func runHistory(p Program) ([]model.Event, Result) {
-	var history []model.Event
-	res := run(p, cadence{checkEvery, oracleEvery}, func(e model.Event) { history = append(history, e) })
-	return history, res
 }
 
 // TestInlineVerdictMatchesBatch: the verdict certified inline equals the

@@ -130,9 +130,9 @@ func TestChaosHistoriesMatchReference(t *testing.T) {
 			Duration: 400 * time.Millisecond,
 			Settle:   1500 * time.Millisecond,
 		})
-		events, res := runHistory(p)
+		events, res := Trace(p)
 		if res.Events != len(events) {
-			t.Fatalf("seed %d: runHistory returned %d events but result counted %d", seed, len(events), res.Events)
+			t.Fatalf("seed %d: Trace returned %d events but result counted %d", seed, len(events), res.Events)
 		}
 		for _, opts := range []spec.Options{{Settled: true}, {}} {
 			compareCheckers(t, "clean", events, opts)

@@ -18,12 +18,29 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	evs "repro"
+	"repro/internal/chaos"
 	"repro/internal/model"
 	"repro/internal/spec"
 )
+
+// Figures 1-5's conforming run and Figure 6 are scenarios of the chaos
+// corpus. The corpus is compiled into package chaos, so a load error is a
+// broken build and stops the program at start.
+var conformingRun, figure6Run chaos.Program
+
+func init() {
+	var err error
+	if conformingRun, err = chaos.Scenario("conforming"); err == nil {
+		figure6Run, err = chaos.Scenario("figure6")
+	}
+	if err != nil {
+		panic(err)
+	}
+}
 
 // CheckerRow is one conformance row of the Figure 1-5 reproduction.
 type CheckerRow struct {
@@ -45,21 +62,11 @@ func (r CheckerRow) Pass() bool { return r.WantViolation == r.Flagged }
 func Figures1to5(seed int64) []CheckerRow {
 	var rows []CheckerRow
 
-	// Conforming executions: one churny run checked per cluster.
-	g := evs.NewGroup(evs.Options{NumProcesses: 4, Seed: seed})
-	ids := g.IDs()
-	for i := 0; i < 12; i++ {
-		svc := evs.Safe
-		if i%2 == 0 {
-			svc = evs.Agreed
-		}
-		g.Send(time.Duration(150+i*20)*time.Millisecond, ids[i%4], []byte{byte(i)}, svc)
-	}
-	g.Partition(250*time.Millisecond, ids[:2], ids[2:])
-	g.Merge(550 * time.Millisecond)
-	g.Run(1500 * time.Millisecond)
+	// Conforming execution: the corpus's churny run, checked per cluster.
+	p := conformingRun
+	p.Seed = seed
 	flagged := map[string]bool{}
-	for _, v := range g.Check(true) {
+	for _, v := range chaos.Run(p).Violations {
 		flagged[v.Spec] = true
 	}
 	for _, cl := range []string{"1.3", "1.4", "2.1", "2.2", "3", "4", "5", "6.1/6.2", "6.3", "7.1", "7.2"} {
@@ -159,11 +166,11 @@ func violatingTraces() []CheckerRow {
 	return rows
 }
 
-// Fig6Result captures the Figure 6 reproduction.
+// Fig6Result captures the Figure 6 reproduction. Figure 6's processes p,
+// q, r, s and t are the corpus scenario's p01-p05.
 type Fig6Result struct {
-	// ConfigSeqs is the configuration sequence delivered at each
-	// process, rendered.
-	ConfigSeqs map[evs.ProcessID][]string
+	// ConfigSeqs is the configuration sequence delivered at each process.
+	ConfigSeqs map[evs.ProcessID][]evs.Configuration
 	// QRTransitional reports whether q and r delivered the two
 	// configuration changes of Figure 6: transitional {q,r} then
 	// regular {q,r,s,t}.
@@ -171,50 +178,57 @@ type Fig6Result struct {
 	// PIsolated reports whether p finished in the singleton regular
 	// configuration via a singleton transitional configuration.
 	PIsolated bool
+	// STOutside reports whether s and t installed no transitional
+	// configuration whose predecessor is a regular {p,q,r}, which they
+	// were never in.
+	STOutside bool
 	// Violations from the specification checker (empty on success).
 	Violations []evs.Violation
 }
 
 // Figure6 reproduces the paper's worked example: a regular configuration
 // {p,q,r} partitions; p becomes isolated while q and r merge with the
-// separate component {s,t}.
+// separate component {s,t}. It replays the corpus scenario up to the heal
+// tail, which would merge p back.
 func Figure6(seed int64) Fig6Result {
-	ids := []evs.ProcessID{"p", "q", "r", "s", "t"}
-	g := evs.NewGroup(evs.Options{Processes: ids, Seed: seed})
-	g.Partition(0, []evs.ProcessID{"p", "q", "r"}, []evs.ProcessID{"s", "t"})
-	for i := 0; i < 6; i++ {
-		g.Send(time.Duration(150+i*8)*time.Millisecond, ids[i%3], []byte{byte(i)}, evs.Safe)
-	}
-	g.Partition(300*time.Millisecond, []evs.ProcessID{"p"}, []evs.ProcessID{"q", "r", "s", "t"})
-	g.Run(900 * time.Millisecond)
+	prog := figure6Run
+	prog.Seed, prog.Settle = seed, 0
+	events, run := chaos.Trace(prog)
 
-	res := Fig6Result{ConfigSeqs: make(map[evs.ProcessID][]string)}
-	for _, id := range ids {
-		for _, ce := range g.ConfigChanges(id) {
-			res.ConfigSeqs[id] = append(res.ConfigSeqs[id], ce.Config.String())
+	res := Fig6Result{ConfigSeqs: make(map[evs.ProcessID][]evs.Configuration), Violations: run.Violations}
+	members := make(map[model.ConfigID]evs.ProcessSet)
+	for _, e := range events {
+		if e.Type == model.EventDeliverConf {
+			res.ConfigSeqs[e.Proc] = append(res.ConfigSeqs[e.Proc], evs.Configuration{ID: e.Config, Members: e.Members})
+			members[e.Config] = e.Members
 		}
 	}
+	ids := []evs.ProcessID{"p01", "p02", "p03", "p04", "p05"}
+	p, q, r, s, t := ids[0], ids[1], ids[2], ids[3], ids[4]
+	pqr := evs.NewProcessSet(p, q, r)
 	qr := func(id evs.ProcessID) bool {
-		seq := g.ConfigChanges(id)
+		seq := res.ConfigSeqs[id]
 		if len(seq) < 3 {
 			return false
 		}
-		last := seq[len(seq)-1].Config
-		tr := seq[len(seq)-2].Config
-		old := seq[len(seq)-3].Config
-		return old.ID.IsRegular() && old.Members.Equal(evs.NewProcessSet("p", "q", "r")) &&
-			tr.ID.IsTransitional() && tr.Members.Equal(evs.NewProcessSet("q", "r")) &&
+		last, tr, old := seq[len(seq)-1], seq[len(seq)-2], seq[len(seq)-3]
+		return old.ID.IsRegular() && old.Members.Equal(pqr) &&
+			tr.ID.IsTransitional() && tr.Members.Equal(evs.NewProcessSet(q, r)) &&
 			tr.ID.Prev() == old.ID &&
-			last.ID.IsRegular() && last.Members.Equal(evs.NewProcessSet("q", "r", "s", "t"))
+			last.ID.IsRegular() && last.Members.Equal(evs.NewProcessSet(q, r, s, t))
 	}
-	res.QRTransitional = qr("q") && qr("r")
-	pseq := g.ConfigChanges("p")
-	if n := len(pseq); n >= 2 {
-		last, tr := pseq[n-1].Config, pseq[n-2].Config
-		res.PIsolated = last.ID.IsRegular() && last.Members.Equal(evs.NewProcessSet("p")) &&
-			tr.ID.IsTransitional() && tr.Members.Equal(evs.NewProcessSet("p"))
+	res.QRTransitional = qr(q) && qr(r)
+	if pseq := res.ConfigSeqs[p]; len(pseq) >= 2 {
+		last, tr := pseq[len(pseq)-1], pseq[len(pseq)-2]
+		res.PIsolated = last.ID.IsRegular() && last.Members.Equal(evs.NewProcessSet(p)) &&
+			tr.ID.IsTransitional() && tr.Members.Equal(evs.NewProcessSet(p))
 	}
-	res.Violations = g.Check(true)
+	res.STOutside = true
+	for _, c := range slices.Concat(res.ConfigSeqs[s], res.ConfigSeqs[t]) {
+		if c.ID.IsTransitional() && members[c.ID.Prev()].Equal(pqr) {
+			res.STOutside = false
+		}
+	}
 	return res
 }
 

@@ -15,7 +15,7 @@ func TestSmokeAll(t *testing.T) {
 		}
 	}
 	f6 := Figure6(6)
-	if !f6.QRTransitional || !f6.PIsolated || len(f6.Violations) != 0 {
+	if !f6.QRTransitional || !f6.PIsolated || !f6.STOutside || len(f6.Violations) != 0 {
 		t.Errorf("figure 6: %+v", f6)
 	}
 	f7 := Figure7(7)

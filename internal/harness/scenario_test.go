@@ -10,79 +10,6 @@ import (
 	"repro/internal/model"
 )
 
-// TestFigure6PartitionAndMerge reproduces the paper's Figure 6: a regular
-// configuration {p,q,r} partitions; p becomes isolated while q and r merge
-// with {s,t}. q and r must deliver two configuration changes — one
-// initiating the transitional configuration {q,r} and one installing the
-// new regular configuration {q,r,s,t}.
-func TestFigure6PartitionAndMerge(t *testing.T) {
-	ids := []model.ProcessID{"p", "q", "r", "s", "t"}
-	c := evs.NewGroup(evs.Options{Processes: ids, Seed: 6})
-	// Two initial components: {p,q,r} and {s,t}.
-	c.Partition(0, []model.ProcessID{"p", "q", "r"}, []model.ProcessID{"s", "t"})
-	// Traffic inside {p,q,r}.
-	for i := 0; i < 6; i++ {
-		c.Send(time.Duration(150+i*8)*time.Millisecond, ids[i%3], []byte(fmt.Sprintf("m%d", i)), model.Safe)
-	}
-	// The Figure 6 reconfiguration: p isolated; q,r join s,t.
-	c.Partition(300*time.Millisecond, []model.ProcessID{"p"}, []model.ProcessID{"q", "r", "s", "t"})
-	c.Run(900 * time.Millisecond)
-
-	// q's configuration sequence must contain, in order: the old
-	// regular configuration {p,q,r}, the transitional {q,r}, and the
-	// new regular {q,r,s,t}.
-	for _, id := range []model.ProcessID{"q", "r"} {
-		seq := c.Configs(id)
-		var descr []string
-		for _, cf := range seq {
-			descr = append(descr, cf.String())
-		}
-		if len(seq) < 3 {
-			t.Fatalf("%s installed %v, want old regular, transitional, new regular", id, descr)
-		}
-		last := seq[len(seq)-1]
-		trans := seq[len(seq)-2]
-		old := seq[len(seq)-3]
-		if !old.Members.Equal(model.NewProcessSet("p", "q", "r")) || !old.ID.IsRegular() {
-			t.Fatalf("%s old configuration %v, want regular {p,q,r} (sequence %v)", id, old, descr)
-		}
-		if !trans.ID.IsTransitional() || !trans.Members.Equal(model.NewProcessSet("q", "r")) {
-			t.Fatalf("%s transitional configuration %v, want transitional {q,r}", id, trans)
-		}
-		if trans.ID.Prev() != old.ID {
-			t.Fatalf("%s transitional %v does not follow old regular %v", id, trans, old)
-		}
-		if !last.ID.IsRegular() || !last.Members.Equal(model.NewProcessSet("q", "r", "s", "t")) {
-			t.Fatalf("%s final configuration %v, want regular {q,r,s,t}", id, last)
-		}
-	}
-
-	// p ends alone: transitional {p} then regular {p}.
-	pseq := c.Configs("p")
-	if len(pseq) < 3 {
-		t.Fatalf("p installed %v", pseq)
-	}
-	pl := pseq[len(pseq)-1]
-	pt := pseq[len(pseq)-2]
-	if !pl.Members.Equal(model.NewProcessSet("p")) || !pl.ID.IsRegular() {
-		t.Fatalf("p's final configuration %v, want regular {p}", pl)
-	}
-	if !pt.ID.IsTransitional() || !pt.Members.Equal(model.NewProcessSet("p")) {
-		t.Fatalf("p's transitional configuration %v, want transitional {p}", pt)
-	}
-
-	// s and t join q,r's new configuration but never see a transitional
-	// configuration rooted in {p,q,r}.
-	for _, id := range []model.ProcessID{"s", "t"} {
-		for _, cf := range c.Configs(id) {
-			if cf.ID.IsTransitional() && cf.Members.Contains("q") {
-				t.Fatalf("%s installed transitional %v of a configuration it was never in", id, cf)
-			}
-		}
-	}
-	requireClean(t, c, true)
-}
-
 // TestSelfDeliveryAcrossPartition: a process isolated right after sending
 // still delivers its own messages, in a transitional configuration
 // containing only itself if need be (Specification 3, Figure 3).
