@@ -2,11 +2,14 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"syscall"
 
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -33,12 +36,23 @@ type TCPConfig struct {
 }
 
 // TCP is the mesh fallback for networks that eat UDP: one lazily dialed
-// connection per peer, frames length-prefixed on the stream. It remains
-// deliberately lossy — a full peer queue or dead connection drops the
-// frame and lets the protocol's retransmission machinery recover —
-// because EVS assumes an unreliable medium, and faking reliability here
-// would only hide partitions from the failure detector. Self-delivery
-// dials the local listener over loopback like any other peer.
+// connection per peer, frames length-prefixed on the stream. The
+// goroutine that calls Broadcast or Unicast writes each frame itself,
+// with one non-blocking write attempt per peer, so every peer's stream
+// carries frames in send order — a token never overtakes the data it
+// announces, as on the broadcast LAN Totem ran on. A peer's sender
+// goroutine takes over only what the socket would not take at once: it
+// dials, writes a partial write's remainder, and writes every later frame
+// to that peer until its queue is empty again. A frame is therefore
+// written whole, queued whole or as its unwritten remainder, or its
+// connection is reset; it is never torn on a live stream.
+//
+// The mesh remains deliberately lossy — a full peer queue or dead
+// connection drops the frame and lets the protocol's retransmission
+// machinery recover — because EVS assumes an unreliable medium, and
+// faking reliability here would only hide partitions from the failure
+// detector. Self-delivery dials the local listener over loopback like any
+// other peer.
 type TCP struct {
 	self    model.ProcessID
 	peers   []model.ProcessID
@@ -47,7 +61,9 @@ type TCP struct {
 	maxFr   int
 	ln      net.Listener
 
-	mu      sync.Mutex // guards senders, conns, sendBuf, closed
+	// mu guards senders (and each sender's raw, queued, out and wrote),
+	// conns, sendBuf and closed.
+	mu      sync.Mutex
 	senders map[model.ProcessID]*tcpSender
 	addrs   map[model.ProcessID]string
 	// conns is every live connection, inbound readers and outbound
@@ -59,12 +75,34 @@ type TCP struct {
 	wg      sync.WaitGroup
 }
 
-// tcpSender owns one peer's outbound side: a bounded frame queue drained
-// by a goroutine that dials on demand and redials after errors.
+// tcpSender owns one peer's outbound side: the connection the caller
+// writes to directly, and a bounded queue of what it could not write,
+// drained by a goroutine that dials on demand and redials after errors.
 type tcpSender struct {
-	queue chan []byte
+	queue chan tcpFrame
 	done  chan struct{}
+	// raw is the dialed connection, nil until the drain has dialed it
+	// and again after a write error closed it.
+	raw syscall.RawConn
+	// queued counts frames handed to the drain and not yet written by
+	// it; the caller writes directly only while it is zero.
+	queued int
+	// out and wrote are writeOut's argument and result, kept here so
+	// that a direct write allocates nothing.
+	out      []byte
+	wrote    int
+	writeOut func(fd uintptr) bool
 }
+
+// tcpFrame is one queued frame: the bytes still to write and the size of
+// the whole frame, counted as sent once its last byte is written.
+type tcpFrame struct {
+	b    []byte
+	size int
+}
+
+// tcpPrefixLen is the room sendBuf reserves for a frame's length prefix.
+const tcpPrefixLen = binary.MaxVarintLen64
 
 var _ Transport = (*TCP)(nil)
 
@@ -106,7 +144,8 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 			addr = ln.Addr().String()
 		}
 		t.addrs[id] = addr
-		s := &tcpSender{queue: make(chan []byte, qlen), done: make(chan struct{})}
+		s := &tcpSender{queue: make(chan tcpFrame, qlen), done: make(chan struct{})}
+		s.writeOut = s.writeOnce
 		t.senders[id] = s
 		t.wg.Add(1)
 		go t.drain(id, s)
@@ -119,27 +158,20 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 // Addr returns the bound local address.
 func (t *TCP) Addr() string { return t.ln.Addr().String() }
 
-// Broadcast implements Transport: encode once, enqueue on every peer's
-// sender (including self, whose sender dials the local listener).
+// Broadcast implements Transport: encode once, write to every peer
+// (including self, whose sender dials the local listener).
 func (t *TCP) Broadcast(msg wire.Message) {
 	t.send(msg, "")
 }
 
 // Unicast implements Transport.
 func (t *TCP) Unicast(to model.ProcessID, msg wire.Message) {
-	t.mu.Lock()
-	_, ok := t.senders[to]
-	t.mu.Unlock()
-	if !ok {
-		t.met.Inc(obs.CWireDrops)
-		return
-	}
 	t.send(msg, to)
 }
 
-// send encodes msg with its stream length prefix and enqueues the frame
-// on one peer's sender (to != "") or on all of them. Enqueued frames are
-// freshly allocated — the senders consume them asynchronously.
+// send encodes msg with its stream length prefix into sendBuf and writes
+// the frame to one peer (to != "") or to all of them. The frame is copied
+// only if some peer must queue it, and then once for all of them.
 func (t *TCP) send(msg wire.Message, to model.ProcessID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -147,100 +179,164 @@ func (t *TCP) send(msg wire.Message, to model.ProcessID) {
 		t.met.Inc(obs.CWireDrops)
 		return
 	}
-	// Reserve room for the length prefix, then patch it in front of the
-	// frame once its size is known.
-	body, err := appendFrame(t.sendBuf[:0], t.self, msg)
+	if _, ok := t.senders[to]; to != "" && !ok {
+		t.met.Inc(obs.CWireDrops)
+		return
+	}
+	// Encode after room for the longest prefix, then put the prefix
+	// right in front of the frame once its size is known.
+	buf, err := appendFrame(t.sendBuf[:tcpPrefixLen], t.self, msg)
 	if err != nil {
 		t.met.Inc(obs.CWireEncodeErrors)
 		return
 	}
-	t.sendBuf = body[:0]
-	if len(body) > t.maxFr {
+	t.sendBuf = buf[:0]
+	bodyLen := len(buf) - tcpPrefixLen
+	if bodyLen > t.maxFr {
 		t.met.Inc(obs.CWireDrops)
 		return
 	}
-	prefixed := binary.AppendUvarint(make([]byte, 0, len(body)+binary.MaxVarintLen64), uint64(len(body)))
-	prefixed = append(prefixed, body...)
+	var prefix [tcpPrefixLen]byte
+	k := binary.PutUvarint(prefix[:], uint64(bodyLen))
+	frame := buf[tcpPrefixLen-k:]
+	copy(frame, prefix[:k])
+	var copied []byte
 	if to != "" {
-		t.enqueue(to, prefixed)
+		t.write(t.senders[to], frame, &copied)
 		return
 	}
 	for _, id := range t.peers {
-		t.enqueue(id, prefixed)
+		t.write(t.senders[id], frame, &copied)
 	}
 }
 
-// enqueue hands one prepared frame to a peer's sender, dropping if the
-// queue is full. Callers hold t.mu, so senders cannot be closed out from
-// under us; the frame buffer is shared across peers and never mutated.
-func (t *TCP) enqueue(to model.ProcessID, frame []byte) {
-	s := t.senders[to]
+// write sends one frame to one peer. While nothing is queued ahead of it
+// on a dialed connection, the caller makes one non-blocking write
+// attempt; whatever the socket did not take — the whole frame, or a
+// partial write's remainder — goes to the peer's queue, in a copy of the
+// frame that *copied shares across peers. A full queue drops the frame
+// whole: a remainder always fits, because it is queued only behind an
+// empty queue. Callers hold t.mu.
+func (t *TCP) write(s *tcpSender, frame []byte, copied *[]byte) {
+	n := 0
+	if s.raw != nil && s.queued == 0 {
+		s.out, s.wrote = frame, 0
+		// One non-blocking attempt under the lock, as UDP writes: the
+		// lock is what keeps this peer's stream in send order. A failed
+		// attempt wrote nothing (s.wrote stays 0), so the frame queues
+		// and the drain's own write reports the error.
+		_ = s.raw.Write(s.writeOut)
+		n, s.out = s.wrote, nil
+		if n == len(frame) {
+			countOut(t.met, len(frame))
+			return
+		}
+	}
+	if *copied == nil {
+		*copied = bytes.Clone(frame)
+	}
 	select {
-	case s.queue <- frame:
+	case s.queue <- tcpFrame{b: (*copied)[n:], size: len(frame)}:
+		s.queued++
 	default:
 		t.met.Inc(obs.CWireDrops)
 	}
 }
 
-// drain is a peer's sender goroutine: dial on first frame, write frames
-// until an error, drop the connection and redial on the next frame.
+// writeOnce is the direct write's callback: one write(2) of s.out on the
+// non-blocking socket. Returning true tells the runtime not to wait for
+// the socket to become writable. Any error — EAGAIN on a full socket, or
+// a dead connection — counts as nothing written: the frame then queues,
+// and the drain's blocking write waits for room or resets the connection.
+func (s *tcpSender) writeOnce(fd uintptr) bool {
+	n, err := syscall.Write(int(fd), s.out)
+	if err != nil {
+		n = 0
+	}
+	s.wrote = n
+	return true
+}
+
+// drain is a peer's sender goroutine: dial on the first queued frame,
+// write queued frames until an error, drop the connection and redial on
+// the next one. Each frame stays counted in s.queued until it is written
+// or dropped, so the caller cannot write past it.
 func (t *TCP) drain(to model.ProcessID, s *tcpSender) {
 	defer t.wg.Done()
 	var conn net.Conn
 	defer func() {
 		if conn != nil {
-			t.untrack(conn)
-			conn.Close()
+			t.reset(s, conn)
 		}
 	}()
 	for {
 		select {
 		case <-s.done:
 			return
-		case frame := <-s.queue:
+		case f := <-s.queue:
 			if conn == nil {
-				c, err := net.Dial("tcp", t.addrs[to])
+				c, err := t.dial(to, s)
 				if err != nil {
 					t.met.Inc(obs.CWireDrops)
+					t.dequeue(s)
+					if errors.Is(err, ErrClosed) {
+						return
+					}
 					continue
-				}
-				if !t.track(c) {
-					// Close raced the dial; the connection was never
-					// registered, so sever it here and exit.
-					c.Close()
-					return
 				}
 				conn = c
 			}
-			if _, err := conn.Write(frame); err != nil {
-				t.untrack(conn)
-				conn.Close()
+			if _, err := conn.Write(f.b); err != nil {
+				t.reset(s, conn)
 				conn = nil
 				t.met.Inc(obs.CWireDrops)
-				continue
+			} else {
+				countOut(t.met, f.size)
 			}
-			countOut(t.met, len(frame))
+			t.dequeue(s)
 		}
 	}
 }
 
-// track registers a live outbound connection so Close can sever it; it
-// reports false when the transport is already closed, in which case the
-// caller owns the connection and must close it itself.
-func (t *TCP) track(conn net.Conn) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return false
+// dial connects to a peer and publishes the connection for direct
+// writes. It returns ErrClosed, having closed the connection, when Close
+// raced the dial.
+func (t *TCP) dial(to model.ProcessID, s *tcpSender) (net.Conn, error) {
+	c, err := net.Dial("tcp", t.addrs[to])
+	if err != nil {
+		return nil, err
 	}
-	t.conns[conn] = struct{}{}
-	return true
+	raw, err := c.(*net.TCPConn).SyscallConn()
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
+	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		c.Close()
+		return nil, ErrClosed
+	}
+	t.conns[c] = struct{}{}
+	s.raw = raw
+	t.mu.Unlock()
+	return c, nil
 }
 
-// untrack forgets a connection the owner is about to close.
-func (t *TCP) untrack(conn net.Conn) {
+// reset withdraws a peer's connection from direct writes and closes it:
+// after a write error that may have torn a frame on it, or at shutdown.
+func (t *TCP) reset(s *tcpSender, conn net.Conn) {
 	t.mu.Lock()
+	s.raw = nil
 	delete(t.conns, conn)
+	t.mu.Unlock()
+	conn.Close()
+}
+
+// dequeue marks one queued frame written or dropped.
+func (t *TCP) dequeue(s *tcpSender) {
+	t.mu.Lock()
+	s.queued--
 	t.mu.Unlock()
 }
 

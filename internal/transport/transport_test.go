@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
+	"io"
 	"net"
 	"slices"
 	"sync"
@@ -536,5 +538,254 @@ func TestFrameRoundTrip(t *testing.T) {
 				t.Fatalf("truncated frame at %d decoded", i)
 			}
 		}
+	}
+}
+
+// seqData is the i-th frame of a TCP stream test: Seq i and a payload
+// of the given size whose bytes depend on i, so a torn or spliced frame
+// fails patternOK even when it still decodes.
+func seqData(i uint64, size int) wire.Data {
+	d := testData("")
+	d.Seq = i
+	d.Payload = make([]byte, size)
+	for j := range d.Payload {
+		d.Payload[j] = byte(i*31 + uint64(j))
+	}
+	return d
+}
+
+func patternOK(d wire.Data) bool {
+	for j, b := range d.Payload {
+		if b != byte(d.Seq*31+uint64(j)) {
+			return false
+		}
+	}
+	return true
+}
+
+// seqSink records the Seq of every frame it receives, in arrival order,
+// and counts frames that are not an intact seqData.
+type seqSink struct {
+	mu   sync.Mutex
+	seqs []uint64
+	bad  int
+}
+
+func (s *seqSink) handle(_ model.ProcessID, msg wire.Message) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	d, ok := msg.(wire.Data)
+	if !ok || !patternOK(d) {
+		s.bad++
+		return
+	}
+	s.seqs = append(s.seqs, d.Seq)
+}
+
+func (s *seqSink) snapshot() ([]uint64, int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.seqs), s.bad
+}
+
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// checkSeqs fails unless got is exactly want, in order, with no bad frame.
+func checkSeqs(t *testing.T, who string, s *seqSink, want []uint64) {
+	t.Helper()
+	got, bad := s.snapshot()
+	if bad != 0 {
+		t.Errorf("%s: %d torn or foreign frames", who, bad)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("%s: received %d frames %v…, want %d in send order", who, len(got), got[:min(len(got), 8)], len(want))
+	}
+}
+
+// TestTCPSendOrderUnderHandoff streams alternating token-sized and
+// 256 KiB frames without pause to a peer that reads slowly, so its socket
+// keeps filling and draining: large direct writes go partial, and later
+// frames queue behind their remainders while the socket has room again.
+// The peer must receive every frame whole and in send order, the small
+// ones never overtaking the large ones, with nothing dropped.
+func TestTCPSendOrderUnderHandoff(t *testing.T) {
+	ids := []model.ProcessID{"p1", "p2"}
+	addrs := reserveAddrs(t, ids, "tcp")
+	met := obs.New("p1", nil)
+	sender, _ := makeTCP(t, "p1", addrs, func(model.ProcessID, wire.Message) {}, met)
+	defer sender.Close()
+	recv := &seqSink{}
+	rmet := obs.New("p2", nil)
+	slow := func(from model.ProcessID, msg wire.Message) {
+		time.Sleep(100 * time.Microsecond)
+		recv.handle(from, msg)
+	}
+	receiver, _ := makeTCP(t, "p2", addrs, slow, rmet)
+	defer receiver.Close()
+
+	const n = 256
+	var want []uint64
+	for i := uint64(1); i <= n; i++ {
+		size := 64
+		if i%2 == 1 {
+			size = 256 << 10
+		}
+		sender.Unicast("p2", seqData(i, size))
+		want = append(want, i)
+	}
+	waitFor(t, "every frame at p2", func() bool { got, bad := recv.snapshot(); return len(got)+bad >= n })
+	checkSeqs(t, "p2", recv, want)
+	if d := met.Counter(obs.CWireDrops); d != 0 {
+		t.Errorf("%d frames dropped to a reading peer", d)
+	}
+	if e := rmet.Counter(obs.CWireDecodeErrors); e != 0 {
+		t.Errorf("p2 counted %d decode errors", e)
+	}
+}
+
+// TestTCPStalledPeerBound holds the TCP mesh at its per-peer queue bound.
+// Peer p3 accepts its connection and stops reading, while p1 keeps
+// sending 256 KiB frames, broadcast and unicast. Every call returns
+// promptly; once p3's socket buffers and queue are full, frames to it
+// are dropped whole and each is counted; p1 and p2 still receive every
+// broadcast. When p3 reads again it decodes an unbroken prefix of the
+// stream — the partial write that filled its socket was finished, not
+// cut short — with no decode error.
+func TestTCPStalledPeerBound(t *testing.T) {
+	const (
+		frameSize = 256 << 10
+		queueLen  = 8
+		maxFrames = 400
+		wantDrops = 3
+	)
+	addrs := reserveAddrs(t, []model.ProcessID{"p1", "p2"}, "tcp")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	addrs["p3"] = ln.Addr().String()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+
+	met := obs.New("p1", nil)
+	self := &seqSink{}
+	sender, err := NewTCP(TCPConfig{Self: "p1", Peers: addrs, Handler: self.handle, Met: met, QueueLen: queueLen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	peer := &seqSink{}
+	pmet := obs.New("p2", nil)
+	receiver, _ := makeTCP(t, "p2", addrs, peer.handle, pmet)
+	defer receiver.Close()
+
+	var stalled net.Conn
+	var sent, broadcast []uint64
+	for i := uint64(1); met.Counter(obs.CWireDrops) < wantDrops; i++ {
+		if i > maxFrames {
+			t.Fatalf("no frame to the stalled peer dropped after %d frames", maxFrames)
+		}
+		d := seqData(i, frameSize)
+		start := time.Now()
+		if i%4 == 0 {
+			sender.Unicast("p3", d)
+		} else {
+			sender.Broadcast(d)
+			broadcast = append(broadcast, i)
+		}
+		if el := time.Since(start); el > time.Second {
+			t.Fatalf("send %d blocked for %v", i, el)
+		}
+		sent = append(sent, i)
+		// Pace on the readers, so only p3's queue can fill.
+		waitFor(t, "p1 and p2 to keep up", func() bool {
+			a, _ := self.snapshot()
+			b, _ := peer.snapshot()
+			return len(a) == len(broadcast) && len(b) == len(broadcast)
+		})
+		if stalled == nil {
+			select {
+			case stalled = <-accepted:
+				defer stalled.Close()
+			default:
+			}
+		}
+	}
+	if stalled == nil {
+		t.Fatal("p3's connection was never accepted")
+	}
+	checkSeqs(t, "p1", self, broadcast)
+	checkSeqs(t, "p2", peer, broadcast)
+
+	// Resume p3's reader: it must decode a prefix 1..m of what was sent,
+	// every frame past it dropped and counted.
+	got := &seqSink{}
+	decodeErrs := 0
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		dec := wire.NewDecoder()
+		br := bufio.NewReader(stalled)
+		for {
+			n, err := binary.ReadUvarint(br)
+			if err != nil {
+				return
+			}
+			if n == 0 || n > 2*frameSize {
+				decodeErrs++ // framing lost: the stream was torn
+				return
+			}
+			frame := make([]byte, n)
+			if _, err := io.ReadFull(br, frame); err != nil {
+				return
+			}
+			from, body, err := splitFrame(frame)
+			var msg wire.Message
+			if err == nil {
+				msg, err = dec.Decode(body)
+			}
+			if err != nil {
+				decodeErrs++
+				continue
+			}
+			got.handle(from, msg)
+		}
+	}()
+	drops := met.Counter(obs.CWireDrops)
+	waitFor(t, "p3 to read everything not dropped", func() bool {
+		select {
+		case <-done: // the stream ended early or lost its framing
+			return true
+		default:
+		}
+		seqs, bad := got.snapshot()
+		return uint64(len(seqs)+bad) >= uint64(len(sent))-drops
+	})
+	stalled.Close()
+	<-done
+	if decodeErrs != 0 {
+		t.Errorf("p3 counted %d decode errors", decodeErrs)
+	}
+	checkSeqs(t, "p3", got, sent[:uint64(len(sent))-drops])
+	if d := met.Counter(obs.CWireDrops); d != drops {
+		t.Errorf("drops moved from %d to %d after the sends", drops, d)
+	}
+	if e := pmet.Counter(obs.CWireDecodeErrors) + met.Counter(obs.CWireDecodeErrors); e != 0 {
+		t.Errorf("p1 and p2 counted %d decode errors", e)
 	}
 }
